@@ -77,13 +77,34 @@ namespace {
 obs::MetricsRegistry* g_metrics = nullptr;
 
 // State the signal watcher needs to flush a report from outside main's
-// stack frame. Set before subcommand dispatch.
+// stack frame. Set before subcommand dispatch, then published through
+// g_report_ready: the watcher thread already runs while main() writes
+// these, and only the release/acquire pair orders the writes before its
+// reads.
 std::string g_metrics_path;
 std::string g_command;
+std::atomic<bool> g_report_ready{false};
 
 // Live server, when `serve` is running: the first SIGINT/SIGTERM turns
-// into a graceful drain instead of an exit.
-std::atomic<svc::Server*> g_server{nullptr};
+// into a graceful drain instead of an exit. A stopper holds the mutex for
+// its whole request_stop() call, and cmd_serve clears the pointer under
+// it before the server is destroyed, so no stopper can outlive it.
+std::mutex g_server_mutex;
+svc::Server* g_server = nullptr;  // guarded by g_server_mutex
+
+void set_live_server(svc::Server* server) {
+  std::lock_guard<std::mutex> lock(g_server_mutex);
+  g_server = server;
+}
+
+/// Ask the live server to drain, once; false when none is running.
+bool stop_live_server() {
+  std::lock_guard<std::mutex> lock(g_server_mutex);
+  if (g_server == nullptr) return false;
+  g_server->request_stop();
+  g_server = nullptr;
+  return true;
+}
 
 const char* signal_name(int sig) {
   return sig == SIGINT ? "SIGINT" : sig == SIGTERM ? "SIGTERM" : "signal";
@@ -92,7 +113,8 @@ const char* signal_name(int sig) {
 /// Write the --metrics report (no-op without --metrics). `interrupted`
 /// names the signal when the run did not finish on its own.
 void write_metrics_report(const char* interrupted) {
-  if (g_metrics == nullptr) return;
+  if (!g_report_ready.load(std::memory_order_acquire) || g_metrics == nullptr)
+    return;
   g_metrics->set_info("tool", "sinet_cli");
   g_metrics->set_info("command", g_command);
   if (interrupted != nullptr) g_metrics->set_info("interrupted", interrupted);
@@ -110,13 +132,9 @@ void signal_watcher(sigset_t set) {
   for (;;) {
     int sig = 0;
     if (sigwait(&set, &sig) != 0) return;
-    svc::Server* server = g_server.exchange(nullptr);
-    if (server != nullptr) {
-      // serve: begin graceful drain; main() writes the report after
-      // wait() returns. A second signal falls through to the exit path.
-      server->request_stop();
-      continue;
-    }
+    // serve: begin graceful drain; main() writes the report after
+    // wait() returns. A second signal falls through to the exit path.
+    if (stop_live_server()) continue;
     write_metrics_report(signal_name(sig));
     std::fflush(nullptr);
     std::_Exit(128 + sig);
@@ -652,7 +670,7 @@ int cmd_serve(int argc, char** argv) {
   obs::MetricsRegistry& reg = g_metrics != nullptr ? *g_metrics : local;
   svc::PassService service(sopts, &reg);
   svc::Server server(service, ropts, &reg);
-  g_server.store(&server);
+  set_live_server(&server);
   std::printf("serve.port=%d\n", server.port());
   std::printf("serve.satellites=%zu\n", service.satellite_count());
   std::printf("serve.horizon_hours=%g\n", sopts.horizon_hours);
@@ -669,12 +687,11 @@ int cmd_serve(int argc, char** argv) {
       std::unique_lock<std::mutex> lock(timer_mutex);
       timer_cv.wait_for(lock, std::chrono::duration<double>(max_seconds),
                         [&] { return timer_cancel; });
-      svc::Server* mine = g_server.exchange(nullptr);
-      if (mine != nullptr) mine->request_stop();
+      stop_live_server();
     });
 
   server.wait();
-  g_server.store(nullptr);
+  set_live_server(nullptr);
   if (timer.joinable()) {
     {
       std::lock_guard<std::mutex> lock(timer_mutex);
@@ -822,6 +839,7 @@ int main(int argc, char** argv) {
 
   const std::string cmd = argv[1];
   g_command = cmd;
+  g_report_ready.store(true, std::memory_order_release);
   int rc = 2;
   try {
     if (cmd == "passes") rc = cmd_passes(argc, argv);

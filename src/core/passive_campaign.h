@@ -44,10 +44,12 @@ struct PassiveCampaignConfig {
   /// set, beacons are only transmitted in sunlight (one of the paper's
   /// suspected loss causes, Appendix C "resource constraints").
   bool eclipse_gates_beacons = false;
-  /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
-  /// hardware threads, 1 = exact serial legacy path, N = N workers.
-  /// Only window *prediction* is parallel; the beacon/channel simulation
-  /// stays serial so RNG draws are untouched.
+  /// Worker threads: 0 = all hardware threads (the shared pool), 1 =
+  /// everything serial on the calling thread, N = N workers. Window
+  /// prediction fans out over (satellite, site) pairs and the
+  /// beacon/channel simulation over sites. Each site draws from its own
+  /// stream in a fixed order and the sites merge in order, so the result
+  /// is bit-identical at any thread count.
   unsigned threads = 0;
   /// Serve repeated window predictions from the global
   /// orbit::ContactWindowCache.

@@ -22,6 +22,9 @@ struct ObservationRequest {
   std::string satellite;
   std::string constellation;
   orbit::ContactWindow window;
+  /// Caller-defined id, carried unchanged into the ScheduledObservation
+  /// (the passive campaign stores its satellite index here).
+  std::size_t id = 0;
 };
 
 /// A window assigned to a concrete station (0-based index at the site).

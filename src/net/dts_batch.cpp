@@ -556,7 +556,7 @@ class BatchSimulator {
     std::uint64_t stamp = 0;
     bool in_footprint = false;
     bool masked = false;
-    orbit::PassSample geo;
+    orbit::LookAngles look;
     double doppler_rate = 0.0;
   };
 
@@ -576,18 +576,18 @@ class BatchSimulator {
     g.in_footprint =
         cur < ws.size() && jd >= ws[cur].aos_jd && jd <= ws[cur].los_jd;
     if (!g.in_footprint) return g;
-    g.geo = orbit::sample_geometry(satellites_[s].propagator,
-                                   locations_[loc], jd);
-    g.masked = g.geo.look.elevation_deg < cfg_.visibility_mask_deg;
+    const orbit::ElevationSampler sampler(satellites_[s].propagator,
+                                          locations_[loc]);
+    g.look = sampler.look(jd);
+    g.masked = g.look.elevation_deg < cfg_.visibility_mask_deg;
     if (g.masked) return g;
     // Doppler rate via one-second finite difference (legacy computes the
     // second sample only for unmasked geometry; keep that order).
-    const orbit::PassSample geo1 = orbit::sample_geometry(
-        satellites_[s].propagator, locations_[loc],
-        jd + 1.0 / orbit::kSecondsPerDay);
-    const double f0 = orbit::doppler_shift_hz(g.geo.look.range_rate_km_s,
+    const orbit::LookAngles look1 =
+        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+    const double f0 = orbit::doppler_shift_hz(g.look.range_rate_km_s,
                                               cfg_.downlink.carrier_hz);
-    const double f1 = orbit::doppler_shift_hz(geo1.look.range_rate_km_s,
+    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
                                               cfg_.downlink.carrier_hz);
     g.doppler_rate = f1 - f0;
     return g;
@@ -616,7 +616,7 @@ class BatchSimulator {
     phy::LinkConfig beacon_cfg = cfg_.downlink;
     beacon_cfg.rx_antenna = nodes_.antenna[n];
     const phy::LinkState beacon_state = phy::draw_link_state(
-        beacon_cfg, g.geo.look, wx, g.doppler_rate, rng);
+        beacon_cfg, g.look, wx, g.doppler_rate, rng);
     if (!error_model_.receive(beacon_state, beacon_cfg.lora,
                               cfg_.beacon.payload_bytes, rng))
       return;
@@ -631,7 +631,7 @@ class BatchSimulator {
           beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
     }
     phy::LinkState up_state =
-        phy::draw_link_state(up_cfg, g.geo.look, wx, g.doppler_rate, rng);
+        phy::draw_link_state(up_cfg, g.look, wx, g.doppler_rate, rng);
     if (cfg_.doppler_precompensation) {
       up_state.doppler.shift_hz *= cfg_.precompensation_residual;
       up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
@@ -641,7 +641,7 @@ class BatchSimulator {
     r.node = n;
     r.uplink_params = up_cfg.lora;
     r.uplink_state = up_state;
-    r.look = g.geo.look;
+    r.look = g.look;
     r.doppler_rate = g.doppler_rate;
     responders.push_back(r);
   }
@@ -1446,7 +1446,7 @@ class ShardSimulator {
     std::uint64_t stamp = 0;
     bool in_footprint = false;
     bool masked = false;
-    orbit::PassSample geo;
+    orbit::LookAngles look;
     double doppler_rate = 0.0;
   };
 
@@ -1461,16 +1461,16 @@ class ShardSimulator {
     g.in_footprint =
         cur < ws.size() && jd >= ws[cur].aos_jd && jd <= ws[cur].los_jd;
     if (!g.in_footprint) return g;
-    g.geo = orbit::sample_geometry(satellites_[s].propagator,
-                                   locations_[loc], jd);
-    g.masked = g.geo.look.elevation_deg < cfg_.visibility_mask_deg;
+    const orbit::ElevationSampler sampler(satellites_[s].propagator,
+                                          locations_[loc]);
+    g.look = sampler.look(jd);
+    g.masked = g.look.elevation_deg < cfg_.visibility_mask_deg;
     if (g.masked) return g;
-    const orbit::PassSample geo1 = orbit::sample_geometry(
-        satellites_[s].propagator, locations_[loc],
-        jd + 1.0 / orbit::kSecondsPerDay);
-    const double f0 = orbit::doppler_shift_hz(g.geo.look.range_rate_km_s,
+    const orbit::LookAngles look1 =
+        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+    const double f0 = orbit::doppler_shift_hz(g.look.range_rate_km_s,
                                               cfg_.downlink.carrier_hz);
-    const double f1 = orbit::doppler_shift_hz(geo1.look.range_rate_km_s,
+    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
                                               cfg_.downlink.carrier_hz);
     g.doppler_rate = f1 - f0;
     return g;
@@ -1491,7 +1491,7 @@ class ShardSimulator {
     phy::LinkConfig beacon_cfg = cfg_.downlink;
     beacon_cfg.rx_antenna = nodes_.antenna[n];
     const phy::LinkState beacon_state = phy::draw_link_state(
-        beacon_cfg, g.geo.look, wx, g.doppler_rate, rng);
+        beacon_cfg, g.look, wx, g.doppler_rate, rng);
     if (!error_model_.receive(beacon_state, beacon_cfg.lora,
                               cfg_.beacon.payload_bytes, rng))
       return;
@@ -1506,13 +1506,13 @@ class ShardSimulator {
           beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
     }
     phy::LinkState up_state =
-        phy::draw_link_state(up_cfg, g.geo.look, wx, g.doppler_rate, rng);
+        phy::draw_link_state(up_cfg, g.look, wx, g.doppler_rate, rng);
     if (cfg_.doppler_precompensation) {
       up_state.doppler.shift_hz *= cfg_.precompensation_residual;
       up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
     }
     responders.push_back(SlotResponder{n, Transmission{}, up_cfg.lora,
-                                       up_state, g.geo.look, g.doppler_rate});
+                                       up_state, g.look, g.doppler_rate});
   }
 
   void beacon_slot(std::uint32_t s, std::uint64_t gid, double t,

@@ -255,17 +255,17 @@ class Simulator {
       const std::size_t loc = node_location_[n];
       if (!in_window(node_windows_[s][loc], jd)) continue;
 
-      const orbit::PassSample geo = orbit::sample_geometry(
-          satellites_[s].propagator, locations_[loc], jd);
-      if (geo.look.elevation_deg < cfg_.visibility_mask_deg) continue;
+      const orbit::ElevationSampler sampler(satellites_[s].propagator,
+                                            locations_[loc]);
+      const orbit::LookAngles look = sampler.look(jd);
+      if (look.elevation_deg < cfg_.visibility_mask_deg) continue;
 
       // Doppler rate via one-second finite difference.
-      const orbit::PassSample geo1 = orbit::sample_geometry(
-          satellites_[s].propagator, locations_[loc],
-          jd + 1.0 / orbit::kSecondsPerDay);
-      const double f0 = orbit::doppler_shift_hz(geo.look.range_rate_km_s,
+      const orbit::LookAngles look1 =
+          sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+      const double f0 = orbit::doppler_shift_hz(look.range_rate_km_s,
                                                 cfg_.downlink.carrier_hz);
-      const double f1 = orbit::doppler_shift_hz(geo1.look.range_rate_km_s,
+      const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
                                                 cfg_.downlink.carrier_hz);
       const double doppler_rate = f1 - f0;
 
@@ -273,7 +273,7 @@ class Simulator {
       phy::LinkConfig beacon_cfg = cfg_.downlink;
       beacon_cfg.rx_antenna = node.config.antenna;
       const phy::LinkState beacon_state = phy::draw_link_state(
-          beacon_cfg, geo.look, wx, doppler_rate, rng);
+          beacon_cfg, look, wx, doppler_rate, rng);
       if (!error_model_.receive(beacon_state, beacon_cfg.lora,
                                 cfg_.beacon.payload_bytes, rng))
         continue;
@@ -293,7 +293,7 @@ class Simulator {
             beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
       }
       phy::LinkState up_state =
-          phy::draw_link_state(up_cfg, geo.look, wx, doppler_rate, rng);
+          phy::draw_link_state(up_cfg, look, wx, doppler_rate, rng);
       if (cfg_.doppler_precompensation) {
         up_state.doppler.shift_hz *= cfg_.precompensation_residual;
         up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
@@ -303,7 +303,7 @@ class Simulator {
       r.node = n;
       r.uplink_params = up_cfg.lora;
       r.uplink_state = up_state;
-      r.look = geo.look;
+      r.look = look;
       r.doppler_rate = doppler_rate;
       responders.push_back(r);
     }

@@ -24,6 +24,13 @@ double ElevationSampler::elevation_deg(JulianDate jd) const {
   return elevation_from_ecef(frame_, ecef.position_km);
 }
 
+LookAngles ElevationSampler::look(JulianDate jd) const {
+  const TemeState st = prop_->at_jd(jd);
+  const EcefState ecef =
+      teme_to_ecef_state(st.position_km, st.velocity_km_s, jd);
+  return look_angles(frame_, ecef.position_km, ecef.velocity_km_s);
+}
+
 PassSample ElevationSampler::sample(JulianDate jd) const {
   const TemeState st = prop_->at_jd(jd);
   const EcefState ecef =

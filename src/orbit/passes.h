@@ -74,6 +74,11 @@ class ElevationSampler {
   /// Elevation (deg) of the satellite above the observer's horizon.
   [[nodiscard]] double elevation_deg(JulianDate jd) const;
 
+  /// Look angles only: bit-equal to sample(jd).look, without the
+  /// subsatellite point's geodetic inversion (about half of sample()'s
+  /// cost), for callers that never read it.
+  [[nodiscard]] LookAngles look(JulianDate jd) const;
+
   /// Full geometry sample (look angles + subsatellite point).
   [[nodiscard]] PassSample sample(JulianDate jd) const;
 

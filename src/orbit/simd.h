@@ -26,8 +26,11 @@
 // AVX2 / AVX-512 variants next to the baseline and dispatch at load time
 // via ifunc. Only meaningful for out-of-line definitions on x86-64 ELF;
 // expands to nothing elsewhere so the baseline build is the only one.
+// ThreadSanitizer builds keep the baseline only: the loader runs ifunc
+// resolvers before the TSan runtime is initialized, and such a binary
+// crashes before main.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__clang__)
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define SINET_SIMD_TARGET_CLONES \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #else

@@ -36,17 +36,24 @@ EventHandle EventQueue::schedule_chain(std::vector<SimTime> times,
       throw std::invalid_argument("EventQueue: chain times must be sorted");
 
   // Shared walker state: each fired link runs the visitor, then schedules
-  // the next link. The chain holds exactly one pending entry at a time.
+  // the next link. The chain holds exactly one pending entry at a time,
+  // and that entry owns the walker. The walker refers to itself weakly:
+  // a strong self-capture is a cycle that would keep it, the times and
+  // the visitor's captures alive after the chain completes, is
+  // cancelled, or its queue dies.
   struct Chain {
     std::vector<SimTime> times;
     std::function<void(std::size_t)> visit;
   };
+  using Walker = std::function<void(std::size_t)>;
   auto chain = std::make_shared<Chain>(Chain{std::move(times), std::move(cb)});
-  auto fire = std::make_shared<std::function<void(std::size_t)>>();
-  *fire = [this, chain, fire](std::size_t i) {
+  auto fire = std::make_shared<Walker>();
+  *fire = [this, chain, self = std::weak_ptr<Walker>(fire)](std::size_t i) {
     chain->visit(i);
+    // The running entry still owns the walker, so the lock succeeds.
     if (i + 1 < chain->times.size())
-      schedule_at(chain->times[i + 1], [fire, i] { (*fire)(i + 1); });
+      schedule_at(chain->times[i + 1],
+                  [next = self.lock(), i] { (*next)(i + 1); });
   };
   return schedule_at(chain->times.front(), [fire] { (*fire)(0); });
 }

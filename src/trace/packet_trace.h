@@ -65,6 +65,9 @@ struct UplinkRecord {
 class BeaconTraceSet {
  public:
   void add(BeaconRecord r) { records_.push_back(std::move(r)); }
+  /// Make room for `n` records in total, so a producer that knows its
+  /// final count appends without regrowing.
+  void reserve(std::size_t n) { records_.reserve(n); }
   [[nodiscard]] const std::vector<BeaconRecord>& records() const noexcept {
     return records_;
   }

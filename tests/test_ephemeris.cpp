@@ -119,6 +119,33 @@ TEST(EphemerisTable, PositionsMatchElevationSampler) {
   }
 }
 
+// ElevationSampler::look skips sample()'s geodetic inversion of the
+// subsatellite point; the look angles must stay bit-equal to sample()'s.
+// Swept over TLEs in every Table 3 altitude and inclination band, all 8
+// paper sites and 30 days of time offsets.
+TEST(EphemerisTable, SamplerLookMatchesSampleLook) {
+  std::mt19937_64 rng(12);
+  std::uniform_real_distribution<double> offset_days(0.0, 30.0);
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  const auto sites = core::paper_measurement_sites();
+  ASSERT_EQ(sites.size(), 8u);
+  for (int index = 0; index < 56; ++index) {  // 8 altitudes x 7 inclinations
+    const Sgp4 prop(random_tle(rng, index));
+    for (const core::MeasurementSite& site : sites) {
+      const orbit::ElevationSampler sampler(prop, site.location);
+      for (int k = 0; k < 16; ++k) {
+        const JulianDate jd = jd0 + offset_days(rng);
+        const orbit::LookAngles look = sampler.look(jd);
+        const orbit::PassSample sample = sampler.sample(jd);
+        EXPECT_EQ(look.azimuth_deg, sample.look.azimuth_deg);
+        EXPECT_EQ(look.elevation_deg, sample.look.elevation_deg);
+        EXPECT_EQ(look.range_km, sample.look.range_km);
+        EXPECT_EQ(look.range_rate_km_s, sample.look.range_rate_km_s);
+      }
+    }
+  }
+}
+
 TEST(CullBounds, SatelliteBoundsAreConservative) {
   orbit::KeplerianElements kep;
   kep.altitude_km = 550.0;

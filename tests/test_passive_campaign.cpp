@@ -1,13 +1,72 @@
 // Passive measurement campaign integration tests.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/passive_campaign.h"
 
 namespace {
 
 using namespace sinet::core;
+using sinet::trace::BeaconRecord;
+
+/// Every field of every record, in order, with raw double equality.
+void expect_same_records(const std::vector<BeaconRecord>& got,
+                         const std::vector<BeaconRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(got[i].time_unix_s, want[i].time_unix_s);
+    EXPECT_EQ(got[i].station, want[i].station);
+    EXPECT_EQ(got[i].constellation, want[i].constellation);
+    EXPECT_EQ(got[i].satellite, want[i].satellite);
+    EXPECT_EQ(got[i].rssi_dbm, want[i].rssi_dbm);
+    EXPECT_EQ(got[i].snr_db, want[i].snr_db);
+    EXPECT_EQ(got[i].elevation_deg, want[i].elevation_deg);
+    EXPECT_EQ(got[i].azimuth_deg, want[i].azimuth_deg);
+    EXPECT_EQ(got[i].range_km, want[i].range_km);
+    EXPECT_EQ(got[i].doppler_hz, want[i].doppler_hz);
+    EXPECT_EQ(got[i].sat_altitude_km, want[i].sat_altitude_km);
+    EXPECT_EQ(got[i].weather, want[i].weather);
+    if (::testing::Test::HasFailure()) return;  // one record is enough
+  }
+}
+
+void expect_same_cell(const std::vector<SatelliteWindows>& got,
+                      const std::vector<SatelliteWindows>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].satellite, want[s].satellite);
+    ASSERT_EQ(got[s].windows.size(), want[s].windows.size());
+    for (std::size_t w = 0; w < got[s].windows.size(); ++w) {
+      EXPECT_EQ(got[s].windows[w].aos_jd, want[s].windows[w].aos_jd);
+      EXPECT_EQ(got[s].windows[w].los_jd, want[s].windows[w].los_jd);
+      EXPECT_EQ(got[s].windows[w].tca_jd, want[s].windows[w].tca_jd);
+      EXPECT_EQ(got[s].windows[w].max_elevation_deg,
+                want[s].windows[w].max_elevation_deg);
+    }
+  }
+}
+
+/// Every output of two campaign runs.
+void expect_same_result(const PassiveCampaignResult& got,
+                        const PassiveCampaignResult& want) {
+  EXPECT_EQ(got.beacons_transmitted, want.beacons_transmitted);
+  EXPECT_EQ(got.beacons_received, want.beacons_received);
+  EXPECT_EQ(got.windows_requested_observed, want.windows_requested_observed);
+  ASSERT_EQ(got.theoretical.size(), want.theoretical.size());
+  for (const auto& [key, cell] : want.theoretical) {
+    SCOPED_TRACE(key.first + "/" + key.second);
+    const auto it = got.theoretical.find(key);
+    ASSERT_NE(it, got.theoretical.end());
+    expect_same_cell(it->second, cell);
+  }
+  expect_same_records(got.traces.records(), want.traces.records());
+}
 
 PassiveCampaignConfig tiny_campaign() {
   PassiveCampaignConfig cfg = default_campaign(1.0);
@@ -83,8 +142,63 @@ TEST(PassiveCampaign, StationAssignmentRoundRobins) {
 TEST(PassiveCampaign, DeterministicForSeed) {
   const auto a = run_passive_campaign(tiny_campaign());
   const auto b = run_passive_campaign(tiny_campaign());
-  EXPECT_EQ(a.traces.size(), b.traces.size());
-  EXPECT_EQ(a.beacons_transmitted, b.beacons_transmitted);
+  ASSERT_FALSE(a.traces.empty());
+  expect_same_result(a, b);
+
+  // The comparison can fail: another seed redraws the channel.
+  PassiveCampaignConfig other = tiny_campaign();
+  other.seed = 2;
+  const auto c = run_passive_campaign(other);
+  EXPECT_TRUE(c.traces.size() != a.traces.size() ||
+              c.traces.records().front().rssi_dbm !=
+                  a.traces.records().front().rssi_dbm);
+}
+
+// The observe phase runs one task per site. Every output must be the
+// serial run's, bit for bit, at any thread count.
+TEST(PassiveCampaignParallel, ThreadCountInvariant) {
+  PassiveCampaignConfig cfg = default_campaign(2.0);
+  ASSERT_EQ(cfg.sites.size(), 8u);
+  cfg.use_window_cache = false;  // each run predicts at its own count
+  cfg.threads = 1;
+  const PassiveCampaignResult serial = run_passive_campaign(cfg);
+  ASSERT_GT(serial.traces.size(), 1000u);
+  for (const unsigned threads : {2u, 4u, 0u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    cfg.threads = threads;
+    expect_same_result(run_passive_campaign(cfg), serial);
+  }
+}
+
+// What the per-site fan-out relies on: a site's records depend on no
+// other site. The full run holds each site's solo records, contiguous
+// and in site order.
+TEST(PassiveCampaignParallel, SitesAreIsolated) {
+  const PassiveCampaignConfig cfg = default_campaign(2.0);
+  const PassiveCampaignResult full = run_passive_campaign(cfg);
+  const std::vector<BeaconRecord>& all = full.traces.records();
+  std::size_t offset = 0;
+  std::uint64_t transmitted = 0;
+  for (const MeasurementSite& site : cfg.sites) {
+    SCOPED_TRACE(site.code);
+    PassiveCampaignConfig solo_cfg = cfg;
+    solo_cfg.sites = {site};
+    const PassiveCampaignResult solo = run_passive_campaign(solo_cfg);
+    ASSERT_FALSE(solo.traces.empty());
+    ASSERT_LE(offset + solo.traces.size(), all.size());
+    const std::vector<BeaconRecord> slice(
+        all.begin() + static_cast<std::ptrdiff_t>(offset),
+        all.begin() + static_cast<std::ptrdiff_t>(offset + solo.traces.size()));
+    expect_same_records(slice, solo.traces.records());
+    EXPECT_EQ(full.windows_requested_observed.at(site.code),
+              solo.windows_requested_observed.at(site.code));
+    for (const auto& [key, cell] : solo.theoretical)
+      expect_same_cell(full.theoretical.at(key), cell);
+    offset += solo.traces.size();
+    transmitted += solo.beacons_transmitted;
+  }
+  EXPECT_EQ(offset, all.size());
+  EXPECT_EQ(transmitted, full.beacons_transmitted);
 }
 
 TEST(PassiveCampaign, ConfigValidation) {
@@ -97,6 +211,9 @@ TEST(PassiveCampaign, ConfigValidation) {
   PassiveCampaignConfig cfg3 = tiny_campaign();
   cfg3.duration_days = -1.0;
   EXPECT_THROW(run_passive_campaign(cfg3), std::invalid_argument);
+  PassiveCampaignConfig cfg4 = tiny_campaign();
+  cfg4.beacon.period_s = 0.0;  // would never leave the first window
+  EXPECT_THROW(run_passive_campaign(cfg4), std::invalid_argument);
 }
 
 TEST(PassiveCampaign, QuieterSiteLogsMoreTraces) {

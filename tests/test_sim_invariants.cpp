@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -257,6 +258,40 @@ TEST(EventQueueInvariants, PeekTimeIsConstAndSkipsCancelledRuns) {
   EXPECT_DOUBLE_EQ(cq.peek_time(), 50.0);
   EXPECT_EQ(cq.pending(), 14u);
   EXPECT_EQ(q.run_all(), 14u);
+}
+
+// Regression for the schedule_chain leak: the chain's walker captured the
+// shared_ptr that owned it, so the cycle kept the times and the visitor
+// (with every capture) alive after the chain was done with. A sentinel
+// captured by the visitor shows whether the chain released it.
+TEST(EventQueueRegression, ScheduleChainReleasesItsVisitor) {
+  const auto sentinel = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    int visits = 0;
+    q.schedule_chain({1.0, 2.0, 3.0},
+                     [sentinel, &visits](std::size_t) { ++visits; });
+    EXPECT_EQ(sentinel.use_count(), 2);  // the pending chain holds it
+    EXPECT_EQ(q.run_all(), 3u);
+    EXPECT_EQ(visits, 3);
+    EXPECT_EQ(sentinel.use_count(), 1) << "completed chain kept its visitor";
+  }
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  {
+    EventQueue q;
+    const EventHandle h =
+        q.schedule_chain({1.0, 2.0}, [sentinel](std::size_t) {});
+    EXPECT_TRUE(q.cancel(h));
+    EXPECT_EQ(q.run_all(), 0u);
+    EXPECT_EQ(sentinel.use_count(), 1) << "cancelled chain kept its visitor";
+  }
+  {
+    // Cancelled but never drained: the queue's destruction frees it.
+    EventQueue q;
+    EXPECT_TRUE(q.cancel(q.schedule_chain({1.0}, [sentinel](std::size_t) {})));
+  }
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 // ---------------------------------------------------------------------------

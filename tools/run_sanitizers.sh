@@ -54,6 +54,15 @@ for p in "${presets[@]}"; do
       echo "==== [$p] parallel DtS stress FAILED" >&2
       failed+=("$p-dts-stress")
     fi
+    # The passive campaign's per-site observe fan-out: all 8 sites at 1,
+    # 2, 4 and all hardware threads, record for record against the serial
+    # run.
+    echo "==== [$p] parallel campaign invariance"
+    if ! "build-$p/tests/test_passive_campaign" \
+        --gtest_filter='PassiveCampaignParallel.*'; then
+      echo "==== [$p] parallel campaign invariance FAILED" >&2
+      failed+=("$p-campaign-invariance")
+    fi
   fi
 done
 
