@@ -591,6 +591,10 @@ int cmd_dts(int argc, char** argv) {
               static_cast<unsigned long long>(
                   res.counters.satellite_buffer_drops));
   std::printf("dts.wall_s=%.3f\n", wall_s);
+  // Shard work over the schedule's critical path: the speedup the slice
+  // schedule allows with unlimited cores (timed, so it varies run to run).
+  std::printf("dts.available_parallelism=%.2f\n",
+              gauge("net.dts.parallel.available"));
   std::printf("dts.nodes_per_s=%.1f\n",
               wall_s > 0.0 ? static_cast<double>(nodes) / wall_s : 0.0);
   std::printf("dts.event_queue_max_pending=%.0f\n",

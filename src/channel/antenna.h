@@ -15,7 +15,7 @@ enum class AntennaType {
   kFiveEighthsWaveMonopole,
   kDipole,              ///< tumbling nanosat beacon antenna
   kSatelliteTurnstile,  ///< nadir-pointing gateway receive antenna
-  kIsotropic,           ///< reference
+  kIsotropic,           ///< reference (keep last: it bounds the types)
 };
 
 /// Gain (dBi) toward a target at `elevation_deg` above the local horizon.

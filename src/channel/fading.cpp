@@ -21,12 +21,14 @@ double FadingModel::k_factor_db(double elevation_deg) const noexcept {
          frac * (cfg_.rician_k_db - cfg_.low_elevation_k_db);
 }
 
-double FadingModel::draw_db(sinet::sim::Rng& rng, double elevation_deg,
-                            Weather w) const {
-  const double sigma =
-      cfg_.shadowing_sigma_db + weather_extra_shadowing_db(w);
-  const double shadowing = rng.normal(0.0, sigma);
-  const double amp = rng.rician_amplitude(k_factor_db(elevation_deg));
+FadeParams FadingModel::prepare(double elevation_deg, Weather w) const {
+  return {cfg_.shadowing_sigma_db + weather_extra_shadowing_db(w),
+          sinet::sim::rician_params(k_factor_db(elevation_deg))};
+}
+
+double FadingModel::draw_db(const FadeParams& p, sinet::sim::Rng& rng) {
+  const double shadowing = rng.normal(0.0, p.shadowing_sigma_db);
+  const double amp = rng.rician_amplitude(p.rician);
   // Power gain of the small-scale component (mean ~ 1 by construction).
   const double small_scale_db = 20.0 * std::log10(std::max(amp, 1e-6));
   return shadowing + small_scale_db;

@@ -1,13 +1,17 @@
 #include "net/dts_batch.h"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -129,6 +133,184 @@ LocationKey key_of(const orbit::Geodetic& g) {
 }
 
 constexpr std::uint32_t kNoActive = std::numeric_limits<std::uint32_t>::max();
+
+/// Number of channel::AntennaType values (kIsotropic is kept last).
+constexpr std::size_t kAntennaTypes =
+    static_cast<std::size_t>(channel::AntennaType::kIsotropic) + 1;
+
+/// Footprint geometry of one location for one beacon slot, shared by
+/// every node at the location: one SGP4 look per slot instead of one per
+/// node, and the beacon link budget prepared once per receiving antenna
+/// type instead of once per node, so a node's beacon costs only its fade
+/// draw and its decode. Both engines draw from these in the same order
+/// with the same values as the per-node link budget did.
+struct LocGeo {
+  std::uint64_t stamp = 0;
+  bool in_footprint = false;
+  bool masked = false;
+  orbit::LookAngles look;
+  double doppler_rate = 0.0;
+  channel::Weather weather = channel::Weather::kSunny;
+  phy::PreparedReception beacon_rx;
+  std::uint32_t beacon_ready = 0;  ///< bit a set: beacon[a] is this slot's
+  std::array<phy::PreparedLink, kAntennaTypes> beacon;
+
+  /// Bring the row to beacon slot `slot` of satellite `sat` at `jd`
+  /// (no-op when it already holds that slot). The window cursor replaces
+  /// a linear in_window() scan: slot times are non-decreasing per
+  /// satellite, windows are chronological and disjoint, and the
+  /// jd >= aos && jd <= los predicate is unchanged.
+  void refresh(std::uint64_t slot, const DtsNetworkConfig& cfg,
+               const phy::ErrorModel& error_model, const Satellite& sat,
+               const orbit::Geodetic& site,
+               const std::vector<ContactWindow>& windows,
+               std::uint32_t& cursor, JulianDate jd, channel::Weather wx) {
+    if (stamp == slot) return;
+    stamp = slot;
+    beacon_ready = 0;
+    weather = wx;
+    while (cursor < windows.size() && jd > windows[cursor].los_jd) ++cursor;
+    in_footprint = cursor < windows.size() && jd >= windows[cursor].aos_jd &&
+                   jd <= windows[cursor].los_jd;
+    if (!in_footprint) return;
+    const orbit::ElevationSampler sampler(sat.propagator, site);
+    look = sampler.look(jd);
+    masked = look.elevation_deg < cfg.visibility_mask_deg;
+    if (masked) return;
+    // Doppler rate via one-second finite difference (legacy computes the
+    // second sample only for unmasked geometry; keep that order).
+    const orbit::LookAngles look1 =
+        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+    const double f0 =
+        orbit::doppler_shift_hz(look.range_rate_km_s, cfg.downlink.carrier_hz);
+    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
+                                              cfg.downlink.carrier_hz);
+    doppler_rate = f1 - f0;
+    // The beacon's Doppler profile, as every prepared beacon link below
+    // carries it, whatever the receiving antenna.
+    beacon_rx = error_model.prepare(phy::DopplerProfile{f0, doppler_rate},
+                                    cfg.downlink.lora,
+                                    cfg.beacon.payload_bytes);
+  }
+
+  /// This slot's beacon link to a node with receive antenna `a`,
+  /// prepared on first use.
+  const phy::PreparedLink& beacon_link(const DtsNetworkConfig& cfg,
+                                       channel::AntennaType a) {
+    const auto i = static_cast<std::size_t>(a);
+    if ((beacon_ready >> i & 1u) == 0) {
+      phy::LinkConfig link = cfg.downlink;
+      link.rx_antenna = a;
+      beacon[i] = phy::prepare_link(link, look, weather, doppler_rate);
+      beacon_ready |= 1u << i;
+    }
+    return beacon[i];
+  }
+};
+
+/// A node answering a beacon: its uplink draw and prepared reception,
+/// and the slot geometry its ACK is drawn on.
+struct SlotResponder {
+  std::size_t node;
+  Transmission tx;
+  phy::LinkState uplink_state;
+  phy::PreparedReception uplink_rx;
+  orbit::LookAngles look;
+  double doppler_rate;
+};
+
+/// The uplink of node `n` (antenna `antenna`, `payload_bytes` of payload)
+/// answering a beacon it heard at `beacon_snr_db` over slot geometry `g`:
+/// one link draw from `rng`, at the ADR-chosen spreading factor.
+SlotResponder respond(const DtsNetworkConfig& cfg,
+                      const phy::ErrorModel& error_model, std::size_t n,
+                      channel::AntennaType antenna, int payload_bytes,
+                      double beacon_snr_db, const LocGeo& g,
+                      sim::Rng& rng) {
+  phy::LinkConfig up_cfg = cfg.uplink;
+  up_cfg.tx_antenna = antenna;
+  if (cfg.adaptive_sf) {
+    up_cfg.lora.sf = phy::choose_spreading_factor(
+        beacon_snr_db + cfg.adr_uplink_advantage_db, 6.0);
+  }
+  phy::LinkState up_state =
+      phy::draw_link_state(up_cfg, g.look, g.weather, g.doppler_rate, rng);
+  if (cfg.doppler_precompensation) {
+    up_state.doppler.shift_hz *= cfg.precompensation_residual;
+    up_state.doppler.rate_hz_per_s *= cfg.precompensation_residual;
+  }
+  return SlotResponder{
+      n, Transmission{}, up_state,
+      error_model.prepare(up_state.doppler, up_cfg.lora, payload_bytes),
+      g.look, g.doppler_rate};
+}
+
+/// Appends satellite `s`'s timeline entries over [0, duration) to
+/// `times` / `tags` in the legacy scheduler's insertion order: its beacon
+/// ticks (ascending, deduped across location windows) tagged `base`,
+/// then its ground-station flush opportunities in (station, window)
+/// order tagged `base | 1`.
+template <typename Tag>
+void append_satellite_entries(
+    const DtsNetworkConfig& cfg, std::size_t s,
+    const std::vector<std::vector<ContactWindow>>& node_windows,
+    const std::vector<std::vector<ContactWindow>>& gs_windows,
+    std::vector<double>& times, std::vector<Tag>& tags, Tag base) {
+  const double duration_s = cfg.duration_days * 86400.0;
+  const double phase =
+      cfg.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
+  std::vector<double> ticks;
+  for (const auto& windows : node_windows) {
+    for (const ContactWindow& w : windows) {
+      const double a = (w.aos_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      const double b = (w.los_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      const double first =
+          phase +
+          std::ceil((a - phase) / cfg.beacon.period_s) * cfg.beacon.period_s;
+      for (double t = first; t <= b; t += cfg.beacon.period_s)
+        if (t >= 0.0 && t < duration_s) ticks.push_back(t);
+    }
+  }
+  std::sort(ticks.begin(), ticks.end());
+  ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
+  for (const double t : ticks) {
+    times.push_back(t);
+    tags.push_back(base);
+  }
+  for (const auto& windows : gs_windows) {
+    for (const ContactWindow& w : windows) {
+      const double aos = (w.aos_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      const double los = (w.los_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      for (const double t : gs_flush_times(aos, los)) {
+        if (t < 0.0 || t >= duration_s) continue;
+        times.push_back(t);
+        tags.push_back(static_cast<Tag>(base | 1));
+      }
+    }
+  }
+}
+
+/// Sorts timeline entries into the legacy event order: by time, beacons
+/// (tag bit 0 clear) before flushes at equal times, other ties in
+/// insertion order.
+template <typename Tag>
+void sort_timeline(std::vector<double>& times, std::vector<Tag>& tags) {
+  std::vector<std::size_t> order(times.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (times[a] != times[b]) return times[a] < times[b];
+                     return (tags[a] & 1) < (tags[b] & 1);
+                   });
+  std::vector<double> sorted_times(times.size());
+  std::vector<Tag> sorted_tags(tags.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    sorted_times[i] = times[order[i]];
+    sorted_tags[i] = tags[order[i]];
+  }
+  times = std::move(sorted_times);
+  tags = std::move(sorted_tags);
+}
 
 /// Compact per-node report buffer. Sequences are admitted in strictly
 /// increasing order and drained FIFO, so occupancy is almost always one
@@ -433,92 +615,38 @@ class BatchSimulator {
         {std::numeric_limits<std::uint64_t>::max(), 0.0});
   }
 
-  /// One merged, time-sorted timeline per satellite: beacon ticks (built
-  /// exactly like the legacy scheduler, deduped) and ground-station
-  /// flush opportunities (kept in legacy insertion order at ties via
-  /// stable_sort). The whole timeline is ONE chained queue event, so the
-  /// pending set stays O(satellites) for the entire run.
+  /// One merged timeline over every satellite, in the legacy engine's
+  /// event order: by time, beacons before flushes, then by satellite
+  /// (the legacy scheduler inserted satellite by satellite), then each
+  /// satellite's own order. It runs as ONE chained queue event, so the
+  /// pending set stays O(1) for the entire run. (A chain per satellite
+  /// would break equal-time ties between satellites by when each chain
+  /// last fired — e.g. two satellites flushing at a window clipped to the
+  /// run end — and draw the shared backhaul stream out of legacy order.)
   void build_timelines() {
-    timeline_time_.resize(satellites_.size());
-    timeline_is_flush_.resize(satellites_.size());
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      const double phase =
-          cfg_.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
-      std::vector<double> ticks;
-      for (const auto& windows : node_windows_[s]) {
-        for (const ContactWindow& w : windows) {
-          const double a =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double b =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double first =
-              phase +
-              std::ceil((a - phase) / cfg_.beacon.period_s) *
-                  cfg_.beacon.period_s;
-          for (double t = first; t <= b; t += cfg_.beacon.period_s)
-            if (t >= 0.0 && t < duration_s()) ticks.push_back(t);
-        }
-      }
-      std::sort(ticks.begin(), ticks.end());
-      ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
-
-      std::vector<double> flushes;
-      for (std::size_t g = 0; g < gs_windows_[s].size(); ++g) {
-        for (const ContactWindow& w : gs_windows_[s][g]) {
-          const double aos =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double los =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          for (const double t : gs_flush_times(aos, los))
-            if (t >= 0.0 && t < duration_s()) flushes.push_back(t);
-        }
-      }
-
-      std::vector<double>& times = timeline_time_[s];
-      std::vector<std::uint8_t>& kinds = timeline_is_flush_[s];
-      times.reserve(ticks.size() + flushes.size());
-      kinds.reserve(ticks.size() + flushes.size());
-      for (const double t : ticks) {
-        times.push_back(t);
-        kinds.push_back(0);
-      }
-      for (const double t : flushes) {
-        times.push_back(t);
-        kinds.push_back(1);
-      }
-      // Beacon-before-flush at equal times, flushes keeping their
-      // (gs, window) insertion order — both legacy-tie behaviors.
-      std::vector<std::size_t> order(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (times[a] != times[b]) return times[a] < times[b];
-                         return kinds[a] < kinds[b];
-                       });
-      std::vector<double> st(times.size());
-      std::vector<std::uint8_t> sk(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        st[i] = times[order[i]];
-        sk[i] = kinds[order[i]];
-      }
-      times = std::move(st);
-      kinds = std::move(sk);
-
-      if (!times.empty())
-        sim_.events().schedule_chain(
-            times, [this, s](std::size_t i) { on_timeline_entry(s, i); });
-    }
+    std::vector<double> times;
+    for (std::size_t s = 0; s < satellites_.size(); ++s)
+      append_satellite_entries(cfg_, s, node_windows_[s], gs_windows_[s],
+                               times, timeline_tag_,
+                               static_cast<std::uint32_t>(s << 1));
+    sort_timeline(times, timeline_tag_);
+    timeline_bytes_ = times.capacity() * sizeof(double) +
+                      timeline_tag_.capacity() * sizeof(std::uint32_t);
+    if (!times.empty())
+      sim_.events().schedule_chain(
+          std::move(times), [this](std::size_t i) { on_timeline_entry(i); });
   }
 
-  void on_timeline_entry(std::size_t s, std::size_t i) {
+  void on_timeline_entry(std::size_t i) {
     // Reports scheduled before beacons/flushes fire first at equal times
     // in the legacy engine; materializing due reports (inclusive) at
     // handler entry reproduces that phase order.
     materialize_reports(sim_.now(), /*inclusive=*/true);
-    if (timeline_is_flush_[s][i])
-      flush_satellite(s);
+    const std::uint32_t tag = timeline_tag_[i];
+    if (tag & 1)
+      flush_satellite(tag >> 1);
     else
-      beacon_slot(s);
+      beacon_slot(tag >> 1);
   }
 
   // --- report materialization ----------------------------------------
@@ -551,57 +679,6 @@ class BatchSimulator {
 
   // --- beacon slot ----------------------------------------------------
 
-  /// Per-(beacon tick) cached footprint geometry for one location.
-  struct LocGeo {
-    std::uint64_t stamp = 0;
-    bool in_footprint = false;
-    bool masked = false;
-    orbit::LookAngles look;
-    double doppler_rate = 0.0;
-  };
-
-  /// Lazily computed, per-tick cached visibility + geometry of `loc`
-  /// from satellite `s`. Same-location nodes share one SGP4 propagation
-  /// per tick instead of one per node; the per-(sat, loc) window cursor
-  /// replaces the legacy linear in_window() scan (timeline times are
-  /// non-decreasing per satellite, windows are chronological and
-  /// disjoint, and the jd >= aos && jd <= los predicate is unchanged).
-  const LocGeo& loc_geometry(std::size_t s, std::size_t loc, JulianDate jd) {
-    LocGeo& g = loc_geo_[loc];
-    if (g.stamp == tick_stamp_) return g;
-    g.stamp = tick_stamp_;
-    const std::vector<ContactWindow>& ws = node_windows_[s][loc];
-    std::uint32_t& cur = window_cursor_[s][loc];
-    while (cur < ws.size() && jd > ws[cur].los_jd) ++cur;
-    g.in_footprint =
-        cur < ws.size() && jd >= ws[cur].aos_jd && jd <= ws[cur].los_jd;
-    if (!g.in_footprint) return g;
-    const orbit::ElevationSampler sampler(satellites_[s].propagator,
-                                          locations_[loc]);
-    g.look = sampler.look(jd);
-    g.masked = g.look.elevation_deg < cfg_.visibility_mask_deg;
-    if (g.masked) return g;
-    // Doppler rate via one-second finite difference (legacy computes the
-    // second sample only for unmasked geometry; keep that order).
-    const orbit::LookAngles look1 =
-        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
-    const double f0 = orbit::doppler_shift_hz(g.look.range_rate_km_s,
-                                              cfg_.downlink.carrier_hz);
-    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
-                                              cfg_.downlink.carrier_hz);
-    g.doppler_rate = f1 - f0;
-    return g;
-  }
-
-  struct SlotResponder {
-    std::size_t node;
-    Transmission tx;
-    phy::LoraParams uplink_params;
-    phy::LinkState uplink_state;
-    orbit::LookAngles look;
-    double doppler_rate;
-  };
-
   /// One node's response decision for the current beacon. Replicates the
   /// legacy per-node draw order exactly: beacon link state, beacon
   /// decode, then (only for a node with a queued report and a free
@@ -610,40 +687,21 @@ class BatchSimulator {
                      JulianDate jd, channel::Weather wx, sim::Rng& rng,
                      std::vector<SlotResponder>& responders) {
     const std::size_t loc = nodes_.loc[n];
-    const LocGeo& g = loc_geometry(s, loc, jd);
+    LocGeo& g = loc_geo_[loc];
+    g.refresh(tick_stamp_, cfg_, error_model_, satellites_[s],
+              locations_[loc], node_windows_[s][loc], window_cursor_[s][loc],
+              jd, wx);
     if (!g.in_footprint || g.masked) return;
 
-    phy::LinkConfig beacon_cfg = cfg_.downlink;
-    beacon_cfg.rx_antenna = nodes_.antenna[n];
-    const phy::LinkState beacon_state = phy::draw_link_state(
-        beacon_cfg, g.look, wx, g.doppler_rate, rng);
-    if (!error_model_.receive(beacon_state, beacon_cfg.lora,
-                              cfg_.beacon.payload_bytes, rng))
-      return;
+    const phy::LinkState beacon_state =
+        phy::draw_link_state(g.beacon_link(cfg_, nodes_.antenna[n]), rng);
+    if (!error_model_.receive(beacon_state.snr_db, g.beacon_rx, rng)) return;
     ++counters_.beacons_heard;
     if (nodes_.empty(n)) return;
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
-
-    phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna[n];
-    if (cfg_.adaptive_sf) {
-      up_cfg.lora.sf = phy::choose_spreading_factor(
-          beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
-    }
-    phy::LinkState up_state =
-        phy::draw_link_state(up_cfg, g.look, wx, g.doppler_rate, rng);
-    if (cfg_.doppler_precompensation) {
-      up_state.doppler.shift_hz *= cfg_.precompensation_residual;
-      up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
-    }
-
-    SlotResponder r;
-    r.node = n;
-    r.uplink_params = up_cfg.lora;
-    r.uplink_state = up_state;
-    r.look = g.look;
-    r.doppler_rate = g.doppler_rate;
-    responders.push_back(r);
+    responders.push_back(respond(cfg_, error_model_, n, nodes_.antenna[n],
+                                 nodes_.payload_bytes[n], beacon_state.snr_db,
+                                 g, rng));
   }
 
   void beacon_slot(std::size_t s) {
@@ -663,11 +721,8 @@ class BatchSimulator {
     if (responders.empty()) return;
 
     double max_toa = 0.0;
-    for (const SlotResponder& r : responders) {
-      const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
-      max_toa = std::max(max_toa, toa);
-    }
+    for (const SlotResponder& r : responders)
+      max_toa = std::max(max_toa, r.uplink_rx.time_on_air_s);
     std::vector<double> offsets;
     if (cfg_.uplink_access == UplinkAccess::kScheduled) {
       offsets = assign_subslots(responders.size(), max_toa,
@@ -680,10 +735,9 @@ class BatchSimulator {
     }
     for (std::size_t i = 0; i < responders.size(); ++i) {
       SlotResponder& r = responders[i];
-      const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
       r.tx = Transmission{static_cast<std::uint64_t>(r.node),
-                          now + offsets[i], now + offsets[i] + toa,
+                          now + offsets[i],
+                          now + offsets[i] + r.uplink_rx.time_on_air_s,
                           r.uplink_state.rssi_dbm};
       nodes_.busy_until[r.node] = r.tx.end;
     }
@@ -733,8 +787,8 @@ class BatchSimulator {
     }
 
     const bool decoded =
-        survived && error_model_.receive(r.uplink_state, r.uplink_params,
-                                         nodes_.payload_bytes[n], rng);
+        survived &&
+        error_model_.receive(r.uplink_state.snr_db, r.uplink_rx, rng);
 
     bool acked = false;
     if (decoded) {
@@ -908,14 +962,6 @@ class BatchSimulator {
     return t;
   }
 
-  [[nodiscard]] std::size_t timeline_bytes() const {
-    std::size_t b = 0;
-    for (std::size_t s = 0; s < timeline_time_.size(); ++s)
-      b += timeline_time_[s].capacity() * sizeof(double) +
-           timeline_is_flush_[s].capacity();
-    return b;
-  }
-
   [[nodiscard]] std::size_t records_bytes() const {
     std::size_t b = 0;
     for (const auto& recs : records_)
@@ -947,7 +993,7 @@ class BatchSimulator {
     m.gauge("net.dts.scale.node_store_bytes")
         .set(static_cast<double>(nodes_.approx_bytes()));
     m.gauge("net.dts.scale.timeline_bytes")
-        .set(static_cast<double>(timeline_bytes()));
+        .set(static_cast<double>(timeline_bytes_));
     m.gauge("net.dts.scale.records_bytes")
         .set(static_cast<double>(records_bytes()));
     std::size_t peak = 0;
@@ -974,9 +1020,10 @@ class BatchSimulator {
   std::vector<std::vector<std::vector<ContactWindow>>> gs_windows_;
   std::vector<std::vector<std::uint32_t>> window_cursor_;
 
-  // Per-satellite merged timelines (parallel vectors; one chain each).
-  std::vector<std::vector<double>> timeline_time_;
-  std::vector<std::vector<std::uint8_t>> timeline_is_flush_;
+  /// Merged timeline entry tags: satellite index << 1 | is_flush (the
+  /// times live in the chain).
+  std::vector<std::uint32_t> timeline_tag_;
+  std::size_t timeline_bytes_ = 0;
 
   // Activation heap: (next report time, node); node order at equal
   // times matches the legacy scheduler's insertion order.
@@ -1059,10 +1106,15 @@ class ShardSimulator {
 
  private:
   /// Conflict-schedule granularity. Shorter slices split footprints
-  /// more finely (more parallelism) at the cost of more barriers; 600 s
-  /// is about one LEO footprint dwell, so a satellite rarely spans more
-  /// locations per slice than it actually covers per pass.
-  static constexpr double kSliceSeconds = 600.0;
+  /// more finely (more parallelism) at the cost of more barriers and a
+  /// longer schedule. Set by measurement (docs/PERFORMANCE.md, "Parallel
+  /// population scale"): on the 10k-node / 22-satellite day, 600 s
+  /// slices leave 2.2x of available parallelism (shard work over the
+  /// sum of each slice's slowest shard) and 240 s slices 5.2x, with the
+  /// fastest 4-core wall time; shorter slices add little parallelism
+  /// and ran slower. On 200 satellites every length tried ran within
+  /// noise.
+  static constexpr double kSliceSeconds = 240.0;
   /// End-of-run reductions run over fixed node blocks (never
   /// thread-count-derived ranges) so double sums merge identically for
   /// any worker count.
@@ -1181,73 +1233,17 @@ class ShardSimulator {
         {std::numeric_limits<std::uint64_t>::max(), 0.0});
   }
 
-  /// Same merged per-satellite timeline as the exact engine (beacon
-  /// ticks deduped, flushes stable-sorted behind beacons at ties), but
-  /// consumed as plain arrays by the shard schedule instead of event
-  /// chains.
+  /// One merged timeline per satellite, in the exact engine's order
+  /// (beacon ticks deduped, flushes behind beacons at ties), consumed as
+  /// plain arrays by the shard schedule instead of event chains.
   void build_timelines() {
     timeline_time_.resize(satellites_.size());
     timeline_is_flush_.resize(satellites_.size());
     for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      const double phase =
-          cfg_.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
-      std::vector<double> ticks;
-      for (const auto& windows : node_windows_[s]) {
-        for (const ContactWindow& w : windows) {
-          const double a =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double b =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double first =
-              phase +
-              std::ceil((a - phase) / cfg_.beacon.period_s) *
-                  cfg_.beacon.period_s;
-          for (double t = first; t <= b; t += cfg_.beacon.period_s)
-            if (t >= 0.0 && t < duration_s_) ticks.push_back(t);
-        }
-      }
-      std::sort(ticks.begin(), ticks.end());
-      ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
-
-      std::vector<double> flushes;
-      for (std::size_t g = 0; g < gs_windows_[s].size(); ++g) {
-        for (const ContactWindow& w : gs_windows_[s][g]) {
-          const double aos =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double los =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          for (const double t : gs_flush_times(aos, los))
-            if (t >= 0.0 && t < duration_s_) flushes.push_back(t);
-        }
-      }
-
-      std::vector<double>& times = timeline_time_[s];
-      std::vector<std::uint8_t>& kinds = timeline_is_flush_[s];
-      times.reserve(ticks.size() + flushes.size());
-      kinds.reserve(ticks.size() + flushes.size());
-      for (const double t : ticks) {
-        times.push_back(t);
-        kinds.push_back(0);
-      }
-      for (const double t : flushes) {
-        times.push_back(t);
-        kinds.push_back(1);
-      }
-      std::vector<std::size_t> order(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         if (times[x] != times[y]) return times[x] < times[y];
-                         return kinds[x] < kinds[y];
-                       });
-      std::vector<double> st(times.size());
-      std::vector<std::uint8_t> sk(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        st[i] = times[order[i]];
-        sk[i] = kinds[order[i]];
-      }
-      times = std::move(st);
-      kinds = std::move(sk);
+      append_satellite_entries(cfg_, s, node_windows_[s], gs_windows_[s],
+                               timeline_time_[s], timeline_is_flush_[s],
+                               std::uint8_t{0});
+      sort_timeline(timeline_time_[s], timeline_is_flush_[s]);
     }
 
     entry_base_.assign(satellites_.size() + 1, 0);
@@ -1261,61 +1257,11 @@ class ShardSimulator {
 
   void build_schedule() {
     slice_count_ = slice_of(std::nextafter(duration_s_, 0.0)) + 1;
-    sim::ConflictScheduler sched(
-        static_cast<std::uint32_t>(satellites_.size()));
-
-    // Footprint touches: every (satellite, location) contact window
-    // claims its location for each slice the window overlaps; the same
-    // tuples feed the per-(slice, satellite) footprint location lists
-    // the slot loop iterates.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        slice_pairs(slice_count_);
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      for (std::size_t l = 0; l < locations_.size(); ++l) {
-        for (const ContactWindow& w : node_windows_[s][l]) {
-          const double a = std::max(
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay, 0.0);
-          const double b = std::min(
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay,
-              std::nextafter(duration_s_, 0.0));
-          if (b < a) continue;
-          const std::uint32_t k1 =
-              std::min(slice_of(b), slice_count_ - 1);
-          for (std::uint32_t k = slice_of(a); k <= k1; ++k) {
-            sched.touch(k, static_cast<std::uint32_t>(s),
-                        static_cast<std::uint64_t>(l));
-            slice_pairs[k].emplace_back(
-                static_cast<std::uint32_t>(s),
-                static_cast<std::uint32_t>(l));
-          }
-        }
-      }
-    }
-    // Every timeline entry keeps its satellite in the slice even when no
-    // footprint touch links it (flush-only slices).
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      for (const double t : timeline_time_[s])
-        sched.activate(slice_of(t), static_cast<std::uint32_t>(s));
-    schedule_ = sched.build();
-    if (schedule_.size() < slice_count_) schedule_.resize(slice_count_);
-
-    // Per-(slice, satellite) sorted footprint location lists.
-    slice_footprints_.assign(slice_count_, {});
-    for (std::uint32_t k = 0; k < slice_count_; ++k) {
-      auto& pairs = slice_pairs[k];
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      auto& fps = slice_footprints_[k];
-      for (const auto& [s, l] : pairs) {
-        if (fps.empty() || fps.back().sat != s)
-          fps.push_back(SatFootprint{s, {}});
-        fps.back().locs.push_back(l);
-      }
-    }
+    const std::size_t sats = satellites_.size();
 
     // Per-satellite slice boundaries into the (time-sorted) timeline.
-    slice_begin_.assign(satellites_.size(), {});
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
+    slice_begin_.assign(sats, {});
+    for (std::size_t s = 0; s < sats; ++s) {
       std::vector<std::uint32_t>& bounds = slice_begin_[s];
       bounds.assign(slice_count_ + 1,
                     static_cast<std::uint32_t>(timeline_time_[s].size()));
@@ -1327,44 +1273,114 @@ class ShardSimulator {
         bounds[k] = i;
       }
     }
+
+    // Footprints: every (satellite, location) contact window claims its
+    // location for each slice the window overlaps. Claims are counted,
+    // then filled into one list per (slice, satellite); filling
+    // satellite by satellite and location by location leaves each list
+    // sorted, and skipping slices an earlier window of the same pair
+    // already claimed leaves it unique.
+    const auto for_each_claim = [&](const auto& claim) {
+      for (std::size_t s = 0; s < sats; ++s) {
+        for (std::size_t l = 0; l < locations_.size(); ++l) {
+          std::uint32_t unclaimed = 0;
+          for (const ContactWindow& w : node_windows_[s][l]) {
+            const double a = std::max(
+                (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay, 0.0);
+            const double b = std::min(
+                (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay,
+                std::nextafter(duration_s_, 0.0));
+            if (b < a) continue;
+            const std::uint32_t k1 =
+                std::min(slice_of(b), slice_count_ - 1);
+            for (std::uint32_t k = std::max(slice_of(a), unclaimed); k <= k1;
+                 ++k)
+              claim(k * sats + s, static_cast<std::uint32_t>(l));
+            unclaimed = std::max(unclaimed, k1 + 1);
+          }
+        }
+      }
+    };
+    fp_begin_.assign(slice_count_ * sats + 1, 0);
+    for_each_claim([&](std::size_t ks, std::uint32_t) { ++fp_begin_[ks + 1]; });
+    std::partial_sum(fp_begin_.begin(), fp_begin_.end(), fp_begin_.begin());
+    fp_locs_.resize(fp_begin_.back());
+    std::vector<std::uint32_t> next(fp_begin_.begin(), fp_begin_.end() - 1);
+    for_each_claim(
+        [&](std::size_t ks, std::uint32_t l) { fp_locs_[next[ks]++] = l; });
+
+    // Satellites touching a common location in a slice share a shard.
+    // Every satellite with timeline entries in the slice takes part even
+    // when no footprint touch links it (flush-only slices).
+    sim::ConflictScheduler sched(static_cast<std::uint32_t>(sats));
+    for (std::uint32_t k = 0; k < slice_count_; ++k) {
+      for (std::uint32_t s = 0; s < sats; ++s) {
+        for (const std::uint32_t l : footprint_locs(k, s))
+          sched.touch(k, s, l);
+        if (slice_begin_[s][k] < slice_begin_[s][k + 1]) sched.activate(k, s);
+      }
+    }
+    schedule_ = sched.build();
   }
 
+  /// Runs every slice's shards, a barrier between slices. With a metrics
+  /// registry each shard is timed: the sum of shard times is the run's
+  /// one-thread work, the sum of each slice's slowest shard its critical
+  /// path, and their ratio the parallelism the schedule makes available.
+  /// Without one no clock is read.
   void execute() {
     sat_counters_.assign(satellites_.size(), DtsCounters{});
     sat_agg_.assign(satellites_.size(), DtsAggregates{});
-    for (std::uint32_t k = 0; k < slice_count_; ++k) {
-      const auto& shards = schedule_[k].shards;
-      if (shards.empty()) continue;
-      total_shards_ += shards.size();
-      for (const auto& members : shards)
-        max_shard_members_ = std::max(max_shard_members_, members.size());
-      if (pool_ != nullptr && shards.size() > 1) {
-        pool_->parallel_for(shards.size(), [&](std::size_t si) {
-          run_shard(k, shards[si]);
-        });
+    const bool timed = cfg_.metrics != nullptr;
+    std::vector<double> shard_s;
+    for (std::uint32_t k = 0; k < schedule_.slice_count(); ++k) {
+      const std::uint32_t shards = schedule_.shard_count(k);
+      if (shards == 0) continue;
+      total_shards_ += shards;
+      max_slice_shards_ = std::max<std::size_t>(max_slice_shards_, shards);
+      for (std::uint32_t j = 0; j < shards; ++j)
+        max_shard_members_ =
+            std::max(max_shard_members_, schedule_.shard(k, j).size());
+      shard_s.assign(shards, 0.0);
+      const auto run = [&](std::size_t j) {
+        const auto members = schedule_.shard(k, static_cast<std::uint32_t>(j));
+        if (!timed) {
+          run_shard(k, members);
+          return;
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        run_shard(k, members);
+        shard_s[j] = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+      };
+      if (pool_ != nullptr && shards > 1) {
+        pool_->parallel_for(shards, run);
       } else {
-        for (const auto& members : shards) run_shard(k, members);
+        for (std::uint32_t j = 0; j < shards; ++j) run(j);
       }
+      if (!timed) continue;
+      for (const double x : shard_s) work_s_ += x;
+      critical_s_ += *std::max_element(shard_s.begin(), shard_s.end());
     }
   }
 
-  [[nodiscard]] const std::vector<std::uint32_t>* footprint_locs(
+  /// Sorted footprint locations of satellite `s` in slice `k` (empty
+  /// when it has none).
+  [[nodiscard]] std::span<const std::uint32_t> footprint_locs(
       std::uint32_t k, std::uint32_t s) const {
-    const auto& fps = slice_footprints_[k];
-    auto it = std::lower_bound(
-        fps.begin(), fps.end(), s,
-        [](const SatFootprint& f, std::uint32_t sat) { return f.sat < sat; });
-    if (it == fps.end() || it->sat != s) return nullptr;
-    return &it->locs;
+    const std::size_t ks = std::size_t{k} * satellites_.size() + s;
+    return {fp_locs_.data() + fp_begin_[ks],
+            fp_locs_.data() + fp_begin_[ks + 1]};
   }
 
   /// K-way merge of the shard's member timelines over slice k, by
   /// (time, satellite index) — the same total order a serial elaboration
   /// of the whole slice would use.
-  void run_shard(std::uint32_t k, const std::vector<std::uint32_t>& members) {
+  void run_shard(std::uint32_t k, std::span<const std::uint32_t> members) {
     struct Cursor {
       std::uint32_t s, i, end;
-      const std::vector<std::uint32_t>* locs;
+      std::span<const std::uint32_t> locs;
     };
     std::vector<Cursor> cursors;
     cursors.reserve(members.size());
@@ -1438,89 +1454,29 @@ class ShardSimulator {
 
   // --- beacon slot ----------------------------------------------------
 
-  /// Per-(slot entry) cached footprint geometry, stamped with the global
-  /// entry id so same-location nodes share one SGP4 propagation. A
-  /// location is only ever touched by its owning shard within a slice,
-  /// so the cache row is race-free.
-  struct LocGeo {
-    std::uint64_t stamp = 0;
-    bool in_footprint = false;
-    bool masked = false;
-    orbit::LookAngles look;
-    double doppler_rate = 0.0;
-  };
-
-  const LocGeo& loc_geometry(std::size_t s, std::size_t loc, JulianDate jd,
-                             std::uint64_t stamp) {
-    LocGeo& g = loc_geo_[loc];
-    if (g.stamp == stamp) return g;
-    g.stamp = stamp;
-    const std::vector<ContactWindow>& ws = node_windows_[s][loc];
-    std::uint32_t& cur = window_cursor_[s][loc];
-    while (cur < ws.size() && jd > ws[cur].los_jd) ++cur;
-    g.in_footprint =
-        cur < ws.size() && jd >= ws[cur].aos_jd && jd <= ws[cur].los_jd;
-    if (!g.in_footprint) return g;
-    const orbit::ElevationSampler sampler(satellites_[s].propagator,
-                                          locations_[loc]);
-    g.look = sampler.look(jd);
-    g.masked = g.look.elevation_deg < cfg_.visibility_mask_deg;
-    if (g.masked) return g;
-    const orbit::LookAngles look1 =
-        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
-    const double f0 = orbit::doppler_shift_hz(g.look.range_rate_km_s,
-                                              cfg_.downlink.carrier_hz);
-    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
-                                              cfg_.downlink.carrier_hz);
-    g.doppler_rate = f1 - f0;
-    return g;
-  }
-
-  struct SlotResponder {
-    std::size_t node;
-    Transmission tx;
-    phy::LoraParams uplink_params;
-    phy::LinkState uplink_state;
-    orbit::LookAngles look;
-    double doppler_rate;
-  };
-
-  void consider_node(std::size_t n, double now, channel::Weather wx,
-                     const LocGeo& g, sim::Rng& rng, DtsCounters& ctr,
+  /// One node's answer to the slot's beacon: its beacon draw and decode
+  /// on the location's prepared beacon link, then (only for a node with a
+  /// queued report and a free radio) its uplink draw.
+  void consider_node(std::size_t n, double now, LocGeo& g, sim::Rng& rng,
+                     DtsCounters& ctr,
                      std::vector<SlotResponder>& responders) {
-    phy::LinkConfig beacon_cfg = cfg_.downlink;
-    beacon_cfg.rx_antenna = nodes_.antenna[n];
-    const phy::LinkState beacon_state = phy::draw_link_state(
-        beacon_cfg, g.look, wx, g.doppler_rate, rng);
-    if (!error_model_.receive(beacon_state, beacon_cfg.lora,
-                              cfg_.beacon.payload_bytes, rng))
-      return;
+    const phy::LinkState beacon_state =
+        phy::draw_link_state(g.beacon_link(cfg_, nodes_.antenna[n]), rng);
+    if (!error_model_.receive(beacon_state.snr_db, g.beacon_rx, rng)) return;
     ++ctr.beacons_heard;
     if (nodes_.empty(n)) return;
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
-
-    phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna[n];
-    if (cfg_.adaptive_sf) {
-      up_cfg.lora.sf = phy::choose_spreading_factor(
-          beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
-    }
-    phy::LinkState up_state =
-        phy::draw_link_state(up_cfg, g.look, wx, g.doppler_rate, rng);
-    if (cfg_.doppler_precompensation) {
-      up_state.doppler.shift_hz *= cfg_.precompensation_residual;
-      up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
-    }
-    responders.push_back(SlotResponder{n, Transmission{}, up_cfg.lora,
-                                       up_state, g.look, g.doppler_rate});
+    responders.push_back(respond(cfg_, error_model_, n, nodes_.antenna[n],
+                                 nodes_.payload_bytes[n], beacon_state.snr_db,
+                                 g, rng));
   }
 
   void beacon_slot(std::uint32_t s, std::uint64_t gid, double t,
-                   const std::vector<std::uint32_t>* locs) {
+                   std::span<const std::uint32_t> locs) {
     DtsCounters& ctr = sat_counters_[s];
     DtsAggregates& agg = sat_agg_[s];
     ++ctr.beacons_sent;
-    if (locs == nullptr) return;  // no footprint this slice
+    if (locs.empty()) return;  // no footprint this slice
     const JulianDate jd = jd_at(t);
     const channel::Weather wx = weather_at(t);
 
@@ -1533,23 +1489,25 @@ class ShardSimulator {
     sim::Rng rng(sim::derive_stream(slot_root_, gid));
 
     std::vector<SlotResponder> responders;
-    for (const std::uint32_t loc : *locs) {
+    for (const std::uint32_t loc : locs) {
       materialize_loc(loc, t, agg);
       if (active_[loc].empty()) continue;
-      const LocGeo& g = loc_geometry(s, loc, jd, gid + 1);
+      // Stamped with the global entry id; a location is only ever
+      // touched by its owning shard within a slice, so the row is
+      // race-free.
+      LocGeo& g = loc_geo_[loc];
+      g.refresh(gid + 1, cfg_, error_model_, satellites_[s], locations_[loc],
+                node_windows_[s][loc], window_cursor_[s][loc], jd, wx);
       if (!g.in_footprint || g.masked) continue;
       // Snapshot: consider_node never mutates active lists.
       for (const std::uint32_t n : active_[loc])
-        consider_node(n, t, wx, g, rng, ctr, responders);
+        consider_node(n, t, g, rng, ctr, responders);
     }
     if (responders.empty()) return;
 
     double max_toa = 0.0;
-    for (const SlotResponder& r : responders) {
-      const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
-      max_toa = std::max(max_toa, toa);
-    }
+    for (const SlotResponder& r : responders)
+      max_toa = std::max(max_toa, r.uplink_rx.time_on_air_s);
     std::vector<double> offsets;
     if (cfg_.uplink_access == UplinkAccess::kScheduled) {
       offsets = assign_subslots(responders.size(), max_toa,
@@ -1562,10 +1520,8 @@ class ShardSimulator {
     }
     for (std::size_t i = 0; i < responders.size(); ++i) {
       SlotResponder& r = responders[i];
-      const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
-      r.tx = Transmission{static_cast<std::uint64_t>(r.node),
-                          t + offsets[i], t + offsets[i] + toa,
+      r.tx = Transmission{static_cast<std::uint64_t>(r.node), t + offsets[i],
+                          t + offsets[i] + r.uplink_rx.time_on_air_s,
                           r.uplink_state.rssi_dbm};
       nodes_.busy_until[r.node] = r.tx.end;
     }
@@ -1612,8 +1568,8 @@ class ShardSimulator {
     }
 
     const bool decoded =
-        survived && error_model_.receive(r.uplink_state, r.uplink_params,
-                                         nodes_.payload_bytes[n], rng);
+        survived &&
+        error_model_.receive(r.uplink_state.snr_db, r.uplink_rx, rng);
 
     bool acked = false;
     if (decoded) {
@@ -1858,6 +1814,12 @@ class ShardSimulator {
         .set(static_cast<double>(total_shards_));
     m.gauge("net.dts.parallel.max_shard_members")
         .set(static_cast<double>(max_shard_members_));
+    m.gauge("net.dts.parallel.max_slice_shards")
+        .set(static_cast<double>(max_slice_shards_));
+    m.gauge("net.dts.parallel.work_s").set(work_s_);
+    m.gauge("net.dts.parallel.critical_s").set(critical_s_);
+    m.gauge("net.dts.parallel.available")
+        .set(critical_s_ > 0.0 ? work_s_ / critical_s_ : 0.0);
   }
 
   DtsNetworkConfig cfg_;
@@ -1890,15 +1852,18 @@ class ShardSimulator {
 
   // Conflict schedule.
   std::uint32_t slice_count_ = 0;
-  std::vector<sim::SliceShards> schedule_;
-  struct SatFootprint {
-    std::uint32_t sat;
-    std::vector<std::uint32_t> locs;
-  };
-  std::vector<std::vector<SatFootprint>> slice_footprints_;
+  sim::ShardSchedule schedule_;
+  /// Footprints, flat: satellite s's locations (ascending) in slice k
+  /// are fp_locs_[fp_begin_[k * sats + s] .. fp_begin_[k * sats + s + 1]).
+  std::vector<std::uint32_t> fp_begin_;
+  std::vector<std::uint32_t> fp_locs_;
   std::vector<std::vector<std::uint32_t>> slice_begin_;
   std::size_t total_shards_ = 0;
+  std::size_t max_slice_shards_ = 0;
   std::size_t max_shard_members_ = 0;
+  double work_s_ = 0.0;      ///< sum of shard times (metrics only)
+  double critical_s_ = 0.0;  ///< sum of each slice's slowest shard
+
 
   // Per-location state (owned by one shard per slice).
   std::vector<std::vector<std::uint32_t>> active_;

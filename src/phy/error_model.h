@@ -28,6 +28,18 @@ struct ErrorModelConfig {
   double fec_strength = 0.5;
 };
 
+/// Everything of a reception decision fixed by (Doppler profile, LoRa
+/// parameters, payload size): what the PER curve needs besides the SNR.
+/// Prepared once per link; a decision is then the PER curve's exp/pow and
+/// one Bernoulli draw.
+struct PreparedReception {
+  double time_on_air_s = 0.0;
+  int symbols = 0;  ///< preamble + payload symbols
+  double threshold_db = 0.0;  ///< demod SNR threshold of the SF
+  double doppler_penalty_db = 0.0;
+  CodingRate cr = CodingRate::k4_5;
+};
+
 class ErrorModel {
  public:
   explicit ErrorModel(const ErrorModelConfig& cfg = {});
@@ -41,13 +53,42 @@ class ErrorModel {
   /// Full reception decision: applies Doppler penalty then draws a
   /// Bernoulli outcome. Returns true when the packet is received.
   [[nodiscard]] bool receive(const LinkState& link, const LoraParams& params,
-                             int payload_bytes, sinet::sim::Rng& rng) const;
+                             int payload_bytes, sinet::sim::Rng& rng) const {
+    return receive(link.snr_db, prepare(link.doppler, params, payload_bytes),
+                   rng);
+  }
+
+  /// Reception of a `payload_bytes` packet under Doppler `doppler`.
+  /// Throws std::invalid_argument for payload outside [0, 255].
+  [[nodiscard]] PreparedReception prepare(const DopplerProfile& doppler,
+                                          const LoraParams& params,
+                                          int payload_bytes) const;
+
+  /// Loss probability of a prepared reception at pre-Doppler SNR
+  /// `snr_db`: the Doppler penalty, then the PER curve.
+  [[nodiscard]] double reception_error_probability(
+      double snr_db, const PreparedReception& rx) const {
+    return per_curve(snr_db - rx.doppler_penalty_db, rx.threshold_db, rx.cr,
+                     rx.symbols);
+  }
+
+  /// Reception decision at pre-Doppler SNR `snr_db`; same draw and
+  /// outcome as receive(link, params, payload_bytes, rng).
+  [[nodiscard]] bool receive(double snr_db, const PreparedReception& rx,
+                             sinet::sim::Rng& rng) const {
+    return !rng.chance(reception_error_probability(snr_db, rx));
+  }
 
   [[nodiscard]] const ErrorModelConfig& config() const noexcept {
     return cfg_;
   }
 
  private:
+  /// The PER curve at post-Doppler SNR `snr_db` for a packet of
+  /// `symbols` symbols.
+  [[nodiscard]] double per_curve(double snr_db, double threshold_db,
+                                 CodingRate cr, int symbols) const;
+
   ErrorModelConfig cfg_;
 };
 

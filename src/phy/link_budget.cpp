@@ -44,16 +44,23 @@ LinkState mean_link_state(const LinkConfig& cfg,
   return base_state(cfg, look, weather);
 }
 
-LinkState draw_link_state(const LinkConfig& cfg,
+PreparedLink prepare_link(const LinkConfig& cfg,
                           const sinet::orbit::LookAngles& look,
                           sinet::channel::Weather weather,
-                          double doppler_rate_hz_s, sinet::sim::Rng& rng) {
-  LinkState st = base_state(cfg, look, weather);
-  const sinet::channel::FadingModel fading(cfg.fading);
-  const double fade_db = fading.draw_db(rng, look.elevation_deg, weather);
+                          double doppler_rate_hz_s) {
+  PreparedLink link;
+  link.mean = base_state(cfg, look, weather);
+  link.mean.doppler.rate_hz_per_s = doppler_rate_hz_s;
+  link.fade = sinet::channel::FadingModel(cfg.fading)
+                  .prepare(look.elevation_deg, weather);
+  return link;
+}
+
+LinkState draw_link_state(const PreparedLink& link, sinet::sim::Rng& rng) {
+  LinkState st = link.mean;
+  const double fade_db = sinet::channel::FadingModel::draw_db(link.fade, rng);
   st.rssi_dbm += fade_db;
   st.snr_db += fade_db;
-  st.doppler.rate_hz_per_s = doppler_rate_hz_s;
   return st;
 }
 

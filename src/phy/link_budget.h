@@ -46,13 +46,35 @@ struct LinkState {
                                         const sinet::orbit::LookAngles& look,
                                         sinet::channel::Weather weather);
 
+/// Everything of a stochastic link draw that is fixed by (link config,
+/// look angles, weather, Doppler rate): the mean state from path loss,
+/// antenna gains and noise floor, with the Doppler rate set, and the
+/// fading parameters. Every node at one location hearing one beacon with
+/// one antenna type shares it: prepare once, draw per node.
+struct PreparedLink {
+  LinkState mean;
+  sinet::channel::FadeParams fade;
+};
+
+[[nodiscard]] PreparedLink prepare_link(const LinkConfig& cfg,
+                                        const sinet::orbit::LookAngles& look,
+                                        sinet::channel::Weather weather,
+                                        double doppler_rate_hz_s);
+
+/// One fading realization on a prepared link: the mean state with the
+/// fade (shadowing plus small-scale, summed first) added to RSSI and SNR.
+[[nodiscard]] LinkState draw_link_state(const PreparedLink& link,
+                                        sinet::sim::Rng& rng);
+
 /// Stochastic link budget: mean state plus a fading realization drawn
 /// from `rng`. The Doppler rate is estimated by the caller (pass slope)
 /// and stored in `doppler_rate_hz_s`.
-[[nodiscard]] LinkState draw_link_state(const LinkConfig& cfg,
-                                        const sinet::orbit::LookAngles& look,
-                                        sinet::channel::Weather weather,
-                                        double doppler_rate_hz_s,
-                                        sinet::sim::Rng& rng);
+[[nodiscard]] inline LinkState draw_link_state(
+    const LinkConfig& cfg, const sinet::orbit::LookAngles& look,
+    sinet::channel::Weather weather, double doppler_rate_hz_s,
+    sinet::sim::Rng& rng) {
+  return draw_link_state(prepare_link(cfg, look, weather, doppler_rate_hz_s),
+                         rng);
+}
 
 }  // namespace sinet::phy

@@ -12,11 +12,11 @@ bool LoraParams::low_data_rate_optimize() const noexcept {
 }
 
 double LoraParams::symbol_time_s() const noexcept {
-  return std::pow(2.0, static_cast<double>(sf)) / bandwidth_hz;
+  return std::ldexp(1.0, static_cast<int>(sf)) / bandwidth_hz;
 }
 
 double LoraParams::bin_width_hz() const noexcept {
-  return bandwidth_hz / std::pow(2.0, static_cast<double>(sf));
+  return bandwidth_hz / std::ldexp(1.0, static_cast<int>(sf));
 }
 
 int payload_symbol_count(const LoraParams& p, int payload_bytes) {

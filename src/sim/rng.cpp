@@ -115,14 +115,16 @@ double Rng::rayleigh(double sigma) {
   return sigma * std::sqrt(-2.0 * std::log1p(-uniform()));
 }
 
-double Rng::rician_amplitude(double k_factor_db) {
+RicianParams rician_params(double k_factor_db) {
   // Rician with mean power E[r^2] = 1: deterministic LoS component of
   // power K/(K+1) plus scattered complex Gaussian of power 1/(K+1).
   const double k = std::pow(10.0, k_factor_db / 10.0);
-  const double los = std::sqrt(k / (k + 1.0));
-  const double sigma = std::sqrt(1.0 / (2.0 * (k + 1.0)));
-  const double x = los + sigma * normal();
-  const double y = sigma * normal();
+  return {std::sqrt(k / (k + 1.0)), std::sqrt(1.0 / (2.0 * (k + 1.0)))};
+}
+
+double Rng::rician_amplitude(const RicianParams& p) {
+  const double x = p.los + p.sigma * normal();
+  const double y = p.sigma * normal();
   return std::sqrt(x * x + y * y);
 }
 

@@ -18,6 +18,17 @@
 
 namespace sinet::sim {
 
+/// The draw-independent part of a Rician amplitude at one K-factor: the
+/// line-of-sight amplitude and the per-axis sigma of the scattered
+/// component (mean power 1).
+struct RicianParams {
+  double los = 0.0;
+  double sigma = 0.0;
+};
+
+/// Rician parameters of K-factor `k_factor_db`.
+[[nodiscard]] RicianParams rician_params(double k_factor_db);
+
 /// One random stream. Thin, value-semantic wrapper over a 64-bit engine
 /// with the distribution helpers the simulator needs.
 class Rng {
@@ -45,7 +56,11 @@ class Rng {
   /// Rayleigh-distributed magnitude with scale sigma.
   double rayleigh(double sigma);
   /// Rician fading amplitude with K-factor (dB) and mean power 1.
-  double rician_amplitude(double k_factor_db);
+  double rician_amplitude(double k_factor_db) {
+    return rician_amplitude(rician_params(k_factor_db));
+  }
+  /// Rician fading amplitude from prepared parameters: two normals.
+  double rician_amplitude(const RicianParams& p);
 
   std::mt19937_64& engine() noexcept { return engine_; }
 

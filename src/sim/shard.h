@@ -13,22 +13,44 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace sinet::sim {
 
-/// Connected-component batches of one time slice: each inner vector is
-/// one shard (members sorted ascending); shards are ordered by their
-/// smallest member. Members of different shards share no resource within
-/// the slice and may execute concurrently.
-struct SliceShards {
-  std::vector<std::vector<std::uint32_t>> shards;
+/// Connected-component batches of every time slice, in flat offset
+/// arrays: slice k owns shards [slice_begin[k], slice_begin[k + 1]), and
+/// shard j's members are members[shard_begin[j] .. shard_begin[j + 1]).
+/// Each shard's members ascend; a slice's shards are ordered by their
+/// smallest member. Members of different shards of one slice share no
+/// resource within the slice and may execute concurrently.
+struct ShardSchedule {
+  std::vector<std::uint32_t> slice_begin{0};
+  std::vector<std::uint32_t> shard_begin{0};
+  std::vector<std::uint32_t> members;
+
+  [[nodiscard]] std::uint32_t slice_count() const noexcept {
+    return static_cast<std::uint32_t>(slice_begin.size() - 1);
+  }
+  [[nodiscard]] std::uint32_t shard_count(std::uint32_t slice) const {
+    return slice_begin[slice + 1] - slice_begin[slice];
+  }
+  /// Members of shard `index` (0-based within the slice) of `slice`.
+  [[nodiscard]] std::span<const std::uint32_t> shard(
+      std::uint32_t slice, std::uint32_t index) const {
+    const std::uint32_t j = slice_begin[slice] + index;
+    return {members.data() + shard_begin[j],
+            members.data() + shard_begin[j + 1]};
+  }
 };
 
 /// Accumulates (slice, member, resource) touches and computes the
-/// conflict schedule. Deterministic: the output depends only on the set
-/// of touches, not on insertion order. Not thread-safe during
-/// registration; build() is const and may be called repeatedly.
+/// conflict schedule one slice at a time, so it holds the touches of one
+/// slice, never of the whole run. Slices are registered in non-decreasing
+/// order: a touch or activation for a later slice closes every earlier
+/// one. Within a slice the output depends only on the set of touches,
+/// not on their order. Not thread-safe.
 class ConflictScheduler {
  public:
   /// `member_count` fixes the member index universe [0, member_count).
@@ -36,7 +58,8 @@ class ConflictScheduler {
 
   /// Record that `member` uses `resource` during `slice`. Two members
   /// touching the same resource in the same slice land in one shard
-  /// (transitively). Grows the slice count as needed.
+  /// (transitively). Throws std::out_of_range for a member outside the
+  /// universe and std::invalid_argument for a slice already closed.
   void touch(std::uint32_t slice, std::uint32_t member,
              std::uint64_t resource);
 
@@ -45,23 +68,28 @@ class ConflictScheduler {
   /// becomes its own singleton shard unless touch() also links it.
   void activate(std::uint32_t slice, std::uint32_t member);
 
+  /// Slices registered so far (the highest slice seen, plus one).
   [[nodiscard]] std::uint32_t slice_count() const noexcept {
-    return static_cast<std::uint32_t>(slices_.size());
+    return slice_count_;
   }
 
-  /// Shards for every slice, in slice order. Slices with no active
-  /// member yield an empty shard list.
-  [[nodiscard]] std::vector<SliceShards> build() const;
+  /// Closes the last slice and returns the shards of every slice, in
+  /// slice order; slices with no active member have no shards. The
+  /// scheduler then starts over, empty.
+  [[nodiscard]] ShardSchedule build();
 
  private:
-  struct SliceTouches {
-    /// (resource, member) pairs; sorted + deduped at build time.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> touches;
-    std::vector<std::uint32_t> active;
-  };
+  /// Close every slice before `slice`.
+  void advance_to(std::uint32_t slice);
+  void close_slice();
 
   std::uint32_t member_count_;
-  std::vector<SliceTouches> slices_;
+  std::uint32_t slice_count_ = 0;
+  std::uint32_t closed_ = 0;  ///< slices [0, closed_) are in schedule_
+  /// (resource, member) touches and activations of the open slice.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> touches_;
+  std::vector<std::uint32_t> active_;
+  ShardSchedule schedule_;
 };
 
 }  // namespace sinet::sim

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -91,10 +92,32 @@ void expect_results_identical(const DtsNetworkResult& a,
   }
 }
 
+/// The fleet of `cfg` as an explicit node list whose receive antennas
+/// cycle through every ground antenna type, so the nodes at each site
+/// draw their beacons from several prepared links per slot.
+DtsNetworkConfig mixed_antenna_config(const DtsNetworkConfig& cfg) {
+  constexpr channel::AntennaType kAntennas[] = {
+      channel::AntennaType::kQuarterWaveMonopole,
+      channel::AntennaType::kFiveEighthsWaveMonopole,
+      channel::AntennaType::kDipole,
+      channel::AntennaType::kSatelliteTurnstile,
+      channel::AntennaType::kIsotropic,
+  };
+  DtsNetworkConfig mixed = cfg;
+  mixed.fleet = NodeFleet{};
+  for (std::size_t n = 0; n < cfg.fleet.count; ++n) {
+    IotNodeConfig nc = detail::dts_node_config(cfg, n);
+    nc.antenna = kAntennas[(n / cfg.fleet.sites.size()) % std::size(kAntennas)];
+    mixed.nodes.push_back(nc);
+  }
+  return mixed;
+}
+
 TEST(DtsParallel, ThreadCountInvariance) {
-  // Two scenario shapes (ALOHA w/ congestion, scheduled w/ ADR) so the
-  // invariance covers both access schemes' draw sequences.
-  for (int variant = 0; variant < 2; ++variant) {
+  // Three scenario shapes (ALOHA w/ congestion, scheduled w/ ADR, mixed
+  // node antennas) so the invariance covers both access schemes' draw
+  // sequences and several prepared beacon links per location.
+  for (int variant = 0; variant < 3; ++variant) {
     SCOPED_TRACE("variant " + std::to_string(variant));
     DtsNetworkConfig cfg = parallel_config(2000, 0.1);
     cfg.seed = 7000 + static_cast<std::uint64_t>(variant);
@@ -102,6 +125,7 @@ TEST(DtsParallel, ThreadCountInvariance) {
       cfg.uplink_access = UplinkAccess::kScheduled;
       cfg.adaptive_sf = true;
     }
+    if (variant == 2) cfg = mixed_antenna_config(cfg);
     cfg.sim_threads = 1;
     const DtsNetworkResult reference = run_dts_network(cfg);
     ASSERT_GT(reference.agg.reports_generated, 0u);
@@ -112,6 +136,36 @@ TEST(DtsParallel, ThreadCountInvariance) {
       expect_results_identical(reference, run_dts_network(cfg));
     }
   }
+}
+
+TEST(DtsParallel, PublishesAvailableParallelism) {
+  // With a registry every shard is timed: total shard work, the sum of
+  // each slice's slowest shard, and their ratio. Timing must not touch
+  // the simulation itself.
+  DtsNetworkConfig cfg = parallel_config(2000, 0.1);
+  cfg.sim_threads = 4;
+  const DtsNetworkResult untimed = run_dts_network(cfg);
+  obs::MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  const DtsNetworkResult timed = run_dts_network(cfg);
+  expect_results_identical(untimed, timed);
+
+  const auto gauges = metrics.snapshot().gauges;
+  for (const char* name :
+       {"net.dts.parallel.work_s", "net.dts.parallel.critical_s",
+        "net.dts.parallel.available", "net.dts.parallel.max_slice_shards"})
+    ASSERT_TRUE(gauges.count(name)) << name;
+  const double work = gauges.at("net.dts.parallel.work_s").value;
+  const double critical = gauges.at("net.dts.parallel.critical_s").value;
+  const double available = gauges.at("net.dts.parallel.available").value;
+  EXPECT_GT(critical, 0.0);
+  EXPECT_GE(work, critical);
+  EXPECT_DOUBLE_EQ(available, work / critical);
+  // A slice's work is at most its shard count times its slowest shard.
+  EXPECT_LE(available,
+            gauges.at("net.dts.parallel.max_slice_shards").value);
+  EXPECT_LE(gauges.at("net.dts.parallel.max_slice_shards").value,
+            static_cast<double>(cfg.constellation.total_satellites()));
 }
 
 TEST(DtsParallel, ExactModeIgnoresThreads) {

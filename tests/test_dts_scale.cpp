@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,10 +31,20 @@ using namespace sinet::net;
 
 // --- parity suite ----------------------------------------------------
 
+/// Every ground antenna a node can carry.
+constexpr channel::AntennaType kNodeAntennas[] = {
+    channel::AntennaType::kQuarterWaveMonopole,
+    channel::AntennaType::kFiveEighthsWaveMonopole,
+    channel::AntennaType::kDipole,
+    channel::AntennaType::kSatelliteTurnstile,
+    channel::AntennaType::kIsotropic,
+};
+
 /// One randomized small-N configuration, derived deterministically from
 /// the case index. Varies every knob that changes the draw sequence:
 /// access scheme, ARQ budget, congestion, ADR, Doppler precompensation,
-/// drop policy, buffer sizes, report cadence, sites and seed.
+/// drop policy, buffer sizes, report cadence, sites, node antennas and
+/// seed.
 DtsNetworkConfig parity_case(std::size_t nodes, std::uint64_t case_id) {
   sim::Rng knobs(sim::derive_seed(case_id, "dts-parity-case"));
   const double duration_days = 0.15 + 0.05 * static_cast<double>(case_id % 4);
@@ -53,6 +64,12 @@ DtsNetworkConfig parity_case(std::size_t nodes, std::uint64_t case_id) {
     nc.report_interval_s = 600.0 * static_cast<double>(knobs.uniform_int(1, 4));
     nc.max_retransmissions = static_cast<int>(knobs.uniform_int(0, 5));
     nc.buffer_capacity = static_cast<std::size_t>(knobs.uniform_int(1, 16));
+    // Two cases in three mix receive antennas at a shared site, so one
+    // location prepares several beacon links per slot. Derived from the
+    // case id and node index, not from `knobs`, so every other knob keeps
+    // its value.
+    if (case_id % 3 != 1)
+      nc.antenna = kNodeAntennas[(case_id + n) % std::size(kNodeAntennas)];
     cfg.nodes.push_back(nc);
   }
 

@@ -2,8 +2,14 @@
 // link budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "channel/fading.h"
+#include "channel/weather.h"
 #include "phy/doppler.h"
 #include "phy/error_model.h"
 #include "phy/link_budget.h"
@@ -274,6 +280,282 @@ TEST(LinkBudget, DrawAddsFadingAndDopplerRate) {
     EXPECT_GT(st.doppler.shift_hz, 0.0);  // approaching
   }
   EXPECT_GT(diff / 100.0, 0.3);  // fading actually perturbs the draw
+}
+
+// --- prepared link budgets against the per-draw oracle ----------------
+
+// The oracle: the per-draw link budget and reception decision written out
+// in full, as they were before the prepared forms existed (the LoRa
+// timing in its std::pow form). The prepared forms must reproduce it bit
+// for bit and consume the same random draws.
+namespace oracle {
+
+using sinet::channel::Weather;
+using sinet::sim::Rng;
+
+double symbol_time_s(const LoraParams& p) {
+  return std::pow(2.0, static_cast<double>(p.sf)) / p.bandwidth_hz;
+}
+
+double bin_width_hz(const LoraParams& p) {
+  return p.bandwidth_hz / std::pow(2.0, static_cast<double>(p.sf));
+}
+
+int payload_symbol_count(const LoraParams& p, int payload_bytes) {
+  const int sf = static_cast<int>(p.sf);
+  const int de = symbol_time_s(p) > 16e-3 ? 1 : 0;
+  const int ih = p.explicit_header ? 0 : 1;
+  const int crc = p.crc_on ? 1 : 0;
+  const int cr = static_cast<int>(p.cr);
+  const double num = 8.0 * payload_bytes - 4.0 * sf + 28.0 + 16.0 * crc -
+                     20.0 * ih;
+  const double den = 4.0 * (sf - 2 * de);
+  const double ceil_term = std::max(std::ceil(num / den), 0.0);
+  return 8 + static_cast<int>(ceil_term * (cr + 4));
+}
+
+double time_on_air_s(const LoraParams& p, int payload_bytes) {
+  const double t_sym = symbol_time_s(p);
+  const double t_preamble = (p.preamble_symbols + 4.25) * t_sym;
+  const double t_payload =
+      oracle::payload_symbol_count(p, payload_bytes) * t_sym;
+  return t_preamble + t_payload;
+}
+
+double doppler_snr_penalty_db(const DopplerProfile& prof,
+                              const LoraParams& params,
+                              double packet_duration_s) {
+  const double offset = std::abs(prof.shift_hz);
+  const double tolerance = 0.25 * params.bandwidth_hz;
+  if (offset > tolerance) return 60.0;
+  const double frac = offset / tolerance;
+  double penalty = 3.0 * frac * frac;
+  const double drift_hz = std::abs(prof.rate_hz_per_s) * packet_duration_s;
+  const double bins = drift_hz / bin_width_hz(params);
+  if (bins > 0.5) penalty += 1.0 * (bins - 0.5);
+  return penalty;
+}
+
+double packet_error_probability(const ErrorModelConfig& cfg, double snr_db,
+                                const LoraParams& params,
+                                int payload_bytes) {
+  const double margin = snr_db - demod_snr_threshold_db(params.sf);
+  double ser = cfg.ser_at_threshold * std::exp(-cfg.slope_per_db * margin);
+  ser = std::min(ser, 1.0);
+  const double redundancy =
+      static_cast<double>(static_cast<int>(params.cr)) / 4.0;
+  const double absorbed = cfg.fec_strength * redundancy;
+  ser *= (1.0 - absorbed);
+  const int n_sym =
+      params.preamble_symbols +
+      oracle::payload_symbol_count(params, payload_bytes);
+  const double p_ok = std::pow(1.0 - std::min(ser, 1.0), n_sym);
+  const double per = 1.0 - (1.0 - cfg.residual_per) * p_ok;
+  return std::clamp(per, cfg.residual_per, 1.0);
+}
+
+double loss_probability(const ErrorModelConfig& cfg, const LinkState& link,
+                        const LoraParams& params, int payload_bytes) {
+  const double toa = oracle::time_on_air_s(params, payload_bytes);
+  const double penalty =
+      oracle::doppler_snr_penalty_db(link.doppler, params, toa);
+  return packet_error_probability(cfg, link.snr_db - penalty, params,
+                                  payload_bytes);
+}
+
+bool receive(const ErrorModelConfig& cfg, const LinkState& link,
+             const LoraParams& params, int payload_bytes, Rng& rng) {
+  return !rng.chance(
+      loss_probability(cfg, link, params, payload_bytes));
+}
+
+double fade_db(const sinet::channel::FadingConfig& cfg, Rng& rng,
+               double elevation_deg, Weather w) {
+  const double sigma =
+      cfg.shadowing_sigma_db + sinet::channel::weather_extra_shadowing_db(w);
+  const double shadowing = rng.normal(0.0, sigma);
+  const double k_db =
+      sinet::channel::FadingModel(cfg).k_factor_db(elevation_deg);
+  const double k = std::pow(10.0, k_db / 10.0);
+  const double los = std::sqrt(k / (k + 1.0));
+  const double s = std::sqrt(1.0 / (2.0 * (k + 1.0)));
+  const double x = los + s * rng.normal();
+  const double y = s * rng.normal();
+  const double amp = std::sqrt(x * x + y * y);
+  const double small_scale_db = 20.0 * std::log10(std::max(amp, 1e-6));
+  return shadowing + small_scale_db;
+}
+
+LinkState draw_link_state(const LinkConfig& cfg,
+                          const sinet::orbit::LookAngles& look, Weather w,
+                          double doppler_rate_hz_s, Rng& rng) {
+  LinkState st = mean_link_state(cfg, look, w);
+  const double fade = fade_db(cfg.fading, rng, look.elevation_deg, w);
+  st.rssi_dbm += fade;
+  st.snr_db += fade;
+  st.doppler.rate_hz_per_s = doppler_rate_hz_s;
+  return st;
+}
+
+}  // namespace oracle
+
+/// One randomized link: every antenna pair and weather, SF7-12 over the
+/// LoRa bandwidths, payloads 0-255, elevations from below the horizon
+/// through the 20-degree K-factor knee to zenith, and Doppler shifts
+/// from zero to beyond the capture range.
+struct LinkCase {
+  LinkConfig cfg;
+  sinet::orbit::LookAngles look;
+  sinet::channel::Weather weather = sinet::channel::Weather::kSunny;
+  double doppler_rate_hz_s = 0.0;
+  int payload_bytes = 0;
+  std::uint64_t seed = 0;
+};
+
+std::vector<LinkCase> link_corpus(std::size_t count) {
+  using sinet::channel::AntennaType;
+  constexpr std::array kAntennas{
+      AntennaType::kQuarterWaveMonopole, AntennaType::kFiveEighthsWaveMonopole,
+      AntennaType::kDipole, AntennaType::kSatelliteTurnstile,
+      AntennaType::kIsotropic};
+  constexpr std::array kWeather{sinet::channel::Weather::kSunny,
+                                sinet::channel::Weather::kCloudy,
+                                sinet::channel::Weather::kRainy};
+  constexpr std::array kBandwidths{7.8e3,  10.4e3, 15.6e3, 20.8e3, 31.25e3,
+                                   41.7e3, 62.5e3, 125e3,  250e3,  500e3};
+  sinet::sim::Rng knobs(20240611);
+  const auto pick = [&knobs](std::size_t n) {
+    return static_cast<std::size_t>(
+        knobs.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<LinkCase> corpus(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    LinkCase& c = corpus[i];
+    c.cfg.tx_power_dbm = knobs.uniform(10.0, 30.0);
+    c.cfg.tx_antenna = kAntennas[i % kAntennas.size()];
+    c.cfg.rx_antenna = kAntennas[(i / kAntennas.size()) % kAntennas.size()];
+    c.cfg.carrier_hz = knobs.uniform(400e6, 470e6);
+    c.cfg.lora.sf = static_cast<SpreadingFactor>(7 + i % 6);
+    c.cfg.lora.bandwidth_hz = kBandwidths[pick(kBandwidths.size())];
+    c.cfg.lora.cr = static_cast<CodingRate>(1 + pick(4));
+    c.cfg.lora.preamble_symbols = 6 + static_cast<int>(pick(7));
+    c.cfg.lora.explicit_header = knobs.chance(0.8);
+    c.cfg.lora.crc_on = knobs.chance(0.8);
+    c.cfg.fading.shadowing_sigma_db = knobs.uniform(0.0, 6.0);
+    c.weather = kWeather[(i / 25) % kWeather.size()];
+    c.look.elevation_deg = knobs.uniform(-10.0, 90.0);
+    c.look.range_km = knobs.uniform(400.0, 3500.0);
+    c.look.range_rate_km_s = knobs.uniform(-7.5, 7.5);
+    c.doppler_rate_hz_s = knobs.chance(0.2) ? 0.0 : knobs.uniform(-300, 300);
+    c.payload_bytes = static_cast<int>(knobs.uniform_int(0, 255));
+    c.seed = knobs.next_u64();
+  }
+  return corpus;
+}
+
+void expect_same_state(const LinkState& a, const LinkState& b,
+                       std::size_t i) {
+  EXPECT_EQ(a.rssi_dbm, b.rssi_dbm) << "case " << i;
+  EXPECT_EQ(a.snr_db, b.snr_db) << "case " << i;
+  EXPECT_EQ(a.path_loss_db, b.path_loss_db) << "case " << i;
+  EXPECT_EQ(a.doppler.shift_hz, b.doppler.shift_hz) << "case " << i;
+  EXPECT_EQ(a.doppler.rate_hz_per_s, b.doppler.rate_hz_per_s)
+      << "case " << i;
+  EXPECT_EQ(a.elevation_deg, b.elevation_deg) << "case " << i;
+  EXPECT_EQ(a.range_km, b.range_km) << "case " << i;
+}
+
+TEST(Lora, LdexpTimingMatchesPowForms) {
+  for (const double bw : {7.8e3, 41.7e3, 125e3, 500e3}) {
+    for (int sf = 7; sf <= 12; ++sf) {
+      LoraParams p;
+      p.sf = static_cast<SpreadingFactor>(sf);
+      p.bandwidth_hz = bw;
+      EXPECT_EQ(p.symbol_time_s(), oracle::symbol_time_s(p)) << sf;
+      EXPECT_EQ(p.bin_width_hz(), oracle::bin_width_hz(p)) << sf;
+      for (int bytes = 0; bytes <= 255; ++bytes)
+        EXPECT_EQ(time_on_air_s(p, bytes), oracle::time_on_air_s(p, bytes))
+            << "SF" << sf << " " << bytes << " B";
+    }
+  }
+}
+
+TEST(PreparedLink, MatchesPerDrawOracleBitForBit) {
+  // Each prepared link and reception is reused for several draws, as the
+  // DtS engines reuse one per (location, beacon slot, antenna).
+  constexpr int kDrawsPerLink = 4;
+  const ErrorModel model;
+  std::size_t received = 0, lost = 0, beyond_capture = 0, low_k = 0;
+  const std::vector<LinkCase> corpus = link_corpus(3000);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const LinkCase& c = corpus[i];
+    sinet::sim::Rng rng(c.seed), ref(c.seed), wrapped(c.seed);
+    const PreparedLink link =
+        prepare_link(c.cfg, c.look, c.weather, c.doppler_rate_hz_s);
+    const PreparedReception rx =
+        model.prepare(link.mean.doppler, c.cfg.lora, c.payload_bytes);
+    if (rx.doppler_penalty_db == 60.0) ++beyond_capture;
+    if (c.look.elevation_deg < 20.0) ++low_k;
+    for (int d = 0; d < kDrawsPerLink; ++d) {
+      const LinkState st = draw_link_state(link, rng);
+      const LinkState want = oracle::draw_link_state(
+          c.cfg, c.look, c.weather, c.doppler_rate_hz_s, ref);
+      const LinkState old_api = draw_link_state(
+          c.cfg, c.look, c.weather, c.doppler_rate_hz_s, wrapped);
+      expect_same_state(st, want, i);
+      expect_same_state(old_api, want, i);
+      // The loss probability itself, not only the decision: a one-ulp
+      // change of it flips almost no Bernoulli draw.
+      EXPECT_EQ(model.reception_error_probability(st.snr_db, rx),
+                oracle::loss_probability(model.config(), want, c.cfg.lora,
+                                         c.payload_bytes))
+          << "case " << i;
+      const bool ok = model.receive(st.snr_db, rx, rng);
+      EXPECT_EQ(ok, oracle::receive(model.config(), want, c.cfg.lora,
+                                    c.payload_bytes, ref))
+          << "case " << i;
+      EXPECT_EQ(ok, model.receive(old_api, c.cfg.lora, c.payload_bytes,
+                                  wrapped))
+          << "case " << i;
+      ++(ok ? received : lost);
+    }
+    // Same number of raw draws consumed on every path.
+    const std::uint64_t next = ref.next_u64();
+    EXPECT_EQ(rng.next_u64(), next) << "case " << i;
+    EXPECT_EQ(wrapped.next_u64(), next) << "case " << i;
+    if (testing::Test::HasFailure()) break;  // one divergence is enough
+  }
+  // The corpus reaches every regime it claims to cover.
+  EXPECT_GT(received, 1000u);
+  EXPECT_GT(lost, 1000u);
+  EXPECT_GT(beyond_capture, 100u);
+  EXPECT_GT(low_k, 300u);
+}
+
+TEST(PreparedLink, CorpusCatchesFadeTermsAddedOneAtATime) {
+  // A plausible refactor of the prepared draw adds the shadowing and the
+  // small-scale term to the mean one at a time instead of summing the
+  // fade first. That changes rounding, and the corpus must notice.
+  const auto stepwise = [](const PreparedLink& link, sinet::sim::Rng& rng) {
+    LinkState st = link.mean;
+    const double shadowing = rng.normal(0.0, link.fade.shadowing_sigma_db);
+    const double amp = rng.rician_amplitude(link.fade.rician);
+    const double small_scale_db = 20.0 * std::log10(std::max(amp, 1e-6));
+    st.rssi_dbm = st.rssi_dbm + shadowing + small_scale_db;
+    st.snr_db = st.snr_db + shadowing + small_scale_db;
+    return st;
+  };
+  std::size_t differ = 0;
+  const std::vector<LinkCase> corpus = link_corpus(3000);
+  for (const LinkCase& c : corpus) {
+    sinet::sim::Rng rng(c.seed), ref(c.seed);
+    const LinkState st = stepwise(
+        prepare_link(c.cfg, c.look, c.weather, c.doppler_rate_hz_s), rng);
+    const LinkState want = oracle::draw_link_state(
+        c.cfg, c.look, c.weather, c.doppler_rate_hz_s, ref);
+    if (st.rssi_dbm != want.rssi_dbm || st.snr_db != want.snr_db) ++differ;
+  }
+  EXPECT_GT(differ, 0u);
 }
 
 }  // namespace

@@ -350,17 +350,24 @@ TEST(Rng, DeriveStreamDistinctAcrossBaseAndCounter) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
+/// Members of one shard as a vector, for EXPECT_EQ.
+std::vector<std::uint32_t> members(const sinet::sim::ShardSchedule& s,
+                                   std::uint32_t slice, std::uint32_t shard) {
+  const auto span = s.shard(slice, shard);
+  return {span.begin(), span.end()};
+}
+
 TEST(ConflictScheduler, DisjointResourcesStaySeparateShards) {
   sinet::sim::ConflictScheduler sched(3);
   sched.touch(0, 0, 100);
   sched.touch(0, 1, 200);
   sched.touch(0, 2, 300);
   const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 1u);
-  ASSERT_EQ(slices[0].shards.size(), 3u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(slices[0].shards[1], (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(slices[0].shards[2], (std::vector<std::uint32_t>{2}));
+  ASSERT_EQ(slices.slice_count(), 1u);
+  ASSERT_EQ(slices.shard_count(0), 3u);
+  EXPECT_EQ(members(slices, 0, 0), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(members(slices, 0, 1), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(members(slices, 0, 2), (std::vector<std::uint32_t>{2}));
 }
 
 TEST(ConflictScheduler, SharedResourceMergesTransitively) {
@@ -372,10 +379,10 @@ TEST(ConflictScheduler, SharedResourceMergesTransitively) {
   sched.touch(0, 2, 8);
   sched.touch(0, 3, 9);
   const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 1u);
-  ASSERT_EQ(slices[0].shards.size(), 2u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(slices[0].shards[1], (std::vector<std::uint32_t>{3}));
+  ASSERT_EQ(slices.slice_count(), 1u);
+  ASSERT_EQ(slices.shard_count(0), 2u);
+  EXPECT_EQ(members(slices, 0, 0), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(members(slices, 0, 1), (std::vector<std::uint32_t>{3}));
 }
 
 TEST(ConflictScheduler, SlicesAreIndependent) {
@@ -386,10 +393,10 @@ TEST(ConflictScheduler, SlicesAreIndependent) {
   sched.touch(1, 0, 5);
   sched.touch(1, 1, 6);
   const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 2u);
-  ASSERT_EQ(slices[0].shards.size(), 1u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0, 1}));
-  ASSERT_EQ(slices[1].shards.size(), 2u);
+  ASSERT_EQ(slices.slice_count(), 2u);
+  ASSERT_EQ(slices.shard_count(0), 1u);
+  EXPECT_EQ(members(slices, 0, 0), (std::vector<std::uint32_t>{0, 1}));
+  ASSERT_EQ(slices.shard_count(1), 2u);
 }
 
 TEST(ConflictScheduler, ActivateKeepsMemberWithoutResources) {
@@ -398,9 +405,9 @@ TEST(ConflictScheduler, ActivateKeepsMemberWithoutResources) {
   sinet::sim::ConflictScheduler sched(2);
   sched.activate(0, 1);
   const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 1u);
-  ASSERT_EQ(slices[0].shards.size(), 1u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{1}));
+  ASSERT_EQ(slices.slice_count(), 1u);
+  ASSERT_EQ(slices.shard_count(0), 1u);
+  EXPECT_EQ(members(slices, 0, 0), (std::vector<std::uint32_t>{1}));
 }
 
 TEST(ConflictScheduler, DeterministicShardOrder) {
@@ -412,16 +419,33 @@ TEST(ConflictScheduler, DeterministicShardOrder) {
   sched.touch(0, 3, 2);
   sched.touch(0, 0, 3);
   const auto slices = sched.build();
-  ASSERT_EQ(slices[0].shards.size(), 3u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(slices[0].shards[1], (std::vector<std::uint32_t>{2, 4}));
-  EXPECT_EQ(slices[0].shards[2], (std::vector<std::uint32_t>{3}));
+  ASSERT_EQ(slices.shard_count(0), 3u);
+  EXPECT_EQ(members(slices, 0, 0), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(members(slices, 0, 1), (std::vector<std::uint32_t>{2, 4}));
+  EXPECT_EQ(members(slices, 0, 2), (std::vector<std::uint32_t>{3}));
 }
 
 TEST(ConflictScheduler, OutOfRangeMemberThrows) {
   sinet::sim::ConflictScheduler sched(2);
   EXPECT_THROW(sched.touch(0, 2, 0), std::out_of_range);
   EXPECT_THROW(sched.activate(0, 2), std::out_of_range);
+}
+
+TEST(ConflictScheduler, ClosedSliceThrowsAndSkippedSlicesAreEmpty) {
+  // Slices close as registration moves past them, so a late touch of a
+  // closed slice is a caller bug, and a slice nobody registered has no
+  // shards.
+  sinet::sim::ConflictScheduler sched(2);
+  sched.touch(0, 0, 1);
+  sched.touch(2, 1, 1);
+  EXPECT_THROW(sched.touch(1, 0, 1), std::invalid_argument);
+  EXPECT_THROW(sched.activate(0, 1), std::invalid_argument);
+  const auto slices = sched.build();
+  ASSERT_EQ(slices.slice_count(), 3u);
+  EXPECT_EQ(slices.shard_count(0), 1u);
+  EXPECT_EQ(slices.shard_count(1), 0u);
+  EXPECT_EQ(members(slices, 2, 0), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(sched.build().slice_count(), 0u) << "build() starts over";
 }
 
 }  // namespace
