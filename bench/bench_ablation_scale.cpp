@@ -76,53 +76,20 @@ void BM_EighteenNodeDay(benchmark::State& state) {
 }
 BENCHMARK(BM_EighteenNodeDay)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// --- Engine ablation: legacy per-node events vs the batched SoA engine
-// on the same population-scale fleet (scale_fleet_config). At 2000 nodes
-// both engines run the full-trace path, so the timing gap is pure engine
-// overhead on identical outputs; the larger batched-only arms cross the
-// trace threshold into streaming-aggregate mode, the regime the legacy
-// engine cannot reach (its per-report records alone would dominate RSS).
-net::DtsNetworkConfig scale_engine_config(std::size_t nodes,
-                                          net::DtsEngine engine) {
-  net::DtsNetworkConfig cfg = net::scale_fleet_config(
-      nodes, 22, 16, campaign_epoch_jd(), sinet::bench::days_or(0.1));
-  cfg.seed = sinet::bench::flags().seed;
-  cfg.engine = engine;
-  return cfg;
-}
-
-void BM_ScaleEngine_Legacy(benchmark::State& state) {
-  const auto cfg = scale_engine_config(
-      static_cast<std::size_t>(state.range(0)), net::DtsEngine::kLegacy);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::run_dts_network(cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ScaleEngine_Legacy)
-    ->Arg(2000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_ScaleEngine_Batched(benchmark::State& state) {
-  const auto cfg = scale_engine_config(
-      static_cast<std::size_t>(state.range(0)), net::DtsEngine::kBatched);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::run_dts_network(cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ScaleEngine_Batched)
-    ->Arg(2000)
-    ->Arg(50000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// --- Parallel sharded engine: same aggregate-mode populations across
-// worker counts. Results are thread-count-invariant by construction, so
+// --- The DtS engine on population-scale fleets (scale_fleet_config)
+// across worker counts. The 2,000-node arms keep per-packet traces (at
+// most kTraceNodeLimit nodes); the larger ones keep only streaming
+// aggregates. Results are thread-count-invariant by construction, so
 // each arm asserts its aggregates byte-match the 1-thread reference for
 // its population before timing is accepted — a wrong-but-fast schedule
 // aborts the benchmark instead of reporting a speedup.
+net::DtsNetworkConfig scale_engine_config(std::size_t nodes) {
+  net::DtsNetworkConfig cfg = net::scale_fleet_config(
+      nodes, 22, 16, campaign_epoch_jd(), sinet::bench::days_or(0.1));
+  cfg.seed = sinet::bench::flags().seed;
+  return cfg;
+}
+
 void expect_parallel_invariance(const net::DtsNetworkConfig& cfg,
                                 const net::DtsAggregates& agg) {
   static std::map<std::size_t,
@@ -142,9 +109,7 @@ void expect_parallel_invariance(const net::DtsNetworkConfig& cfg,
 }
 
 void BM_ScaleEngine_Parallel(benchmark::State& state) {
-  auto cfg = scale_engine_config(static_cast<std::size_t>(state.range(0)),
-                                 net::DtsEngine::kBatched);
-  cfg.trace_node_threshold = 64;  // aggregate mode even at 2000 nodes
+  auto cfg = scale_engine_config(static_cast<std::size_t>(state.range(0)));
   cfg.sim_threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
     const net::DtsNetworkResult res = net::run_dts_network(cfg);

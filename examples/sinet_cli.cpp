@@ -193,9 +193,8 @@ int usage() {
       "  sinet validate <scenario> <out.json> [--baselines <file>]\n"
       "                 [--threads N]\n"
       "  sinet dts --nodes N --sats K [--sites M=256] [--days D=1]\n"
-      "            [--seed S=42] [--engine auto|legacy|batched]\n"
-      "            [--access aloha|scheduled] [--interval SECONDS]\n"
-      "            [--threshold NODES] [--threads N=all]\n"
+      "            [--seed S=42] [--access aloha|scheduled]\n"
+      "            [--interval SECONDS] [--threads N=all]\n"
       "  sinet serve [--port P=ephemeral] [--constellation NAME=all]\n"
       "              [--horizon-hours H=24] [--retention-hours H=0.25]\n"
       "              [--step SECONDS=30] [--min-elevation DEG=10]\n"
@@ -207,9 +206,9 @@ int usage() {
       "                [--connections N=4] [--observers N=10000]\n"
       "                [--zipf S=1.1] [--seed S=42] [--timeout S=30]\n"
       "\n"
-      "  --metrics <out.json>  write a structured run report (event-queue,\n"
-      "                        thread-pool, pass-cache and campaign\n"
-      "                        counters) after the subcommand finishes\n"
+      "  --metrics <out.json>  write a structured run report (thread-pool,\n"
+      "                        pass-cache, DtS and campaign counters)\n"
+      "                        after the subcommand finishes\n"
       "  --propagation-mode <reference|fast>\n"
       "                        orbit propagation kernels: 'reference' is\n"
       "                        the bit-exact scalar SGP4 path (default),\n"
@@ -231,9 +230,9 @@ int usage() {
       "\n"
       "  dts runs a population-scale direct-to-satellite fleet (synthetic\n"
       "  Tianqi-like shell, equal-area node spiral) and prints\n"
-      "  machine-greppable key=value result lines; above --threshold\n"
-      "  nodes the run keeps streaming aggregates only, so memory stays\n"
-      "  bounded at millions of nodes (docs/PERFORMANCE.md).\n"
+      "  machine-greppable key=value result lines; above 4096 nodes the\n"
+      "  run keeps streaming aggregates only, so memory stays bounded at\n"
+      "  millions of nodes (docs/PERFORMANCE.md).\n"
       "\n"
       "  serve answers newline-delimited JSON pass-prediction queries\n"
       "  (next_pass, passes_in_range, visibility_now, stats) from a warm\n"
@@ -494,10 +493,8 @@ int cmd_dts(int argc, char** argv) {
   long sites = 256;
   double days = 1.0;
   long seed = 42;
-  long threshold = -1;  // -1 = library default
   double interval_s = 0.0;
   long threads = 0;  // 0 = all hardware threads
-  std::string engine = "auto";
   std::string access;
   for (int i = 2; i < argc; ++i) {
     const auto next = [&](const char* what) -> const char* {
@@ -515,14 +512,10 @@ int cmd_dts(int argc, char** argv) {
       days = parse_double_arg(next("--days"), "--days");
     else if (std::strcmp(argv[i], "--seed") == 0)
       seed = parse_int_arg(next("--seed"), "--seed");
-    else if (std::strcmp(argv[i], "--threshold") == 0)
-      threshold = parse_int_arg(next("--threshold"), "--threshold");
     else if (std::strcmp(argv[i], "--interval") == 0)
       interval_s = parse_double_arg(next("--interval"), "--interval");
     else if (std::strcmp(argv[i], "--threads") == 0)
       threads = parse_int_arg(next("--threads"), "--threads");
-    else if (std::strcmp(argv[i], "--engine") == 0)
-      engine = next("--engine");
     else if (std::strcmp(argv[i], "--access") == 0)
       access = next("--access");
     else
@@ -536,15 +529,9 @@ int cmd_dts(int argc, char** argv) {
       static_cast<std::size_t>(nodes), static_cast<std::size_t>(sats),
       static_cast<std::size_t>(sites), campaign_epoch_jd(), days);
   cfg.seed = static_cast<std::uint64_t>(seed);
-  if (threshold >= 0)
-    cfg.trace_node_threshold = static_cast<std::size_t>(threshold);
   if (interval_s > 0.0) cfg.fleet.prototype.report_interval_s = interval_s;
   if (threads < 0) throw UsageError("dts: --threads must be >= 0");
   cfg.sim_threads = static_cast<unsigned>(threads);
-  if (engine == "legacy") cfg.engine = net::DtsEngine::kLegacy;
-  else if (engine == "batched") cfg.engine = net::DtsEngine::kBatched;
-  else if (engine != "auto")
-    throw UsageError("dts: --engine must be auto|legacy|batched");
   if (access == "aloha")
     cfg.uplink_access = net::UplinkAccess::kSlottedAloha;
   else if (access == "scheduled")
@@ -568,8 +555,6 @@ int cmd_dts(int argc, char** argv) {
     const auto it = snap.gauges.find(name);
     return it == snap.gauges.end() ? 0.0 : it->second.value;
   };
-  std::printf("dts.engine=%s\n",
-              cfg.engine == net::DtsEngine::kLegacy ? "legacy" : "batched");
   std::printf("dts.nodes=%ld\n", nodes);
   std::printf("dts.sats=%ld\n", sats);
   std::printf("dts.days=%g\n", days);
@@ -597,8 +582,6 @@ int cmd_dts(int argc, char** argv) {
               gauge("net.dts.parallel.available"));
   std::printf("dts.nodes_per_s=%.1f\n",
               wall_s > 0.0 ? static_cast<double>(nodes) / wall_s : 0.0);
-  std::printf("dts.event_queue_max_pending=%.0f\n",
-              gauge("sim.event_queue.max_pending"));
   std::printf("dts.node_store_mb=%.2f\n",
               gauge("net.dts.scale.node_store_bytes") / (1024.0 * 1024.0));
   std::printf("dts.timeline_mb=%.2f\n",

@@ -36,8 +36,10 @@ PointMetrics run_active_point(const RunPoint& p) {
   knobs.seed = p.seed;
   net::DtsNetworkConfig cfg = core::make_active_config(knobs);
   // The sweep already shards at point granularity; keep each point's
-  // internal pass prediction serial so N points never oversubscribe.
+  // internal pass prediction and shard schedule serial so N points never
+  // oversubscribe (the engine's results do not depend on its threads).
   cfg.pass_threads = 1;
+  cfg.sim_threads = 1;
   const net::DtsNetworkResult res = net::run_dts_network(cfg);
   const double end_unix = orbit::julian_to_unix(cfg.start_jd) +
                           cfg.duration_days * 86400.0;

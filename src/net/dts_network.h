@@ -8,11 +8,16 @@
 //     -> satellite store-and-forward buffer -> [wait for GS contact]
 //     -> ground-station downlink -> operator backhaul -> subscriber server
 //
-// The simulation is event-driven on sinet::sim and reproducible from
-// (config, seed). It produces per-packet UplinkRecords (Figs 5a-5d, 12a,
-// 12b), per-node energy residency (Fig 6) and link/MAC counters.
+// One engine runs it (net/dts_engine.cpp): a deterministic schedule of
+// time slices and footprint-conflict shards on sinet::sim, reproducible
+// from (config, seed) and identical at any thread count. It produces
+// streaming aggregates and link/MAC counters for fleets of any size, and
+// for fleets of at most kTraceNodeLimit nodes also per-packet
+// UplinkRecords (Figs 5a-5d, 12a, 12b) and per-node energy residency
+// (Fig 6).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,30 +43,18 @@ class MetricsRegistry;
 
 namespace sinet::net {
 
-/// Which DES engine runs the DtS pipeline.
-///
-/// kLegacy is the original per-node-event simulator (one queue event per
-/// report, per-satellite beacon events iterating every node). kBatched is
-/// the population-scale engine: struct-of-arrays node state, lazy report
-/// materialization from an activation heap, and one chained timeline
-/// event per satellite. Below DtsNetworkConfig::trace_node_threshold the
-/// batched engine replays the legacy RNG draw order bit-for-bit and its
-/// DtsNetworkResult is EXPECT_EQ-identical (enforced by the randomized
-/// parity suite in test_dts_scale.cpp); above it, it switches to
-/// active-node-only resolution with streaming aggregates. kAuto resolves
-/// to kBatched.
-enum class DtsEngine {
-  kAuto = 0,
-  kLegacy,
-  kBatched,
-};
+/// Fleets of at most this many nodes keep a per-packet trace
+/// (DtsNetworkResult::uplinks) and per-node residency; larger fleets
+/// keep only DtsAggregates, so memory stays O(nodes + pending), not
+/// O(reports).
+inline constexpr std::size_t kTraceNodeLimit = 4096;
 
 /// Compact description of a uniform mega-fleet: `count` nodes cloned from
 /// `prototype`, deployed round-robin across `sites` (node i lives at
 /// sites[i % sites.size()] and is named "<prototype.name>-<i>" where a
 /// name is needed). Avoids materializing one IotNodeConfig — with its
 /// heap-allocated name — per node when count is in the millions; the
-/// batched engine reads the prototype straight into its SoA arrays.
+/// engine reads the prototype straight into its SoA arrays.
 struct NodeFleet {
   std::size_t count = 0;  ///< 0 = use DtsNetworkConfig::nodes instead
   std::vector<orbit::Geodetic> sites;
@@ -142,14 +135,6 @@ struct DtsNetworkConfig {
   BackhaulConfig delivery_backhaul;
   std::size_t satellite_buffer_capacity = 4096;
 
-  /// Engine selection (see DtsEngine). kAuto runs the batched engine.
-  DtsEngine engine = DtsEngine::kAuto;
-  /// Node-count boundary of the batched engine's two modes. At or below
-  /// the threshold it keeps full per-packet UplinkRecords / per-node
-  /// residency and reproduces the legacy engine bit-for-bit; above it,
-  /// results carry only DtsAggregates (uplinks/node_residency stay
-  /// empty) and memory stays O(nodes + pending), not O(reports).
-  std::size_t trace_node_threshold = 4096;
   /// Tail exclusion (s) for the aggregate eligible-delivery ratio:
   /// reports generated within this long of the run end are not counted
   /// as eligible (mirrors core::summarize_reliability's default). The
@@ -169,23 +154,21 @@ struct DtsNetworkConfig {
   /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
   /// hardware threads, 1 = exact serial legacy path.
   unsigned pass_threads = 0;
-  /// Worker threads for the sharded aggregate-mode DES itself (runs above
-  /// trace_node_threshold nodes): 0 = all hardware threads, 1 = run the
-  /// shard schedule inline on the calling thread. Results are
-  /// thread-count-invariant BY CONSTRUCTION — every aggregate counter,
-  /// histogram bin and residency mode is bit-identical for any value
-  /// (enforced by tests/test_dts_parallel.cpp); the knob only changes
-  /// wall-clock time. Exact (trace) mode is a serial bit-parity replay of
-  /// the legacy engine and ignores this field.
+  /// Worker threads for the shard schedule itself: 0 = all hardware
+  /// threads, 1 = run the shard schedule inline on the calling thread.
+  /// Results are thread-count-invariant BY CONSTRUCTION — every trace
+  /// record, aggregate counter, histogram bin and residency mode is
+  /// bit-identical for any value (enforced by
+  /// tests/test_dts_parallel.cpp); the knob only changes wall-clock time.
   unsigned sim_threads = 0;
 
   std::uint64_t seed = 42;
 
-  /// Optional run-metrics sink. When non-null the run records event-queue
-  /// ("sim.event_queue.*"), thread-pool ("sim.thread_pool.*"), pass-cache
-  /// ("orbit.pass_cache.*") and network ("net.dts.*") metrics into it;
-  /// null (the default) disables all instrumentation. The registry must
-  /// outlive run_dts_network().
+  /// Optional run-metrics sink. When non-null the run records thread-pool
+  /// ("sim.thread_pool.*"), pass-cache ("orbit.pass_cache.*"), network
+  /// ("net.dts.*") and shard-schedule ("net.dts.parallel.*") metrics into
+  /// it; null (the default) disables all instrumentation. The registry
+  /// must outlive run_dts_network().
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -197,6 +180,8 @@ struct DtsNetworkConfig {
 
 struct DtsCounters {
   std::uint64_t beacons_sent = 0;
+  /// Beacon decodes by nodes holding a report: the engine never draws a
+  /// beacon for a node with nothing to send.
   std::uint64_t beacons_heard = 0;
   std::uint64_t uplink_attempts = 0;
   std::uint64_t uplinks_received = 0;
@@ -208,13 +193,13 @@ struct DtsCounters {
   std::uint64_t background_losses = 0;  ///< footprint congestion losses
 };
 
-/// Streaming aggregates of a DtS run. Always populated; above the trace
-/// threshold they are the ONLY per-packet output (the engine folds each
-/// delivery into these histograms at flush time instead of keeping an
-/// UplinkRecord per report), which is what keeps a 1M-node / 24 h run's
-/// memory bounded. Latency decompositions are over delivered packets
-/// with complete timing, matching mean_latency_breakdown(); the wait
-/// histogram is over every packet that reached a first transmission.
+/// Streaming aggregates of a DtS run, over the same packets the trace
+/// holds. Always populated; above kTraceNodeLimit nodes they are the ONLY
+/// per-packet output (the engine folds each delivery into these
+/// histograms at flush time), which is what keeps a 1M-node / 24 h run's
+/// memory bounded. The transfer/delivery decomposition is over delivered
+/// packets with complete timing; the wait sum and histogram are over
+/// every packet that reached a first transmission.
 struct DtsAggregates {
   std::uint64_t reports_generated = 0;
   std::uint64_t reports_delivered = 0;
@@ -237,8 +222,8 @@ struct DtsAggregates {
   stats::Histogram wait_s{0.0, 6.0 * 3600.0, 144};
   stats::Histogram attempts{0.5, 32.5, 32};  ///< per transmitted packet
 
-  /// Fleet-summed energy residency (per-node trackers are only kept
-  /// below the trace threshold).
+  /// Fleet-summed energy residency (per-node trackers are only kept up
+  /// to kTraceNodeLimit nodes).
   energy::ResidencyTracker fleet_residency;
 
   [[nodiscard]] double delivered_fraction() const;
@@ -255,17 +240,23 @@ struct DtsAggregates {
 };
 
 struct DtsNetworkResult {
-  std::vector<trace::UplinkRecord> uplinks;  ///< one per generated report
+  /// One record per generated report, node-major and by sequence within
+  /// a node; empty above kTraceNodeLimit nodes.
+  std::vector<trace::UplinkRecord> uplinks;
+  /// One tracker per node; empty above kTraceNodeLimit nodes.
   std::vector<energy::ResidencyTracker> node_residency;
   DtsCounters counters;
-  /// Streaming aggregates; above the trace threshold `uplinks` and
-  /// `node_residency` stay empty and this is the per-packet output.
+  /// Streaming aggregates; above kTraceNodeLimit nodes this is the only
+  /// per-packet output.
   DtsAggregates agg;
 
+  /// Both read `agg`.
   [[nodiscard]] double delivered_fraction() const;
   [[nodiscard]] double mean_end_to_end_s() const;
-  /// Mean latency decomposition over delivered packets (Fig 5d), seconds:
-  /// {wait for pass, DtS transfer, delivery via GS+backhaul}.
+  /// Mean latency decomposition (Fig 5d), seconds: {wait for pass, DtS
+  /// transfer, delivery via GS+backhaul}. With a trace every term is over
+  /// delivered packets with complete timing; without one the wait is
+  /// over every transmitted packet (DtsAggregates::mean_wait_s).
   struct LatencyBreakdown {
     double wait_for_pass_s = 0.0;
     double dts_transfer_s = 0.0;
@@ -293,9 +284,22 @@ struct DtsNetworkResult {
     std::size_t site_count, orbit::JulianDate start_jd,
     double duration_days = 1.0);
 
-/// Run the full simulation with the engine selected by cfg.engine.
-/// Throws std::invalid_argument on nonsensical configuration (no nodes,
-/// nonpositive duration, ...).
+/// Run the full simulation. Throws std::invalid_argument on nonsensical
+/// configuration (no nodes, nonpositive duration, ...).
 [[nodiscard]] DtsNetworkResult run_dts_network(const DtsNetworkConfig& cfg);
+
+namespace detail {
+
+/// Materialize the config of node `i` (fleet prototype + site for fleet
+/// configs). Only used on small-N paths — never called per node at scale.
+[[nodiscard]] IotNodeConfig dts_node_config(const DtsNetworkConfig& cfg,
+                                            std::size_t i);
+
+/// Tail exclusion actually applied to eligible-packet accounting:
+/// cfg.aggregate_tail_exclusion_s clamped to half the run duration, so a
+/// short probe run still reports a nonzero eligible population.
+[[nodiscard]] double effective_tail_exclusion_s(const DtsNetworkConfig& cfg);
+
+}  // namespace detail
 
 }  // namespace sinet::net

@@ -7,17 +7,16 @@
 // survives if it exceeds the other by the capture threshold.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "sim/event_queue.h"
 
 namespace sinet::net {
 
 struct Transmission {
   std::uint64_t id = 0;
-  sim::SimTime start = 0.0;
-  sim::SimTime end = 0.0;
+  double start = 0.0;  ///< sim time (s)
+  double end = 0.0;
   double rssi_dbm = 0.0;
 
   [[nodiscard]] bool overlaps(const Transmission& o) const noexcept {

@@ -2,7 +2,7 @@
 //
 // The source paper is a measurement study; this is the reproduction's own
 // instrumentation: named counters, gauges and fixed-bin histograms that
-// the hot layers (event queue, thread pool, pass prediction, campaign
+// the hot layers (DtS engine, thread pool, pass prediction, campaign
 // drivers) write into while a run executes, and that a RunReport exporter
 // (run_report.h) serializes afterwards.
 //

@@ -1,6 +1,6 @@
 // Deterministic conflict scheduling for sharded simulation.
 //
-// The parallel DtS engine (net/dts_batch.cpp) divides a run into fixed
+// The DtS engine (net/dts_engine.cpp) divides a run into fixed
 // time slices and, inside each slice, groups satellites whose footprints
 // touch a common ground location into one shard: shards never share a
 // mutable resource, so they can run concurrently on sim::ThreadPool with

@@ -36,7 +36,7 @@ namespace sinet::val {
 
 /// One validation scenario. The catalog (validation_scenario) defines
 /// "reference" (CI gate: 3-day scan + 2-day DtS run), "quick"
-/// (unit-test scale: 1-day scan + half-day DtS run) and "scale"
+/// (unit-test scale: 1-day scan + the same 2-day DtS run) and "scale"
 /// (population scale: 1M-node / 1k-satellite aggregate-mode DtS day).
 struct ValidationScenario {
   std::string name;

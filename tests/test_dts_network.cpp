@@ -272,9 +272,14 @@ TEST(DtsNetwork, MetricsMatchResultCounters) {
   EXPECT_EQ(s.counters.at("net.dts.reports_generated"), res.uplinks.size());
   EXPECT_DOUBLE_EQ(s.gauges.at("net.dts.delivered_fraction").value,
                    res.delivered_fraction());
-  // The sim core layers reported too: event queue, thread pool, and the
-  // contact-window cache all fed the same registry.
-  EXPECT_GT(s.counters.at("sim.event_queue.events_executed"), 0u);
+  // The shard schedule, the thread pool and the contact-window cache all
+  // fed the same registry.
+  ASSERT_TRUE(s.gauges.count("net.dts.parallel.slices"));
+  EXPECT_GT(s.gauges.at("net.dts.parallel.slices").value, 0.0);
+  ASSERT_TRUE(s.gauges.count("net.dts.parallel.shards"));
+  EXPECT_GT(s.gauges.at("net.dts.parallel.shards").value, 0.0);
+  ASSERT_TRUE(s.gauges.count("net.dts.parallel.threads"));
+  EXPECT_GE(s.gauges.at("net.dts.parallel.threads").value, 1.0);
   EXPECT_TRUE(s.counters.count("sim.thread_pool.tasks_run"));
   EXPECT_TRUE(s.counters.count("orbit.pass_cache.hits") ||
               s.counters.count("orbit.pass_cache.misses"));

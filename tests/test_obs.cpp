@@ -1,6 +1,6 @@
 // Unit tests for the run-metrics observability layer (src/obs) and its
 // wiring into the sim core: metric types, registry, timers, the
-// RunReport JSON/CSV exporter round-trip, and the EventQueue/ThreadPool
+// RunReport JSON/CSV exporter round-trip, and the ThreadPool
 // instrumentation hooks.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/scoped_timer.h"
-#include "sim/simulation.h"
 #include "sim/thread_pool.h"
 
 namespace {
@@ -312,45 +311,6 @@ TEST(RunReport, WriteJsonFileRoundTrips) {
   buf << in.rdbuf();
   EXPECT_EQ(original, parse_json(buf.str()));
   std::remove(path.c_str());
-}
-
-TEST(EventQueueMetrics, AlwaysOnCountersTrack) {
-  sinet::sim::Simulation sim(1);
-  int fired = 0;
-  sim.at(1.0, [&] { ++fired; });
-  sim.at(2.0, [&] { ++fired; });
-  sim.at(3.0, [&] { ++fired; });
-  sim.run_all();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(sim.events().executed(), 3u);
-  EXPECT_EQ(sim.events().max_pending(), 3u);
-}
-
-TEST(EventQueueMetrics, PublishIsIncremental) {
-  MetricsRegistry reg;
-  sinet::sim::Simulation sim(1);
-  sim.attach_metrics(&reg);
-  sim.at(1.0, [] {});
-  sim.at(2.0, [] {});
-  sim.run_until(1.5);
-  sim.publish_metrics();
-  EXPECT_EQ(reg.counter("sim.event_queue.events_executed").value(), 1u);
-  sim.run_all();
-  sim.publish_metrics();
-  EXPECT_EQ(reg.counter("sim.event_queue.events_executed").value(), 2u);
-  EXPECT_DOUBLE_EQ(reg.gauge("sim.event_queue.max_pending").value(), 2.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("sim.event_queue.pending").value(), 0.0);
-  // Handler wall time was sampled for each executed event.
-  const Snapshot s = reg.snapshot();
-  EXPECT_EQ(s.histograms.at("sim.event_queue.handler_ms").total, 2u);
-}
-
-TEST(EventQueueMetrics, DetachedQueueTouchesNoRegistry) {
-  sinet::sim::Simulation sim(1);
-  sim.at(1.0, [] {});
-  sim.run_all();
-  sim.publish_metrics();  // no registry attached: must be a no-op
-  EXPECT_EQ(sim.events().executed(), 1u);
 }
 
 TEST(ThreadPoolMetrics, ScopePublishesTaskCounters) {

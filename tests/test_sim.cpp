@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event engine and RNG streams.
+// Unit tests for the RNG streams and the conflict scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,109 +7,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/shard.h"
-#include "sim/simulation.h"
 
 namespace {
 
-using sinet::sim::EventQueue;
 using sinet::sim::Rng;
 using sinet::sim::RngFactory;
-using sinet::sim::Simulation;
-
-TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, EqualTimesFireInScheduleOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i)
-    q.schedule_at(5.0, [&order, i] { order.push_back(i); });
-  q.run_all();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, ScheduleInPastThrows) {
-  EventQueue q;
-  q.schedule_at(10.0, [] {});
-  q.step();
-  EXPECT_THROW(q.schedule_at(5.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_in(-1.0, [] {}), std::invalid_argument);
-}
-
-TEST(EventQueue, NullCallbackThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_at(1.0, nullptr), std::invalid_argument);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  const auto h = q.schedule_at(1.0, [&] { ++fired; });
-  q.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));  // double-cancel is a no-op
-  q.run_all();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelUnknownHandle) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(sinet::sim::kInvalidEvent));
-  EXPECT_FALSE(q.cancel(12345));
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary) {
-  EventQueue q;
-  std::vector<double> times;
-  for (double t = 1.0; t <= 5.0; t += 1.0)
-    q.schedule_at(t, [&times, &q] { times.push_back(q.now()); });
-  const std::size_t executed = q.run_until(3.0);
-  EXPECT_EQ(executed, 3u);
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-  EXPECT_EQ(q.pending(), 2u);
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWhenIdle) {
-  EventQueue q;
-  q.run_until(42.0);
-  EXPECT_DOUBLE_EQ(q.now(), 42.0);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 5) q.schedule_in(1.0, chain);
-  };
-  q.schedule_at(0.0, chain);
-  q.run_all();
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(q.now(), 4.0);
-}
-
-TEST(EventQueue, PeekTimeSkipsCancelled) {
-  EventQueue q;
-  const auto h = q.schedule_at(1.0, [] {});
-  q.schedule_at(2.0, [] {});
-  q.cancel(h);
-  EXPECT_DOUBLE_EQ(q.peek_time(), 2.0);
-}
-
-TEST(EventQueue, PeekTimeEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW((void)q.peek_time(), std::logic_error);
-}
 
 TEST(Rng, UniformInRange) {
   Rng rng(123);
@@ -309,23 +213,6 @@ TEST(RngFactory, DifferentRootSeedsDiffer) {
   Rng a = f1.make("x");
   Rng b = f2.make("x");
   EXPECT_NE(a.uniform(), b.uniform());
-}
-
-TEST(Simulation, NamedStreamsPersist) {
-  Simulation sim(42);
-  const double first = sim.rng("weather").uniform();
-  const double second = sim.rng("weather").uniform();
-  EXPECT_NE(first, second);  // same stream advances
-
-  Simulation sim2(42);
-  EXPECT_DOUBLE_EQ(sim2.rng("weather").uniform(), first);
-}
-
-TEST(Simulation, UnixNowTracksEpoch) {
-  Simulation sim(1, 1'000'000.0);
-  sim.in(100.0, [] {});
-  sim.run_all();
-  EXPECT_DOUBLE_EQ(sim.unix_now(), 1'000'100.0);
 }
 
 TEST(Rng, DeriveStreamGolden) {

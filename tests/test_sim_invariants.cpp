@@ -1,298 +1,31 @@
-// Model-checked invariants for the DES core.
+// Concurrency invariants of the sim core.
 //
-// The EventQueue is checked against a naive sorted-vector reference over
-// >=10k randomized schedule/cancel/step/run_until sequences: every paper
-// figure integrates over this schedule, so order, liveness accounting,
-// and cancel semantics are load-bearing. The ThreadPool is stressed under
-// nesting (a worker calling parallel_for on its own pool must help drain
-// the queue, not deadlock — the threads=1 legacy mode is the worst case),
-// exception propagation, and shared-pool reuse; EmpiricalCdf is queried
-// concurrently from pool workers. The concurrency tests are the TSan
-// targets wired through tools/run_sanitizers.sh.
+// The ThreadPool is stressed under nesting (a worker calling
+// parallel_for on its own pool must help drain the queue, not deadlock —
+// a 1-thread pool is the worst case), exception propagation, and
+// shared-pool reuse; EmpiricalCdf is queried concurrently from pool
+// workers. The concurrency tests are the TSan targets wired through
+// tools/run_sanitizers.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <limits>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/thread_pool.h"
 #include "stats/cdf.h"
 
 namespace {
 
-using sinet::sim::EventHandle;
-using sinet::sim::EventQueue;
 using sinet::sim::Rng;
 using sinet::sim::ThreadPool;
 using sinet::stats::EmpiricalCdf;
-
-// ---------------------------------------------------------------------------
-// EventQueue vs. reference model
-// ---------------------------------------------------------------------------
-
-/// Naive reference: a flat vector scanned for the earliest live entry.
-/// Mirrors the documented EventQueue contract exactly; any divergence in
-/// the model check is a bug in one of the two.
-class RefQueue {
- public:
-  EventHandle schedule(double t, int id) {
-    entries_.push_back({t, next_handle_, id, State::kPending});
-    return next_handle_++;
-  }
-
-  /// True iff the handle exists and is still pending (not fired, not
-  /// already cancelled) — the strict semantics EventQueue must match.
-  bool cancel(EventHandle h) {
-    for (Entry& e : entries_)
-      if (e.handle == h) {
-        if (e.state != State::kPending) return false;
-        e.state = State::kCancelled;
-        return true;
-      }
-    return false;
-  }
-
-  /// Fires the earliest (time, handle) pending entry; returns its id or
-  /// -1 when empty.
-  int step() {
-    Entry* best = nullptr;
-    for (Entry& e : entries_)
-      if (e.state == State::kPending &&
-          (best == nullptr || e.time < best->time ||
-           (e.time == best->time && e.handle < best->handle)))
-        best = &e;
-    if (best == nullptr) return -1;
-    best->state = State::kFired;
-    now_ = best->time;
-    return best->id;
-  }
-
-  [[nodiscard]] std::size_t pending() const {
-    std::size_t n = 0;
-    for (const Entry& e : entries_)
-      if (e.state == State::kPending) ++n;
-    return n;
-  }
-
-  [[nodiscard]] double peek_time() const {
-    double best = std::numeric_limits<double>::infinity();
-    EventHandle best_h = 0;
-    bool found = false;
-    for (const Entry& e : entries_)
-      if (e.state == State::kPending &&
-          (!found || e.time < best || (e.time == best && e.handle < best_h))) {
-        best = e.time;
-        best_h = e.handle;
-        found = true;
-      }
-    return best;
-  }
-
-  [[nodiscard]] double now() const { return now_; }
-
-  /// Some handle that has already fired, or kInvalidEvent if none have.
-  [[nodiscard]] EventHandle any_fired_handle(Rng& rng) const {
-    std::vector<EventHandle> fired;
-    for (const Entry& e : entries_)
-      if (e.state == State::kFired) fired.push_back(e.handle);
-    if (fired.empty()) return sinet::sim::kInvalidEvent;
-    return fired[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(fired.size()) - 1))];
-  }
-
-  [[nodiscard]] EventHandle any_handle(Rng& rng) const {
-    if (entries_.empty()) return sinet::sim::kInvalidEvent;
-    return entries_[static_cast<std::size_t>(rng.uniform_int(
-                        0, static_cast<std::int64_t>(entries_.size()) - 1))]
-        .handle;
-  }
-
- private:
-  enum class State { kPending, kFired, kCancelled };
-  struct Entry {
-    double time;
-    EventHandle handle;
-    int id;
-    State state;
-  };
-  std::vector<Entry> entries_;
-  EventHandle next_handle_ = 1;  // mirrors EventQueue's first handle
-  double now_ = 0.0;
-};
-
-TEST(EventQueueModelCheck, TenThousandRandomOpsMatchReference) {
-  // 4 seeds x 3000 ops = 12000 randomized operations checked against the
-  // reference after every single op.
-  for (const std::uint64_t seed : {2u, 11u, 77u, 20260805u}) {
-    Rng rng(seed);
-    EventQueue q;
-    RefQueue ref;
-    std::vector<int> fired_ids;
-    int next_id = 0;
-
-    for (int op = 0; op < 3000; ++op) {
-      const double roll = rng.uniform();
-      if (roll < 0.45) {
-        // Schedule on a quantized grid so time collisions exercise the
-        // (time, seq) tiebreak.
-        const double t =
-            q.now() + static_cast<double>(rng.uniform_int(0, 40)) * 0.25;
-        const int id = next_id++;
-        const EventHandle h =
-            q.schedule_at(t, [&fired_ids, id] { fired_ids.push_back(id); });
-        const EventHandle rh = ref.schedule(t, id);
-        ASSERT_EQ(h, rh) << "seed " << seed << " op " << op;
-      } else if (roll < 0.70) {
-        // Cancel: mix of live, already-fired, already-cancelled, and
-        // unknown handles — all four must agree with the reference.
-        EventHandle victim;
-        const double which = rng.uniform();
-        if (which < 0.55) {
-          victim = ref.any_handle(rng);
-        } else if (which < 0.80) {
-          victim = ref.any_fired_handle(rng);
-        } else {
-          victim = 1000000 + static_cast<EventHandle>(op);  // unknown
-        }
-        ASSERT_EQ(q.cancel(victim), ref.cancel(victim))
-            << "seed " << seed << " op " << op << " victim " << victim;
-      } else if (roll < 0.90) {
-        const std::size_t before = fired_ids.size();
-        const bool stepped = q.step();
-        const int expect_id = ref.step();
-        ASSERT_EQ(stepped, expect_id >= 0) << "seed " << seed << " op " << op;
-        if (stepped) {
-          ASSERT_EQ(fired_ids.size(), before + 1);
-          ASSERT_EQ(fired_ids.back(), expect_id)
-              << "seed " << seed << " op " << op;
-          ASSERT_DOUBLE_EQ(q.now(), ref.now());
-        }
-      } else {
-        // run_until a short horizon: the reference fires everything with
-        // time <= until in its own order.
-        const double until = q.now() + rng.uniform(0.0, 3.0);
-        const std::size_t before = fired_ids.size();
-        const std::size_t n = q.run_until(until);
-        std::size_t ref_n = 0;
-        while (ref.pending() > 0 && ref.peek_time() <= until) {
-          const int id = ref.step();
-          ASSERT_GE(id, 0);
-          ++ref_n;
-          ASSERT_EQ(fired_ids[before + ref_n - 1], id)
-              << "seed " << seed << " op " << op;
-        }
-        ASSERT_EQ(n, ref_n) << "seed " << seed << " op " << op;
-      }
-
-      // Global invariants after every operation.
-      ASSERT_EQ(q.pending(), ref.pending())
-          << "seed " << seed << " op " << op;
-      ASSERT_EQ(q.empty(), ref.pending() == 0);
-      if (!q.empty()) {
-        ASSERT_DOUBLE_EQ(q.peek_time(), ref.peek_time())
-            << "seed " << seed << " op " << op;
-      } else {
-        EXPECT_THROW((void)q.peek_time(), std::logic_error);
-      }
-    }
-
-    // Drain and make sure the tails agree too.
-    while (true) {
-      const bool stepped = q.step();
-      const int expect_id = ref.step();
-      ASSERT_EQ(stepped, expect_id >= 0);
-      if (!stepped) break;
-      ASSERT_EQ(fired_ids.back(), expect_id);
-    }
-    ASSERT_TRUE(q.empty());
-    ASSERT_EQ(q.pending(), 0u);
-  }
-}
-
-// Regression for the fired-handle cancel bug: cancel() used to return
-// true for an already-executed handle and decrement the live counter, so
-// empty() reported true while real events were still queued and
-// run_until() silently dropped them.
-TEST(EventQueueRegression, CancelOfFiredHandleIsRejectedAndDropsNothing) {
-  EventQueue q;
-  int fired = 0;
-  const EventHandle first = q.schedule_at(1.0, [&fired] { ++fired; });
-  q.schedule_at(2.0, [&fired] { ++fired; });
-
-  ASSERT_TRUE(q.step());  // fires `first`
-  EXPECT_EQ(fired, 1);
-
-  EXPECT_FALSE(q.cancel(first)) << "cancel of a fired handle must be a no-op";
-  EXPECT_FALSE(q.empty()) << "one real event is still pending";
-  EXPECT_EQ(q.pending(), 1u);
-
-  EXPECT_EQ(q.run_until(10.0), 1u) << "pending event must not be dropped";
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(q.empty());
-
-  // Double-cancel of a genuinely pending handle: first wins, second no-op.
-  const EventHandle h = q.schedule_at(20.0, [&fired] { ++fired; });
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));
-  EXPECT_EQ(q.run_all(), 0u);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueueInvariants, PeekTimeIsConstAndSkipsCancelledRuns) {
-  EventQueue q;
-  std::vector<EventHandle> hs;
-  for (int i = 0; i < 64; ++i)
-    hs.push_back(q.schedule_at(static_cast<double>(i), [] {}));
-  // Cancel a long prefix; peek through a const ref must see past it.
-  for (int i = 0; i < 50; ++i) EXPECT_TRUE(q.cancel(hs[i]));
-  const EventQueue& cq = q;
-  EXPECT_DOUBLE_EQ(cq.peek_time(), 50.0);
-  EXPECT_EQ(cq.pending(), 14u);
-  EXPECT_EQ(q.run_all(), 14u);
-}
-
-// Regression for the schedule_chain leak: the chain's walker captured the
-// shared_ptr that owned it, so the cycle kept the times and the visitor
-// (with every capture) alive after the chain was done with. A sentinel
-// captured by the visitor shows whether the chain released it.
-TEST(EventQueueRegression, ScheduleChainReleasesItsVisitor) {
-  const auto sentinel = std::make_shared<int>(0);
-  {
-    EventQueue q;
-    int visits = 0;
-    q.schedule_chain({1.0, 2.0, 3.0},
-                     [sentinel, &visits](std::size_t) { ++visits; });
-    EXPECT_EQ(sentinel.use_count(), 2);  // the pending chain holds it
-    EXPECT_EQ(q.run_all(), 3u);
-    EXPECT_EQ(visits, 3);
-    EXPECT_EQ(sentinel.use_count(), 1) << "completed chain kept its visitor";
-  }
-  EXPECT_EQ(sentinel.use_count(), 1);
-
-  {
-    EventQueue q;
-    const EventHandle h =
-        q.schedule_chain({1.0, 2.0}, [sentinel](std::size_t) {});
-    EXPECT_TRUE(q.cancel(h));
-    EXPECT_EQ(q.run_all(), 0u);
-    EXPECT_EQ(sentinel.use_count(), 1) << "cancelled chain kept its visitor";
-  }
-  {
-    // Cancelled but never drained: the queue's destruction frees it.
-    EventQueue q;
-    EXPECT_TRUE(q.cancel(q.schedule_chain({1.0}, [sentinel](std::size_t) {})));
-  }
-  EXPECT_EQ(sentinel.use_count(), 1);
-}
 
 // ---------------------------------------------------------------------------
 // ThreadPool: nesting, exceptions, shared reuse
@@ -300,8 +33,8 @@ TEST(EventQueueRegression, ScheduleChainReleasesItsVisitor) {
 
 // Regression for the nested parallel_for deadlock: a worker that called
 // parallel_for blocked on the completion latch while the nested tasks sat
-// behind it in the queue — guaranteed deadlock on a 1-thread pool (the
-// threads=1 exact-legacy mode). The worker must help drain the queue.
+// behind it in the queue — guaranteed deadlock on a 1-thread pool. The
+// worker must help drain the queue.
 TEST(ThreadPoolRegression, NestedParallelForOnOneThreadPool) {
   ThreadPool pool(1);
   std::atomic<int> inner_runs{0};

@@ -29,7 +29,8 @@ int main() {
         lat.mean_breakdown.delivery_s / 60.0, retx_stats.zero_retx_fraction,
         retx_stats.mean_attempts);
     std::printf(
-        "  beacons sent=%llu heard=%llu (%.3f/node)  up att=%llu rx=%llu "
+        "  beacons sent=%llu heard=%llu (%.3f/node, report holders only)  "
+        "up att=%llu rx=%llu "
         "coll=%llu  acks %llu/%llu dup=%llu\n",
         (unsigned long long)c.beacons_sent,
         (unsigned long long)c.beacons_heard,
