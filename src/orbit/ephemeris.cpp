@@ -369,22 +369,12 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
 
   std::vector<PairScan> scans;
   scans.reserve(pairs.size());
-  for (const PairTask& p : pairs) {
-    double gamma_vis = kPi;
-    double omega_max = 0.0;
-    bool cull_enabled = false;
-    if (scan_opts.cull && bounds[p.satellite].valid) {
-      gamma_vis = horizon_cone_half_angle_rad(
-          geometry[p.observer], bounds[p.satellite].max_distance_km,
-          masks[p.observer]);
-      omega_max = bounds[p.satellite].max_angular_rate_rad_s;
-      cull_enabled = gamma_vis < kPi && omega_max > 0.0;
-    }
+  for (const PairTask& p : pairs)
     scans.emplace_back(*satellites[p.satellite],
                        observers[p.observer].location, masks[p.observer],
-                       &geometry[p.observer], gamma_vis, omega_max,
-                       cull_enabled, p.satellite);
-  }
+                       pair_cull(bounds[p.satellite], geometry[p.observer],
+                                 masks[p.observer]),
+                       p.satellite);
 
   sim::ThreadPool* pool = nullptr;
   std::optional<sim::ThreadPool> local;
@@ -420,12 +410,13 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
           b.pair[l] = i;
           frames[l] = &p.sampler.frame();
           b.sin_mask[l] = std::sin(p.mask_deg * kDegToRad);
-          b.ux[l] = p.geometry->unit_ecef.x;
-          b.uy[l] = p.geometry->unit_ecef.y;
-          b.uz[l] = p.geometry->unit_ecef.z;
-          b.cos_vis[l] = p.cull ? std::cos(p.gamma_vis_rad) : -1.0;
+          b.ux[l] = p.cull.geometry->unit_ecef.x;
+          b.uy[l] = p.cull.geometry->unit_ecef.y;
+          b.uz[l] = p.cull.geometry->unit_ecef.z;
+          b.cos_vis[l] =
+              p.cull.enabled ? std::cos(p.cull.gamma_vis_rad) : -1.0;
           b.inv_omega_step[l] =
-              p.cull ? 1.0 / (p.omega_max_rad_s * step_s) : 0.0;
+              p.cull.enabled ? 1.0 / (p.cull.omega_max_rad_s * step_s) : 0.0;
         }
         b.frames = pack_topocentric_frames(frames.data(), b.lanes);
         blocks.push_back(b);
@@ -758,38 +749,29 @@ std::size_t RollingEphemeris::resident_bytes() const noexcept {
   return bytes;
 }
 
-std::vector<ContactWindow> RollingEphemeris::scan_satellite(
-    std::size_t satellite, const GridObserver& observer,
-    const PassPredictionOptions& opts) const {
-  if (satellite >= satellites_.size())
-    throw std::out_of_range("RollingEphemeris: satellite index out of range");
+void RollingEphemeris::check_query(const PassPredictionOptions& opts) const {
   if (chunks_.empty())
     throw std::logic_error(
         "RollingEphemeris: scan on empty horizon (advance() first)");
   if (opts.coarse_step_s != opts_.coarse_step_s)
     throw std::invalid_argument(
         "RollingEphemeris: query coarse_step_s must match the rolling grid");
+}
+
+std::vector<ContactWindow> RollingEphemeris::scan_satellite(
+    std::size_t satellite, const GridObserver& observer,
+    const PassPredictionOptions& opts) const {
+  if (satellite >= satellites_.size())
+    throw std::out_of_range("RollingEphemeris: satellite index out of range");
+  check_query(opts);
 
   const double mask = std::isnan(observer.min_elevation_deg)
                           ? opts.min_elevation_deg
                           : observer.min_elevation_deg;
-  // Same per-pair cull setup as scan_pass_pairs.
   ObserverCullGeometry geometry;
-  double gamma_vis = kPi;
-  double omega_max = 0.0;
-  bool cull_enabled = false;
-  if (opts_.cull) {
-    geometry = observer_cull_geometry(observer.location);
-    if (bounds_[satellite].valid) {
-      gamma_vis = horizon_cone_half_angle_rad(
-          geometry, bounds_[satellite].max_distance_km, mask);
-      omega_max = bounds_[satellite].max_angular_rate_rad_s;
-      cull_enabled = gamma_vis < kPi && omega_max > 0.0;
-    }
-  }
-
-  PairScanState p(*satellites_[satellite], observer.location, mask, &geometry,
-                  gamma_vis, omega_max, cull_enabled, satellite);
+  if (opts_.cull) geometry = observer_cull_geometry(observer.location);
+  PairScanState p(*satellites_[satellite], observer.location, mask,
+                  pair_cull(bounds_[satellite], geometry, mask), satellite);
   const RollingView view{this};
   const std::size_t end = next_index_;
   p.init(view, base_index());
@@ -805,6 +787,149 @@ std::vector<std::vector<ContactWindow>> RollingEphemeris::scan_observer(
   for (std::size_t s = 0; s < satellites_.size(); ++s)
     out[s] = scan_satellite(s, observer, opts);
   return out;
+}
+
+// Why a bounded walk gives scan_satellite's bits. A window of the full
+// scan is a maximal run of visible grid samples. Its AOS is the crossing
+// refined between time(rise) - step and time(rise), rise being the run's
+// first visible sample, or exactly start_time() when the run is open
+// there; its LOS is the crossing at the first invisible sample after the
+// run, or exactly end_time(). Culling only skips samples proven below the
+// mask, so a walk started anywhere meets each run at those same two
+// samples. And the bisection only narrows its bracket, so a refined
+// crossing lies in [time(k) - step, time(k)] before it is computed.
+RollingEphemeris::NextPass RollingEphemeris::next_pass(
+    const GridObserver& observer, const PassPredictionOptions& opts,
+    JulianDate after_jd) const {
+  check_query(opts);
+  if (std::isnan(after_jd))
+    throw std::invalid_argument("RollingEphemeris: NaN next_pass time");
+
+  const double mask = std::isnan(observer.min_elevation_deg)
+                          ? opts.min_elevation_deg
+                          : observer.min_elevation_deg;
+  // One frame and one cull geometry per query, shared by every satellite.
+  const TopocentricFrame frame(observer.location);
+  ObserverCullGeometry geometry;
+  if (opts_.cull) geometry = observer_cull_geometry(observer.location);
+  const RollingView view{this};
+  const std::size_t base = base_index();
+  const std::size_t end = next_index_;
+  const JulianDate h_start = start_time();
+  const JulianDate h_end = end_time();
+
+  const auto aos_lo = [&](std::size_t rise) {
+    return rise == base ? h_start : sample_time(rise) - step_days_;
+  };
+  const auto crossing = [&](std::size_t sat, std::size_t k) {
+    const JulianDate t = sample_time(k);
+    return refine_mask_crossing(ElevationSampler(*satellites_[sat], frame),
+                                t - step_days_, t, mask,
+                                opts.refine_tolerance_s);
+  };
+
+  // Every walk starts at the last sample at or before after_jd, or at
+  // the first sample when none is.
+  std::size_t first = nearest_index(after_jd);
+  while (first + 1 < end && sample_time(first + 1) <= after_jd) ++first;
+  while (first > base && sample_time(first) > after_jd) --first;
+
+  // Phase 1: bracket each satellite's first window ending after after_jd,
+  // refining nothing but a LOS whose bracket holds after_jd.
+  struct Candidate {
+    std::size_t sat;
+    std::size_t rise;  ///< first visible sample of the window's run
+    std::size_t set;   ///< first invisible sample after it; `end` if open
+    JulianDate aos_lo;
+    std::optional<JulianDate> los;
+  };
+  std::vector<Candidate> candidates;
+  JulianDate best_aos_hi = std::numeric_limits<JulianDate>::infinity();
+  for (std::size_t s = 0; s < satellites_.size(); ++s) {
+    const PairCull cull = pair_cull(bounds_[s], geometry, mask);
+    const auto classify = [&](std::size_t k) {
+      return classify_sample(view, s, k, end, opts_.coarse_step_s, frame,
+                             mask, cull);
+    };
+    SampleVerdict v = classify(first);
+    bool in_run = v.visible;
+    std::size_t rise = first;
+    std::size_t k = first + v.advance;
+    if (in_run) {
+      // A pass in progress at after_jd: back to the start of its run.
+      while (rise > base && classify(rise - 1).visible) --rise;
+      if (aos_lo(rise) > best_aos_hi) continue;
+    }
+    for (;;) {
+      if (!in_run) {
+        // Strict, so that a window that may tie the best AOS is kept.
+        if (k >= end || aos_lo(k) > best_aos_hi) break;
+        v = classify(k);
+        if (v.visible) {
+          in_run = true;
+          rise = k;
+        }
+        k += v.advance;
+        continue;
+      }
+      if (k < end) {
+        v = classify(k);
+        if (v.visible) {
+          ++k;
+          continue;
+        }
+      }
+      // The run ends at sample k (k == end: open at the horizon end).
+      std::optional<JulianDate> los;
+      bool ends_after = k < end ? sample_time(k) - step_days_ > after_jd
+                                : h_end > after_jd;
+      if (!ends_after && k < end && sample_time(k) > after_jd) {
+        los = crossing(s, k);
+        ends_after = *los > after_jd;
+      }
+      if (ends_after) {
+        candidates.push_back({s, rise, k, aos_lo(rise), los});
+        best_aos_hi = std::min(best_aos_hi,
+                               rise == base ? h_start : sample_time(rise));
+        break;
+      }
+      if (k >= end) break;
+      in_run = false;
+      k += v.advance;
+    }
+  }
+
+  // Phase 2: refine AOSs in order of their lower bounds until the next
+  // bound exceeds the best refined AOS; exact ties go to the lower index.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.aos_lo != b.aos_lo ? a.aos_lo < b.aos_lo
+                                          : a.sat < b.sat;
+            });
+  NextPass best;
+  const Candidate* winner = nullptr;
+  for (const Candidate& c : candidates) {
+    if (winner != nullptr && c.aos_lo > best.window.aos_jd) break;
+    const JulianDate aos = c.rise == base ? h_start : crossing(c.sat, c.rise);
+    if (winner == nullptr || aos < best.window.aos_jd ||
+        (aos == best.window.aos_jd && c.sat < winner->sat)) {
+      winner = &c;
+      best.window.aos_jd = aos;
+    }
+  }
+  if (winner == nullptr) return best;
+
+  best.found = true;
+  best.satellite = winner->sat;
+  ContactWindow& w = best.window;
+  w.los_jd = winner->los    ? *winner->los
+             : winner->set == end ? h_end
+                                  : crossing(winner->sat, winner->set);
+  const auto [tca, elev] = refine_max_elevation(
+      ElevationSampler(*satellites_[winner->sat], frame), w.aos_jd, w.los_jd);
+  w.tca_jd = tca;
+  w.max_elevation_deg = elev;
+  return best;
 }
 
 }  // namespace sinet::orbit

@@ -376,11 +376,34 @@ class RollingEphemeris {
   [[nodiscard]] std::vector<std::vector<ContactWindow>> scan_observer(
       const GridObserver& observer, const PassPredictionOptions& opts) const;
 
+  /// The answer to "when does the next satellite rise over this site".
+  struct NextPass {
+    bool found = false;
+    std::size_t satellite = 0;
+    ContactWindow window{};
+  };
+
+  /// Among each satellite's first scan_satellite window whose LOS is
+  /// after `after_jd`, the one with the earliest AOS, ties going to the
+  /// lowest satellite index; the window is bit-identical to that scan's.
+  /// A bounded search, not a scan: each satellite's walk starts at the
+  /// last grid sample at or before `after_jd` (stepping back to the start
+  /// of a pass in progress) and stops once its earliest possible AOS is
+  /// above the best one bracketed so far; then only the windows that can
+  /// still win are refined. Its cost depends on neither the retained
+  /// history nor the lookahead. Throws like scan_satellite, and
+  /// std::invalid_argument on a NaN `after_jd`.
+  [[nodiscard]] NextPass next_pass(const GridObserver& observer,
+                                   const PassPredictionOptions& opts,
+                                   JulianDate after_jd) const;
+
  private:
   struct Chunk;
 
   void append_chunk(sim::ThreadPool* pool, AdvanceStats* stats);
   [[nodiscard]] const Chunk& chunk_for(std::size_t k) const;
+  /// Throws unless a query with `opts` can run on this horizon.
+  void check_query(const PassPredictionOptions& opts) const;
 
   std::vector<const Sgp4*> satellites_;
   Options opts_;

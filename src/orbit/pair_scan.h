@@ -8,6 +8,9 @@
 // header holds that walk ONCE, templated over a sample view, so the two
 // engines cannot drift apart: the rolling scan is bit-identical to the
 // fresh full-span scan by construction, not by parallel maintenance.
+// The per-sample step (classify_sample) is also what
+// RollingEphemeris::next_pass walks with, so its bounded search sees
+// every sample exactly as the full scan does.
 //
 // The view concept supplies the grid samples by ABSOLUTE index:
 //   JulianDate  time(std::size_t k)
@@ -34,25 +37,83 @@
 
 namespace sinet::orbit {
 
+/// Per-(satellite, observer) constants of the cull test. `geometry` is
+/// set even when the test is disabled (the kFast lanes read it).
+struct PairCull {
+  const ObserverCullGeometry* geometry = nullptr;
+  double gamma_vis_rad = kPi;    ///< horizon cone half-angle
+  double omega_max_rad_s = 0.0;  ///< geocentric angular-rate bound
+  bool enabled = false;
+};
+
+/// The cull test of one pair. Disabled when the satellite has no valid
+/// bounds, which is also how an engine with culling off leaves them.
+[[nodiscard]] inline PairCull pair_cull(const SatelliteCullBounds& bounds,
+                                        const ObserverCullGeometry& geometry,
+                                        double mask_deg) {
+  PairCull c;
+  c.geometry = &geometry;
+  if (bounds.valid) {
+    c.gamma_vis_rad = horizon_cone_half_angle_rad(
+        geometry, bounds.max_distance_km, mask_deg);
+    c.omega_max_rad_s = bounds.max_angular_rate_rad_s;
+    c.enabled = c.gamma_vis_rad < kPi && c.omega_max_rad_s > 0.0;
+  }
+  return c;
+}
+
+/// What the per-sample step decided about one grid sample.
+struct SampleVerdict {
+  bool visible = false;
+  bool cull_decided = false;  ///< by the cull test, not exactly
+  std::size_t advance = 1;    ///< samples the walk moves forward
+};
+
+/// The per-sample step of every scalar grid walk: the cull test, else
+/// the exact elevation. A culled sample is provably below the mask, and
+/// so is every sample up to `advance` ahead: the geocentric angle cannot
+/// close faster than omega_max. `total_end` (one past the last absolute
+/// sample of the whole scan) clamps the skip, so skip lengths do not
+/// depend on how the span is chunked.
+template <typename View>
+[[nodiscard]] inline SampleVerdict classify_sample(
+    const View& view, std::size_t sat, std::size_t k, std::size_t total_end,
+    double step_s, const TopocentricFrame& frame, double mask_deg,
+    const PairCull& cull) {
+  SampleVerdict v;
+  const Vec3& pos = view.position(sat, k);
+  if (cull.enabled) {
+    const double d = view.distance(sat, k);
+    const double cos_gamma = pos.dot(cull.geometry->unit_ecef) / d;
+    const double gamma = std::acos(std::clamp(cos_gamma, -1.0, 1.0));
+    if (gamma > cull.gamma_vis_rad) {
+      v.cull_decided = true;
+      const double margin_s =
+          (gamma - cull.gamma_vis_rad) / cull.omega_max_rad_s;
+      const double steps = margin_s / step_s;
+      if (steps > 1.0)
+        v.advance = std::min(static_cast<std::size_t>(steps), total_end - k);
+      return v;
+    }
+  }
+  v.visible = elevation_from_ecef(frame, pos) >= mask_deg;
+  return v;
+}
+
 /// Scan state of one (satellite, observer) pair; persists across table
 /// chunks so culling skips can cross chunk boundaries. Fields are public
 /// because the kFast lane-fused path (ephemeris.cpp) classifies samples
 /// itself and feeds them in via record_init/record_sample.
 struct PairScanState {
   PairScanState(const Sgp4& prop, const Geodetic& observer_location,
-                double mask, const ObserverCullGeometry* observer_geometry,
-                double gamma_vis, double omega_max, bool cull_enabled,
+                double mask, const PairCull& pair_cull,
                 std::size_t satellite_row)
-      : sampler(prop, observer_location), geometry(observer_geometry),
-        mask_deg(mask), gamma_vis_rad(gamma_vis),
-        omega_max_rad_s(omega_max), cull(cull_enabled), sat(satellite_row) {}
+      : sampler(prop, observer_location), mask_deg(mask), cull(pair_cull),
+        sat(satellite_row) {}
 
   ElevationSampler sampler;
-  const ObserverCullGeometry* geometry;
   double mask_deg;
-  double gamma_vis_rad;
-  double omega_max_rad_s;
-  bool cull;
+  PairCull cull;
   std::size_t sat;
 
   bool init_done = false;
@@ -118,40 +179,20 @@ struct PairScanState {
             double step_days, double step_s, double refine_tolerance_s) {
     while (next_k < chunk_end) {
       const std::size_t k = next_k;
-      const JulianDate t = view.time(k);
-      const Vec3& pos = view.position(sat, k);
-
-      bool vis = false;
-      bool decided = false;
-      std::size_t advance = 1;
-      if (cull) {
-        const double d = view.distance(sat, k);
-        const double cos_gamma = pos.dot(geometry->unit_ecef) / d;
-        const double gamma = std::acos(std::clamp(cos_gamma, -1.0, 1.0));
-        if (gamma > gamma_vis_rad) {
-          // Provably below the mask here, and for at least margin_s: the
-          // geocentric angle cannot close faster than omega_max.
-          decided = true;
-          ++cull_decisions;
-          const double margin_s = (gamma - gamma_vis_rad) / omega_max_rad_s;
-          const double steps = margin_s / step_s;
-          if (steps > 1.0)
-            advance =
-                std::min(static_cast<std::size_t>(steps), total_end - k);
-        }
-      }
-      if (!decided) {
+      const SampleVerdict v = classify_sample(view, sat, k, total_end, step_s,
+                                              sampler.frame(), mask_deg, cull);
+      if (v.cull_decided)
+        ++cull_decisions;
+      else
         ++exact_evals;
-        vis = elevation_from_ecef(sampler.frame(), pos) >= mask_deg;
-      }
       ++visited;
-      culled += advance - 1;
+      culled += v.advance - 1;
 
       // Identical transition handling (and refinement brackets) to
       // predict_passes; skipped samples are all proven invisible while
       // prev_vis is false, so no transition can hide inside a skip.
-      record_sample(vis, t, step_days, refine_tolerance_s);
-      next_k = k + advance;
+      record_sample(v.visible, view.time(k), step_days, refine_tolerance_s);
+      next_k = k + v.advance;
     }
   }
 

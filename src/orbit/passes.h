@@ -70,6 +70,9 @@ class ElevationSampler {
   /// `prop` must outlive the sampler.
   ElevationSampler(const Sgp4& prop, const Geodetic& observer)
       : prop_(&prop), frame_(observer) {}
+  /// Same sampler, from an observer frame built once for many satellites.
+  ElevationSampler(const Sgp4& prop, const TopocentricFrame& frame)
+      : prop_(&prop), frame_(frame) {}
 
   /// Elevation (deg) of the satellite above the observer's horizon.
   [[nodiscard]] double elevation_deg(JulianDate jd) const;

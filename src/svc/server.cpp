@@ -51,10 +51,17 @@ struct Server::Impl {
     bool close_after_flush = false; ///< fatal framing error sent
   };
 
+  /// One admitted request line; `enqueued` is stamped only with metrics.
+  struct Queued {
+    int fd = -1;
+    std::string line;
+    std::chrono::steady_clock::time_point enqueued{};
+  };
+
   std::mutex mutex;
   std::condition_variable queue_cv;
-  std::map<int, Connection> connections;           // owned by I/O thread
-  std::deque<std::pair<int, std::string>> queue;   // fd, request line
+  std::map<int, Connection> connections;  // owned by I/O thread
+  std::deque<Queued> queue;
   std::size_t in_flight = 0;  ///< dequeued but not yet answered
   bool stopping = false;
 
@@ -87,7 +94,7 @@ struct Server::Impl {
 
   void worker_loop() {
     for (;;) {
-      std::pair<int, std::string> item;
+      Queued item;
       {
         std::unique_lock<std::mutex> lock(mutex);
         queue_cv.wait(lock, [&] { return stopping || !queue.empty(); });
@@ -102,11 +109,16 @@ struct Server::Impl {
           metrics->gauge("svc.queue_depth")
               .set(static_cast<double>(queue.size()));
       }
+      if (metrics != nullptr)
+        metrics->histogram("svc.queue_wait_ms", 0.0, 250.0, 500)
+            .record(std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - item.enqueued)
+                        .count());
       if (opts.debug_handler_delay_ms > 0)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(opts.debug_handler_delay_ms));
-      std::string response = service.handle_line(item.second);
-      respond(item.first, std::move(response));
+      std::string response = service.handle_line(item.line);
+      respond(item.fd, std::move(response));
       {
         std::lock_guard<std::mutex> lock(mutex);
         --in_flight;
@@ -177,10 +189,14 @@ struct Server::Impl {
                            "\n");
         continue;
       }
-      queue.emplace_back(fd, std::move(line));
-      if (metrics != nullptr)
+      Queued& item = queue.emplace_back();
+      item.fd = fd;
+      item.line = std::move(line);
+      if (metrics != nullptr) {
+        item.enqueued = std::chrono::steady_clock::now();
         metrics->gauge("svc.queue_depth")
             .set(static_cast<double>(queue.size()));
+      }
       queue_cv.notify_one();
     }
   }

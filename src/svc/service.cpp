@@ -127,18 +127,19 @@ void PassService::refresh_gauges() {
 }
 
 std::string PassService::handle_line(const std::string& line) {
-  const auto t0 = std::chrono::steady_clock::now();
+  // No clock is read without a registry to record into.
+  std::chrono::steady_clock::time_point t0;
+  if (metrics_ != nullptr) t0 = std::chrono::steady_clock::now();
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->counter("svc.requests").add(1);
 
   std::string response;
+  const char* type = nullptr;  // known once the request parsed
   try {
     const Request req = parse_request(line);
+    type = request_type_name(req.type);
     if (metrics_ != nullptr)
-      metrics_
-          ->counter(std::string("svc.requests.") +
-                    request_type_name(req.type))
-          .add(1);
+      metrics_->counter(std::string("svc.requests.") + type).add(1);
     response = handle(req);
   } catch (const ProtocolError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -171,6 +172,12 @@ std::string PassService::handle_line(const std::string& line) {
     // hi = 250 ms keeps every sane SLO threshold below the overflow
     // bucket (see obs::snapshot_quantile's gate contract).
     metrics_->histogram("svc.request_latency_ms", 0.0, 250.0, 500).record(ms);
+    // Per type: one sample per svc.requests.<type> count, failures too.
+    if (type != nullptr)
+      metrics_
+          ->histogram(std::string("svc.request_latency_ms.") + type, 0.0,
+                      250.0, 500)
+          .record(ms);
   }
   return response;
 }
@@ -200,9 +207,11 @@ std::vector<orbit::ContactWindow> PassService::windows_for(
 }
 
 std::string PassService::handle_next_pass(const Request& req) {
-  const double mask = std::isnan(req.min_elevation_deg)
-                          ? opts_.min_elevation_deg
-                          : req.min_elevation_deg;
+  orbit::PassPredictionOptions popts;
+  popts.min_elevation_deg = std::isnan(req.min_elevation_deg)
+                                ? opts_.min_elevation_deg
+                                : req.min_elevation_deg;
+  popts.coarse_step_s = opts_.step_s;
   std::shared_lock<std::shared_mutex> lock(horizon_mutex_);
   const orbit::JulianDate h_start = rolling_->start_time();
   const orbit::JulianDate h_end = rolling_->end_time();
@@ -210,29 +219,17 @@ std::string PassService::handle_next_pass(const Request& req) {
       std::isnan(req.after_unix_s) ? now_jd()
                                    : orbit::unix_to_julian(req.after_unix_s),
       h_start, h_end);
+  orbit::GridObserver observer;
+  observer.location = req.observer;
+  const orbit::RollingEphemeris::NextPass next =
+      rolling_->next_pass(observer, popts, after_jd);
 
-  bool found = false;
-  std::size_t best_sat = 0;
-  orbit::ContactWindow best{};
-  for (std::size_t s = 0; s < propagators_.size(); ++s) {
-    const std::vector<orbit::ContactWindow> windows =
-        windows_for(s, req.observer, mask, h_start, h_end);
-    for (const orbit::ContactWindow& w : windows) {
-      if (w.los_jd <= after_jd) continue;  // already over
-      if (!found || w.aos_jd < best.aos_jd) {
-        found = true;
-        best = w;
-        best_sat = s;
-      }
-      break;  // windows are chronological per satellite
-    }
-  }
-
-  if (!found)
+  if (!next.found)
     return next_pass_response(req, nullptr, orbit::julian_to_unix(h_end));
+  const orbit::ContactWindow& best = next.window;
   PassEntry entry;
-  entry.satellite = tles_[best_sat].name;
-  entry.catalog_number = tles_[best_sat].catalog_number;
+  entry.satellite = tles_[next.satellite].name;
+  entry.catalog_number = tles_[next.satellite].catalog_number;
   entry.aos_unix_s = orbit::julian_to_unix(best.aos_jd);
   entry.los_unix_s = orbit::julian_to_unix(best.los_jd);
   entry.tca_unix_s = orbit::julian_to_unix(best.tca_jd);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "next_pass_oracle.h"
 #include "obs/metrics.h"
 #include "orbit/ephemeris.h"
 #include "orbit/look_angles.h"
@@ -1026,6 +1028,118 @@ TEST(RollingEphemeris, RejectsBadArguments) {
   wrong_step.coarse_step_s = 60.0;
   EXPECT_THROW((void)rolling.scan_satellite(0, site, wrong_step),
                std::invalid_argument);
+}
+
+// next_pass is a bounded search; its contract is the full-scan
+// selection it replaced in the service (tests/next_pass_oracle.h), bit
+// for bit. Query times sit on the edges the search reasons about: the
+// oracle's own AOS/LOS values and grid sample times, each with its
+// neighbouring doubles, plus the horizon ends, "now", times outside the
+// horizon and uniform draws. Masks cover always-visible (-90, where every
+// satellite ties at the horizon start) to never-visible (90); a
+// duplicated TLE makes exact AOS ties between two satellites.
+TEST(RollingEphemeris, NextPassMatchesFullScanOracle) {
+  std::mt19937_64 rng(59);
+  std::vector<Tle> tles;
+  for (int i = 0; i < 7; ++i) tles.push_back(random_tle(rng, i * 9 + 4));
+  tles.push_back(tles[2]);
+  std::vector<Sgp4> props;
+  props.reserve(tles.size());
+  for (const Tle& t : tles) props.emplace_back(t);
+  std::vector<const Sgp4*> sat_ptrs;
+  for (const Sgp4& p : props) sat_ptrs.push_back(&p);
+  const JulianDate anchor = core::campaign_epoch_jd();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMasks[] = {-90.0, -5.0, 0.0, 10.0, 25.0, 60.0, 90.0};
+  std::uniform_real_distribution<double> lat(-80.0, 80.0);
+  std::uniform_real_distribution<double> lon(-180.0, 360.0);
+  std::uniform_real_distribution<double> alt(0.0, 3.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+
+  std::size_t queries = 0, found = 0, ties = 0, in_progress = 0;
+  for (const orbit::PropagationMode mode :
+       {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
+    for (const bool cull : {true, false}) {
+      for (const bool retired : {false, true}) {
+        orbit::RollingEphemeris::Options ropts;
+        ropts.chunk_samples = 128;
+        ropts.cull = cull;
+        ropts.mode = mode;
+        orbit::RollingEphemeris rolling(sat_ptrs, anchor, ropts);
+        JulianDate now = anchor;
+        if (retired) {
+          // Advance as the service does, retiring history behind "now".
+          for (const double day : {0.2, 0.45, 0.7}) {
+            now = anchor + day;
+            (void)rolling.advance(now - 0.01, now + 0.3);
+          }
+          ASSERT_GT(rolling.base_index(), 0u);
+        } else {
+          (void)rolling.advance(anchor, anchor + 0.3);
+        }
+        const JulianDate h_start = rolling.start_time();
+        const JulianDate h_end = rolling.end_time();
+
+        for (int o = 0; o < 3; ++o) {
+          const Geodetic site{lat(rng), lon(rng), alt(rng)};
+          for (const double mask : kMasks) {
+            // The mask arrives either on the observer or as the fallback.
+            GridObserver observer{site};
+            PassPredictionOptions popts;
+            if (o == 1)
+              popts.min_elevation_deg = mask;
+            else
+              observer.min_elevation_deg = mask;
+            const auto windows = rolling.scan_observer(observer, popts);
+
+            std::vector<JulianDate> after{h_start, h_end, now, h_start - 0.1,
+                                          h_end + 0.1};
+            for (int i = 0; i < 4; ++i)
+              after.push_back(h_start + unit(rng) * (h_end - h_start));
+            for (int i = 0; i < 3; ++i)
+              after.push_back(rolling.sample_time(
+                  rolling.base_index() + rng() % rolling.sample_count()));
+            for (const auto& sat_windows : windows)
+              for (std::size_t w = 0; w < sat_windows.size() && w < 2; ++w)
+                after.insert(after.end(),
+                             {sat_windows[w].aos_jd, sat_windows[w].los_jd});
+            const std::size_t exact = after.size();
+            for (std::size_t i = 0; i < exact; ++i)
+              after.insert(after.end(), {std::nextafter(after[i], -kInf),
+                                         std::nextafter(after[i], kInf)});
+
+            for (const JulianDate a : after) {
+              const auto want = testing::oracle_next_pass(windows, a);
+              const auto got = rolling.next_pass(observer, popts, a);
+              testing::expect_same_next_pass(
+                  got, want,
+                  std::string(orbit::propagation_mode_name(mode)) +
+                      (cull ? " cull" : " exact") +
+                      (retired ? " retired" : " fresh") + " site " +
+                      std::to_string(o) + " mask " + std::to_string(mask) +
+                      " after " + std::to_string(a));
+              ++queries;
+              if (!want.found) continue;
+              ++found;
+              if (want.window.aos_jd <= a) ++in_progress;
+              for (std::size_t s = want.satellite + 1; s < windows.size();
+                   ++s)
+                for (const ContactWindow& w : windows[s])
+                  if (w.los_jd > a) {
+                    if (w.aos_jd == want.window.aos_jd) ++ties;
+                    break;
+                  }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(queries, 2000u);
+  EXPECT_GT(found, 0u);
+  EXPECT_LT(found, queries);
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(in_progress, 0u);
 }
 
 // Satellite task: the cache's byte budget. Entries charge payload

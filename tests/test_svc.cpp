@@ -13,15 +13,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/scenario.h"
+#include "next_pass_oracle.h"
 #include "obs/metrics.h"
+#include "orbit/constellation.h"
+#include "orbit/ephemeris.h"
 #include "orbit/time.h"
 #include "svc/loadgen.h"
 #include "svc/protocol.h"
@@ -227,9 +234,11 @@ TEST(SvcService, AnswersQueriesOnWarmHorizonAndEchoesIds) {
   EXPECT_NE(stats.find("\"ok\":true"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"satellites\":3"), std::string::npos) << stats;
 
-  // A repeated query must be served from the ContactWindowCache.
+  // A repeated query must be served from the ContactWindowCache (which
+  // only passes_in_range reads; next_pass searches the horizon itself).
   (void)service.handle_line(
-      "{\"type\":\"next_pass\",\"lat_deg\":60.17,\"lon_deg\":24.94}");
+      "{\"type\":\"passes_in_range\",\"lat_deg\":60.17,\"lon_deg\":24.94,"
+      "\"start_unix_s\":0,\"end_unix_s\":253402300800}");
   const auto payload = service.stats_payload();
   EXPECT_GT(payload.cache_hits, 0u);
   EXPECT_GT(payload.cache_misses, 0u);
@@ -239,7 +248,8 @@ TEST(SvcService, AnswersQueriesOnWarmHorizonAndEchoesIds) {
   // svc.* metrics recorded per request, with a usable latency histogram.
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("svc.requests"), 5u);
-  EXPECT_EQ(snap.counters.at("svc.requests.next_pass"), 2u);
+  EXPECT_EQ(snap.counters.at("svc.requests.passes_in_range"), 2u);
+  EXPECT_EQ(snap.counters.at("svc.requests.next_pass"), 1u);
   const auto& hist = snap.histograms.at("svc.request_latency_ms");
   EXPECT_EQ(hist.total, 5u);
   EXPECT_FALSE(std::isnan(obs::snapshot_quantile(hist, 0.99)));
@@ -288,6 +298,197 @@ TEST(SvcService, VirtualClockAdvancesAndRetiresHorizon) {
                              "\"lon_deg\":24.94}")
                 .find("\"ok\":true"),
             std::string::npos);
+}
+
+// next_pass replies, byte for byte, against the reply built from the
+// full-scan selection (tests/next_pass_oracle.h) on a replica of the
+// service's horizon: the same fleet, epoch, grid and chunks.
+TEST(SvcService, NextPassRepliesMatchFullScan) {
+  const ServiceOptions opts = small_service_options();
+  PassService service(opts);
+  const svc::StatsPayload stats = service.stats_payload();
+
+  const orbit::JulianDate epoch_jd = orbit::unix_to_julian(opts.epoch_unix_s);
+  const std::vector<orbit::Tle> tles = orbit::generate_tles(
+      orbit::paper_constellation(opts.constellation), epoch_jd, 51000);
+  ASSERT_EQ(tles.size(), service.satellite_count());
+  std::vector<orbit::Sgp4> props;
+  props.reserve(tles.size());
+  for (const orbit::Tle& t : tles) props.emplace_back(t);
+  std::vector<const orbit::Sgp4*> sats;
+  for (const orbit::Sgp4& p : props) sats.push_back(&p);
+  orbit::RollingEphemeris::Options ropts;
+  ropts.coarse_step_s = opts.step_s;
+  ropts.chunk_samples = opts.chunk_samples;
+  ropts.mode = opts.mode;
+  orbit::RollingEphemeris rolling(sats, epoch_jd, ropts);
+  (void)rolling.advance(epoch_jd - opts.retention_hours / 24.0,
+                        epoch_jd + opts.horizon_hours / 24.0);
+  const orbit::JulianDate h_start = rolling.start_time();
+  const orbit::JulianDate h_end = rolling.end_time();
+  ASSERT_EQ(orbit::julian_to_unix(h_start), stats.horizon_start_unix_s);
+  ASSERT_EQ(orbit::julian_to_unix(h_end), stats.horizon_end_unix_s);
+
+  const orbit::Geodetic sites[] = {{60.17, 24.94, 0.0},
+                                   {22.3, 114.2, 0.05},
+                                   {-33.87, 151.2, 0.02},
+                                   {78.2, 15.6, 0.5}};
+  const double masks[] = {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                          25.0};
+  std::size_t sent = 0, found = 0;
+  for (const orbit::Geodetic& site : sites) {
+    for (const double mask : masks) {
+      orbit::PassPredictionOptions popts;
+      popts.min_elevation_deg =
+          std::isnan(mask) ? opts.min_elevation_deg : mask;
+      popts.coarse_step_s = opts.step_s;
+      const auto windows =
+          rolling.scan_observer(orbit::GridObserver{site}, popts);
+
+      std::vector<double> after{orbit::julian_to_unix(h_start) - 3600.0,
+                                orbit::julian_to_unix(h_start),
+                                orbit::julian_to_unix(h_end),
+                                orbit::julian_to_unix(h_end) + 3600.0};
+      for (int i = 1; i < 8; ++i)
+        after.push_back(orbit::julian_to_unix(h_start + (h_end - h_start) *
+                                                            i / 8.0));
+      for (const auto& sat_windows : windows)
+        for (std::size_t w = 0; w < sat_windows.size() && w < 2; ++w)
+          for (const orbit::JulianDate edge :
+               {sat_windows[w].aos_jd, sat_windows[w].los_jd}) {
+            const double t = orbit::julian_to_unix(edge);
+            after.insert(after.end(),
+                         {t, std::nextafter(t, 0.0), std::nextafter(t, 1e300)});
+          }
+
+      for (const double a : after) {
+        char line[320];
+        if (std::isnan(mask))
+          std::snprintf(line, sizeof(line),
+                        "{\"type\":\"next_pass\",\"id\":%zu,\"lat_deg\":%.17g,"
+                        "\"lon_deg\":%.17g,\"alt_km\":%.17g,"
+                        "\"after_unix_s\":%.17g}",
+                        sent, site.latitude_deg, site.longitude_deg,
+                        site.altitude_km, a);
+        else
+          std::snprintf(line, sizeof(line),
+                        "{\"type\":\"next_pass\",\"id\":%zu,\"lat_deg\":%.17g,"
+                        "\"lon_deg\":%.17g,\"alt_km\":%.17g,"
+                        "\"min_elevation_deg\":%.17g,\"after_unix_s\":%.17g}",
+                        sent, site.latitude_deg, site.longitude_deg,
+                        site.altitude_km, mask, a);
+        const Request req = svc::parse_request(line);
+        const auto want = testing::oracle_next_pass(
+            windows, std::clamp(orbit::unix_to_julian(req.after_unix_s),
+                                h_start, h_end));
+        svc::PassEntry entry;
+        if (want.found) {
+          ++found;
+          entry.satellite = tles[want.satellite].name;
+          entry.catalog_number = tles[want.satellite].catalog_number;
+          entry.aos_unix_s = orbit::julian_to_unix(want.window.aos_jd);
+          entry.los_unix_s = orbit::julian_to_unix(want.window.los_jd);
+          entry.tca_unix_s = orbit::julian_to_unix(want.window.tca_jd);
+          entry.max_elevation_deg = want.window.max_elevation_deg;
+        }
+        EXPECT_EQ(service.handle_line(line),
+                  svc::next_pass_response(req, want.found ? &entry : nullptr,
+                                          orbit::julian_to_unix(h_end)))
+            << line;
+        ++sent;
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_LT(found, sent);
+}
+
+// Every parsed request lands in its type's handler-time histogram, so
+// each histogram's total equals its svc.requests.<type> counter; a
+// request that fails to parse has no type and counts only overall.
+TEST(SvcService, PerTypeLatencyHistogramsMatchRequestCounters) {
+  obs::MetricsRegistry metrics;
+  PassService service(small_service_options(), &metrics);
+  const std::string next =
+      "{\"type\":\"next_pass\",\"lat_deg\":60.17,\"lon_deg\":24.94}";
+  for (int i = 0; i < 3; ++i) (void)service.handle_line(next);
+  (void)service.handle_line(
+      "{\"type\":\"visibility_now\",\"lat_deg\":1,\"lon_deg\":2}");
+  (void)service.handle_line("{\"type\":\"stats\"}");
+  (void)service.handle_line("not json");
+
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.histograms.at("svc.request_latency_ms").total, 6u);
+  for (const char* type : {"next_pass", "visibility_now", "stats"})
+    EXPECT_EQ(
+        snap.histograms.at(std::string("svc.request_latency_ms.") + type)
+            .total,
+        snap.counters.at(std::string("svc.requests.") + type))
+        << type;
+  EXPECT_EQ(snap.histograms.at("svc.request_latency_ms.next_pass").total, 3u);
+  EXPECT_EQ(snap.histograms.count("svc.request_latency_ms.passes_in_range"),
+            0u);
+}
+
+// Four query threads on a horizon that a fifth thread advances at 3,600
+// virtual seconds per real second, so chunks append and retire under the
+// exclusive lock while next_pass walks and passes_in_range scans run
+// under the shared one. tools/run_sanitizers.sh reruns it under TSan.
+TEST(SvcServiceStress, QueriesDuringHorizonAdvance) {
+  ServiceOptions opts = small_service_options();
+  opts.time_scale = 3600.0;
+  opts.chunk_samples = 32;  // 16 virtual minutes: retires every ~0.27 s
+  PassService service(opts);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> retired{0};
+  std::thread advancer([&] {
+    while (!done.load()) {
+      retired += service.advance_horizon().chunks_retired;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  constexpr int kClients = 4;
+  std::vector<std::size_t> sent(kClients, 0), failed(kClients, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      for (int i = 0; (i < 100 || retired.load() < 3) &&
+                      std::chrono::steady_clock::now() < deadline;
+           ++i) {
+        const double lat = -70.0 + 140.0 * ((i * 37 + c * 11) % 101) / 100.0;
+        const double lon = -180.0 + 360.0 * ((i * 53 + c * 7) % 97) / 96.0;
+        char line[256];
+        if (i % 4 == 3)
+          std::snprintf(line, sizeof(line),
+                        "{\"type\":\"passes_in_range\",\"lat_deg\":%.6f,"
+                        "\"lon_deg\":%.6f,\"start_unix_s\":0,"
+                        "\"end_unix_s\":253402300800}",
+                        lat, lon);
+        else
+          std::snprintf(line, sizeof(line),
+                        "{\"type\":\"next_pass\",\"lat_deg\":%.6f,"
+                        "\"lon_deg\":%.6f}",
+                        lat, lon);
+        const std::string reply = service.handle_line(line);
+        ++sent[c];
+        if (reply.find("\"ok\":true") == std::string::npos) {
+          ++failed[c];
+          ADD_FAILURE() << line << " -> " << reply;
+        }
+      }
+    });
+  for (std::thread& t : clients) t.join();
+  done = true;
+  advancer.join();
+
+  EXPECT_GE(retired.load(), 3u);  // chunks really retired mid-run
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_GE(sent[c], 100u) << "client " << c;
+    EXPECT_EQ(failed[c], 0u) << "client " << c;
+  }
 }
 
 // --------------------------- TCP server ------------------------------
@@ -367,6 +568,36 @@ TEST(SvcServer, ConcurrentClientsAllGetAnswers) {
   const auto snap = metrics.snapshot();
   EXPECT_GE(snap.counters.at("svc.requests"), res.ok);
   EXPECT_GE(snap.counters.at("svc.connections_accepted"), 4u);
+}
+
+// With a registry the server records each dequeued request's wait
+// behind the queue; the handler adds its per-type time.
+TEST(SvcServer, RecordsQueueWaitPerDequeuedRequest) {
+  obs::MetricsRegistry metrics;
+  PassService service(small_service_options(), &metrics);
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.debug_handler_delay_ms = 5;  // requests wait behind each other
+  svc::Server server(service, sopts, &metrics);
+
+  const int fd = connect_to_port(server.port());
+  ASSERT_GE(fd, 0);
+  constexpr int kBurst = 6;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i)
+    burst += "{\"type\":\"next_pass\",\"lat_deg\":60.17,\"lon_deg\":24.94}\n";
+  ASSERT_TRUE(send_all(fd, burst));
+  std::string buffer;
+  for (int i = 0; i < kBurst; ++i)
+    EXPECT_NE(recv_line(fd, buffer).find("\"ok\":true"), std::string::npos);
+  ::close(fd);
+
+  const auto snap = metrics.snapshot();
+  const auto& wait = snap.histograms.at("svc.queue_wait_ms");
+  EXPECT_EQ(wait.total, static_cast<std::uint64_t>(kBurst));
+  EXPECT_GT(wait.max, 0.0);  // the later ones queued behind the delay
+  EXPECT_EQ(snap.histograms.at("svc.request_latency_ms.next_pass").total,
+            static_cast<std::uint64_t>(kBurst));
 }
 
 TEST(SvcServer, AdmissionControlShedsWithRetryHint) {

@@ -54,6 +54,14 @@ for p in "${presets[@]}"; do
       echo "==== [$p] parallel DtS stress FAILED" >&2
       failed+=("$p-dts-stress")
     fi
+    # Pass queries racing horizon advances: four query threads while a
+    # fifth advances (and retires chunks) under the exclusive lock.
+    echo "==== [$p] service queries during horizon advance"
+    if ! "build-$p/tests/test_svc" \
+        --gtest_filter='SvcServiceStress.*'; then
+      echo "==== [$p] service stress FAILED" >&2
+      failed+=("$p-svc-stress")
+    fi
     # The passive campaign's per-site observe fan-out: all 8 sites at 1,
     # 2, 4 and all hardware threads, record for record against the serial
     # run.
