@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -10,6 +12,7 @@
 #include "obs/scoped_timer.h"
 #include "orbit/ephemeris.h"
 #include "orbit/frames.h"
+#include "orbit/sgp4_batch.h"
 #include "sim/thread_pool.h"
 
 namespace sinet::orbit {
@@ -42,18 +45,146 @@ PassSample ElevationSampler::sample(JulianDate jd) const {
   return s;
 }
 
+namespace {
+
+// A comparison is taken from the SIMD lanes only when it clears this
+// margin, in units of sin(elevation). Derivation: the kernel's positions
+// are within 1e-6 km of the scalar propagator over 30 days, at one time
+// per group and at a time per lane (tests/test_sgp4_batch.cpp). A
+// position error d moves up/range by at most 2 * d / range, which is
+// 5e-9 at a 400 km slant range (2.9e-7 deg: a sine error is at most the
+// elevation error in radians). The margin, 1e-6 deg = 1.75e-8, exceeds
+// twice that, so it covers a lane against a constant and two lanes
+// against each other. Measured over the 2.58 M points refinement
+// evaluates in the 39 x 8 x 30-day contact plan, the largest
+// |lane - scalar| elevation is 7.0e-9 deg.
+constexpr double kLaneMargin = 1e-6 * kDegToRad;
+
+// One point of a refinement search: its time, the lane value of
+// sin(elevation) (NaN until evaluated, or when the lane is flagged or
+// not finite), and its scalar elevation once a decision needed it.
+struct SearchPoint {
+  JulianDate jd = 0.0;
+  double sin_el = std::numeric_limits<double>::quiet_NaN();
+  double el_deg = 0.0;
+  bool scalar = false;  ///< el_deg holds ElevationSampler::elevation_deg
+};
+
+// Evaluates search points four at a time in SIMD lanes and decides the
+// searches' comparisons: from the lanes when they clear kLaneMargin,
+// otherwise from ElevationSampler::elevation_deg, computed at most once
+// per point. A search calls the scalar sampler only at points the scalar
+// search evaluates, in the same order, so it throws the same
+// PropagationError at the same point: a lane the kernel did not flag
+// certifies that the scalar call does not throw there.
+class LaneSearch {
+ public:
+  explicit LaneSearch(const ElevationSampler& sampler)
+      : sampler_(sampler), lanes_(sampler.propagator()) {}
+
+  // Lane values for up to four points; spare lanes repeat the first.
+  void evaluate(std::initializer_list<SearchPoint*> points) {
+    constexpr std::size_t kLanes = Sgp4TimeBatch::kLaneWidth;
+    JulianDate jd[kLanes];
+    std::size_t n = 0;
+    for (const SearchPoint* p : points) jd[n++] = p->jd;
+    for (std::size_t l = n; l < kLanes; ++l) jd[l] = jd[0];
+    double x[kLanes], y[kLanes], z[kLanes];
+    LaneStatus status[kLanes];
+    lanes_.propagate_ecef(jd, x, y, z, status);
+    std::size_t l = 0;
+    for (SearchPoint* p : points) {
+      const Vec3 rel = Vec3{x[l], y[l], z[l]} - sampler_.frame().obs_ecef_km;
+      const double s = ecef_to_enu(sampler_.frame(), rel).up / rel.norm();
+      if (status[l] == LaneStatus::kOk && std::isfinite(s)) p->sin_el = s;
+      ++l;
+    }
+  }
+
+  // elevation_deg(p.jd) >= mask_deg, where sin_mask = sin(mask) for a
+  // mask in [-90, 90] deg and NaN otherwise (sine is monotone only there).
+  bool at_or_above(SearchPoint& p, double mask_deg, double sin_mask) {
+    if (p.sin_el - sin_mask > kLaneMargin) return true;
+    if (sin_mask - p.sin_el > kLaneMargin) return false;
+    return scalar(p) >= mask_deg;
+  }
+
+  // elevation_deg(p1.jd) < elevation_deg(p2.jd).
+  bool lower(SearchPoint& p1, SearchPoint& p2) {
+    const double d = p2.sin_el - p1.sin_el;
+    if (d > kLaneMargin) return true;
+    if (d < -kLaneMargin) return false;
+    const double f1 = scalar(p1);
+    const double f2 = scalar(p2);
+    return f1 < f2;
+  }
+
+  // A point the scalar search evaluates but never compares: it only has
+  // to throw where the scalar call throws.
+  void evaluated_unused(SearchPoint& p) {
+    if (std::isnan(p.sin_el)) static_cast<void>(scalar(p));
+  }
+
+ private:
+  double scalar(SearchPoint& p) {
+    if (!p.scalar) {
+      p.el_deg = sampler_.elevation_deg(p.jd);
+      p.scalar = true;
+    }
+    return p.el_deg;
+  }
+
+  const ElevationSampler& sampler_;
+  Sgp4TimeBatch lanes_;
+};
+
+}  // namespace
+
+// Both searches below return the bits of the scalar loops they replay
+// (tests/refine_oracle.h keeps those loops): every point is built with
+// the scalar expression, the loop guards are checked between
+// iterations, and each kernel call speculates the points of the next two
+// iterations, so a call settles two of them.
 JulianDate refine_mask_crossing(const ElevationSampler& sampler,
                                 JulianDate jd_lo, JulianDate jd_hi,
                                 double mask_deg, double tol_s) {
-  const bool lo_vis = sampler.elevation_deg(jd_lo) >= mask_deg;
-  for (int i = 0; i < 64; ++i) {
-    if ((jd_hi - jd_lo) * kSecondsPerDay <= tol_s) break;
-    const JulianDate mid = 0.5 * (jd_lo + jd_hi);
-    const bool mid_vis = sampler.elevation_deg(mid) >= mask_deg;
-    if (mid_vis == lo_vis)
-      jd_lo = mid;
+  const auto settled = [&](int i) {
+    return i >= 64 || (jd_hi - jd_lo) * kSecondsPerDay <= tol_s;
+  };
+  if (settled(0)) {
+    // No iteration: the scalar search evaluates only the low end.
+    static_cast<void>(sampler.elevation_deg(jd_lo));
+    return 0.5 * (jd_lo + jd_hi);
+  }
+  const double sin_mask = std::abs(mask_deg) <= 90.0
+                              ? std::sin(mask_deg * kDegToRad)
+                              : std::numeric_limits<double>::quiet_NaN();
+  LaneSearch search(sampler);
+  SearchPoint lo{jd_lo};
+  SearchPoint mid{0.5 * (jd_lo + jd_hi)};
+  // The midpoints of the half each outcome keeps.
+  SearchPoint left{0.5 * (jd_lo + mid.jd)};
+  SearchPoint right{0.5 * (mid.jd + jd_hi)};
+  search.evaluate({&lo, &mid, &left, &right});
+  const bool lo_vis = search.at_or_above(lo, mask_deg, sin_mask);
+  for (int i = 0;;) {
+    SearchPoint* next = &left;
+    if (search.at_or_above(mid, mask_deg, sin_mask) == lo_vis) {
+      jd_lo = mid.jd;
+      next = &right;
+    } else {
+      jd_hi = mid.jd;
+    }
+    if (settled(++i)) break;
+    if (search.at_or_above(*next, mask_deg, sin_mask) == lo_vis)
+      jd_lo = next->jd;
     else
-      jd_hi = mid;
+      jd_hi = next->jd;
+    if (settled(++i)) break;
+    mid = SearchPoint{0.5 * (jd_lo + jd_hi)};
+    left = SearchPoint{0.5 * (jd_lo + mid.jd)};
+    right = SearchPoint{0.5 * (mid.jd + jd_hi)};
+    search.evaluate({&mid, &left, &right});
   }
   return 0.5 * (jd_lo + jd_hi);
 }
@@ -61,25 +192,58 @@ JulianDate refine_mask_crossing(const ElevationSampler& sampler,
 std::pair<JulianDate, double> refine_max_elevation(
     const ElevationSampler& sampler, JulianDate a, JulianDate b) {
   constexpr double kInvPhi = 0.6180339887498949;
-  JulianDate x1 = b - kInvPhi * (b - a);
-  JulianDate x2 = a + kInvPhi * (b - a);
-  double f1 = sampler.elevation_deg(x1);
-  double f2 = sampler.elevation_deg(x2);
-  for (int i = 0; i < 48 && (b - a) * kSecondsPerDay > 0.5; ++i) {
-    if (f1 < f2) {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = sampler.elevation_deg(x2);
-    } else {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = sampler.elevation_deg(x1);
-    }
+  SearchPoint p1{b - kInvPhi * (b - a)};
+  SearchPoint p2{a + kInvPhi * (b - a)};
+  const auto settled = [&](int i) {
+    return !(i < 48 && (b - a) * kSecondsPerDay > 0.5);
+  };
+  if (settled(0)) {
+    // No iteration: the scalar search evaluates both probes, then peaks.
+    static_cast<void>(sampler.elevation_deg(p1.jd));
+    static_cast<void>(sampler.elevation_deg(p2.jd));
+    const JulianDate peak = 0.5 * (a + b);
+    return {peak, sampler.elevation_deg(peak)};
   }
+  LaneSearch search(sampler);
+  // The new point of the next iteration: `right` when it keeps the upper
+  // part (a moves to p1), `left` when it keeps the lower (b moves to p2).
+  SearchPoint right{p1.jd + kInvPhi * (b - p1.jd)};
+  SearchPoint left{p2.jd - kInvPhi * (p2.jd - a)};
+  search.evaluate({&p1, &p2, &right, &left});
+  SearchPoint* newest = nullptr;
+  for (int i = 0;;) {
+    if (search.lower(p1, p2)) {
+      a = p1.jd;
+      p1 = p2;
+      p2 = right;
+      newest = &p2;
+    } else {
+      b = p2.jd;
+      p2 = p1;
+      p1 = left;
+      newest = &p1;
+    }
+    if (settled(++i)) break;
+    if (search.lower(p1, p2)) {
+      a = p1.jd;
+      p1 = p2;
+      p2 = SearchPoint{a + kInvPhi * (b - a)};
+      newest = &p2;
+    } else {
+      b = p2.jd;
+      p2 = p1;
+      p1 = SearchPoint{b - kInvPhi * (b - a)};
+      newest = &p1;
+    }
+    if (settled(++i)) {
+      search.evaluate({newest});
+      break;
+    }
+    right = SearchPoint{p1.jd + kInvPhi * (b - p1.jd)};
+    left = SearchPoint{p2.jd - kInvPhi * (p2.jd - a)};
+    search.evaluate({newest, &right, &left});
+  }
+  search.evaluated_unused(*newest);
   const JulianDate peak = 0.5 * (a + b);
   return {peak, sampler.elevation_deg(peak)};
 }

@@ -98,7 +98,11 @@ class ElevationSampler {
 /// Bisect for the elevation-mask crossing between jd_lo and jd_hi (which
 /// must bracket a visibility transition). Exposed so the shared-ephemeris
 /// scan (orbit/ephemeris.h) refines AOS/LOS with the *same* primitive as
-/// predict_passes — bit-identical windows depend on it.
+/// predict_passes — bit-identical windows depend on it. The search
+/// evaluates its points four at a time in SIMD lanes and falls back to
+/// `sampler.elevation_deg` for any comparison the lanes cannot certify;
+/// it returns (and throws) exactly what the one-point-at-a-time scalar
+/// bisection does, in every propagation mode.
 [[nodiscard]] JulianDate refine_mask_crossing(const ElevationSampler& sampler,
                                               JulianDate jd_lo,
                                               JulianDate jd_hi,
@@ -106,7 +110,9 @@ class ElevationSampler {
 
 /// Golden-section search for the max elevation inside [a, b]; returns
 /// {tca_jd, max_elevation_deg}. Shared between the legacy and
-/// shared-ephemeris scans for the same reason as refine_mask_crossing.
+/// shared-ephemeris scans for the same reason as refine_mask_crossing,
+/// and evaluated the same way; the returned elevation is always
+/// `sampler.elevation_deg(tca_jd)`.
 [[nodiscard]] std::pair<JulianDate, double> refine_max_elevation(
     const ElevationSampler& sampler, JulianDate a, JulianDate b);
 

@@ -19,14 +19,18 @@ using simd::Vi;
 static_assert(Sgp4Batch::kLaneWidth == simd::kLanes,
               "Sgp4Batch lane width must match the SIMD vector width");
 
-[[nodiscard]] inline Vd load(const std::vector<double>& v,
-                             std::size_t lane0) noexcept {
-  return Vd{v[lane0], v[lane0 + 1], v[lane0 + 2], v[lane0 + 3]};
-}
+// Lanes within this distance of a condition where scalar Sgp4::at()
+// throws are flagged kError too, so a kOk lane certifies that the scalar
+// call does not throw. The tested quantities (eccentricity, the
+// semi-latus rectum and the radius in earth radii) are O(1); the lanes
+// reproduce them to ~1e-14 (trig kernels ~1e-16, the Kepler solution to
+// 1e-12 rad), so 1e-9 keeps a wide margin and flags nothing a healthy
+// orbit reaches.
+constexpr double kStatusGuard = 1e-9;
 
 // sin/cos of a small correction angle (the short-period periodics are
 // < ~1e-3 rad), 5th/4th-order Maclaurin: absolute error < 1e-22 there.
-inline void small_angle_sincos(Vd d, Vd* s, Vd* c) noexcept {
+SINET_SIMD_INLINE void small_angle_sincos(Vd d, Vd* s, Vd* c) noexcept {
   const Vd d2 = d * d;
   *s = d * (broadcast(1.0) -
             d2 * broadcast(1.0 / 6.0) * (broadcast(1.0) - d2 * broadcast(0.05)));
@@ -39,90 +43,54 @@ struct GroupResult {
   Vi ok;  // all-ones lanes are physical
 };
 
-// The whole near-earth SGP4 evaluation for one lane group, vectorized.
-// `b` mirrors Sgp4::at() (orbit/sgp4.cpp) term by term — keep the two in
-// sync when touching either. Marked for function multiversioning so the
-// loader picks an AVX2/AVX-512 build on capable hosts.
-SINET_SIMD_TARGET_CLONES
-GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
-                            const std::vector<double>& epoch_jd,
-                            const std::vector<double>& argp0,
-                            const std::vector<double>& m0,
-                            const std::vector<double>& raan0,
-                            const std::vector<double>& e0,
-                            const std::vector<double>& bstar,
-                            const std::vector<double>& aodp,
-                            const std::vector<double>& xnodp,
-                            const std::vector<double>& cosio,
-                            const std::vector<double>& sinio,
-                            const std::vector<double>& x3thm1,
-                            const std::vector<double>& x1mth2,
-                            const std::vector<double>& x7thm1,
-                            const std::vector<double>& eta,
-                            const std::vector<double>& c1,
-                            const std::vector<double>& c4,
-                            const std::vector<double>& c5,
-                            const std::vector<double>& d2,
-                            const std::vector<double>& d3,
-                            const std::vector<double>& d4,
-                            const std::vector<double>& xmdot,
-                            const std::vector<double>& omgdot,
-                            const std::vector<double>& xnodot,
-                            const std::vector<double>& xnodcf,
-                            const std::vector<double>& omgcof,
-                            const std::vector<double>& xmcof,
-                            const std::vector<double>& t2cof,
-                            const std::vector<double>& t3cof,
-                            const std::vector<double>& t4cof,
-                            const std::vector<double>& t5cof,
-                            const std::vector<double>& xlcof,
-                            const std::vector<double>& aycof,
-                            const std::vector<double>& delmo,
-                            const std::vector<double>& sinmo,
-                            const std::vector<double>& nonsimple) {
+// The whole near-earth SGP4 evaluation for one lane group, vectorized:
+// lane l propagates to jd[l] and rotates by the GMST whose cosine and
+// sine are cos_g[l] / sin_g[l]. `c` mirrors Sgp4::at() (orbit/sgp4.cpp)
+// term by term — keep the two in sync when touching either. Always
+// inlined into the multiversioned entry points below, so every clone
+// gets its own copy and no vector crosses a call boundary.
+SINET_SIMD_INLINE GroupResult sgp4_lanes(const detail::Sgp4Lanes& c, Vd jd,
+                                         Vd cos_g, Vd sin_g) {
   const Vd one = broadcast(1.0);
 
-  const Vd ts =
-      (broadcast(jd) - load(epoch_jd, lane0)) * broadcast(kMinutesPerDay);
-  const Vd ns = load(nonsimple, lane0);
+  const Vd ts = (jd - c.epoch_jd) * broadcast(kMinutesPerDay);
+  const Vd ns = c.nonsimple;
 
   // --- Secular gravity and atmospheric drag ---
-  const Vd xmdf = load(m0, lane0) + load(xmdot, lane0) * ts;
-  const Vd omgadf = load(argp0, lane0) + load(omgdot, lane0) * ts;
-  const Vd xnoddf = load(raan0, lane0) + load(xnodot, lane0) * ts;
+  const Vd xmdf = c.m0 + c.xmdot * ts;
+  const Vd omgadf = c.argp0 + c.omgdot * ts;
+  const Vd xnoddf = c.raan0 + c.xnodot * ts;
   const Vd tsq = ts * ts;
-  const Vd xnode = xnoddf + load(xnodcf, lane0) * tsq;
-  Vd tempa = one - load(c1, lane0) * ts;
-  Vd tempe = load(bstar, lane0) * load(c4, lane0) * ts;
-  Vd templ = load(t2cof, lane0) * tsq;
+  const Vd xnode = xnoddf + c.xnodcf * tsq;
+  Vd tempa = one - c.c1 * ts;
+  Vd tempe = c.bstar * c.c4 * ts;
+  Vd templ = c.t2cof * tsq;
 
   // Lane-masked `simple_` handling: the low-perigee truncation zeroes
   // the corrections through `ns` instead of branching, so both element
   // flavors ride in one group.
   Vd sin_xmdf, cos_xmdf;
   simd::vsincos(xmdf, &sin_xmdf, &cos_xmdf);
-  const Vd etacos = one + load(eta, lane0) * cos_xmdf;
-  const Vd delm =
-      load(xmcof, lane0) * (etacos * etacos * etacos - load(delmo, lane0));
-  const Vd corr = ns * (load(omgcof, lane0) * ts + delm);
+  const Vd etacos = one + c.eta * cos_xmdf;
+  const Vd delm = c.xmcof * (etacos * etacos * etacos - c.delmo);
+  const Vd corr = ns * (c.omgcof * ts + delm);
   const Vd xmp = xmdf + corr;
   const Vd omega = omgadf - corr;
   const Vd tcube = tsq * ts;
   const Vd tfour = ts * tcube;
-  tempa = tempa - ns * (load(d2, lane0) * tsq + load(d3, lane0) * tcube +
-                        load(d4, lane0) * tfour);
+  tempa = tempa - ns * (c.d2 * tsq + c.d3 * tcube + c.d4 * tfour);
   Vd sin_xmp, cos_xmp;
   simd::vsincos(xmp, &sin_xmp, &cos_xmp);
-  tempe = tempe + ns * load(bstar, lane0) * load(c5, lane0) *
-                      (sin_xmp - load(sinmo, lane0));
-  templ = templ + ns * (load(t3cof, lane0) * tcube + load(t4cof, lane0) * tfour +
-                        load(t5cof, lane0) * tfour * ts);
+  tempe = tempe + ns * c.bstar * c.c5 * (sin_xmp - c.sinmo);
+  templ = templ + ns * (c.t3cof * tcube + c.t4cof * tfour +
+                        c.t5cof * tfour * ts);
 
-  const Vd a = load(aodp, lane0) * tempa * tempa;
-  const Vd e = load(e0, lane0) - tempe;
-  Vi ok = (e < one) & (e >= broadcast(-0.001)) & (a > broadcast(0.0));
+  const Vd a = c.aodp * tempa * tempa;
+  const Vd e = c.e0 - tempe;
+  Vi ok = (e < broadcast(1.0 - kStatusGuard)) &
+          (e >= broadcast(-0.001 + kStatusGuard)) & (a > broadcast(0.0));
   const Vd e_clamped = simd::vmax(e, broadcast(1e-6));
-  const Vd xl = xmp + omega + xnode + load(xnodp, lane0) * templ;
+  const Vd xl = xmp + omega + xnode + c.xnodp * templ;
 
   // --- Long period periodics ---
   Vd sin_omega, cos_omega;
@@ -130,8 +98,8 @@ GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
   const Vd axn = e_clamped * cos_omega;
   const Vd beta2 = one - e_clamped * e_clamped;
   const Vd temp_lp = one / (a * beta2);
-  const Vd xll = temp_lp * load(xlcof, lane0) * axn;
-  const Vd aynl = temp_lp * load(aycof, lane0);
+  const Vd xll = temp_lp * c.xlcof * axn;
+  const Vd aynl = temp_lp * c.aycof;
   const Vd xlt = xl + xll;
   const Vd ayn = e_clamped * sin_omega + aynl;
 
@@ -166,7 +134,7 @@ GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
   const Vd esine = t3 - t4;
   const Vd elsq = axn * axn + ayn * ayn;
   const Vd pl = a * (one - elsq);
-  ok &= pl >= broadcast(0.0);
+  ok &= pl >= broadcast(kStatusGuard);
   const Vd r = a * (one - ecose);
   const Vd invr = one / r;
   const Vd temp_sp = a * invr;
@@ -188,17 +156,17 @@ GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
 
   // --- Short period periodics ---
   const Vd rk =
-      r * (one - broadcast(1.5) * tk2 * betal * load(x3thm1, lane0)) +
-      broadcast(0.5) * tk1 * load(x1mth2, lane0) * cos2u;
-  ok &= rk >= one;
+      r * (one - broadcast(1.5) * tk2 * betal * c.x3thm1) +
+      broadcast(0.5) * tk1 * c.x1mth2 * cos2u;
+  ok &= rk >= broadcast(1.0 + kStatusGuard);
 
-  const Vd duk = broadcast(0.25) * tk2 * load(x7thm1, lane0) * sin2u;
+  const Vd duk = broadcast(0.25) * tk2 * c.x7thm1 * sin2u;
   Vd sin_duk, cos_duk;
   small_angle_sincos(duk, &sin_duk, &cos_duk);
   const Vd sinuk = su * cos_duk - cu * sin_duk;
   const Vd cosuk = cu * cos_duk + su * sin_duk;
 
-  const Vd dnod = broadcast(1.5) * tk2 * load(cosio, lane0) * sin2u;
+  const Vd dnod = broadcast(1.5) * tk2 * c.cosio * sin2u;
   Vd sin_dnod, cos_dnod;
   small_angle_sincos(dnod, &sin_dnod, &cos_dnod);
   Vd sinnok, cosnok;
@@ -210,11 +178,11 @@ GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
   }
 
   const Vd dinc =
-      broadcast(1.5) * tk2 * load(cosio, lane0) * load(sinio, lane0) * cos2u;
+      broadcast(1.5) * tk2 * c.cosio * c.sinio * cos2u;
   Vd sin_dinc, cos_dinc;
   small_angle_sincos(dinc, &sin_dinc, &cos_dinc);
-  const Vd sinik = load(sinio, lane0) * cos_dinc + load(cosio, lane0) * sin_dinc;
-  const Vd cosik = load(cosio, lane0) * cos_dinc - load(sinio, lane0) * sin_dinc;
+  const Vd sinik = c.sinio * cos_dinc + c.cosio * sin_dinc;
+  const Vd cosik = c.cosio * cos_dinc - c.sinio * sin_dinc;
 
   // --- Orientation vector and final ECEF state ---
   const Vd xmx = -sinnok * cosik;
@@ -224,12 +192,10 @@ GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
   const Vd py = (xmy * sinuk + sinnok * cosuk) * scale;
   const Vd pz = sinik * sinuk * scale;
 
-  // Batched TEME->ECEF: rotate by the shared per-step GMST.
-  const Vd cg = broadcast(std::cos(gmst));
-  const Vd sg = broadcast(std::sin(gmst));
+  // Batched TEME->ECEF.
   GroupResult out;
-  out.x = cg * px + sg * py;
-  out.y = cg * py - sg * px;
+  out.x = cos_g * px + sin_g * py;
+  out.y = cos_g * py - sin_g * px;
   out.z = pz;
   out.dist = simd::vsqrt(out.x * out.x + out.y * out.y + out.z * out.z);
   ok &= out.dist == out.dist;  // NaN screen for anything the above missed
@@ -237,9 +203,76 @@ GroupResult propagate_lanes(std::size_t lane0, JulianDate jd, double gmst,
   return out;
 }
 
-inline void fill(std::vector<double>& v, std::size_t i,
-                 double value) noexcept {
-  v[i] = value;
+// Every lane at one time, rotated by the caller's GMST: the table path.
+// std::cos/std::sin of the shared angle keep its bits independent of
+// the lane trig kernels.
+SINET_SIMD_TARGET_CLONES
+GroupResult propagate_at(const detail::Sgp4Lanes& c, JulianDate jd,
+                         double gmst) {
+  return sgp4_lanes(c, broadcast(jd), broadcast(std::cos(gmst)),
+                    broadcast(std::sin(gmst)));
+}
+
+// A time per lane, each rotated by its own GMST (gmst_rad's IAU-82
+// polynomial, reduced modulo a day before the angle conversion as
+// gmst_rad's fmod does, then the lane sincos).
+SINET_SIMD_TARGET_CLONES
+GroupResult propagate_at_lanes(const detail::Sgp4Lanes& c,
+                               const JulianDate* jd) {
+  const Vd t = Vd{jd[0], jd[1], jd[2], jd[3]};
+  const Vd tut1 = (t - broadcast(kJdJ2000)) / broadcast(36525.0);
+  const Vd gmst_s =
+      broadcast(67310.54841) +
+      broadcast(876600.0 * 3600.0 + 8640184.812866) * tut1 +
+      broadcast(0.093104) * tut1 * tut1 -
+      broadcast(6.2e-6) * tut1 * tut1 * tut1;
+  const Vd day_s =
+      gmst_s - simd::vround(gmst_s / broadcast(kSecondsPerDay)) *
+                   broadcast(kSecondsPerDay);
+  Vd sin_g, cos_g;
+  simd::vsincos(day_s * broadcast(kTwoPi) / broadcast(kSecondsPerDay), &sin_g,
+                &cos_g);
+  return sgp4_lanes(c, t, cos_g, sin_g);
+}
+
+// Lane `lane` of `g` takes the constants of `c`.
+void set_lane(detail::Sgp4Lanes& g, std::size_t lane,
+              const Sgp4Coefficients& c) noexcept {
+  g.epoch_jd[lane] = c.epoch_jd;
+  g.argp0[lane] = c.argp0;
+  g.m0[lane] = c.m0;
+  g.raan0[lane] = c.raan0;
+  g.e0[lane] = c.e0;
+  g.bstar[lane] = c.bstar;
+  g.aodp[lane] = c.aodp;
+  g.xnodp[lane] = c.xnodp;
+  g.cosio[lane] = c.cosio;
+  g.sinio[lane] = c.sinio;
+  g.x3thm1[lane] = c.x3thm1;
+  g.x1mth2[lane] = c.x1mth2;
+  g.x7thm1[lane] = c.x7thm1;
+  g.eta[lane] = c.eta;
+  g.c1[lane] = c.c1;
+  g.c4[lane] = c.c4;
+  g.c5[lane] = c.c5;
+  g.d2[lane] = c.d2;
+  g.d3[lane] = c.d3;
+  g.d4[lane] = c.d4;
+  g.xmdot[lane] = c.xmdot;
+  g.omgdot[lane] = c.omgdot;
+  g.xnodot[lane] = c.xnodot;
+  g.xnodcf[lane] = c.xnodcf;
+  g.omgcof[lane] = c.omgcof;
+  g.xmcof[lane] = c.xmcof;
+  g.t2cof[lane] = c.t2cof;
+  g.t3cof[lane] = c.t3cof;
+  g.t4cof[lane] = c.t4cof;
+  g.t5cof[lane] = c.t5cof;
+  g.xlcof[lane] = c.xlcof;
+  g.aycof[lane] = c.aycof;
+  g.delmo[lane] = c.delmo;
+  g.sinmo[lane] = c.sinmo;
+  g.nonsimple[lane] = c.simple ? 0.0 : 1.0;
 }
 
 }  // namespace
@@ -252,57 +285,15 @@ Sgp4Batch::Sgp4Batch(const std::vector<const Sgp4*>& satellites) {
       throw std::invalid_argument("Sgp4Batch: null propagator");
 
   n_ = satellites.size();
-  pad_n_ = (n_ + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
-
-  const auto alloc = [&](std::vector<double>& v) { v.resize(pad_n_); };
-  for (std::vector<double>* v :
-       {&epoch_jd_, &argp0_, &m0_, &raan0_, &e0_, &bstar_, &aodp_, &xnodp_,
-        &cosio_, &sinio_, &x3thm1_, &x1mth2_, &x7thm1_, &eta_, &c1_, &c4_,
-        &c5_, &d2_, &d3_, &d4_, &xmdot_, &omgdot_, &xnodot_, &xnodcf_,
-        &omgcof_, &xmcof_, &t2cof_, &t3cof_, &t4cof_, &t5cof_, &xlcof_,
-        &aycof_, &delmo_, &sinmo_, &nonsimple_})
-    alloc(*v);
-
-  for (std::size_t i = 0; i < pad_n_; ++i) {
-    // Pad lanes replicate the group's first member so their arithmetic
-    // stays finite; their status is never reported.
-    const std::size_t src = i < n_ ? i : i / kLaneWidth * kLaneWidth;
-    const Sgp4Coefficients c = satellites[src]->coefficients();
-    fill(epoch_jd_, i, c.epoch_jd);
-    fill(argp0_, i, c.argp0);
-    fill(m0_, i, c.m0);
-    fill(raan0_, i, c.raan0);
-    fill(e0_, i, c.e0);
-    fill(bstar_, i, c.bstar);
-    fill(aodp_, i, c.aodp);
-    fill(xnodp_, i, c.xnodp);
-    fill(cosio_, i, c.cosio);
-    fill(sinio_, i, c.sinio);
-    fill(x3thm1_, i, c.x3thm1);
-    fill(x1mth2_, i, c.x1mth2);
-    fill(x7thm1_, i, c.x7thm1);
-    fill(eta_, i, c.eta);
-    fill(c1_, i, c.c1);
-    fill(c4_, i, c.c4);
-    fill(c5_, i, c.c5);
-    fill(d2_, i, c.d2);
-    fill(d3_, i, c.d3);
-    fill(d4_, i, c.d4);
-    fill(xmdot_, i, c.xmdot);
-    fill(omgdot_, i, c.omgdot);
-    fill(xnodot_, i, c.xnodot);
-    fill(xnodcf_, i, c.xnodcf);
-    fill(omgcof_, i, c.omgcof);
-    fill(xmcof_, i, c.xmcof);
-    fill(t2cof_, i, c.t2cof);
-    fill(t3cof_, i, c.t3cof);
-    fill(t4cof_, i, c.t4cof);
-    fill(t5cof_, i, c.t5cof);
-    fill(xlcof_, i, c.xlcof);
-    fill(aycof_, i, c.aycof);
-    fill(delmo_, i, c.delmo);
-    fill(sinmo_, i, c.sinmo);
-    fill(nonsimple_, i, c.simple ? 0.0 : 1.0);
+  groups_.resize((n_ + kLaneWidth - 1) / kLaneWidth);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    for (std::size_t l = 0; l < kLaneWidth; ++l) {
+      // Pad lanes replicate the group's first member so their arithmetic
+      // stays finite; their status is never reported.
+      const std::size_t i = g * kLaneWidth + l;
+      const std::size_t src = i < n_ ? i : g * kLaneWidth;
+      set_lane(groups_[g], l, satellites[src]->coefficients());
+    }
   }
 }
 
@@ -310,13 +301,7 @@ bool Sgp4Batch::propagate_group_ecef(std::size_t group, JulianDate jd,
                                      double gmst, double* x_km, double* y_km,
                                      double* z_km, double* dist_km,
                                      LaneStatus* status) const {
-  const std::size_t lane0 = group * kLaneWidth;
-  const GroupResult res = propagate_lanes(
-      lane0, jd, gmst, epoch_jd_, argp0_, m0_, raan0_, e0_, bstar_,
-      aodp_, xnodp_, cosio_, sinio_, x3thm1_, x1mth2_, x7thm1_, eta_, c1_,
-      c4_, c5_, d2_, d3_, d4_, xmdot_, omgdot_, xnodot_, xnodcf_, omgcof_,
-      xmcof_, t2cof_, t3cof_, t4cof_, t5cof_, xlcof_, aycof_, delmo_, sinmo_,
-      nonsimple_);
+  const GroupResult res = propagate_at(groups_[group], jd, gmst);
 
   const std::size_t members = group_members(group);
   bool all_ok = true;
@@ -333,6 +318,23 @@ bool Sgp4Batch::propagate_group_ecef(std::size_t group, JulianDate jd,
     }
   }
   return all_ok;
+}
+
+Sgp4TimeBatch::Sgp4TimeBatch(const Sgp4& prop) noexcept {
+  const Sgp4Coefficients c = prop.coefficients();
+  for (std::size_t l = 0; l < kLaneWidth; ++l) set_lane(lanes_, l, c);
+}
+
+void Sgp4TimeBatch::propagate_ecef(const JulianDate* jd, double* x_km,
+                                   double* y_km, double* z_km,
+                                   LaneStatus* status) const {
+  const GroupResult res = propagate_at_lanes(lanes_, jd);
+  for (std::size_t l = 0; l < kLaneWidth; ++l) {
+    x_km[l] = res.x[l];
+    y_km[l] = res.y[l];
+    z_km[l] = res.z[l];
+    status[l] = res.ok[l] != 0 ? LaneStatus::kOk : LaneStatus::kError;
+  }
 }
 
 }  // namespace sinet::orbit

@@ -37,6 +37,16 @@
 #define SINET_SIMD_TARGET_CLONES
 #endif
 
+// Every helper below takes or returns vectors by value, so it must never
+// become an out-of-line call from a multiversioned kernel: an AVX clone
+// passes a 256-bit vector in a ymm register, while the baseline
+// out-of-line copy of the same helper expects it in memory (and a vector
+// return as a hidden pointer that shifts every argument by one
+// register). Optimizers inline these anyway, but sanitizer builds may
+// not, and then the two sides disagree about where the arguments are.
+// Forcing inlining gives each clone its own copy.
+#define SINET_SIMD_INLINE inline __attribute__((always_inline))
+
 namespace sinet::orbit::simd {
 
 /// Lanes per vector. 4 doubles = one 256-bit register where available.
@@ -53,13 +63,13 @@ typedef double Vd
 typedef std::int64_t Vi
     __attribute__((vector_size(kLanes * sizeof(std::int64_t)), aligned(32)));
 
-[[nodiscard]] inline Vd broadcast(double x) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd broadcast(double x) noexcept {
   return Vd{x, x, x, x};
 }
 
 /// Lanewise select: mask lanes are all-ones (from a vector comparison)
 /// or all-zeros; result takes `a` where set, `b` where clear.
-[[nodiscard]] inline Vd select(Vi mask, Vd a, Vd b) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd select(Vi mask, Vd a, Vd b) noexcept {
   Vi ai, bi;
   std::memcpy(&ai, &a, sizeof ai);
   std::memcpy(&bi, &b, sizeof bi);
@@ -69,34 +79,34 @@ typedef std::int64_t Vi
   return r;
 }
 
-[[nodiscard]] inline bool any(Vi mask) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE bool any(Vi mask) noexcept {
   return (mask[0] | mask[1] | mask[2] | mask[3]) != 0;
 }
 
-[[nodiscard]] inline bool all(Vi mask) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE bool all(Vi mask) noexcept {
   return (mask[0] & mask[1] & mask[2] & mask[3]) != 0;
 }
 
-[[nodiscard]] inline Vd vabs(Vd x) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vabs(Vd x) noexcept {
   return select(x < broadcast(0.0), -x, x);
 }
 
-[[nodiscard]] inline Vd vmin(Vd a, Vd b) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vmin(Vd a, Vd b) noexcept {
   return select(a < b, a, b);
 }
 
-[[nodiscard]] inline Vd vmax(Vd a, Vd b) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vmax(Vd a, Vd b) noexcept {
   return select(a > b, a, b);
 }
 
-[[nodiscard]] inline Vd vclamp(Vd x, double lo, double hi) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vclamp(Vd x, double lo, double hi) noexcept {
   return vmin(vmax(x, broadcast(lo)), broadcast(hi));
 }
 
 /// Lanewise sqrt. A plain loop: with -fno-math-errno the compiler turns
 /// it into the vector sqrt instruction; NaN for negative lanes, which the
 /// batch kernels turn into per-lane error status.
-[[nodiscard]] inline Vd vsqrt(Vd x) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vsqrt(Vd x) noexcept {
   Vd r;
   for (std::size_t i = 0; i < kLanes; ++i) r[i] = std::sqrt(x[i]);
   return r;
@@ -105,14 +115,14 @@ typedef std::int64_t Vi
 /// Round to nearest integer (ties to even), returned as a double vector,
 /// via the 2^52 + 2^51 shifter trick. Exact for |x| < 2^51 — far beyond
 /// any reduction quotient the propagator produces.
-[[nodiscard]] inline Vd vround(Vd x) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vround(Vd x) noexcept {
   const Vd shifter = broadcast(6755399441055744.0);  // 2^52 + 2^51
   const Vd biased = x + shifter;
   return biased - shifter;
 }
 
 /// Truncate the rounded quotient to its low 2 bits (sin/cos quadrant).
-[[nodiscard]] inline Vi quadrant(Vd n) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vi quadrant(Vd n) noexcept {
   Vi q;
   for (std::size_t i = 0; i < kLanes; ++i)
     q[i] = static_cast<std::int64_t>(n[i]) & 3;
@@ -143,7 +153,7 @@ inline constexpr double kTwoOverPi = 6.36619772367581382433e-01;
 inline constexpr double kTwoPiHi = 6.28318530717958623200e+00;
 inline constexpr double kTwoPiLo = 2.44929359829470641435e-16;
 
-[[nodiscard]] inline Vd sin_kernel(Vd r) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd sin_kernel(Vd r) noexcept {
   const Vd z = r * r;
   const Vd p =
       broadcast(kS1) +
@@ -154,7 +164,7 @@ inline constexpr double kTwoPiLo = 2.44929359829470641435e-16;
   return r + r * z * p;
 }
 
-[[nodiscard]] inline Vd cos_kernel(Vd r) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd cos_kernel(Vd r) noexcept {
   const Vd z = r * r;
   const Vd p =
       broadcast(kC1) +
@@ -168,7 +178,7 @@ inline constexpr double kTwoPiLo = 2.44929359829470641435e-16;
 
 /// Lanewise sin and cos of the same argument. One reduction, two kernel
 /// polynomials, quadrant selection by the reduced quotient's low bits.
-inline void vsincos(Vd x, Vd* sin_out, Vd* cos_out) noexcept {
+SINET_SIMD_INLINE void vsincos(Vd x, Vd* sin_out, Vd* cos_out) noexcept {
   using namespace detail;
   const Vd n = vround(x * broadcast(kTwoOverPi));
   const Vd r = (x - n * broadcast(kPio2Hi)) - n * broadcast(kPio2Lo);
@@ -187,7 +197,7 @@ inline void vsincos(Vd x, Vd* sin_out, Vd* cos_out) noexcept {
 /// Lanewise wrap to [-pi, pi] (a 2*pi-shifted representative of the
 /// scalar wrap_two_pi result — identical modulo 2*pi, which is all the
 /// Kepler iteration consumes).
-[[nodiscard]] inline Vd vwrap_pi(Vd x) noexcept {
+[[nodiscard]] SINET_SIMD_INLINE Vd vwrap_pi(Vd x) noexcept {
   using namespace detail;
   const Vd n = vround(x * broadcast(1.0 / kTwoPiHi));
   return (x - n * broadcast(kTwoPiHi)) - n * broadcast(kTwoPiLo);

@@ -1,7 +1,8 @@
-// Accuracy and lane-handling tests for the SoA batch propagator
+// Accuracy and lane-handling tests for the SoA batch propagators
 // (orbit/sgp4_batch.h): batch positions vs. the scalar Sgp4 reference,
 // remainder groups, mixed simple_/normal element sets in one lane group,
-// and per-lane error reporting where the scalar propagator throws.
+// per-lane error reporting where the scalar propagator throws, and the
+// one-satellite, time-per-lane form that refinement runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -206,6 +207,68 @@ TEST(Sgp4Batch, ErrorLanesAreFlaggedWithoutPoisoningNeighbors) {
     EXPECT_NEAR(y[healthy_lane[i]], want.y, kPosTolKm);
     EXPECT_NEAR(z[healthy_lane[i]], want.z, kPosTolKm);
   }
+}
+
+// Sgp4TimeBatch: one satellite, a time per lane, each lane rotated into
+// ECEF at its own GMST evaluated in the kernel. Same tolerance as the
+// shared-time table path, against the scalar propagator rotated at
+// gmst_rad(jd) — the position ElevationSampler uses.
+TEST(Sgp4TimeBatch, MatchesScalarAtPerLaneTimes) {
+  std::mt19937_64 rng(20261017u);
+  std::uniform_real_distribution<double> offset_days(0.0, 30.0);
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  std::vector<Tle> tles;
+  for (int i = 0; i < 16; ++i) tles.push_back(band_tle(rng, i * 3 + 2));
+  tles.push_back(simple_branch_tle(0));
+  for (const Tle& tle : tles) {
+    const Sgp4 prop(tle);
+    const orbit::Sgp4TimeBatch lanes(prop);
+    for (int call = 0; call < 8; ++call) {
+      JulianDate jd[4];
+      for (JulianDate& t : jd) t = jd0 + offset_days(rng);
+      double x[4], y[4], z[4];
+      LaneStatus status[4];
+      lanes.propagate_ecef(jd, x, y, z, status);
+      for (int l = 0; l < 4; ++l) {
+        ASSERT_EQ(status[l], LaneStatus::kOk) << tle.name << " at " << jd[l];
+        const Vec3 want =
+            orbit::teme_to_ecef_position(prop.at_jd(jd[l]).position_km, jd[l]);
+        EXPECT_NEAR(x[l], want.x, kPosTolKm) << tle.name << " lane " << l;
+        EXPECT_NEAR(y[l], want.y, kPosTolKm) << tle.name << " lane " << l;
+        EXPECT_NEAR(z[l], want.z, kPosTolKm) << tle.name << " lane " << l;
+      }
+    }
+  }
+}
+
+TEST(Sgp4TimeBatch, FlagsExactlyTheLanesWhereScalarThrows) {
+  orbit::KeplerianElements decay;
+  decay.altitude_km = 200.0;
+  decay.eccentricity = 0.0005;
+  decay.bstar = 0.1;
+  const Sgp4 sick(
+      orbit::make_tle("DOOMED", 93000, decay, core::campaign_epoch_jd()));
+  const orbit::Sgp4TimeBatch lanes(sick);
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  std::size_t flagged = 0;
+  for (double off = 0.0; off < 30.0; off += 4 * 0.37) {
+    const JulianDate jd[4] = {jd0 + off, jd0 + off + 0.37,
+                              jd0 + off + 2 * 0.37, jd0 + off + 3 * 0.37};
+    double x[4], y[4], z[4];
+    LaneStatus status[4];
+    lanes.propagate_ecef(jd, x, y, z, status);
+    for (int l = 0; l < 4; ++l) {
+      bool throws = false;
+      try {
+        (void)sick.at_jd(jd[l]);
+      } catch (const orbit::PropagationError&) {
+        throws = true;
+      }
+      EXPECT_EQ(status[l] == LaneStatus::kError, throws) << "at " << jd[l];
+      flagged += throws;
+    }
+  }
+  EXPECT_GT(flagged, 0u) << "decay TLE never failed — test needs retuning";
 }
 
 TEST(Sgp4Batch, RejectsEmptyAndNullInputs) {

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Build and run the full ctest suite under ASan(+LSan), UBSan, and TSan.
+# Build and run the full ctest suite under ASan(+LSan), UBSan, TSan, and
+# the combined ASan + fatal-UBSan + libstdc++-assertions preset.
 #
 # Usage:
 #   tools/run_sanitizers.sh [preset ...]
 #
-#   preset   zero or more of: asan ubsan tsan (default: all three)
+#   preset   zero or more of: asan ubsan tsan asan-ubsan
+#            (default: asan ubsan tsan)
 #
 # Each preset configures into build-<preset>/ via CMakePresets.json, which
 # sets SINET_SANITIZE so the whole tree (library, tests, benches, examples)
@@ -22,8 +24,9 @@ if [[ ${#presets[@]} -eq 0 ]]; then
 fi
 for p in "${presets[@]}"; do
   case "$p" in
-    asan|ubsan|tsan) ;;
-    *) echo "error: unknown preset '$p' (expected asan, ubsan, tsan)" >&2
+    asan|ubsan|tsan|asan-ubsan) ;;
+    *) echo "error: unknown preset '$p' (expected asan, ubsan, tsan," \
+            "asan-ubsan)" >&2
        exit 2 ;;
   esac
 done
