@@ -13,9 +13,13 @@
 // docs/PERFORMANCE.md): vsincos uses a 2-term Cody-Waite pi/2 reduction
 // and the fdlibm kernel polynomials, giving ~1 ulp on the reduced
 // argument and absolute error < 1e-12 rad for |x| < 1e5 — the angles
-// SGP4 feeds it over a 30-day campaign stay below ~3e3 rad. Nothing in
-// this header is used by PropagationMode::kReference, whose results stay
-// bit-identical to the scalar code by construction.
+// SGP4 feeds it over a 30-day campaign stay below ~3e3 rad. Window
+// refinement (refine_mask_crossing / refine_max_elevation) runs these
+// helpers in every propagation mode, kReference included. Reference-mode
+// bits survive because a lane value decides a comparison only when it
+// clears kLaneMargin (orbit/passes.cpp); every other comparison, and
+// every returned value, comes from the scalar code. tests/test_refine.cpp
+// checks those bits against the scalar searches.
 #pragma once
 
 #include <cmath>
@@ -28,11 +32,13 @@
 // expands to nothing elsewhere so the baseline build is the only one.
 // ThreadSanitizer builds keep the baseline only: the loader runs ifunc
 // resolvers before the TSan runtime is initialized, and such a binary
-// crashes before main.
+// crashes before main. SINET_SIMD_HAS_AVX_CLONES is defined when the
+// clones are built.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
     !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define SINET_SIMD_TARGET_CLONES \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
+#define SINET_SIMD_HAS_AVX_CLONES 1
 #else
 #define SINET_SIMD_TARGET_CLONES
 #endif

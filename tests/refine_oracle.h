@@ -4,11 +4,15 @@
 // before refinement moved into SIMD lanes. The library primitives must
 // return these functions' bits (and throw where they throw); that is
 // what keeps every engine's windows bit-identical to the scalar scan.
-// Shared by test_refine and the refine_speed_gate timing check.
+// Shared by test_refine and the refine_speed_gate timing check, with the
+// reconstruction of the grid brackets a scan refined its windows from.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <utility>
 
+#include "orbit/ephemeris.h"
 #include "orbit/passes.h"
 
 namespace sinet::testing {
@@ -58,6 +62,23 @@ inline std::pair<orbit::JulianDate, double> oracle_refine_max_elevation(
   }
   const JulianDate peak = 0.5 * (a + b);
   return {peak, sampler.elevation_deg(peak)};
+}
+
+// The grid bracket a scan on `grid` refined the window edge `edge` from:
+// [t - step, t], with t the first grid sample at or after the edge.
+// Empty for an edge at the grid's start or end, which a window truncated
+// there keeps unrefined. (The peak search's bracket is the window's
+// [AOS, LOS] itself.)
+inline std::optional<std::pair<orbit::JulianDate, orbit::JulianDate>>
+scan_crossing_bracket(const orbit::ScanGrid& grid, orbit::JulianDate edge) {
+  if (edge == grid.start() || edge == grid.end()) return std::nullopt;
+  std::size_t lo = 0, hi = grid.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (grid.time(mid) < edge) lo = mid + 1; else hi = mid;
+  }
+  const orbit::JulianDate t = grid.time(lo);
+  return std::pair{t - grid.step_days(), t};
 }
 
 }  // namespace sinet::testing

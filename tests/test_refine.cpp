@@ -35,6 +35,7 @@ using orbit::Sgp4;
 using orbit::Tle;
 using testing::oracle_refine_mask_crossing;
 using testing::oracle_refine_max_elevation;
+using testing::scan_crossing_bracket;
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -140,15 +141,6 @@ TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
   orbit::PassPredictionOptions opts;
   opts.coarse_step_s = 30.0;
   const orbit::ScanGrid grid(jd0, jd1, opts.coarse_step_s);
-  // First grid sample at or after jd: a crossing's bracket ends there.
-  const auto bracket_end = [&](JulianDate jd) {
-    std::size_t lo = 0, hi = grid.size() - 1;
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (grid.time(mid) < jd) lo = mid + 1; else hi = mid;
-    }
-    return grid.time(lo);
-  };
 
   for (const orbit::PropagationMode mode :
        {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
@@ -165,15 +157,15 @@ TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
           std::to_string(p);
       for (const ContactWindow& w : windows[p]) {
         for (const JulianDate edge : {w.aos_jd, w.los_jd}) {
-          if (edge == jd0 || edge == jd1) continue;  // truncated, not refined
-          const JulianDate t = bracket_end(edge);
-          const JulianDate lo = t - grid.step_days();
+          const auto bracket = scan_crossing_bracket(grid, edge);
+          if (!bracket) continue;  // truncated, not refined
+          const auto [lo, hi] = *bracket;
           EXPECT_EQ(bits(edge),
                     bits(oracle_refine_mask_crossing(
-                        sampler, lo, t, obs.min_elevation_deg,
+                        sampler, lo, hi, obs.min_elevation_deg,
                         opts.refine_tolerance_s)))
               << label;
-          ASSERT_TRUE(crossing_matches(sampler, lo, t, obs.min_elevation_deg,
+          ASSERT_TRUE(crossing_matches(sampler, lo, hi, obs.min_elevation_deg,
                                        opts.refine_tolerance_s, label));
         }
         const auto [tca, el] =

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Build and run the full ctest suite under ASan(+LSan), UBSan, TSan, and
-# the combined ASan + fatal-UBSan + libstdc++-assertions preset.
+# Build and run the full ctest suite under TSan and the combined
+# ASan + LSan + fatal-UBSan + libstdc++-assertions preset, or under any
+# of the single-sanitizer presets.
 #
 # Usage:
 #   tools/run_sanitizers.sh [preset ...]
 #
 #   preset   zero or more of: asan ubsan tsan asan-ubsan
-#            (default: asan ubsan tsan)
+#            (default: tsan asan-ubsan; asan-ubsan runs every check of
+#            asan and ubsan, which remain for narrowing a report down)
 #
 # Each preset configures into build-<preset>/ via CMakePresets.json, which
 # sets SINET_SANITIZE so the whole tree (library, tests, benches, examples)
@@ -20,7 +22,7 @@ cd "$repo_root"
 
 presets=("$@")
 if [[ ${#presets[@]} -eq 0 ]]; then
-  presets=(asan ubsan tsan)
+  presets=(tsan asan-ubsan)
 fi
 for p in "${presets[@]}"; do
   case "$p" in
