@@ -1,23 +1,22 @@
 // Ablation — the shared-ephemeris pass-prediction engine. Times the
 // full-campaign pass-prediction workload (39 satellites x 8 sites, the
-// geometry behind Table 1 / Figs 3-4) in three single-thread arms:
+// geometry behind Table 1 / Figs 3-4) in two single-thread arms:
 //
-//   legacy         per-pair predict_passes (one SGP4 propagation + GMST
-//                  per coarse sample per pair)
-//   shared         scan_pass_pairs with culling off: each satellite
-//                  propagated once per sample, shared across all 8 sites
-//   shared+culled  scan_pass_pairs with the conservative horizon-cone
-//                  cull skipping provably-below-mask stretches
+//   shared+culled  scan_pass_pairs in PropagationMode::kReference: each
+//                  satellite propagated once per sample, shared across
+//                  all 8 sites, with the conservative horizon-cone cull
+//                  skipping provably-below-mask stretches
 //   shared+culled+simd  the same scan under PropagationMode::kFast: the
 //                  SoA/SIMD batch propagator fills the table four
 //                  satellites at a time and the fused look-angle kernel
 //                  classifies four observers per sample
 //
-// The first three arms emit bit-identical windows (asserted here before
-// the timings), so their speedups are free of accuracy trade-offs. The
-// simd arm is tolerance-equal (window edges within one coarse step; see
-// docs/PERFORMANCE.md) and is count-checked against the others. The
-// 30-day BM_CampaignScan_* rows are tracked in BENCH_RESULTS.json.
+// The reference arm's windows are bit-identical to the per-pair scalar
+// scan (ctest holds it to tests/pass_scan_oracle.h). The simd arm is
+// tolerance-equal (window edges within one coarse step; see
+// docs/PERFORMANCE.md) and its window counts are checked against the
+// reference arm before the timings. The 30-day BM_CampaignScan_* rows
+// are tracked in BENCH_RESULTS.json.
 #include "bench_common.h"
 
 #include <chrono>
@@ -67,25 +66,11 @@ Workload campaign_workload() {
   return w;
 }
 
-std::vector<std::vector<ContactWindow>> run_legacy(const Workload& w,
-                                                   double span_days) {
-  const JulianDate start = campaign_epoch_jd();
-  std::vector<std::vector<ContactWindow>> out;
-  out.reserve(w.pairs.size());
-  for (const PairTask& p : w.pairs)
-    out.push_back(predict_passes(*w.sat_ptrs[p.satellite],
-                                 w.observers[p.observer].location, start,
-                                 start + span_days));
-  return out;
-}
-
 std::vector<std::vector<ContactWindow>> run_engine(
-    const Workload& w, double span_days, bool cull,
-    obs::MetricsRegistry* metrics = nullptr,
-    PropagationMode mode = PropagationMode::kReference) {
+    const Workload& w, double span_days, PropagationMode mode,
+    obs::MetricsRegistry* metrics = nullptr) {
   const JulianDate start = campaign_epoch_jd();
   EphemerisScanOptions scan_opts;
-  scan_opts.cull = cull;
   scan_opts.mode = mode;
   return scan_pass_pairs(w.sat_ptrs, w.observers, w.pairs, start,
                          start + span_days, {}, scan_opts, /*threads=*/1,
@@ -110,55 +95,30 @@ void reproduce() {
                       fmt(span_days, 1) + " days)");
 
   const Workload w = campaign_workload();
-  const auto legacy = run_legacy(w, span_days);
   obs::MetricsRegistry metrics;
-  const auto shared = run_engine(w, span_days, /*cull=*/false);
-  const auto culled = run_engine(w, span_days, /*cull=*/true, &metrics);
-  const auto simd = run_engine(w, span_days, /*cull=*/true, nullptr,
-                               PropagationMode::kFast);
+  const auto reference =
+      run_engine(w, span_days, PropagationMode::kReference, &metrics);
+  const auto simd = run_engine(w, span_days, PropagationMode::kFast);
 
-  std::size_t mismatched = 0;
   std::size_t simd_count_mismatched = 0;
-  for (std::size_t p = 0; p < w.pairs.size(); ++p) {
-    const auto same = [&](const std::vector<ContactWindow>& got) {
-      if (got.size() != legacy[p].size()) return false;
-      for (std::size_t k = 0; k < got.size(); ++k)
-        if (got[k].aos_jd != legacy[p][k].aos_jd ||
-            got[k].los_jd != legacy[p][k].los_jd ||
-            got[k].tca_jd != legacy[p][k].tca_jd ||
-            got[k].max_elevation_deg != legacy[p][k].max_elevation_deg)
-          return false;
-      return true;
-    };
-    if (!same(shared[p]) || !same(culled[p])) ++mismatched;
-    if (simd[p].size() != legacy[p].size()) ++simd_count_mismatched;
-  }
-  std::printf(
-      "parity: %zu/%zu pairs bit-identical across reference arms, "
-      "%zu/%zu window counts matched by the simd arm\n\n",
-      w.pairs.size() - mismatched, w.pairs.size(),
-      w.pairs.size() - simd_count_mismatched, w.pairs.size());
-  if (mismatched != 0 || simd_count_mismatched != 0) {
-    std::fprintf(stderr, "FATAL: engine windows diverge from legacy\n");
+  for (std::size_t p = 0; p < w.pairs.size(); ++p)
+    if (simd[p].size() != reference[p].size()) ++simd_count_mismatched;
+  std::printf("parity: %zu/%zu window counts matched by the simd arm\n\n",
+              w.pairs.size() - simd_count_mismatched, w.pairs.size());
+  if (simd_count_mismatched != 0) {
+    std::fprintf(stderr,
+                 "FATAL: simd window counts diverge from the reference arm\n");
     std::exit(1);
   }
 
-  const double legacy_ms = time_ms([&] { return run_legacy(w, span_days); });
-  const double shared_ms =
-      time_ms([&] { return run_engine(w, span_days, false); });
-  const double culled_ms =
-      time_ms([&] { return run_engine(w, span_days, true); });
-  const double simd_ms = time_ms([&] {
-    return run_engine(w, span_days, true, nullptr, PropagationMode::kFast);
-  });
-  Table t({"arm", "wall (ms)", "speedup vs legacy"});
-  t.add_row({"legacy per-pair scan", fmt(legacy_ms, 1), "1.00x"});
-  t.add_row({"shared ephemeris", fmt(shared_ms, 1),
-             fmt(legacy_ms / shared_ms, 2) + "x"});
-  t.add_row({"shared + culled", fmt(culled_ms, 1),
-             fmt(legacy_ms / culled_ms, 2) + "x"});
+  const double reference_ms = time_ms(
+      [&] { return run_engine(w, span_days, PropagationMode::kReference); });
+  const double simd_ms = time_ms(
+      [&] { return run_engine(w, span_days, PropagationMode::kFast); });
+  Table t({"arm", "wall (ms)", "speedup vs reference"});
+  t.add_row({"shared + culled (reference)", fmt(reference_ms, 1), "1.00x"});
   t.add_row({"shared + culled + simd", fmt(simd_ms, 1),
-             fmt(legacy_ms / simd_ms, 2) + "x"});
+             fmt(reference_ms / simd_ms, 2) + "x"});
   std::printf("%s", t.render().c_str());
 
   const auto snap = metrics.snapshot();
@@ -170,7 +130,7 @@ void reproduce() {
       counter("orbit.ephemeris.samples_visited");
   const unsigned long long skipped = counter("orbit.ephemeris.samples_culled");
   std::printf(
-      "\nengine counters (culled arm): %llu propagations "
+      "\nengine counters (reference arm): %llu propagations "
       "(%llu avoided vs per-pair), %llu/%llu samples culled (%.1f%%)\n",
       counter("orbit.ephemeris.propagations"),
       counter("orbit.ephemeris.propagations_avoided"), skipped,
@@ -181,31 +141,12 @@ void reproduce() {
 
 // --- the tracked 30-day campaign rows ------------------------------------
 
-void BM_CampaignScan_Legacy(benchmark::State& state) {
-  const Workload w = campaign_workload();
-  const double days = sinet::bench::days_or(30.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_legacy(w, days));
-}
-BENCHMARK(BM_CampaignScan_Legacy)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CampaignScan_Shared(benchmark::State& state) {
-  const Workload w = campaign_workload();
-  const double days = sinet::bench::days_or(30.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_engine(w, days, /*cull=*/false));
-}
-BENCHMARK(BM_CampaignScan_Shared)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_CampaignScan_SharedCulled(benchmark::State& state) {
   const Workload w = campaign_workload();
   const double days = sinet::bench::days_or(30.0);
   for (auto _ : state)
-    benchmark::DoNotOptimize(run_engine(w, days, /*cull=*/true));
+    benchmark::DoNotOptimize(
+        run_engine(w, days, PropagationMode::kReference));
 }
 BENCHMARK(BM_CampaignScan_SharedCulled)
     ->Iterations(1)
@@ -215,8 +156,7 @@ void BM_CampaignScan_SharedCulledSimd(benchmark::State& state) {
   const Workload w = campaign_workload();
   const double days = sinet::bench::days_or(30.0);
   for (auto _ : state)
-    benchmark::DoNotOptimize(run_engine(w, days, /*cull=*/true, nullptr,
-                                        PropagationMode::kFast));
+    benchmark::DoNotOptimize(run_engine(w, days, PropagationMode::kFast));
 }
 BENCHMARK(BM_CampaignScan_SharedCulledSimd)
     ->Iterations(1)

@@ -31,22 +31,21 @@ std::vector<Tle> campaign_tles() {
   return tles;
 }
 
-/// All (site x satellite) pairs of the passive campaign.
-std::vector<PassBatchRequest> campaign_requests(
-    const std::vector<Sgp4>& props) {
-  std::vector<PassBatchRequest> requests;
+/// Every site of the passive campaign.
+std::vector<GridObserver> campaign_sites() {
+  std::vector<GridObserver> observers;
   for (const MeasurementSite& site : paper_measurement_sites())
-    for (const Sgp4& prop : props)
-      requests.push_back({&prop, site.location});
-  return requests;
+    observers.push_back(GridObserver{site.location});
+  return observers;
 }
 
-double time_batch_ms(const std::vector<PassBatchRequest>& requests,
-                     unsigned threads) {
+double time_grid_ms(const std::vector<const Sgp4*>& sats,
+                    const std::vector<GridObserver>& observers,
+                    unsigned threads) {
   const JulianDate start = campaign_epoch_jd();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto windows =
-      predict_passes_batch(requests, start, start + kSpanDays, {}, threads);
+  const auto windows = predict_passes_grid(sats, observers, start,
+                                           start + kSpanDays, {}, threads);
   const auto t1 = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(windows);
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -62,24 +61,27 @@ void reproduce() {
   std::vector<Sgp4> props;
   props.reserve(tles.size());
   for (const Tle& tle : tles) props.emplace_back(tle);
-  const auto requests = campaign_requests(props);
-  std::printf("hardware threads: %u, tasks: %zu\n\n",
-              sim::ThreadPool::hardware_threads(), requests.size());
+  std::vector<const Sgp4*> sats;
+  for (const Sgp4& prop : props) sats.push_back(&prop);
+  const auto observers = campaign_sites();
+  std::printf("hardware threads: %u, pairs: %zu\n\n",
+              sim::ThreadPool::hardware_threads(),
+              sats.size() * observers.size());
 
-  const double serial_ms = time_batch_ms(requests, 1);
+  const double serial_ms = time_grid_ms(sats, observers, 1);
   Table t({"threads", "wall (ms)", "speedup vs serial"});
-  t.add_row({"1 (legacy serial)", fmt(serial_ms, 1), "1.00x"});
+  t.add_row({"1 (serial)", fmt(serial_ms, 1), "1.00x"});
   for (const unsigned threads :
        {2u, 4u, sim::ThreadPool::hardware_threads()}) {
     if (threads <= 1) continue;
-    const double ms = time_batch_ms(requests, threads);
+    const double ms = time_grid_ms(sats, observers, threads);
     t.add_row({std::to_string(threads), fmt(ms, 1),
                fmt(serial_ms / ms, 2) + "x"});
   }
   std::printf("%s", t.render().c_str());
   std::printf(
       "\nnote: the pool cannot beat serial on a 1-core host; on >= 4 cores "
-      "the 312 independent tasks scale near-linearly.\n");
+      "the 312 independent pairs scale near-linearly.\n");
 
   // Cache ablation: an identical second campaign is pure hits.
   ContactWindowCache cache;
@@ -87,8 +89,8 @@ void reproduce() {
   const JulianDate start = campaign_epoch_jd();
   auto cached_ms = [&] {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto ws = predict_passes_batch_cached(
-        tles, site, start, start + kSpanDays, {}, 0, &cache);
+    const auto ws = predict_passes_grid_cached(
+        tles, {GridObserver{site}}, start, start + kSpanDays, {}, 0, &cache);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(ws);
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -137,35 +139,35 @@ void BM_ElevationSample_Fused(benchmark::State& state) {
 }
 BENCHMARK(BM_ElevationSample_Fused);
 
-/// One-day batch over one site at different worker counts.
+/// One-day grid scan over one site at different worker counts.
 void BM_BatchPasses(benchmark::State& state) {
   const auto tles = campaign_tles();
   std::vector<Sgp4> props;
   props.reserve(tles.size());
   for (const Tle& tle : tles) props.emplace_back(tle);
-  std::vector<PassBatchRequest> requests;
-  const Geodetic site = paper_site("HK").location;
-  for (const Sgp4& prop : props) requests.push_back({&prop, site});
+  std::vector<const Sgp4*> sats;
+  for (const Sgp4& prop : props) sats.push_back(&prop);
+  const std::vector<GridObserver> site{{paper_site("HK").location}};
   const JulianDate start = campaign_epoch_jd();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(predict_passes_batch(
-        requests, start, start + 1.0, {},
+    benchmark::DoNotOptimize(predict_passes_grid(
+        sats, site, start, start + 1.0, {},
         static_cast<unsigned>(state.range(0))));
   }
 }
 BENCHMARK(BM_BatchPasses)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
-/// Warm-cache batch: every window served from the ContactWindowCache.
+/// Warm-cache grid call: every window served from the ContactWindowCache.
 void BM_BatchPasses_CacheHit(benchmark::State& state) {
   const auto tles = campaign_tles();
-  const Geodetic site = paper_site("HK").location;
+  const std::vector<GridObserver> site{{paper_site("HK").location}};
   const JulianDate start = campaign_epoch_jd();
   ContactWindowCache cache;
-  benchmark::DoNotOptimize(predict_passes_batch_cached(
+  benchmark::DoNotOptimize(predict_passes_grid_cached(
       tles, site, start, start + 1.0, {}, 0, &cache));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(predict_passes_batch_cached(
+    benchmark::DoNotOptimize(predict_passes_grid_cached(
         tles, site, start, start + 1.0, {}, 0, &cache));
   }
 }

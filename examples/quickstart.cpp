@@ -38,15 +38,15 @@ int main(int argc, char** argv) {
               tianqi.name.c_str(), tianqi.total_satellites(),
               tianqi.dts_frequency_hz / 1e6);
 
-  // 2. Predict the next 24 hours of contact windows — one batch call
+  // 2. Predict the next 24 hours of contact windows — one grid call
   //    fans the whole catalog across the machine's cores.
   orbit::ContactWindow best{};
   std::string best_sat;
   std::size_t window_count = 0;
-  const auto all_windows =
-      orbit::predict_passes_batch_cached(catalog, where, epoch, epoch + 1.0);
+  const auto all_windows = orbit::predict_passes_grid_cached(
+      catalog, {orbit::GridObserver{where}}, epoch, epoch + 1.0);
   for (std::size_t i = 0; i < catalog.size(); ++i) {
-    for (const orbit::ContactWindow& w : all_windows[i]) {
+    for (const orbit::ContactWindow& w : all_windows[i][0]) {
       ++window_count;
       if (w.max_elevation_deg > best.max_elevation_deg) {
         best = w;

@@ -248,12 +248,12 @@ void print_passes(const std::vector<orbit::Tle>& catalog,
   const orbit::JulianDate start = campaign_epoch_jd();
   Table t({"Satellite", "AOS (UTC)", "duration (min)", "max elev"});
   std::size_t count = 0;
-  const auto all_windows = orbit::predict_passes_batch_cached(
-      catalog, where, start, start + hours / 24.0, {}, 0,
-      &orbit::ContactWindowCache::global(), g_metrics);
+  const auto all_windows = orbit::predict_passes_grid_cached(
+      catalog, {orbit::GridObserver{where}}, start, start + hours / 24.0, {},
+      0, &orbit::ContactWindowCache::global(), g_metrics);
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     const orbit::Tle& tle = catalog[i];
-    for (const auto& w : all_windows[i]) {
+    for (const auto& w : all_windows[i][0]) {
       const orbit::CivilTime aos = orbit::civil_from_julian(w.aos_jd);
       char when[32];
       std::snprintf(when, sizeof(when), "%02d-%02d %02d:%02d", aos.month,

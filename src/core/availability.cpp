@@ -7,18 +7,18 @@ namespace sinet::core {
 
 namespace {
 
-/// Per-TLE windows via the cached batch API (one task per satellite).
-std::vector<std::vector<orbit::ContactWindow>> per_tle_windows(
+/// Per-TLE windows over one site via the cached grid API: one observer,
+/// so the windows of TLE s are [s][0].
+std::vector<std::vector<std::vector<orbit::ContactWindow>>> per_tle_windows(
     const std::vector<orbit::Tle>& tles, const MeasurementSite& site,
     orbit::JulianDate start_jd, const AvailabilityOptions& opts) {
   orbit::PassPredictionOptions popts;
   popts.min_elevation_deg = opts.min_elevation_deg;
   popts.coarse_step_s = opts.pass_scan_step_s;
-  return orbit::predict_passes_batch_cached(
-      tles, site.location, start_jd, start_jd + opts.duration_days, popts,
-      opts.threads,
-      opts.use_window_cache ? &orbit::ContactWindowCache::global() : nullptr,
-      opts.metrics);
+  return orbit::predict_passes_grid_cached(
+      tles, {orbit::GridObserver{site.location}}, start_jd,
+      start_jd + opts.duration_days, popts, opts.threads,
+      &orbit::ContactWindowCache::global(), opts.metrics);
 }
 
 std::vector<orbit::ContactWindow> windows_for_tles(
@@ -26,7 +26,7 @@ std::vector<orbit::ContactWindow> windows_for_tles(
     orbit::JulianDate start_jd, const AvailabilityOptions& opts) {
   std::vector<orbit::ContactWindow> all;
   for (const auto& ws : per_tle_windows(tles, site, start_jd, opts))
-    all.insert(all.end(), ws.begin(), ws.end());
+    all.insert(all.end(), ws[0].begin(), ws[0].end());
   return all;
 }
 
@@ -61,7 +61,7 @@ std::vector<double> per_satellite_daily_hours(
   out.reserve(tles.size());
   for (const auto& ws : per_sat)
     out.push_back(orbit::daily_visible_seconds(
-                      ws, start_jd, start_jd + opts.duration_days) /
+                      ws[0], start_jd, start_jd + opts.duration_days) /
                   3600.0);
   return out;
 }
@@ -97,8 +97,8 @@ std::vector<double> presence_vs_constellation_size(
   for (const std::size_t idx : order) {
     const auto k = static_cast<std::size_t>(sizes[idx]);
     for (; consumed < k; ++consumed)
-      flat.insert(flat.end(), per_sat[consumed].begin(),
-                  per_sat[consumed].end());
+      flat.insert(flat.end(), per_sat[consumed][0].begin(),
+                  per_sat[consumed][0].end());
     out[idx] = orbit::daily_visible_seconds(
                    flat, start_jd, start_jd + opts.duration_days) /
                3600.0;
@@ -129,8 +129,7 @@ std::vector<double> presence_by_latitude(
   const orbit::JulianDate end_jd = start_jd + opts.duration_days;
   const auto windows = orbit::predict_passes_grid_cached(
       tles, observers, start_jd, end_jd, popts, opts.threads,
-      opts.use_window_cache ? &orbit::ContactWindowCache::global() : nullptr,
-      opts.metrics);
+      &orbit::ContactWindowCache::global(), opts.metrics);
 
   std::vector<double> out;
   out.reserve(latitudes_deg.size());

@@ -20,14 +20,14 @@ struct AvailabilityOptions {
   double duration_days = 3.0;      ///< analysis span
   double min_elevation_deg = 0.0;  ///< visibility mask
   double pass_scan_step_s = 60.0;
-  /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
-  /// hardware threads, 1 = exact serial legacy path, N = N workers.
+  /// Pass-prediction fan-out (orbit::predict_passes_grid_cached, which
+  /// serves repeated (satellite, site, span) predictions from the global
+  /// orbit::ContactWindowCache): 0 = all hardware threads, 1 = serial on
+  /// the calling thread, N = N workers. Windows are identical for any
+  /// value.
   unsigned threads = 0;
-  /// Serve repeated (satellite, site, span) predictions from the global
-  /// orbit::ContactWindowCache instead of recomputing them.
-  bool use_window_cache = true;
   /// Optional run-metrics sink ("orbit.pass_cache.*" /
-  /// "orbit.pass_batch.*"); null disables instrumentation. Must outlive
+  /// "orbit.ephemeris.*"); null disables instrumentation. Must outlive
   /// the call.
   obs::MetricsRegistry* metrics = nullptr;
 };

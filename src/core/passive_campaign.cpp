@@ -228,9 +228,7 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
         orbit::generate_tles(cfg.constellations[c], cfg.start_jd);
     windows.push_back(orbit::predict_passes_grid_cached(
         tles, site_observers, cfg.start_jd, end_jd, pass_opts, cfg.threads,
-        cfg.use_window_cache ? &orbit::ContactWindowCache::global()
-                             : nullptr,
-        cfg.metrics));
+        &orbit::ContactWindowCache::global(), cfg.metrics));
     for (const orbit::Tle& tle : tles)
       satellites.push_back(CampaignSatellite{orbit::Sgp4(tle), tle.name, c});
   }

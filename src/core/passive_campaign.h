@@ -51,12 +51,9 @@ struct PassiveCampaignConfig {
   /// stream in a fixed order and the sites merge in order, so the result
   /// is bit-identical at any thread count.
   unsigned threads = 0;
-  /// Serve repeated window predictions from the global
-  /// orbit::ContactWindowCache.
-  bool use_window_cache = true;
   std::uint64_t seed = 1;
   /// Optional run-metrics sink. When non-null the campaign records
-  /// pass-prediction ("orbit.pass_cache.*", "orbit.pass_batch.*"),
+  /// pass-prediction ("orbit.pass_cache.*", "orbit.ephemeris.*"),
   /// thread-pool ("sim.thread_pool.*") and campaign ("core.passive.*")
   /// metrics into it; null (the default) disables instrumentation. Must
   /// outlive run_passive_campaign().

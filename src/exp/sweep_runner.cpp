@@ -102,9 +102,7 @@ PointMetrics run_availability_point(const RunPoint& p) {
   }
   const auto windows = orbit::predict_passes_grid_cached(
       tles, {orbit::GridObserver{site.location}}, start_jd, end_jd, popts,
-      opts.threads,
-      opts.use_window_cache ? &orbit::ContactWindowCache::global() : nullptr,
-      opts.metrics);
+      opts.threads, &orbit::ContactWindowCache::global(), opts.metrics);
 
   PointMetrics out;
   for (std::size_t c = 0; c < specs.size(); ++c) {

@@ -151,8 +151,9 @@ struct DtsNetworkConfig {
   double visibility_mask_deg = 0.0;
   /// Coarse pass-scan step (s). 60 s is safe for LEO (> 6-min passes).
   double pass_scan_step_s = 60.0;
-  /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
-  /// hardware threads, 1 = exact serial legacy path.
+  /// Pass-prediction fan-out (orbit::predict_passes_grid_cached): 0 = all
+  /// hardware threads, 1 = serial on the calling thread. Windows are
+  /// identical for any value.
   unsigned pass_threads = 0;
   /// Worker threads for the shard schedule itself: 0 = all hardware
   /// threads, 1 = run the shard schedule inline on the calling thread.

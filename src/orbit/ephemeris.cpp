@@ -64,18 +64,27 @@ const char* propagation_mode_name(PropagationMode mode) noexcept {
   return mode == PropagationMode::kFast ? "fast" : "reference";
 }
 
+void check_scan_span(const char* caller, JulianDate jd_start,
+                     JulianDate jd_end, double coarse_step_s) {
+  const auto fail = [&](const char* what) {
+    throw std::invalid_argument(std::string(caller) + ": " + what);
+  };
+  if (!std::isfinite(jd_start) || !std::isfinite(jd_end))
+    fail("non-finite span");
+  if (jd_end < jd_start) fail("jd_end < jd_start");
+  if (!std::isfinite(coarse_step_s)) fail("non-finite step");
+  if (coarse_step_s <= 0.0) fail("nonpositive step");
+}
+
 ScanGrid::ScanGrid(JulianDate jd_start, JulianDate jd_end,
                    double coarse_step_s) {
-  if (jd_end < jd_start)
-    throw std::invalid_argument("ScanGrid: jd_end < jd_start");
-  if (coarse_step_s <= 0.0)
-    throw std::invalid_argument("ScanGrid: nonpositive step");
+  check_scan_span("ScanGrid", jd_start, jd_end, coarse_step_s);
   start_ = jd_start;
   end_ = jd_end;
   step_s_ = coarse_step_s;
   step_days_ = coarse_step_s / kSecondsPerDay;
-  // Exactly predict_passes' sample times: the same float accumulation
-  // (jd += step_days) with the same clamp, NOT jd_start + k * step.
+  // The float accumulation (jd += step_days) with its clamp, NOT
+  // jd_start + k * step: a per-pair scan steps through these times.
   times_.push_back(jd_start);
   for (JulianDate jd = jd_start + step_days_;; jd += step_days_) {
     const JulianDate t = std::min(jd, jd_end);
@@ -88,8 +97,7 @@ ScanGrid::ScanGrid(std::vector<JulianDate> times, double coarse_step_s)
     : times_(std::move(times)) {
   if (times_.empty())
     throw std::invalid_argument("ScanGrid: empty sample times");
-  if (coarse_step_s <= 0.0)
-    throw std::invalid_argument("ScanGrid: nonpositive step");
+  check_scan_span("ScanGrid", times_.front(), times_.back(), coarse_step_s);
   start_ = times_.front();
   end_ = times_.back();
   step_s_ = coarse_step_s;
@@ -321,10 +329,7 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     JulianDate jd_end, const PassPredictionOptions& opts,
     const EphemerisScanOptions& scan_opts, unsigned threads,
     obs::MetricsRegistry* metrics) {
-  if (jd_end < jd_start)
-    throw std::invalid_argument("scan_pass_pairs: jd_end < jd_start");
-  if (opts.coarse_step_s <= 0.0)
-    throw std::invalid_argument("scan_pass_pairs: nonpositive step");
+  check_scan_span("scan_pass_pairs", jd_start, jd_end, opts.coarse_step_s);
   if (scan_opts.chunk_samples == 0)
     throw std::invalid_argument("scan_pass_pairs: zero chunk_samples");
   for (const Sgp4* sat : satellites)
@@ -353,9 +358,8 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
   const double step_s = grid.step_s();
 
   std::vector<SatelliteCullBounds> bounds(satellites.size());
-  if (scan_opts.cull)
-    for (std::size_t s = 0; s < satellites.size(); ++s)
-      bounds[s] = satellite_cull_bounds(*satellites[s]);
+  for (std::size_t s = 0; s < satellites.size(); ++s)
+    bounds[s] = satellite_cull_bounds(*satellites[s]);
 
   std::vector<ObserverCullGeometry> geometry(observers.size());
   std::vector<double> masks(observers.size());
@@ -363,8 +367,7 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     masks[o] = std::isnan(observers[o].min_elevation_deg)
                    ? opts.min_elevation_deg
                    : observers[o].min_elevation_deg;
-    if (scan_opts.cull)
-      geometry[o] = observer_cull_geometry(observers[o].location);
+    geometry[o] = observer_cull_geometry(observers[o].location);
   }
 
   std::vector<PairScan> scans;
@@ -410,13 +413,13 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
           b.pair[l] = i;
           frames[l] = &p.sampler.frame();
           b.sin_mask[l] = std::sin(p.mask_deg * kDegToRad);
-          b.ux[l] = p.cull.geometry->unit_ecef.x;
-          b.uy[l] = p.cull.geometry->unit_ecef.y;
-          b.uz[l] = p.cull.geometry->unit_ecef.z;
-          b.cos_vis[l] =
-              p.cull.enabled ? std::cos(p.cull.gamma_vis_rad) : -1.0;
+          const PairCull& cull = p.cull_test;
+          b.ux[l] = cull.geometry->unit_ecef.x;
+          b.uy[l] = cull.geometry->unit_ecef.y;
+          b.uz[l] = cull.geometry->unit_ecef.z;
+          b.cos_vis[l] = cull.enabled ? std::cos(cull.gamma_vis_rad) : -1.0;
           b.inv_omega_step[l] =
-              p.cull.enabled ? 1.0 / (p.cull.omega_max_rad_s * step_s) : 0.0;
+              cull.enabled ? 1.0 / (cull.omega_max_rad_s * step_s) : 0.0;
         }
         b.frames = pack_topocentric_frames(frames.data(), b.lanes);
         blocks.push_back(b);
@@ -542,7 +545,7 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     }
   }
 
-  // Windows still open at jd_end: truncate, exactly like predict_passes.
+  // Windows still open at jd_end: truncate them there.
   const auto finalize_one = [&](std::size_t i) { scans[i].finalize(jd_end); };
   if (pool != nullptr) {
     pool->parallel_for(scans.size(), finalize_one);
@@ -628,17 +631,16 @@ RollingEphemeris::RollingEphemeris(std::vector<const Sgp4*> satellites,
                                    JulianDate anchor_jd, const Options& opts)
     : satellites_(std::move(satellites)), opts_(opts), anchor_jd_(anchor_jd),
       step_days_(opts.coarse_step_s / kSecondsPerDay) {
-  if (opts_.coarse_step_s <= 0.0)
-    throw std::invalid_argument("RollingEphemeris: nonpositive step");
+  check_scan_span("RollingEphemeris", anchor_jd, anchor_jd,
+                  opts_.coarse_step_s);
   if (opts_.chunk_samples == 0)
     throw std::invalid_argument("RollingEphemeris: zero chunk_samples");
   for (const Sgp4* sat : satellites_)
     if (sat == nullptr)
       throw std::invalid_argument("RollingEphemeris: null propagator");
   bounds_.resize(satellites_.size());
-  if (opts_.cull)
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      bounds_[s] = satellite_cull_bounds(*satellites_[s]);
+  for (std::size_t s = 0; s < satellites_.size(); ++s)
+    bounds_[s] = satellite_cull_bounds(*satellites_[s]);
 }
 
 RollingEphemeris::~RollingEphemeris() = default;
@@ -675,6 +677,9 @@ void RollingEphemeris::append_chunk(sim::ThreadPool* pool,
 
 RollingEphemeris::AdvanceStats RollingEphemeris::advance(
     JulianDate retire_before, JulianDate cover_until, sim::ThreadPool* pool) {
+  // An infinite leading edge would append chunks until memory runs out.
+  if (!std::isfinite(cover_until))
+    throw std::invalid_argument("RollingEphemeris: non-finite cover_until");
   AdvanceStats stats;
   while (chunks_.empty() || last_time_ < cover_until)
     append_chunk(pool, &stats);
@@ -768,8 +773,8 @@ std::vector<ContactWindow> RollingEphemeris::scan_satellite(
   const double mask = std::isnan(observer.min_elevation_deg)
                           ? opts.min_elevation_deg
                           : observer.min_elevation_deg;
-  ObserverCullGeometry geometry;
-  if (opts_.cull) geometry = observer_cull_geometry(observer.location);
+  const ObserverCullGeometry geometry =
+      observer_cull_geometry(observer.location);
   PairScanState p(*satellites_[satellite], observer.location, mask,
                   pair_cull(bounds_[satellite], geometry, mask), satellite);
   const RollingView view{this};
@@ -810,8 +815,8 @@ RollingEphemeris::NextPass RollingEphemeris::next_pass(
                           : observer.min_elevation_deg;
   // One frame and one cull geometry per query, shared by every satellite.
   const TopocentricFrame frame(observer.location);
-  ObserverCullGeometry geometry;
-  if (opts_.cull) geometry = observer_cull_geometry(observer.location);
+  const ObserverCullGeometry geometry =
+      observer_cull_geometry(observer.location);
   const RollingView view{this};
   const std::size_t base = base_index();
   const std::size_t end = next_index_;

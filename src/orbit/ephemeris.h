@@ -1,11 +1,11 @@
 // Shared-ephemeris pass-prediction engine with conservative geometric
 // culling.
 //
-// The legacy coarse scan (orbit/passes.h, predict_passes) pays one SGP4
-// propagation + GMST evaluation + TEME->ECEF rotation + look-angle solve
-// per coarse step per (satellite, observer) pair, even though the
-// satellite's ephemeris is observer-independent and almost every sample
-// is far below the horizon. This engine:
+// A per-pair coarse scan (the one tests/pass_scan_oracle.h keeps as the
+// test oracle) pays one SGP4 propagation + GMST evaluation + TEME->ECEF
+// rotation + look-angle solve per coarse step per (satellite, observer)
+// pair, even though the satellite's ephemeris is observer-independent and
+// almost every sample is far below the horizon. This engine:
 //
 //  1. propagates each satellite ONCE per coarse step into a shared
 //     EphemerisTable (ECEF position + geocentric distance), with GMST
@@ -13,14 +13,14 @@
 //  2. culls samples that are provably below the elevation mask from
 //     geometry alone, and uses a worst-case angular-rate bound to skip
 //     ahead over stretches that provably stay below it;
-//  3. refines AOS/LOS/TCA with the exact same ElevationSampler
-//     primitives as the legacy scan (refine_mask_crossing /
-//     refine_max_elevation), on the exact same coarse grid times.
+//  3. refines AOS/LOS/TCA with the shared ElevationSampler primitives
+//     (refine_mask_crossing / refine_max_elevation), on the same coarse
+//     grid times a per-pair scan steps through.
 //
-// The result: every emitted ContactWindow is bit-identical to
-// predict_passes on the same (satellite, observer, span, options) — the
-// culling decides only "provably not visible", never "visible", and any
-// sample it cannot prove is evaluated exactly.
+// The result: in kReference mode every emitted ContactWindow is
+// bit-identical to the per-pair scan on the same (satellite, observer,
+// span, options) — the culling decides only "provably not visible",
+// never "visible", and any sample it cannot prove is evaluated exactly.
 //
 // Culling math (all angles geocentric, at the Earth's center):
 // let gamma be the angle between the observer's geocentric direction and
@@ -68,7 +68,7 @@ namespace sinet::orbit {
 /// elevation classification.
 enum class PropagationMode : int {
   /// Scalar SGP4 + exact per-pair elevation tests. Windows are
-  /// bit-identical to legacy predict_passes — the seed contract.
+  /// bit-identical to the per-pair scalar scan — the seed contract.
   kReference = 0,
   /// SoA/SIMD batched SGP4 (orbit/sgp4_batch.h) + fused multi-observer
   /// visibility in the sine domain + cos-domain culling. AOS/LOS/TCA are
@@ -108,22 +108,31 @@ inline constexpr double kCullRateSafety = 1.06;
 /// magnitude below any real visibility geometry.
 inline constexpr double kCullAngularPadRad = 1e-5;
 
-/// The coarse scan grid: jd_start, then the exact float accumulation
-/// predict_passes steps through (jd += step_days, clamped to jd_end),
-/// built once and shared by every pair. Sharing the *identical* sample
-/// times (not k * step reconstructions) is what keeps refinement
-/// brackets — and therefore emitted windows — bit-identical to the
-/// legacy scan.
+/// Throws std::invalid_argument, its message prefixed by `caller`,
+/// unless jd_start and jd_end are finite with jd_start <= jd_end and
+/// coarse_step_s is finite and positive. Every scan entry point checks
+/// this before any work: a NaN or infinite bound would never end the
+/// grid's accumulation loop.
+void check_scan_span(const char* caller, JulianDate jd_start,
+                     JulianDate jd_end, double coarse_step_s);
+
+/// The coarse scan grid: jd_start, then the float accumulation
+/// jd += step_days, clamped to jd_end, built once and shared by every
+/// pair. Sharing the *identical* sample times (not k * step
+/// reconstructions) is what keeps refinement brackets — and therefore
+/// emitted windows — bit-identical to a per-pair scan that accumulates
+/// its own times.
 class ScanGrid {
  public:
+  /// Throws as check_scan_span does.
   ScanGrid(JulianDate jd_start, JulianDate jd_end, double coarse_step_s);
 
   /// Wrap explicitly provided sample times. `times` must be the
   /// continuation of an existing `jd += step_days` accumulation:
   /// RollingEphemeris uses this to extend a rolling grid chunk-by-chunk
   /// without re-anchoring the float accumulation (which would break
-  /// bit-parity with a fresh full-span grid). Throws on empty times or
-  /// nonpositive step.
+  /// bit-parity with a fresh full-span grid). Throws on empty times, or
+  /// as check_scan_span does on the first and last time and the step.
   ScanGrid(std::vector<JulianDate> times, double coarse_step_s);
 
   [[nodiscard]] std::size_t size() const noexcept { return times_.size(); }
@@ -248,7 +257,6 @@ struct PairTask {
 };
 
 struct EphemerisScanOptions {
-  bool cull = true;                  ///< false = share ephemeris only
   std::size_t chunk_samples = 4096;  ///< grid samples per table chunk
   /// Evaluation mode; the default member initializer reads the
   /// process-wide propagation_mode() at the moment the options object is
@@ -258,10 +266,11 @@ struct EphemerisScanOptions {
 
 /// Run the shared-ephemeris scan for every pair; windows come back in
 /// pair order. In PropagationMode::kReference (the default) they are
-/// bit-identical to predict_passes per pair; kFast trades that for speed
+/// bit-identical to the per-pair scalar scan; kFast trades that for speed
 /// within the documented tolerance. Observers with a NaN mask use
 /// opts.min_elevation_deg (see GridObserver). `threads` follows
-/// predict_passes_batch semantics.
+/// predict_passes_grid semantics. Validates every argument (the span and
+/// step as check_scan_span does) before returning early on no pairs.
 [[nodiscard]] std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     const std::vector<const Sgp4*>& satellites,
     const std::vector<GridObserver>& observers,
@@ -279,9 +288,8 @@ struct EphemerisScanOptions {
 /// accumulation from the last retained sample, so the retained grid
 /// times are bitwise what a fresh ScanGrid over the same span would
 /// produce, and scan_satellite windows are bit-identical to
-/// scan_pass_pairs — and therefore predict_passes — over
-/// [start_time(), end_time()] in kReference mode (parity test:
-/// test_ephemeris.cpp). Not internally synchronized: the service layer
+/// scan_pass_pairs over [start_time(), end_time()] in kReference mode
+/// (parity test: test_ephemeris.cpp). Not internally synchronized: the service layer
 /// serializes advance() against queries (svc::PassService uses a
 /// shared_mutex — many concurrent scans, exclusive advance).
 class RollingEphemeris {
@@ -289,7 +297,6 @@ class RollingEphemeris {
   struct Options {
     double coarse_step_s = 30.0;       ///< grid step; queries must match
     std::size_t chunk_samples = 2048;  ///< grid samples per appended chunk
-    bool cull = true;                  ///< conservative geometric culling
     /// Evaluation mode (same contract as EphemerisScanOptions::mode).
     PropagationMode mode = propagation_mode();
   };
@@ -300,7 +307,9 @@ class RollingEphemeris {
   };
 
   /// `satellites` are borrowed and must outlive the engine. The horizon
-  /// starts empty at `anchor_jd`; call advance() to populate it. (Two
+  /// starts empty at `anchor_jd`; call advance() to populate it. Throws
+  /// std::invalid_argument on a non-finite anchor, a non-finite or
+  /// nonpositive step, zero chunk_samples or a null propagator. (Two
   /// overloads instead of `opts = {}` — a nested-class default argument
   /// cannot use Options' default member initializers before the
   /// enclosing class is complete.)
@@ -315,7 +324,8 @@ class RollingEphemeris {
   /// `cover_until`, then retire leading chunks no longer needed to cover
   /// `retire_before` (the chunk containing retire_before is always kept,
   /// so queries at "now" stay answerable). `pool` non-null fans the
-  /// per-satellite fills out across it.
+  /// per-satellite fills out across it. Throws std::invalid_argument on a
+  /// non-finite `cover_until`.
   AdvanceStats advance(JulianDate retire_before, JulianDate cover_until,
                        sim::ThreadPool* pool = nullptr);
 
@@ -363,7 +373,7 @@ class RollingEphemeris {
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   /// Scan one satellite against one observer over the whole retained
-  /// horizon. kReference windows are bit-identical to predict_passes over
+  /// horizon. kReference windows are bit-identical to scan_pass_pairs over
   /// [start_time(), end_time()]. A NaN observer mask falls back to
   /// opts.min_elevation_deg. Throws std::invalid_argument when
   /// opts.coarse_step_s differs from the rolling grid step (a silently

@@ -93,10 +93,10 @@ void fused_visibility(const TopocentricFrameSoA& frames,
                                      const Vec3& sat_ecef_vel_km_s);
 
 /// Elevation (deg) only, from an ECEF satellite position. This is THE
-/// elevation evaluation for pass prediction: both the legacy per-pair
-/// scan (via ElevationSampler) and the shared-ephemeris table scan call
-/// this one definition, so the two paths agree bit-for-bit by
-/// construction rather than by duplicated arithmetic.
+/// elevation evaluation for pass prediction: both ElevationSampler (the
+/// refinement searches and any per-pair scan) and the shared-ephemeris
+/// table scan call this one definition, so the two paths agree
+/// bit-for-bit by construction rather than by duplicated arithmetic.
 [[nodiscard]] double elevation_from_ecef(const TopocentricFrame& frame,
                                          const Vec3& sat_ecef_km);
 

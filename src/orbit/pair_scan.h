@@ -1,13 +1,14 @@
-// Per-(satellite, observer) scan state shared by the batch engine
+// Per-(satellite, observer) scan state shared by the span engine
 // (scan_pass_pairs) and the rolling-horizon engine (RollingEphemeris).
 //
 // Both engines walk a coarse grid of precomputed ECEF samples, cull
 // stretches that are provably below the elevation mask (see ephemeris.h
 // for the cone/rate math), classify the rest exactly, and refine every
-// visibility transition with the legacy predict_passes primitives. This
-// header holds that walk ONCE, templated over a sample view, so the two
-// engines cannot drift apart: the rolling scan is bit-identical to the
-// fresh full-span scan by construction, not by parallel maintenance.
+// visibility transition with the shared primitives (refine_mask_crossing
+// / refine_max_elevation). This header holds that walk ONCE, templated
+// over a sample view, so the two engines cannot drift apart: the rolling
+// scan is bit-identical to the fresh full-span scan by construction, not
+// by parallel maintenance.
 // The per-sample step (classify_sample) is also what
 // RollingEphemeris::next_pass walks with, so its bounded search sees
 // every sample exactly as the full scan does.
@@ -17,7 +18,7 @@
 //   const Vec3& position(std::size_t s, std::size_t k)   // ECEF km
 //   double      distance(std::size_t s, std::size_t k)   // geocentric km
 // Absolute indexing is what lets one scan state persist across table
-// chunks (batch engine) or retained horizon chunks (rolling engine) with
+// chunks (span engine) or retained horizon chunks (rolling engine) with
 // identical skip-ahead clamps in both.
 #pragma once
 
@@ -47,7 +48,7 @@ struct PairCull {
 };
 
 /// The cull test of one pair. Disabled when the satellite has no valid
-/// bounds, which is also how an engine with culling off leaves them.
+/// bounds.
 [[nodiscard]] inline PairCull pair_cull(const SatelliteCullBounds& bounds,
                                         const ObserverCullGeometry& geometry,
                                         double mask_deg) {
@@ -108,12 +109,12 @@ struct PairScanState {
   PairScanState(const Sgp4& prop, const Geodetic& observer_location,
                 double mask, const PairCull& pair_cull,
                 std::size_t satellite_row)
-      : sampler(prop, observer_location), mask_deg(mask), cull(pair_cull),
-        sat(satellite_row) {}
+      : sampler(prop, observer_location), mask_deg(mask),
+        cull_test(pair_cull), sat(satellite_row) {}
 
   ElevationSampler sampler;
   double mask_deg;
-  PairCull cull;
+  PairCull cull_test;
   std::size_t sat;
 
   bool init_done = false;
@@ -138,9 +139,8 @@ struct PairScanState {
     ++exact_evals;
   }
 
-  /// Classify the scan's first sample (absolute index `base_k`) exactly,
-  /// as predict_passes evaluates its sample 0, and aim the scan at the
-  /// following sample.
+  /// Classify the scan's first sample (absolute index `base_k`) exactly
+  /// — it is never culled — and aim the scan at the following sample.
   template <typename View>
   void init(const View& view, std::size_t base_k) {
     const double el0 =
@@ -180,7 +180,7 @@ struct PairScanState {
     while (next_k < chunk_end) {
       const std::size_t k = next_k;
       const SampleVerdict v = classify_sample(view, sat, k, total_end, step_s,
-                                              sampler.frame(), mask_deg, cull);
+                                              sampler.frame(), mask_deg, cull_test);
       if (v.cull_decided)
         ++cull_decisions;
       else
@@ -188,15 +188,15 @@ struct PairScanState {
       ++visited;
       culled += v.advance - 1;
 
-      // Identical transition handling (and refinement brackets) to
-      // predict_passes; skipped samples are all proven invisible while
+      // Identical transition handling (and refinement brackets) to an
+      // unculled walk: skipped samples are all proven invisible while
       // prev_vis is false, so no transition can hide inside a skip.
       record_sample(v.visible, view.time(k), step_days, refine_tolerance_s);
       next_k = k + v.advance;
     }
   }
 
-  /// Truncate a still-open window at jd_end, exactly like predict_passes.
+  /// Truncate a still-open window at jd_end.
   void finalize(JulianDate jd_end) {
     if (!prev_vis) return;
     ContactWindow w;

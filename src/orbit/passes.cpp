@@ -5,15 +5,12 @@
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "orbit/ephemeris.h"
 #include "orbit/frames.h"
 #include "orbit/sgp4_batch.h"
-#include "sim/thread_pool.h"
 
 namespace sinet::orbit {
 
@@ -22,8 +19,8 @@ double ElevationSampler::elevation_deg(JulianDate jd) const {
   const EcefState ecef =
       teme_to_ecef_state(st.position_km, st.velocity_km_s, jd);
   // Shared definition with the ephemeris-table scan (see look_angles.h):
-  // both paths agreeing bit-for-bit is what makes culled windows
-  // bit-identical to the legacy scan.
+  // both paths agreeing bit-for-bit is what keeps the table scan's
+  // windows bit-identical to a per-pair scan built on this sampler.
   return elevation_from_ecef(frame_, ecef.position_km);
 }
 
@@ -253,105 +250,6 @@ PassSample sample_geometry(const Sgp4& prop, const Geodetic& observer,
   return ElevationSampler(prop, observer).sample(jd);
 }
 
-std::vector<ContactWindow> predict_passes(const Sgp4& prop,
-                                          const Geodetic& observer,
-                                          JulianDate jd_start,
-                                          JulianDate jd_end,
-                                          const PassPredictionOptions& opts) {
-  if (jd_end < jd_start)
-    throw std::invalid_argument("predict_passes: jd_end < jd_start");
-  if (opts.coarse_step_s <= 0.0)
-    throw std::invalid_argument("predict_passes: nonpositive step");
-
-  const ElevationSampler sampler(prop, observer);
-  std::vector<ContactWindow> out;
-  const double step_days = opts.coarse_step_s / kSecondsPerDay;
-
-  bool prev_vis = sampler.elevation_deg(jd_start) >= opts.min_elevation_deg;
-  JulianDate window_start = prev_vis ? jd_start : 0.0;
-
-  for (JulianDate jd = jd_start + step_days;; jd += step_days) {
-    const JulianDate t = std::min(jd, jd_end);
-    const bool vis = sampler.elevation_deg(t) >= opts.min_elevation_deg;
-    if (vis && !prev_vis) {
-      window_start = refine_mask_crossing(sampler, t - step_days, t,
-                                     opts.min_elevation_deg,
-                                     opts.refine_tolerance_s);
-    } else if (!vis && prev_vis) {
-      const JulianDate window_end =
-          refine_mask_crossing(sampler, t - step_days, t, opts.min_elevation_deg,
-                          opts.refine_tolerance_s);
-      ContactWindow w;
-      w.aos_jd = window_start;
-      w.los_jd = window_end;
-      auto [tca, elev] = refine_max_elevation(sampler, w.aos_jd, w.los_jd);
-      w.tca_jd = tca;
-      w.max_elevation_deg = elev;
-      out.push_back(w);
-    }
-    prev_vis = vis;
-    if (t >= jd_end) break;
-  }
-  if (prev_vis) {  // window still open at jd_end: truncate
-    ContactWindow w;
-    w.aos_jd = window_start;
-    w.los_jd = jd_end;
-    auto [tca, elev] = refine_max_elevation(sampler, w.aos_jd, w.los_jd);
-    w.tca_jd = tca;
-    w.max_elevation_deg = elev;
-    out.push_back(w);
-  }
-  return out;
-}
-
-std::vector<std::vector<ContactWindow>> predict_passes_batch(
-    const std::vector<PassBatchRequest>& requests, JulianDate jd_start,
-    JulianDate jd_end, const PassPredictionOptions& opts, unsigned threads,
-    obs::MetricsRegistry* metrics) {
-  // Validate once up front so failures are thrown deterministically
-  // before any task is spawned.
-  if (jd_end < jd_start)
-    throw std::invalid_argument("predict_passes_batch: jd_end < jd_start");
-  if (opts.coarse_step_s <= 0.0)
-    throw std::invalid_argument("predict_passes_batch: nonpositive step");
-  for (const PassBatchRequest& req : requests)
-    if (req.propagator == nullptr)
-      throw std::invalid_argument("predict_passes_batch: null propagator");
-
-  obs::ScopedTimer timer(
-      metrics == nullptr
-          ? nullptr
-          : &metrics->histogram("orbit.pass_batch.latency_ms", 0.0, 10000.0,
-                                50));
-  if (metrics != nullptr) {
-    metrics->counter("orbit.pass_batch.calls").add(1);
-    metrics->counter("orbit.pass_batch.requests").add(requests.size());
-  }
-
-  // Deduplicate propagators and observers so the engine shares ephemeris
-  // rows between requests naming the same satellite and topocentric
-  // frames between requests naming the same site.
-  std::vector<const Sgp4*> satellites;
-  std::map<const Sgp4*, std::size_t> satellite_index;
-  std::vector<GridObserver> observers;
-  std::map<std::tuple<double, double, double>, std::size_t> observer_index;
-  std::vector<PairTask> pairs;
-  pairs.reserve(requests.size());
-  for (const PassBatchRequest& req : requests) {
-    const auto [sit, s_new] =
-        satellite_index.try_emplace(req.propagator, satellites.size());
-    if (s_new) satellites.push_back(req.propagator);
-    const auto [oit, o_new] = observer_index.try_emplace(
-        std::tuple{req.observer.latitude_deg, req.observer.longitude_deg,
-                   req.observer.altitude_km},
-        observers.size());
-    if (o_new) observers.push_back(GridObserver{req.observer});
-    pairs.push_back(PairTask{sit->second, oit->second});
-  }
-  return scan_pass_pairs(satellites, observers, pairs, jd_start, jd_end,
-                         opts, {}, threads, metrics);
-}
-
 std::vector<std::vector<std::vector<ContactWindow>>> predict_passes_grid(
     const std::vector<const Sgp4*>& satellites,
     const std::vector<GridObserver>& observers, JulianDate jd_start,
@@ -394,19 +292,6 @@ ContactWindowCache::Key ContactWindowCache::make_key(
              opts.coarse_step_s,
              opts.refine_tolerance_s,
              mode_slot};
-}
-
-std::vector<ContactWindow> ContactWindowCache::get_or_predict(
-    const Tle& tle, const Geodetic& observer, JulianDate jd_start,
-    JulianDate jd_end, const PassPredictionOptions& opts) {
-  // predict_passes() always runs the scalar reference propagator, so
-  // this path keys (and stays mutually visible) with kReference.
-  return get_or_compute(tle, observer, jd_start, jd_end, opts,
-                        PropagationMode::kReference, [&] {
-                          const Sgp4 prop(tle);
-                          return predict_passes(prop, observer, jd_start,
-                                                jd_end, opts);
-                        });
 }
 
 std::vector<ContactWindow> ContactWindowCache::get_or_compute(
@@ -534,6 +419,11 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
                            const PassPredictionOptions& opts,
                            unsigned threads, ContactWindowCache* cache,
                            obs::MetricsRegistry* metrics) {
+  // Before the probe: a NaN span would break the key map's ordering.
+  check_scan_span("predict_passes_grid_cached", jd_start, jd_end,
+                  opts.coarse_step_s);
+  if (cache == nullptr)
+    throw std::invalid_argument("predict_passes_grid_cached: null cache");
   std::vector<std::vector<std::vector<ContactWindow>>> out(tles.size());
   for (auto& per_sat : out) per_sat.resize(observers.size());
 
@@ -544,8 +434,9 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
   const double mode_slot =
       static_cast<double>(static_cast<int>(scan_opts.mode));
 
-  // Cache keys carry the observer's *effective* mask so they are the
-  // same keys get_or_predict / batch_cached would use for that pair.
+  // Cache keys carry the observer's *effective* mask, so an observer
+  // whose mask is the options' fallback shares entries with one that
+  // names the same mask.
   const auto effective_opts = [&](std::size_t o) {
     PassPredictionOptions eff = opts;
     if (!std::isnan(observers[o].min_elevation_deg))
@@ -557,11 +448,7 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
   // need computing.
   std::vector<PairTask> miss_pairs;
   std::uint64_t probe_hits = 0;
-  if (cache == nullptr) {
-    for (std::size_t s = 0; s < tles.size(); ++s)
-      for (std::size_t o = 0; o < observers.size(); ++o)
-        miss_pairs.push_back(PairTask{s, o});
-  } else {
+  {
     std::lock_guard<std::mutex> lock(cache->mutex_);
     for (std::size_t s = 0; s < tles.size(); ++s) {
       for (std::size_t o = 0; o < observers.size(); ++o) {
@@ -612,39 +499,24 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
                                     threads, metrics);
     for (std::size_t m = 0; m < miss_pairs.size(); ++m) {
       const PairTask& p = miss_pairs[m];
-      if (cache != nullptr)
-        cache->insert(ContactWindowCache::make_key(
-                          tles[p.satellite], observers[p.observer].location,
-                          jd_start, jd_end, effective_opts(p.observer),
-                          mode_slot),
-                      computed[m]);
+      cache->insert(ContactWindowCache::make_key(
+                        tles[p.satellite], observers[p.observer].location,
+                        jd_start, jd_end, effective_opts(p.observer),
+                        mode_slot),
+                    computed[m]);
       out[p.satellite][p.observer] = std::move(computed[m]);
     }
   }
   // Single entries/bytes-gauge refresh, after any insertions — the
   // pre-compute set this used to do was redundant on the miss path and
   // is folded into this one, which also covers the all-hits early path.
-  if (metrics != nullptr && cache != nullptr) {
+  if (metrics != nullptr) {
     const ContactWindowCache::Stats cs = cache->stats();
     metrics->gauge("orbit.pass_cache.entries")
         .set(static_cast<double>(cs.entries));
     metrics->gauge("orbit.pass_cache.bytes")
         .set(static_cast<double>(cs.bytes));
   }
-  return out;
-}
-
-std::vector<std::vector<ContactWindow>> predict_passes_batch_cached(
-    const std::vector<Tle>& tles, const Geodetic& observer,
-    JulianDate jd_start, JulianDate jd_end, const PassPredictionOptions& opts,
-    unsigned threads, ContactWindowCache* cache,
-    obs::MetricsRegistry* metrics) {
-  auto grid = predict_passes_grid_cached(tles, {GridObserver{observer}},
-                                         jd_start, jd_end, opts, threads,
-                                         cache, metrics);
-  std::vector<std::vector<ContactWindow>> out(tles.size());
-  for (std::size_t i = 0; i < tles.size(); ++i)
-    out[i] = std::move(grid[i][0]);
   return out;
 }
 

@@ -96,10 +96,10 @@ class ElevationSampler {
 };
 
 /// Bisect for the elevation-mask crossing between jd_lo and jd_hi (which
-/// must bracket a visibility transition). Exposed so the shared-ephemeris
-/// scan (orbit/ephemeris.h) refines AOS/LOS with the *same* primitive as
-/// predict_passes — bit-identical windows depend on it. The search
-/// evaluates its points four at a time in SIMD lanes and falls back to
+/// must bracket a visibility transition). Every scan engine
+/// (orbit/ephemeris.h, orbit/pair_scan.h) refines AOS/LOS with this one
+/// primitive — bit-identical windows depend on it. The search evaluates
+/// its points four at a time in SIMD lanes and falls back to
 /// `sampler.elevation_deg` for any comparison the lanes cannot certify;
 /// it returns (and throws) exactly what the one-point-at-a-time scalar
 /// bisection does, in every propagation mode.
@@ -109,10 +109,9 @@ class ElevationSampler {
                                               double mask_deg, double tol_s);
 
 /// Golden-section search for the max elevation inside [a, b]; returns
-/// {tca_jd, max_elevation_deg}. Shared between the legacy and
-/// shared-ephemeris scans for the same reason as refine_mask_crossing,
-/// and evaluated the same way; the returned elevation is always
-/// `sampler.elevation_deg(tca_jd)`.
+/// {tca_jd, max_elevation_deg}. Shared by every scan engine for the same
+/// reason as refine_mask_crossing, and evaluated the same way; the
+/// returned elevation is always `sampler.elevation_deg(tca_jd)`.
 [[nodiscard]] std::pair<JulianDate, double> refine_max_elevation(
     const ElevationSampler& sampler, JulianDate a, JulianDate b);
 
@@ -120,39 +119,6 @@ class ElevationSampler {
 [[nodiscard]] PassSample sample_geometry(const Sgp4& prop,
                                          const Geodetic& observer,
                                          JulianDate jd);
-
-/// Find all contact windows in [jd_start, jd_end].
-/// Windows already in progress at jd_start are truncated to jd_start;
-/// windows still open at jd_end are truncated to jd_end.
-[[nodiscard]] std::vector<ContactWindow> predict_passes(
-    const Sgp4& prop, const Geodetic& observer, JulianDate jd_start,
-    JulianDate jd_end, const PassPredictionOptions& opts = {});
-
-/// One (satellite, ground site) pair of a batch prediction.
-struct PassBatchRequest {
-  const Sgp4* propagator = nullptr;  ///< must outlive the batch call
-  Geodetic observer;
-};
-
-/// Predict every request's windows over the same span.
-///
-/// Routed through the shared-ephemeris engine: requests naming the same
-/// propagator share its coarse-grid states, requests naming the same
-/// observer share one TopocentricFrame, and conservative culling skips
-/// provably-below-mask samples. Results come back in input order and are
-/// byte-identical to calling predict_passes serially per request.
-///
-/// `threads` semantics: 0 = all hardware threads (the process-wide shared
-/// pool), 1 = serial on the calling thread (no pool), N > 1 = N workers.
-///
-/// When `metrics` is non-null the call records its wall time into the
-/// "orbit.pass_batch.latency_ms" histogram and bumps the
-/// "orbit.pass_batch.calls" / "orbit.pass_batch.requests" counters; null
-/// (the default) takes no clock reads.
-[[nodiscard]] std::vector<std::vector<ContactWindow>> predict_passes_batch(
-    const std::vector<PassBatchRequest>& requests, JulianDate jd_start,
-    JulianDate jd_end, const PassPredictionOptions& opts = {},
-    unsigned threads = 0, obs::MetricsRegistry* metrics = nullptr);
 
 /// One ground site of a multi-observer grid prediction. A NaN mask (the
 /// default) means "use opts.min_elevation_deg"; setting it lets callers
@@ -163,18 +129,23 @@ struct GridObserver {
   double min_elevation_deg = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Predict windows for every (satellite, observer) pair over one span,
-/// through the shared-ephemeris + conservative-culling engine
-/// (orbit/ephemeris.h): each satellite is propagated once per coarse
-/// step and shared across all observers, GMST is evaluated once per step
-/// across all satellites, and provably-below-mask samples are skipped.
-/// Result is indexed [satellite][observer] and every window is
-/// bit-identical to predict_passes on the same pair.
+/// Find all contact windows in [jd_start, jd_end] for every (satellite,
+/// observer) pair, through the shared-ephemeris + conservative-culling
+/// engine (orbit/ephemeris.h, scan_pass_pairs): each satellite is
+/// propagated once per coarse step and shared across all observers, GMST
+/// is evaluated once per step across all satellites, and
+/// provably-below-mask samples are skipped. Windows already in progress
+/// at jd_start are truncated to jd_start; windows still open at jd_end
+/// are truncated to jd_end. Result is indexed [satellite][observer]; in
+/// PropagationMode::kReference every window is bit-identical to the
+/// one-pair scalar scan that tests/pass_scan_oracle.h keeps.
 ///
-/// `threads` follows predict_passes_batch semantics (0 = shared pool,
-/// 1 = serial, N = local pool); pairs fan out across the pool.
-/// When `metrics` is non-null the engine records orbit.ephemeris.*
-/// reuse/cull counters and a scan-latency histogram.
+/// `threads`: 0 = all hardware threads (the process-wide shared pool),
+/// 1 = serial on the calling thread (no pool), N > 1 = N workers; pairs
+/// fan out across the pool. Throws std::invalid_argument on a
+/// non-finite or inverted span, a non-finite or nonpositive step, or a
+/// null propagator. When `metrics` is non-null the engine records
+/// orbit.ephemeris.* reuse/cull counters and a scan-latency histogram.
 [[nodiscard]] std::vector<std::vector<std::vector<ContactWindow>>>
 predict_passes_grid(const std::vector<const Sgp4*>& satellites,
                     const std::vector<GridObserver>& observers,
@@ -191,9 +162,9 @@ predict_passes_grid(const std::vector<const Sgp4*>& satellites,
 /// (run_passive_campaign, constellation_windows, per_satellite_daily_hours)
 /// repeatedly re-derive the same windows for the same satellite/site/span;
 /// this cache collapses those recomputations. Thread-safe; bounded LRU
-/// (hits refresh recency). get_or_predict is single-flight: concurrent
+/// (hits refresh recency). get_or_compute is single-flight: concurrent
 /// misses on the same key block on the first caller's computation instead
-/// of each running predict_passes.
+/// of each running their own.
 class ContactWindowCache {
  public:
   /// `max_bytes` bounds the resident footprint of the cached windows
@@ -206,22 +177,16 @@ class ContactWindowCache {
                               std::size_t max_bytes = 0)
       : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
-  /// Return the cached windows for (tle, observer, span, opts), computing
-  /// and inserting them on a miss. Waiting on another caller's in-flight
-  /// computation of the same key counts as a hit (only the first caller
-  /// records the miss and does the work); if that computation throws, the
-  /// exception is rethrown to every waiter.
-  [[nodiscard]] std::vector<ContactWindow> get_or_predict(
-      const Tle& tle, const Geodetic& observer, JulianDate jd_start,
-      JulianDate jd_end, const PassPredictionOptions& opts = {});
-
-  /// Same keying, single-flight and LRU behavior as get_or_predict, but
-  /// the miss path runs `compute` instead of predict_passes. This is how
-  /// the pass-prediction service (src/svc) serves misses from its warm
-  /// rolling-horizon ephemeris while sharing one cache (and one set of
-  /// keys) with the batch prediction APIs: `mode_slot` must say which
-  /// propagation mode produced the windows so fast/reference results
-  /// never alias.
+  /// Return the cached windows for (tle, observer, span, opts, mode_slot),
+  /// running `compute` and inserting its windows on a miss. Waiting on
+  /// another caller's in-flight computation of the same key counts as a
+  /// hit (only the first caller records the miss and runs `compute`); if
+  /// that computation throws, the exception is rethrown to every waiter.
+  /// The pass-prediction service (src/svc) serves misses this way from
+  /// its warm rolling-horizon ephemeris while sharing one cache (and one
+  /// set of keys) with predict_passes_grid_cached: `mode_slot` must say
+  /// which propagation mode produced the windows so fast/reference
+  /// results never alias.
   [[nodiscard]] std::vector<ContactWindow> get_or_compute(
       const Tle& tle, const Geodetic& observer, JulianDate jd_start,
       JulianDate jd_end, const PassPredictionOptions& opts,
@@ -305,7 +270,14 @@ class ContactWindowCache {
 /// (satellite, observer) pair served from `cache` where possible and the
 /// misses computed in ONE shared-ephemeris engine scan. Cache keys use the
 /// observer's *effective* mask, so entries interoperate with
-/// predict_passes_batch_cached and get_or_predict.
+/// get_or_compute. Rejects the same arguments as predict_passes_grid,
+/// and a null cache, before probing the cache.
+///
+/// When `metrics` is non-null the call adds this probe's hits/misses to
+/// the "orbit.pass_cache.hits" / "orbit.pass_cache.misses" counters and
+/// refreshes the "orbit.pass_cache.entries" / ".bytes" gauges once per
+/// call, in addition to the engine's orbit.ephemeris.* instrumentation
+/// for the miss computation.
 [[nodiscard]] std::vector<std::vector<std::vector<ContactWindow>>>
 predict_passes_grid_cached(const std::vector<Tle>& tles,
                            const std::vector<GridObserver>& observers,
@@ -315,25 +287,6 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
                            ContactWindowCache* cache =
                                &ContactWindowCache::global(),
                            obs::MetricsRegistry* metrics = nullptr);
-
-/// Per-TLE windows over one site: predict_passes_grid_cached with a
-/// single observer at the options' mask. Results in input (TLE) order.
-/// Pass cache = nullptr to bypass caching entirely.
-///
-/// When `metrics` is non-null the call adds this probe's hits/misses to
-/// the "orbit.pass_cache.hits" / "orbit.pass_cache.misses" counters and
-/// refreshes the "orbit.pass_cache.entries" gauge once per call, in
-/// addition to the engine's orbit.ephemeris.* instrumentation for the
-/// miss computation.
-[[nodiscard]] std::vector<std::vector<ContactWindow>>
-predict_passes_batch_cached(const std::vector<Tle>& tles,
-                            const Geodetic& observer, JulianDate jd_start,
-                            JulianDate jd_end,
-                            const PassPredictionOptions& opts = {},
-                            unsigned threads = 0,
-                            ContactWindowCache* cache =
-                                &ContactWindowCache::global(),
-                            obs::MetricsRegistry* metrics = nullptr);
 
 /// Sample look angles along a window at `step_s` spacing (inclusive ends).
 [[nodiscard]] std::vector<PassSample> sample_pass(const Sgp4& prop,

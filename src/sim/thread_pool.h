@@ -9,8 +9,7 @@
 //
 // parallel_for is nesting-safe: a worker thread that calls parallel_for
 // on its own pool helps drain the task queue instead of blocking, so
-// nested fan-outs complete even on a 1-thread pool (the `threads=1`
-// exact-legacy mode).
+// nested fan-outs complete even on a 1-thread pool.
 #pragma once
 
 #include <atomic>

@@ -74,7 +74,6 @@ PassService::PassService(const ServiceOptions& opts,
   orbit::RollingEphemeris::Options ropts;
   ropts.coarse_step_s = opts_.step_s;
   ropts.chunk_samples = opts_.chunk_samples;
-  ropts.cull = true;
   ropts.mode = opts_.mode;
   rolling_ = std::make_unique<orbit::RollingEphemeris>(std::move(sats),
                                                        epoch_jd, ropts);

@@ -43,7 +43,7 @@ struct LinkRecord {
   bool delivered = false;
 };
 
-/// A named sample distribution (e.g. "contact_duration_s.legacy").
+/// A named sample distribution (e.g. "contact_duration_s.reference").
 struct NamedDistribution {
   std::string name;
   std::vector<double> samples;

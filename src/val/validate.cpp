@@ -58,12 +58,12 @@ std::vector<ShellSpec> shells_of(const orbit::ConstellationSpec& spec) {
   return shells;
 }
 
-void add_mode_scores(ValidationReport& report, const std::string& arm,
+void add_mode_scores(ValidationReport& report,
                      const stats::EmpiricalCdf& reference,
                      std::size_t reference_count,
                      const stats::EmpiricalCdf& candidate,
                      std::size_t candidate_count) {
-  const std::string prefix = "windows." + arm + "_vs_legacy.";
+  const std::string prefix = "windows.fast_vs_reference.";
   report.scores.push_back(
       {prefix + "ks", stats::ks_distance(reference, candidate)});
   report.scores.push_back(
@@ -79,8 +79,8 @@ void add_mode_scores(ValidationReport& report, const std::string& arm,
 
 /// Population-scale DtS arm: no orbit-scan arms (the window kernels are
 /// validated by "reference"/"quick"; at 1k satellites x 256 sites a
-/// legacy per-pair rescan would dominate the run for no new signal), just
-/// the aggregate-mode fleet run scored against the analytic baselines.
+/// second full scan would dominate the run for no new signal), just the
+/// aggregate-mode fleet run scored against the analytic baselines.
 ValidationReport run_scale_validation(const ValidationScenario& sc,
                                       const ValidationOptions& opts) {
   ValidationReport report;
@@ -253,73 +253,45 @@ ValidationReport run_validation(const ValidationScenario& sc,
   pass_opts.min_elevation_deg = sc.mask_deg;
   pass_opts.coarse_step_s = sc.coarse_step_s;
 
-  // --- Arm 1: legacy per-pair scan (the bit-exact reference) ----------
-  std::vector<std::vector<orbit::ContactWindow>> legacy;
-  legacy.reserve(sats.size());
-  for (const orbit::Sgp4* prop : sats)
-    legacy.push_back(
-        orbit::predict_passes(*prop, site.location, start, end, pass_opts));
-
-  // --- Arms 2-4: shared / shared+culled / SIMD-fast engine scans ------
+  // --- The two scan arms: kReference (bit-identical to the per-pair
+  // scalar scan, which ctest checks on these scenarios' pairs) and kFast.
   const std::vector<orbit::GridObserver> observers{{site.location}};
   std::vector<orbit::PairTask> pairs;
   pairs.reserve(sats.size());
   for (std::size_t s = 0; s < sats.size(); ++s) pairs.push_back({s, 0});
+  const auto scan = [&](orbit::PropagationMode mode) {
+    orbit::EphemerisScanOptions scan_opts;
+    scan_opts.mode = mode;
+    return orbit::scan_pass_pairs(sats, observers, pairs, start, end,
+                                  pass_opts, scan_opts, opts.threads,
+                                  opts.metrics);
+  };
+  const auto reference = scan(orbit::PropagationMode::kReference);
+  const auto fast = scan(orbit::PropagationMode::kFast);
 
-  orbit::EphemerisScanOptions shared_opts;
-  shared_opts.cull = false;
-  shared_opts.mode = orbit::PropagationMode::kReference;
-  const auto shared =
-      orbit::scan_pass_pairs(sats, observers, pairs, start, end, pass_opts,
-                             shared_opts, opts.threads, opts.metrics);
-
-  orbit::EphemerisScanOptions culled_opts;
-  culled_opts.cull = true;
-  culled_opts.mode = orbit::PropagationMode::kReference;
-  const auto culled =
-      orbit::scan_pass_pairs(sats, observers, pairs, start, end, pass_opts,
-                             culled_opts, opts.threads, opts.metrics);
-
-  orbit::EphemerisScanOptions fast_opts;
-  fast_opts.cull = true;
-  fast_opts.mode = orbit::PropagationMode::kFast;
-  const auto fast =
-      orbit::scan_pass_pairs(sats, observers, pairs, start, end, pass_opts,
-                             fast_opts, opts.threads, opts.metrics);
-
-  // Canonical window export: the legacy arm (the contract every other
+  // Canonical window export: the reference arm (the contract the fast
   // arm is scored against).
   for (std::size_t s = 0; s < tles.size(); ++s) {
     const std::string sat_name = tles[s].name.empty()
                                      ? std::to_string(tles[s].catalog_number)
                                      : tles[s].name;
-    for (const orbit::ContactWindow& w : legacy[s])
+    for (const orbit::ContactWindow& w : reference[s])
       report.windows.push_back({sat_name, site.code, w.aos_jd, w.los_jd,
                                 w.tca_jd, w.max_elevation_deg});
   }
 
-  const stats::EmpiricalCdf legacy_durations = duration_cdf(legacy);
-  const stats::EmpiricalCdf shared_durations = duration_cdf(shared);
-  const stats::EmpiricalCdf culled_durations = duration_cdf(culled);
+  const stats::EmpiricalCdf reference_durations = duration_cdf(reference);
   const stats::EmpiricalCdf fast_durations = duration_cdf(fast);
-  if (legacy_durations.empty())
+  if (reference_durations.empty())
     throw std::runtime_error(
-        "run_validation: legacy scan produced no contact windows");
+        "run_validation: reference scan produced no contact windows");
 
   report.distributions.push_back(
-      {"contact_duration_s.legacy", cdf_samples(legacy_durations)});
-  report.distributions.push_back(
-      {"contact_duration_s.shared", cdf_samples(shared_durations)});
-  report.distributions.push_back(
-      {"contact_duration_s.culled", cdf_samples(culled_durations)});
+      {"contact_duration_s.reference", cdf_samples(reference_durations)});
   report.distributions.push_back(
       {"contact_duration_s.fast", cdf_samples(fast_durations)});
 
-  add_mode_scores(report, "shared", legacy_durations, window_count(legacy),
-                  shared_durations, window_count(shared));
-  add_mode_scores(report, "culled", legacy_durations, window_count(legacy),
-                  culled_durations, window_count(culled));
-  add_mode_scores(report, "fast", legacy_durations, window_count(legacy),
+  add_mode_scores(report, reference_durations, window_count(reference),
                   fast_durations, window_count(fast));
 
   // --- Analytic geometry baselines ------------------------------------
@@ -334,18 +306,18 @@ ValidationReport run_validation(const ValidationScenario& sc,
                       analytic_durations.sorted_samples().end(), 0.0) /
       static_cast<double>(analytic_durations.size());
   report.scores.push_back(
-      {"contact_duration.legacy_vs_analytic.ks",
-       stats::ks_distance(legacy_durations, analytic_durations)});
+      {"contact_duration.reference_vs_analytic.ks",
+       stats::ks_distance(reference_durations, analytic_durations)});
   report.scores.push_back(
-      {"contact_duration.legacy_vs_analytic.wasserstein_rel",
-       stats::wasserstein_distance(legacy_durations, analytic_durations) /
+      {"contact_duration.reference_vs_analytic.wasserstein_rel",
+       stats::wasserstein_distance(reference_durations, analytic_durations) /
            analytic_mean_duration_s});
 
-  std::vector<orbit::ContactWindow> all_legacy;
-  for (const auto& windows : legacy)
-    all_legacy.insert(all_legacy.end(), windows.begin(), windows.end());
+  std::vector<orbit::ContactWindow> all_reference;
+  for (const auto& windows : reference)
+    all_reference.insert(all_reference.end(), windows.begin(), windows.end());
   const double presence_hours =
-      orbit::daily_visible_seconds(all_legacy, start, end) / 3600.0;
+      orbit::daily_visible_seconds(all_reference, start, end) / 3600.0;
   const double analytic_presence_hours =
       expected_daily_presence_hours(shells, sc.mask_deg);
   report.scores.push_back(
@@ -353,11 +325,11 @@ ValidationReport run_validation(const ValidationScenario& sc,
        std::abs(presence_hours - analytic_presence_hours) /
            analytic_presence_hours});
 
-  const std::vector<double> gaps = orbit::contact_gaps_s(all_legacy);
-  report.distributions.push_back({"contact_gap_s.legacy", gaps});
+  const std::vector<double> gaps = orbit::contact_gaps_s(all_reference);
+  report.distributions.push_back({"contact_gap_s.reference", gaps});
 
-  report.scalars.push_back(
-      {"windows.legacy.count", static_cast<double>(window_count(legacy))});
+  report.scalars.push_back({"windows.reference.count",
+                            static_cast<double>(window_count(reference))});
   report.scalars.push_back(
       {"windows.fast.count", static_cast<double>(window_count(fast))});
   report.scalars.push_back({"availability.daily_hours.measured",
@@ -426,13 +398,13 @@ ValidationReport run_validation(const ValidationScenario& sc,
   dts_pass_opts.coarse_step_s = cfg.pass_scan_step_s;
   const std::vector<orbit::Tle> dts_tles =
       orbit::generate_tles(cfg.constellation, cfg.start_jd);
-  const auto node_windows = orbit::predict_passes_batch_cached(
-      dts_tles, cfg.nodes.front().location, cfg.start_jd,
-      cfg.start_jd + sc.dts_days, dts_pass_opts, opts.threads,
+  const auto node_windows = orbit::predict_passes_grid_cached(
+      dts_tles, {orbit::GridObserver{cfg.nodes.front().location}},
+      cfg.start_jd, cfg.start_jd + sc.dts_days, dts_pass_opts, opts.threads,
       &orbit::ContactWindowCache::global(), opts.metrics);
   std::vector<orbit::ContactWindow> node_all;
   for (const auto& windows : node_windows)
-    node_all.insert(node_all.end(), windows.begin(), windows.end());
+    node_all.insert(node_all.end(), windows[0].begin(), windows[0].end());
   node_all = orbit::merge_windows(std::move(node_all));
   std::vector<std::pair<double, double>> node_spans_s;
   node_spans_s.reserve(node_all.size());

@@ -3,11 +3,12 @@
 // run_validation() executes one named scenario:
 //
 //   1. predicts the scenario constellation's contact windows over the
-//      reference site with every scan mode — legacy per-pair scan,
-//      shared-ephemeris (culling off), shared+culled, and the SoA/SIMD
-//      fast mode — and scores each arm's contact-duration distribution
-//      against the legacy reference with K-S / Wasserstein distances
-//      (stats/divergence.h);
+//      reference site with the scan engine in both propagation modes —
+//      kReference (bit-identical to the per-pair scalar scan that
+//      tests/pass_scan_oracle.h keeps, which ctest checks) and the
+//      SoA/SIMD kFast — and scores the fast arm's contact-duration
+//      distribution against the reference arm's with K-S / Wasserstein
+//      distances (stats/divergence.h);
 //   2. scores the measured geometry against the closed-form
 //      stochastic-geometry baselines (val/baseline.h): contact-duration
 //      law, daily presence hours;
@@ -70,8 +71,9 @@ struct ValidationScenario {
     const std::string& name);
 
 struct ValidationOptions {
-  /// Pass-prediction fan-out (batch-API semantics: 0 = all hardware
-  /// threads, 1 = serial). The DES run itself is always serial.
+  /// Pass-prediction fan-out (orbit::predict_passes_grid semantics: 0 =
+  /// all hardware threads, 1 = serial). The DES run itself is always
+  /// serial.
   unsigned threads = 0;
   /// Optional run-metrics sink; null disables instrumentation.
   obs::MetricsRegistry* metrics = nullptr;

@@ -1,15 +1,18 @@
 // Parity and property tests for the shared-ephemeris pass-prediction
-// engine (orbit/ephemeris.h) and the reworked ContactWindowCache.
+// engine (orbit/ephemeris.h) and the ContactWindowCache.
 //
 // The engine's contract is *bit-identical* windows: every ContactWindow
-// it emits must compare EXPECT_EQ — raw double equality, no tolerance —
-// against the legacy per-pair predict_passes scan. The randomized sweep
-// below exercises that contract across the paper's Table 3 altitude and
-// inclination bands, all eight measurement sites, heterogeneous masks
-// and varied spans, including truncated-at-span-edge and zero-pass
-// geometries.
+// it emits in kReference mode must compare EXPECT_EQ — raw double
+// equality, no tolerance — against the per-pair scalar scan of
+// pass_scan_oracle.h. The randomized sweep below exercises that contract
+// across the paper's Table 3 altitude and inclination bands, all eight
+// measurement sites, heterogeneous masks and varied spans, including
+// truncated-at-span-edge and zero-pass geometries; a second case checks
+// it on the exact pairs `sinet validate` scans.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -21,11 +24,14 @@
 #include "core/scenario.h"
 #include "next_pass_oracle.h"
 #include "obs/metrics.h"
+#include "orbit/constellation.h"
 #include "orbit/ephemeris.h"
 #include "orbit/look_angles.h"
 #include "orbit/passes.h"
 #include "orbit/sgp4.h"
 #include "orbit/tle.h"
+#include "pass_scan_oracle.h"
+#include "val/validate.h"
 
 namespace sinet {
 namespace {
@@ -37,6 +43,7 @@ using orbit::JulianDate;
 using orbit::PassPredictionOptions;
 using orbit::Sgp4;
 using orbit::Tle;
+using testing::oracle_predict_passes;
 
 void expect_bit_identical(const std::vector<ContactWindow>& got,
                           const std::vector<ContactWindow>& want,
@@ -80,7 +87,7 @@ TEST(ScanGrid, MatchesLegacyFloatAccumulation) {
   const double step_s = 30.0;
   const orbit::ScanGrid grid(jd0, jd1, step_s);
 
-  // Replay predict_passes' own accumulation: jd += step_days, clamped.
+  // Replay the oracle scan's accumulation: jd += step_days, clamped.
   const double step_days = step_s / orbit::kSecondsPerDay;
   std::vector<JulianDate> want;
   want.push_back(jd0);
@@ -96,6 +103,45 @@ TEST(ScanGrid, MatchesLegacyFloatAccumulation) {
 
   EXPECT_THROW(orbit::ScanGrid(jd1, jd0, step_s), std::invalid_argument);
   EXPECT_THROW(orbit::ScanGrid(jd0, jd1, 0.0), std::invalid_argument);
+}
+
+// A NaN or infinite bound passes an `end < start` test and never ends
+// the grid's accumulation loop, so every entry point rejects it first:
+// the grid itself, and scan_pass_pairs even when it has no pair to scan.
+TEST(ScanGrid, RejectsNonFiniteSpanAndStep) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW(orbit::ScanGrid(jd0, bad, 30.0), std::invalid_argument);
+    EXPECT_THROW(orbit::ScanGrid(bad, jd0, 30.0), std::invalid_argument);
+    EXPECT_THROW(orbit::ScanGrid(jd0, jd0 + 1.0, bad), std::invalid_argument);
+    EXPECT_THROW(orbit::ScanGrid(std::vector<JulianDate>{jd0, bad}, 30.0),
+                 std::invalid_argument);
+    EXPECT_THROW(orbit::ScanGrid(std::vector<JulianDate>{jd0}, bad),
+                 std::invalid_argument);
+  }
+
+  std::mt19937_64 rng(3);
+  const Sgp4 prop(random_tle(rng, 0));
+  const std::vector<GridObserver> observers{
+      GridObserver{Geodetic{22.3, 114.2, 0.05}}};
+  PassPredictionOptions nan_step;
+  nan_step.coarse_step_s = kNaN;
+  for (const std::vector<orbit::PairTask>& pairs :
+       {std::vector<orbit::PairTask>{{0, 0}}, std::vector<orbit::PairTask>{}}) {
+    for (const double bad : {kNaN, kInf}) {
+      EXPECT_THROW((void)orbit::scan_pass_pairs({&prop}, observers, pairs,
+                                                jd0, bad),
+                   std::invalid_argument);
+      EXPECT_THROW((void)orbit::scan_pass_pairs({&prop}, observers, pairs,
+                                                bad, jd0),
+                   std::invalid_argument);
+    }
+    EXPECT_THROW((void)orbit::scan_pass_pairs({&prop}, observers, pairs, jd0,
+                                              jd0 + 1.0, nan_step),
+                 std::invalid_argument);
+  }
 }
 
 TEST(EphemerisTable, PositionsMatchElevationSampler) {
@@ -192,7 +238,7 @@ TEST(CullBounds, HorizonConeIsMonotone) {
 }
 
 // The tentpole property: windows from the shared+culled grid scan are
-// bit-identical to the legacy per-pair scan across >= 200 randomized
+// bit-identical to the per-pair oracle scan across >= 200 randomized
 // TLEs spanning the Table 3 bands, all 8 paper sites, heterogeneous
 // per-site masks, and varied spans. Also checks that the sweep actually
 // exercised span-edge truncation and zero-pass pairs.
@@ -240,14 +286,14 @@ TEST(EphemerisParity, RandomizedTlesAcrossBandsAndSites) {
       for (std::size_t o = 0; o < observers.size(); ++o) {
         PassPredictionOptions lopts = opts;
         lopts.min_elevation_deg = observers[o].min_elevation_deg;
-        const auto legacy = orbit::predict_passes(
+        const auto want = oracle_predict_passes(
             props[s], observers[o].location, jd0, jd1, lopts);
-        expect_bit_identical(grid[s][o], legacy,
+        expect_bit_identical(grid[s][o], want,
                              "group " + std::to_string(g) + " sat " +
                                  std::to_string(s) + " site " +
                                  std::to_string(o));
-        if (legacy.empty()) ++empty_pairs;
-        for (const ContactWindow& w : legacy)
+        if (want.empty()) ++empty_pairs;
+        for (const ContactWindow& w : want)
           if (w.aos_jd == jd0 || w.los_jd == jd1) ++truncated;
       }
     }
@@ -268,19 +314,19 @@ TEST(EphemerisParity, TruncationAtSpanEdges) {
   PassPredictionOptions opts;
   opts.coarse_step_s = 30.0;
   const auto full =
-      orbit::predict_passes(prop, london.location, jd0, jd0 + 1.0, opts);
+      oracle_predict_passes(prop, london.location, jd0, jd0 + 1.0, opts);
   ASSERT_FALSE(full.empty());
 
   // End the span at the first window's TCA: the window must come back
-  // truncated (los == jd_end) and still bit-identical to legacy.
+  // truncated (los == jd_end) and still bit-identical to the oracle.
   const JulianDate cut_end = full.front().tca_jd;
   const auto grid_end = orbit::predict_passes_grid(
       {&prop}, {london}, jd0, cut_end, opts, /*threads=*/1);
-  const auto legacy_end =
-      orbit::predict_passes(prop, london.location, jd0, cut_end, opts);
-  expect_bit_identical(grid_end[0][0], legacy_end, "end-truncated");
-  ASSERT_FALSE(legacy_end.empty());
-  EXPECT_EQ(legacy_end.back().los_jd, cut_end);
+  const auto want_end =
+      oracle_predict_passes(prop, london.location, jd0, cut_end, opts);
+  expect_bit_identical(grid_end[0][0], want_end, "end-truncated");
+  ASSERT_FALSE(want_end.empty());
+  EXPECT_EQ(want_end.back().los_jd, cut_end);
 
   // Start the span at the first window's TCA: the window opens already
   // in progress (aos == jd_start).
@@ -288,11 +334,11 @@ TEST(EphemerisParity, TruncationAtSpanEdges) {
   const JulianDate far_end = cut_start + 0.5;
   const auto grid_start = orbit::predict_passes_grid(
       {&prop}, {london}, cut_start, far_end, opts, /*threads=*/1);
-  const auto legacy_start =
-      orbit::predict_passes(prop, london.location, cut_start, far_end, opts);
-  expect_bit_identical(grid_start[0][0], legacy_start, "start-truncated");
-  ASSERT_FALSE(legacy_start.empty());
-  EXPECT_EQ(legacy_start.front().aos_jd, cut_start);
+  const auto want_start =
+      oracle_predict_passes(prop, london.location, cut_start, far_end, opts);
+  expect_bit_identical(grid_start[0][0], want_start, "start-truncated");
+  ASSERT_FALSE(want_start.empty());
+  EXPECT_EQ(want_start.front().aos_jd, cut_start);
 }
 
 TEST(EphemerisParity, ZeroPassGeometryIsCulledNotMissed) {
@@ -318,7 +364,7 @@ TEST(EphemerisParity, ZeroPassGeometryIsCulledNotMissed) {
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_TRUE(windows[0].empty());
   EXPECT_TRUE(
-      orbit::predict_passes(prop, helsinki.location, jd0, jd1, opts).empty());
+      oracle_predict_passes(prop, helsinki.location, jd0, jd1, opts).empty());
 
   const auto snap = metrics.snapshot();
   const std::uint64_t visited = snap.counters.at("orbit.ephemeris.samples_visited");
@@ -367,22 +413,23 @@ TEST(EphemerisParity, SampleConservationAcrossPairs) {
   EXPECT_EQ(snap.counters.at("orbit.ephemeris.pairs"), pairs.size());
 
   // And chunking must not change a single bit of any window (skips and
-  // open windows cross chunk boundaries).
+  // open windows cross chunk boundaries), nor may culling: both scans
+  // match the unculled, unchunked oracle.
   const auto unchunked = orbit::scan_pass_pairs(
       sat_ptrs, observers, pairs, jd0, jd1, opts, {}, /*threads=*/1);
   ASSERT_EQ(chunked.size(), unchunked.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p)
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
     expect_bit_identical(chunked[p], unchunked[p],
                          "pair " + std::to_string(p));
-
-  // Culling disabled (share-only arm) is also bit-identical.
-  orbit::EphemerisScanOptions no_cull;
-  no_cull.cull = false;
-  const auto shared_only = orbit::scan_pass_pairs(
-      sat_ptrs, observers, pairs, jd0, jd1, opts, no_cull, /*threads=*/1);
-  for (std::size_t p = 0; p < pairs.size(); ++p)
-    expect_bit_identical(shared_only[p], unchunked[p],
-                         "no-cull pair " + std::to_string(p));
+    PassPredictionOptions lopts = opts;
+    const GridObserver& o = observers[pairs[p].observer];
+    if (!std::isnan(o.min_elevation_deg))
+      lopts.min_elevation_deg = o.min_elevation_deg;
+    expect_bit_identical(unchunked[p],
+                         oracle_predict_passes(props[pairs[p].satellite],
+                                               o.location, jd0, jd1, lopts),
+                         "oracle pair " + std::to_string(p));
+  }
 }
 
 TEST(EphemerisParity, ParallelScanMatchesSerial) {
@@ -410,40 +457,56 @@ TEST(EphemerisParity, ParallelScanMatchesSerial) {
                                                  jd1, opts, /*threads=*/4);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t s = 0; s < serial.size(); ++s)
-    for (std::size_t o = 0; o < observers.size(); ++o)
-      expect_bit_identical(pooled[s][o], serial[s][o],
-                           "sat " + std::to_string(s) + " obs " +
-                               std::to_string(o));
+    for (std::size_t o = 0; o < observers.size(); ++o) {
+      const std::string label =
+          "sat " + std::to_string(s) + " obs " + std::to_string(o);
+      expect_bit_identical(pooled[s][o], serial[s][o], label);
+      PassPredictionOptions lopts = opts;
+      if (!std::isnan(observers[o].min_elevation_deg))
+        lopts.min_elevation_deg = observers[o].min_elevation_deg;
+      expect_bit_identical(serial[s][o],
+                           oracle_predict_passes(props[s],
+                                                 observers[o].location, jd0,
+                                                 jd1, lopts),
+                           "oracle " + label);
+    }
 }
 
-TEST(EphemerisParity, BatchDedupsSharedSatellitesAndObservers) {
-  std::mt19937_64 rng(17);
-  const Tle tle_a = random_tle(rng, 2);
-  const Tle tle_b = random_tle(rng, 42);
-  const Sgp4 prop_a(tle_a);
-  const Sgp4 prop_b(tle_b);
-  const Geodetic hk{22.3, 114.2, 0.05};
-  const Geodetic syd{-33.87, 151.2, 0.02};
+// The pairs `sinet validate` scans for its "quick" and "reference"
+// scenarios (one constellation over one site, 1 and 3 days), through the
+// kReference engine, against the oracle: the windows the validation
+// report exports and scores must be the per-pair scan's, bit for bit.
+TEST(EphemerisParity, ValidationScenarioPairsMatchOracle) {
+  for (const char* name : {"quick", "reference"}) {
+    const val::ValidationScenario sc = val::validation_scenario(name);
+    const JulianDate jd0 = core::campaign_epoch_jd();
+    const JulianDate jd1 = jd0 + sc.scan_days;
+    const auto tles =
+        orbit::generate_tles(orbit::paper_constellation(sc.constellation), jd0);
+    std::vector<Sgp4> props(tles.begin(), tles.end());
+    std::vector<const Sgp4*> sat_ptrs;
+    for (const Sgp4& p : props) sat_ptrs.push_back(&p);
+    const GridObserver site{core::paper_site(sc.site_code).location};
+    std::vector<orbit::PairTask> pairs;
+    for (std::size_t s = 0; s < props.size(); ++s) pairs.push_back({s, 0});
+    PassPredictionOptions opts;
+    opts.min_elevation_deg = sc.mask_deg;
+    opts.coarse_step_s = sc.coarse_step_s;
+    orbit::EphemerisScanOptions reference;
+    reference.mode = orbit::PropagationMode::kReference;
 
-  // Duplicate propagators and observers across requests: the engine
-  // dedups both, but results must still come back per-request and
-  // bit-identical to serial predict_passes.
-  const std::vector<orbit::PassBatchRequest> requests{
-      {&prop_a, hk}, {&prop_b, hk}, {&prop_a, syd},
-      {&prop_b, syd}, {&prop_a, hk},  // exact repeat of request 0
-  };
-  const JulianDate jd0 = core::campaign_epoch_jd();
-  const JulianDate jd1 = jd0 + 1.0;
-  PassPredictionOptions opts;
-  opts.min_elevation_deg = 5.0;
-
-  const auto batch =
-      orbit::predict_passes_batch(requests, jd0, jd1, opts, /*threads=*/1);
-  ASSERT_EQ(batch.size(), requests.size());
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const auto legacy = orbit::predict_passes(
-        *requests[r].propagator, requests[r].observer, jd0, jd1, opts);
-    expect_bit_identical(batch[r], legacy, "request " + std::to_string(r));
+    const auto got = orbit::scan_pass_pairs(sat_ptrs, {site}, pairs, jd0, jd1,
+                                            opts, reference);
+    ASSERT_EQ(got.size(), props.size());
+    std::size_t windows = 0;
+    for (std::size_t s = 0; s < props.size(); ++s) {
+      const auto want =
+          oracle_predict_passes(props[s], site.location, jd0, jd1, opts);
+      expect_bit_identical(got[s], want,
+                           std::string(name) + " sat " + std::to_string(s));
+      windows += want.size();
+    }
+    EXPECT_GT(windows, 100u) << name;
   }
 }
 
@@ -500,45 +563,110 @@ TEST(GridCached, MatchesUncachedAndServesHits) {
                                std::to_string(o));
     }
 
-  // Cache keys use the observer's *effective* mask, so batch_cached over
-  // the masked site must hit the same entries.
-  const auto batch = orbit::predict_passes_batch_cached(
-      tles, observers[0].location, jd0, jd1, opts, /*threads=*/1, &cache);
+  // Cache keys use the observer's *effective* mask, so naming the
+  // options' mask on the observer hits the NaN-mask site's entries.
+  const auto named = orbit::predict_passes_grid_cached(
+      tles, {GridObserver{observers[0].location, opts.min_elevation_deg}},
+      jd0, jd1, opts, /*threads=*/1, &cache);
   EXPECT_EQ(cache.stats().hits, n_pairs + tles.size());
   for (std::size_t s = 0; s < tles.size(); ++s)
-    expect_bit_identical(batch[s], uncached[s][0],
-                         "batch s" + std::to_string(s));
+    expect_bit_identical(named[s][0], uncached[s][0],
+                         "named mask s" + std::to_string(s));
 }
+
+// A TLE and an observer named twice in one call: every slot comes back
+// with its own windows, bit-identical to the oracle, and the repeats
+// share one cache entry per distinct pair.
+TEST(GridCached, RepeatedSatellitesAndObserversMatchOracle) {
+  std::mt19937_64 rng(17);
+  const Tle tle_a = random_tle(rng, 2);
+  const Tle tle_b = random_tle(rng, 42);
+  const std::vector<Tle> tles{tle_a, tle_b, tle_a};
+  const Geodetic hk{22.3, 114.2, 0.05};
+  const Geodetic syd{-33.87, 151.2, 0.02};
+  const std::vector<GridObserver> observers{
+      GridObserver{hk}, GridObserver{syd}, GridObserver{hk}};
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  const JulianDate jd1 = jd0 + 1.0;
+  PassPredictionOptions opts;
+  opts.min_elevation_deg = 5.0;
+
+  orbit::ContactWindowCache cache;
+  const auto got = orbit::predict_passes_grid_cached(
+      tles, observers, jd0, jd1, opts, /*threads=*/1, &cache);
+  ASSERT_EQ(got.size(), tles.size());
+  for (std::size_t s = 0; s < tles.size(); ++s) {
+    ASSERT_EQ(got[s].size(), observers.size());
+    for (std::size_t o = 0; o < observers.size(); ++o)
+      expect_bit_identical(
+          got[s][o],
+          oracle_predict_passes(Sgp4(tles[s]), observers[o].location, jd0,
+                                jd1, opts),
+          "s" + std::to_string(s) + " o" + std::to_string(o));
+  }
+  EXPECT_EQ(cache.stats().entries, 4u);  // {a, b} x {hk, syd}
+}
+
+// The production kReference scan of one (TLE, site) pair.
+std::vector<ContactWindow> reference_scan(const Tle& tle, const Geodetic& site,
+                                          JulianDate jd0, JulianDate jd1) {
+  const Sgp4 prop(tle);
+  orbit::EphemerisScanOptions reference;
+  reference.mode = orbit::PropagationMode::kReference;
+  return orbit::scan_pass_pairs({&prop}, {GridObserver{site}},
+                                {orbit::PairTask{0, 0}}, jd0, jd1, {},
+                                reference)[0];
+}
+
+// Serves (tle, site, [jd0, jd1]) through get_or_compute with
+// reference_scan as the miss computation; `runs` counts how often the
+// cache ran it.
+struct CountingLookup {
+  orbit::ContactWindowCache& cache;
+  Geodetic site;
+  JulianDate jd0, jd1;
+  std::atomic<int> runs{0};
+
+  std::vector<ContactWindow> operator()(const Tle& tle) {
+    return cache.get_or_compute(tle, site, jd0, jd1, {},
+                                orbit::PropagationMode::kReference, [&] {
+                                  runs.fetch_add(1);
+                                  return reference_scan(tle, site, jd0, jd1);
+                                });
+  }
+};
 
 TEST(ContactWindowCache, LruEvictionRespectsRecency) {
   std::mt19937_64 rng(23);
   const Tle a = random_tle(rng, 1);
   const Tle b = random_tle(rng, 10);
   const Tle c = random_tle(rng, 20);
-  const Geodetic site{22.3, 114.2, 0.05};
   const JulianDate jd0 = core::campaign_epoch_jd();
-  const JulianDate jd1 = jd0 + 0.2;
 
   orbit::ContactWindowCache cache(/*max_entries=*/2);
-  (void)cache.get_or_predict(a, site, jd0, jd1);  // miss: {a}
-  (void)cache.get_or_predict(b, site, jd0, jd1);  // miss: {a, b}
-  (void)cache.get_or_predict(a, site, jd0, jd1);  // hit, touches a
+  CountingLookup get{cache, Geodetic{22.3, 114.2, 0.05}, jd0, jd0 + 0.2};
+  (void)get(a);  // miss: {a}
+  (void)get(b);  // miss: {a, b}
+  (void)get(a);  // hit, touches a
   auto st = cache.stats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(get.runs.load(), 2);
 
   // Inserting c evicts the LRU entry — b, not a, because the hit above
   // refreshed a's recency. (FIFO would evict a here.)
-  (void)cache.get_or_predict(c, site, jd0, jd1);  // miss: {a, c}
+  (void)get(c);  // miss: {a, c}
   EXPECT_EQ(cache.stats().entries, 2u);
-  (void)cache.get_or_predict(a, site, jd0, jd1);  // still cached
+  (void)get(a);  // still cached
   st = cache.stats();
   EXPECT_EQ(st.hits, 2u);
   EXPECT_EQ(st.misses, 3u);
-  (void)cache.get_or_predict(b, site, jd0, jd1);  // evicted: recomputes
+  EXPECT_EQ(get.runs.load(), 3);
+  (void)get(b);  // evicted: recomputes
   st = cache.stats();
   EXPECT_EQ(st.hits, 2u);
   EXPECT_EQ(st.misses, 4u);
+  EXPECT_EQ(get.runs.load(), 4);
 }
 
 TEST(ContactWindowCache, SingleFlightDedupsConcurrentMisses) {
@@ -549,21 +677,33 @@ TEST(ContactWindowCache, SingleFlightDedupsConcurrentMisses) {
   const JulianDate jd1 = jd0 + 1.0;
 
   orbit::ContactWindowCache cache;
+  std::atomic<int> runs{0};
+  const auto lookup = [&] {
+    return cache.get_or_compute(
+        tle, site, jd0, jd1, {}, orbit::PropagationMode::kReference, [&] {
+          runs.fetch_add(1);
+          // Hold the computation open so the other thread usually
+          // arrives while it is in flight.
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          return oracle_predict_passes(Sgp4(tle), site, jd0, jd1);
+        });
+  };
   std::vector<ContactWindow> r1, r2;
-  std::thread t1([&] { r1 = cache.get_or_predict(tle, site, jd0, jd1); });
-  std::thread t2([&] { r2 = cache.get_or_predict(tle, site, jd0, jd1); });
+  std::thread t1([&] { r1 = lookup(); });
+  std::thread t2([&] { r2 = lookup(); });
   t1.join();
   t2.join();
 
   // Whichever thread arrives second — during the first's computation or
   // after it — must be served without recomputing: exactly one miss.
   const auto st = cache.stats();
+  EXPECT_EQ(runs.load(), 1);
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.entries, 1u);
   expect_bit_identical(r1, r2, "concurrent");
-  expect_bit_identical(
-      r1, orbit::predict_passes(Sgp4(tle), site, jd0, jd1), "vs legacy");
+  expect_bit_identical(r1, oracle_predict_passes(Sgp4(tle), site, jd0, jd1),
+                       "vs oracle");
 }
 
 // ---------------------------------------------------------------------
@@ -904,7 +1044,7 @@ TEST(RollingEphemeris, IncrementalAdvanceIsBitIdenticalToFreshScan) {
           lopts.min_elevation_deg = site.min_elevation_deg;
         const auto got = rolling.scan_satellite(s, site, popts);
         const auto want =
-            orbit::predict_passes(props[s], site.location,
+            oracle_predict_passes(props[s], site.location,
                                   rolling.start_time(), rolling.end_time(),
                                   lopts);
         expect_bit_identical(got, want,
@@ -925,35 +1065,6 @@ TEST(RollingEphemeris, IncrementalAdvanceIsBitIdenticalToFreshScan) {
     expect_bit_identical(per_sat[s],
                          rolling.scan_satellite(s, observers[0], popts),
                          "scan_observer sat " + std::to_string(s));
-}
-
-TEST(RollingEphemeris, CullOffAndCullOnAreBitIdentical) {
-  std::mt19937_64 rng(43);
-  std::vector<Tle> tles;
-  std::vector<Sgp4> props;
-  for (int i = 0; i < 3; ++i) {
-    tles.push_back(random_tle(rng, i * 23 + 9));
-    props.emplace_back(tles.back());
-  }
-  std::vector<const Sgp4*> sat_ptrs;
-  for (const Sgp4& p : props) sat_ptrs.push_back(&p);
-  const JulianDate anchor = core::campaign_epoch_jd();
-
-  orbit::RollingEphemeris::Options culled;
-  culled.chunk_samples = 256;
-  orbit::RollingEphemeris::Options exact = culled;
-  exact.cull = false;
-  orbit::RollingEphemeris r1(sat_ptrs, anchor, culled);
-  orbit::RollingEphemeris r2(sat_ptrs, anchor, exact);
-  (void)r1.advance(anchor, anchor + 0.5);
-  (void)r2.advance(anchor, anchor + 0.5);
-
-  const GridObserver site{Geodetic{-33.87, 151.2, 0.02}, 10.0};
-  PassPredictionOptions popts;
-  for (std::size_t s = 0; s < sat_ptrs.size(); ++s)
-    expect_bit_identical(r1.scan_satellite(s, site, popts),
-                         r2.scan_satellite(s, site, popts),
-                         "cull arm sat " + std::to_string(s));
 }
 
 TEST(RollingEphemeris, RetirementBoundsResidencyAndKeepsCoverage) {
@@ -1012,6 +1123,20 @@ TEST(RollingEphemeris, RejectsBadArguments) {
   zero_chunk.chunk_samples = 0;
   EXPECT_THROW(orbit::RollingEphemeris({&prop}, anchor, zero_chunk),
                std::invalid_argument);
+  // Non-finite anchors, steps and leading edges: the last would append
+  // chunks without end.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, kInf}) {
+    orbit::RollingEphemeris::Options bad_step;
+    bad_step.coarse_step_s = bad;
+    EXPECT_THROW(orbit::RollingEphemeris({&prop}, anchor, bad_step),
+                 std::invalid_argument);
+    EXPECT_THROW(orbit::RollingEphemeris({&prop}, bad), std::invalid_argument);
+    orbit::RollingEphemeris unbounded({&prop}, anchor);
+    EXPECT_THROW((void)unbounded.advance(anchor, bad), std::invalid_argument);
+    EXPECT_TRUE(unbounded.empty());
+  }
 
   orbit::RollingEphemeris rolling({&prop}, anchor);
   const GridObserver site{Geodetic{22.3, 114.2, 0.05}};
@@ -1059,77 +1184,84 @@ TEST(RollingEphemeris, NextPassMatchesFullScanOracle) {
   std::size_t queries = 0, found = 0, ties = 0, in_progress = 0;
   for (const orbit::PropagationMode mode :
        {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
-    for (const bool cull : {true, false}) {
-      for (const bool retired : {false, true}) {
-        orbit::RollingEphemeris::Options ropts;
-        ropts.chunk_samples = 128;
-        ropts.cull = cull;
-        ropts.mode = mode;
-        orbit::RollingEphemeris rolling(sat_ptrs, anchor, ropts);
-        JulianDate now = anchor;
-        if (retired) {
-          // Advance as the service does, retiring history behind "now".
-          for (const double day : {0.2, 0.45, 0.7}) {
-            now = anchor + day;
-            (void)rolling.advance(now - 0.01, now + 0.3);
-          }
-          ASSERT_GT(rolling.base_index(), 0u);
-        } else {
-          (void)rolling.advance(anchor, anchor + 0.3);
+    for (const bool retired : {false, true}) {
+      orbit::RollingEphemeris::Options ropts;
+      ropts.chunk_samples = 128;
+      ropts.mode = mode;
+      orbit::RollingEphemeris rolling(sat_ptrs, anchor, ropts);
+      JulianDate now = anchor;
+      if (retired) {
+        // Advance as the service does, retiring history behind "now".
+        for (const double day : {0.2, 0.45, 0.7}) {
+          now = anchor + day;
+          (void)rolling.advance(now - 0.01, now + 0.3);
         }
-        const JulianDate h_start = rolling.start_time();
-        const JulianDate h_end = rolling.end_time();
+        ASSERT_GT(rolling.base_index(), 0u);
+      } else {
+        (void)rolling.advance(anchor, anchor + 0.3);
+      }
+      const JulianDate h_start = rolling.start_time();
+      const JulianDate h_end = rolling.end_time();
 
-        for (int o = 0; o < 3; ++o) {
-          const Geodetic site{lat(rng), lon(rng), alt(rng)};
-          for (const double mask : kMasks) {
-            // The mask arrives either on the observer or as the fallback.
-            GridObserver observer{site};
-            PassPredictionOptions popts;
-            if (o == 1)
-              popts.min_elevation_deg = mask;
-            else
-              observer.min_elevation_deg = mask;
-            const auto windows = rolling.scan_observer(observer, popts);
+      for (int o = 0; o < 3; ++o) {
+        const Geodetic site{lat(rng), lon(rng), alt(rng)};
+        for (const double mask : kMasks) {
+          // The mask arrives either on the observer or as the fallback.
+          GridObserver observer{site};
+          PassPredictionOptions popts;
+          if (o == 1)
+            popts.min_elevation_deg = mask;
+          else
+            observer.min_elevation_deg = mask;
+          // kReference: the unculled oracle scan over the retained
+          // horizon. kFast: the fast engine's own full scan, whose sample
+          // positions next_pass walks.
+          std::vector<std::vector<ContactWindow>> windows;
+          if (mode == orbit::PropagationMode::kReference) {
+            PassPredictionOptions lopts = popts;
+            lopts.min_elevation_deg = mask;
+            for (const Sgp4& prop : props)
+              windows.push_back(
+                  oracle_predict_passes(prop, site, h_start, h_end, lopts));
+          } else {
+            windows = rolling.scan_observer(observer, popts);
+          }
 
-            std::vector<JulianDate> after{h_start, h_end, now, h_start - 0.1,
-                                          h_end + 0.1};
-            for (int i = 0; i < 4; ++i)
-              after.push_back(h_start + unit(rng) * (h_end - h_start));
-            for (int i = 0; i < 3; ++i)
-              after.push_back(rolling.sample_time(
-                  rolling.base_index() + rng() % rolling.sample_count()));
-            for (const auto& sat_windows : windows)
-              for (std::size_t w = 0; w < sat_windows.size() && w < 2; ++w)
-                after.insert(after.end(),
-                             {sat_windows[w].aos_jd, sat_windows[w].los_jd});
-            const std::size_t exact = after.size();
-            for (std::size_t i = 0; i < exact; ++i)
-              after.insert(after.end(), {std::nextafter(after[i], -kInf),
-                                         std::nextafter(after[i], kInf)});
+          std::vector<JulianDate> after{h_start, h_end, now, h_start - 0.1,
+                                        h_end + 0.1};
+          for (int i = 0; i < 4; ++i)
+            after.push_back(h_start + unit(rng) * (h_end - h_start));
+          for (int i = 0; i < 3; ++i)
+            after.push_back(rolling.sample_time(
+                rolling.base_index() + rng() % rolling.sample_count()));
+          for (const auto& sat_windows : windows)
+            for (std::size_t w = 0; w < sat_windows.size() && w < 2; ++w)
+              after.insert(after.end(),
+                           {sat_windows[w].aos_jd, sat_windows[w].los_jd});
+          const std::size_t exact = after.size();
+          for (std::size_t i = 0; i < exact; ++i)
+            after.insert(after.end(), {std::nextafter(after[i], -kInf),
+                                       std::nextafter(after[i], kInf)});
 
-            for (const JulianDate a : after) {
-              const auto want = testing::oracle_next_pass(windows, a);
-              const auto got = rolling.next_pass(observer, popts, a);
-              testing::expect_same_next_pass(
-                  got, want,
-                  std::string(orbit::propagation_mode_name(mode)) +
-                      (cull ? " cull" : " exact") +
-                      (retired ? " retired" : " fresh") + " site " +
-                      std::to_string(o) + " mask " + std::to_string(mask) +
-                      " after " + std::to_string(a));
-              ++queries;
-              if (!want.found) continue;
-              ++found;
-              if (want.window.aos_jd <= a) ++in_progress;
-              for (std::size_t s = want.satellite + 1; s < windows.size();
-                   ++s)
-                for (const ContactWindow& w : windows[s])
-                  if (w.los_jd > a) {
-                    if (w.aos_jd == want.window.aos_jd) ++ties;
-                    break;
-                  }
-            }
+          for (const JulianDate a : after) {
+            const auto want = testing::oracle_next_pass(windows, a);
+            const auto got = rolling.next_pass(observer, popts, a);
+            testing::expect_same_next_pass(
+                got, want,
+                std::string(orbit::propagation_mode_name(mode)) +
+                    (retired ? " retired" : " fresh") + " site " +
+                    std::to_string(o) + " mask " + std::to_string(mask) +
+                    " after " + std::to_string(a));
+            ++queries;
+            if (!want.found) continue;
+            ++found;
+            if (want.window.aos_jd <= a) ++in_progress;
+            for (std::size_t s = want.satellite + 1; s < windows.size(); ++s)
+              for (const ContactWindow& w : windows[s])
+                if (w.los_jd > a) {
+                  if (w.aos_jd == want.window.aos_jd) ++ties;
+                  break;
+                }
           }
         }
       }
@@ -1160,24 +1292,30 @@ TEST(ContactWindowCache, ByteBudgetEvictsLruAndAccountsBytes) {
 
   std::vector<Tle> tles;
   for (int i = 0; i < 4; ++i) tles.push_back(random_tle(rng, i * 11 + 7));
-  for (const Tle& tle : tles) (void)cache.get_or_predict(tle, site, jd0, jd1);
+  CountingLookup get{cache, site, jd0, jd1};
+  for (const Tle& tle : tles) (void)get(tle);
 
   const auto st = cache.stats();
   EXPECT_EQ(st.misses, tles.size());
+  EXPECT_EQ(get.runs.load(), 4);
   EXPECT_LT(st.entries, tles.size());  // budget forced evictions
   EXPECT_GE(st.entries, 1u);           // never evicts below one entry
   EXPECT_GE(st.bytes,
             st.entries * orbit::ContactWindowCache::kEntryOverheadBytes);
 
   // The most recent key survived; the oldest was the victim.
-  (void)cache.get_or_predict(tles.back(), site, jd0, jd1);
+  (void)get(tles.back());
   EXPECT_EQ(cache.stats().hits, 1u);
-  (void)cache.get_or_predict(tles.front(), site, jd0, jd1);
+  EXPECT_EQ(get.runs.load(), 4);
+  (void)get(tles.front());
   EXPECT_EQ(cache.stats().hits, 1u);  // recomputed, not a hit
+  EXPECT_EQ(get.runs.load(), 5);
 
   // An unbounded cache (max_bytes = 0) still accounts bytes.
   orbit::ContactWindowCache unbounded;
-  (void)unbounded.get_or_predict(tles[0], site, jd0, jd1);
+  CountingLookup get_unbounded{unbounded, site, jd0, jd1};
+  (void)get_unbounded(tles[0]);
+  EXPECT_EQ(get_unbounded.runs.load(), 1);
   EXPECT_GE(unbounded.stats().bytes,
             orbit::ContactWindowCache::kEntryOverheadBytes);
 }
@@ -1188,14 +1326,29 @@ TEST(ContactWindowCache, PropagatesComputationErrors) {
   const Geodetic site{22.3, 114.2, 0.05};
   const JulianDate jd0 = core::campaign_epoch_jd();
 
+  const JulianDate jd1 = jd0 + 1.0;
+
   orbit::ContactWindowCache cache;
-  // predict_passes rejects the inverted span; the owner's exception must
-  // surface and the in-flight slot must be cleaned up so the key works
-  // again afterwards.
-  EXPECT_THROW((void)cache.get_or_predict(tle, site, jd0, jd0 - 1.0),
-               std::invalid_argument);
+  // The first computation throws: the owner's exception must surface,
+  // nothing is cached, and the in-flight slot is cleaned up so the same
+  // key computes again (and then caches) afterwards.
+  std::atomic<int> runs{0};
+  const auto lookup = [&] {
+    return cache.get_or_compute(
+        tle, site, jd0, jd1, {}, orbit::PropagationMode::kReference, [&] {
+          if (runs.fetch_add(1) == 0)
+            throw std::invalid_argument("first computation fails");
+          return reference_scan(tle, site, jd0, jd1);
+        });
+  };
+  EXPECT_THROW((void)lookup(), std::invalid_argument);
+  EXPECT_EQ(runs.load(), 1);
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.get_or_predict(tle, site, jd0, jd0 + 1.0).empty());
+  EXPECT_FALSE(lookup().empty());
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_FALSE(lookup().empty());
+  EXPECT_EQ(runs.load(), 2);  // served from the cache
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 }  // namespace

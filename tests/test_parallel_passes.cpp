@@ -1,5 +1,5 @@
 // Parallel pass-prediction engine: thread pool semantics, serial-vs-
-// parallel bit parity of predict_passes_batch over a mixed constellation,
+// parallel bit parity of predict_passes_grid over a mixed constellation,
 // and ContactWindowCache hit behavior.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,9 @@
 
 #include "core/scenario.h"
 #include "orbit/constellation.h"
+#include "orbit/ephemeris.h"
 #include "orbit/passes.h"
+#include "pass_scan_oracle.h"
 #include "sim/thread_pool.h"
 
 namespace {
@@ -63,7 +65,7 @@ TEST(ThreadPool, SharedPoolIsUsable) {
   EXPECT_EQ(sum.load(), 45);
 }
 
-// --- Batch parity --------------------------------------------------------
+// --- Grid parity ---------------------------------------------------------
 
 /// The full 39-satellite mixed constellation of the paper's campaign.
 std::vector<Tle> mixed_constellation(JulianDate epoch) {
@@ -90,7 +92,19 @@ void expect_identical(const std::vector<std::vector<ContactWindow>>& a,
   }
 }
 
-TEST(PredictPassesBatch, ParallelIsBitIdenticalToSerial) {
+/// predict_passes_grid over one site: per-satellite windows ([s][0]).
+std::vector<std::vector<ContactWindow>> grid_over_site(
+    const std::vector<const Sgp4*>& sats, const Geodetic& site,
+    JulianDate start, JulianDate end, const PassPredictionOptions& opts,
+    unsigned threads) {
+  auto grid = predict_passes_grid(sats, {GridObserver{site}}, start, end,
+                                  opts, threads);
+  std::vector<std::vector<ContactWindow>> out(grid.size());
+  for (std::size_t s = 0; s < grid.size(); ++s) out[s] = std::move(grid[s][0]);
+  return out;
+}
+
+TEST(PredictPassesGrid, ParallelIsBitIdenticalToSerial) {
   const JulianDate epoch = core::campaign_epoch_jd();
   const auto tles = mixed_constellation(epoch);
   ASSERT_EQ(tles.size(), 39u);
@@ -99,23 +113,21 @@ TEST(PredictPassesBatch, ParallelIsBitIdenticalToSerial) {
   std::vector<Sgp4> props;
   props.reserve(tles.size());
   for (const Tle& tle : tles) props.emplace_back(tle);
-  std::vector<PassBatchRequest> requests(tles.size());
-  for (std::size_t i = 0; i < tles.size(); ++i)
-    requests[i] = {&props[i], site};
+  std::vector<const Sgp4*> sats;
+  for (const Sgp4& prop : props) sats.push_back(&prop);
 
   PassPredictionOptions opts;
   opts.coarse_step_s = 60.0;
 
-  // Reference: the plain serial predict_passes loop.
+  // Reference: the plain serial per-pair oracle scan.
   std::vector<std::vector<ContactWindow>> serial(tles.size());
   for (std::size_t i = 0; i < tles.size(); ++i)
-    serial[i] = predict_passes(props[i], site, epoch, epoch + 1.0, opts);
+    serial[i] = sinet::testing::oracle_predict_passes(
+        props[i], site, epoch, epoch + 1.0, opts);
 
-  const auto one =
-      predict_passes_batch(requests, epoch, epoch + 1.0, opts, 1);
-  const auto four =
-      predict_passes_batch(requests, epoch, epoch + 1.0, opts, 4);
-  const auto hw = predict_passes_batch(requests, epoch, epoch + 1.0, opts, 0);
+  const auto one = grid_over_site(sats, site, epoch, epoch + 1.0, opts, 1);
+  const auto four = grid_over_site(sats, site, epoch, epoch + 1.0, opts, 4);
+  const auto hw = grid_over_site(sats, site, epoch, epoch + 1.0, opts, 0);
 
   expect_identical(serial, one);
   expect_identical(one, four);
@@ -127,24 +139,31 @@ TEST(PredictPassesBatch, ParallelIsBitIdenticalToSerial) {
   EXPECT_GT(total, 10u);
 }
 
-TEST(PredictPassesBatch, ValidatesBeforeSpawning) {
+TEST(PredictPassesGrid, ValidatesBeforeSpawning) {
   const JulianDate epoch = core::campaign_epoch_jd();
   const auto tles = generate_tles(paper_constellation("FOSSA"), epoch);
   std::vector<Sgp4> props;
   for (const Tle& tle : tles) props.emplace_back(tle);
-  std::vector<PassBatchRequest> requests;
-  for (const Sgp4& p : props)
-    requests.push_back({&p, core::paper_site("HK").location});
+  std::vector<const Sgp4*> sats;
+  for (const Sgp4& p : props) sats.push_back(&p);
+  const std::vector<GridObserver> site{{core::paper_site("HK").location}};
 
-  EXPECT_THROW(predict_passes_batch(requests, epoch, epoch - 1.0),
-               std::invalid_argument);
-  PassPredictionOptions bad;
-  bad.coarse_step_s = 0.0;
-  EXPECT_THROW(predict_passes_batch(requests, epoch, epoch + 1.0, bad),
-               std::invalid_argument);
-  requests[1].propagator = nullptr;
-  EXPECT_THROW(predict_passes_batch(requests, epoch, epoch + 1.0),
-               std::invalid_argument);
+  // Every thread count validates on the calling thread, before any task.
+  for (const unsigned threads : {1u, 4u, 0u}) {
+    EXPECT_THROW(
+        predict_passes_grid(sats, site, epoch, epoch - 1.0, {}, threads),
+        std::invalid_argument);
+    PassPredictionOptions bad;
+    bad.coarse_step_s = 0.0;
+    EXPECT_THROW(
+        predict_passes_grid(sats, site, epoch, epoch + 1.0, bad, threads),
+        std::invalid_argument);
+    std::vector<const Sgp4*> with_null = sats;
+    with_null[1] = nullptr;
+    EXPECT_THROW(
+        predict_passes_grid(with_null, site, epoch, epoch + 1.0, {}, threads),
+        std::invalid_argument);
+  }
 }
 
 TEST(ElevationSampler, MatchesNaiveFramePath) {
@@ -170,64 +189,85 @@ TEST(ElevationSampler, MatchesNaiveFramePath) {
 
 // --- ContactWindowCache --------------------------------------------------
 
+/// Looks (tle, site, span, opts) up through get_or_compute; a miss runs
+/// the production grid scan of the pair and bumps `runs`.
+std::vector<ContactWindow> counted_lookup(ContactWindowCache& cache,
+                                          const Tle& tle, const Geodetic& site,
+                                          JulianDate start, JulianDate end,
+                                          std::atomic<int>& runs,
+                                          const PassPredictionOptions& opts =
+                                              {}) {
+  return cache.get_or_compute(
+      tle, site, start, end, opts, PropagationMode::kReference, [&] {
+        runs.fetch_add(1);
+        const Sgp4 prop(tle);
+        return predict_passes_grid({&prop}, {GridObserver{site}}, start, end,
+                                   opts, 1)[0][0];
+      });
+}
+
 TEST(ContactWindowCache, HitReturnsIdenticalWindows) {
   const JulianDate epoch = core::campaign_epoch_jd();
   const auto tles = generate_tles(paper_constellation("CSTP"), epoch);
   const Geodetic site = core::paper_site("LDN").location;
 
   ContactWindowCache cache;
-  const auto first = cache.get_or_predict(tles[0], site, epoch, epoch + 1.0);
+  std::atomic<int> runs{0};
+  const auto first =
+      counted_lookup(cache, tles[0], site, epoch, epoch + 1.0, runs);
   auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(runs.load(), 1);
 
-  const auto second = cache.get_or_predict(tles[0], site, epoch, epoch + 1.0);
+  const auto second =
+      counted_lookup(cache, tles[0], site, epoch, epoch + 1.0, runs);
   stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(runs.load(), 1);  // served without computing
+  expect_identical({first}, {second});
 
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t w = 0; w < first.size(); ++w) {
-    EXPECT_EQ(first[w].aos_jd, second[w].aos_jd);
-    EXPECT_EQ(first[w].los_jd, second[w].los_jd);
-    EXPECT_EQ(first[w].tca_jd, second[w].tca_jd);
-    EXPECT_EQ(first[w].max_elevation_deg, second[w].max_elevation_deg);
-  }
-
-  // A different span / site / option set is a distinct key.
-  (void)cache.get_or_predict(tles[0], site, epoch, epoch + 2.0);
+  // A different span / option set is a distinct key.
+  (void)counted_lookup(cache, tles[0], site, epoch, epoch + 2.0, runs);
   PassPredictionOptions masked;
   masked.min_elevation_deg = 10.0;
-  (void)cache.get_or_predict(tles[0], site, epoch, epoch + 1.0, masked);
+  (void)counted_lookup(cache, tles[0], site, epoch, epoch + 1.0, runs,
+                       masked);
   stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(runs.load(), 3);
 }
 
-TEST(ContactWindowCache, BatchCachedHitsOnSecondCall) {
+TEST(ContactWindowCache, GridCachedHitsOnSecondCall) {
   const JulianDate epoch = core::campaign_epoch_jd();
   const auto tles = generate_tles(paper_constellation("PICO"), epoch);
-  const Geodetic site = core::paper_site("PGH").location;
+  const std::vector<GridObserver> site{{core::paper_site("PGH").location}};
 
   ContactWindowCache cache;
-  const auto first = predict_passes_batch_cached(tles, site, epoch,
-                                                 epoch + 1.0, {}, 0, &cache);
+  const auto first = predict_passes_grid_cached(tles, site, epoch,
+                                                epoch + 1.0, {}, 0, &cache);
   auto stats = cache.stats();
   EXPECT_EQ(stats.misses, tles.size());
   EXPECT_EQ(stats.hits, 0u);
 
-  const auto second = predict_passes_batch_cached(tles, site, epoch,
-                                                  epoch + 1.0, {}, 0, &cache);
+  const auto second = predict_passes_grid_cached(tles, site, epoch,
+                                                 epoch + 1.0, {}, 0, &cache);
   stats = cache.stats();
   EXPECT_EQ(stats.hits, tles.size());
   EXPECT_EQ(stats.misses, tles.size());
-  expect_identical(first, second);
 
-  // Bypassing the cache computes the same thing from scratch.
-  const auto uncached = predict_passes_batch_cached(
-      tles, site, epoch, epoch + 1.0, {}, 0, nullptr);
-  expect_identical(first, uncached);
+  // The uncached grid scan computes the same thing from scratch.
+  std::vector<Sgp4> props(tles.begin(), tles.end());
+  std::vector<const Sgp4*> sats;
+  for (const Sgp4& p : props) sats.push_back(&p);
+  const auto uncached = predict_passes_grid(sats, site, epoch, epoch + 1.0);
+  for (std::size_t s = 0; s < tles.size(); ++s) {
+    expect_identical({first[s][0]}, {second[s][0]});
+    expect_identical({first[s][0]}, {uncached[s][0]});
+  }
   EXPECT_EQ(cache.stats().hits, tles.size());  // untouched
 }
 
@@ -236,19 +276,25 @@ TEST(ContactWindowCache, ClearAndEviction) {
   const auto tles = generate_tles(paper_constellation("FOSSA"), epoch);
   const Geodetic site = core::paper_site("HK").location;
 
-  ContactWindowCache tiny(2);  // max two entries -> FIFO eviction
+  ContactWindowCache tiny(2);  // max two entries -> LRU eviction
+  std::atomic<int> runs{0};
   for (const Tle& tle : tles)
-    (void)tiny.get_or_predict(tle, site, epoch, epoch + 0.5);
+    (void)counted_lookup(tiny, tle, site, epoch, epoch + 0.5, runs);
   EXPECT_EQ(tiny.stats().entries, 2u);
+  EXPECT_EQ(runs.load(), static_cast<int>(tles.size()));
   // The oldest entry (tles[0]) was evicted: re-requesting it misses.
-  (void)tiny.get_or_predict(tles[0], site, epoch, epoch + 0.5);
+  (void)counted_lookup(tiny, tles[0], site, epoch, epoch + 0.5, runs);
   EXPECT_EQ(tiny.stats().misses, tles.size() + 1);
+  EXPECT_EQ(runs.load(), static_cast<int>(tles.size()) + 1);
 
   tiny.clear();
   const auto stats = tiny.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
+  // Cleared means recomputed.
+  (void)counted_lookup(tiny, tles[0], site, epoch, epoch + 0.5, runs);
+  EXPECT_EQ(runs.load(), static_cast<int>(tles.size()) + 2);
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 // Pass prediction: window detection, refinement, merging, gap statistics.
+// Window tests run the production grid scan (predict_passes_grid) on one
+// (satellite, site) pair.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "orbit/passes.h"
 #include "orbit/time.h"
@@ -10,6 +16,14 @@
 namespace {
 
 using namespace sinet::orbit;
+
+/// Windows of one satellite over one site through the production scan.
+std::vector<ContactWindow> scan_pair(const Sgp4& prop, const Geodetic& site,
+                                     JulianDate jd_start, JulianDate jd_end,
+                                     const PassPredictionOptions& opts = {}) {
+  return predict_passes_grid({&prop}, {GridObserver{site}}, jd_start, jd_end,
+                             opts, /*threads=*/1)[0][0];
+}
 
 Tle polar_tle(double altitude_km = 550.0) {
   KeplerianElements kep;
@@ -25,7 +39,7 @@ TEST(Passes, FindsPassesWithinADay) {
   const Tle tle = polar_tle();
   const Sgp4 prop(tle);
   const JulianDate start = tle.epoch_jd;
-  const auto windows = predict_passes(prop, kHongKong, start, start + 1.0);
+  const auto windows = scan_pair(prop, kHongKong, start, start + 1.0);
   // A 550 km polar orbit yields roughly 2-6 visible passes per day at
   // mid latitude.
   EXPECT_GE(windows.size(), 2u);
@@ -36,7 +50,7 @@ TEST(Passes, WindowsAreOrderedAndDisjoint) {
   const Tle tle = polar_tle();
   const Sgp4 prop(tle);
   const JulianDate start = tle.epoch_jd;
-  const auto windows = predict_passes(prop, kHongKong, start, start + 2.0);
+  const auto windows = scan_pair(prop, kHongKong, start, start + 2.0);
   for (std::size_t i = 0; i < windows.size(); ++i) {
     EXPECT_LT(windows[i].aos_jd, windows[i].los_jd);
     EXPECT_GE(windows[i].tca_jd, windows[i].aos_jd);
@@ -51,7 +65,7 @@ TEST(Passes, DurationsArePhysical) {
   const Tle tle = polar_tle();
   const Sgp4 prop(tle);
   const auto windows =
-      predict_passes(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 2.0);
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 2.0);
   ASSERT_FALSE(windows.empty());
   for (const ContactWindow& w : windows) {
     // LEO passes above the horizon last between ~1 and ~13 minutes.
@@ -67,8 +81,8 @@ TEST(Passes, ElevationAboveMaskInsideWindow) {
   const Sgp4 prop(tle);
   PassPredictionOptions opts;
   opts.min_elevation_deg = 10.0;
-  const auto windows = predict_passes(prop, kHongKong, tle.epoch_jd,
-                                      tle.epoch_jd + 2.0, opts);
+  const auto windows =
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 2.0, opts);
   for (const ContactWindow& w : windows) {
     const auto samples = sample_pass(prop, kHongKong, w, 10.0);
     for (std::size_t i = 1; i + 1 < samples.size(); ++i)
@@ -82,10 +96,10 @@ TEST(Passes, HigherMaskGivesFewerShorterWindows) {
   PassPredictionOptions lo, hi;
   lo.min_elevation_deg = 0.0;
   hi.min_elevation_deg = 20.0;
-  const auto w0 = predict_passes(prop, kHongKong, tle.epoch_jd,
-                                 tle.epoch_jd + 3.0, lo);
-  const auto w20 = predict_passes(prop, kHongKong, tle.epoch_jd,
-                                  tle.epoch_jd + 3.0, hi);
+  const auto w0 =
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 3.0, lo);
+  const auto w20 =
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 3.0, hi);
   EXPECT_GE(w0.size(), w20.size());
   double d0 = 0.0, d20 = 0.0;
   for (const auto& w : w0) d0 += w.duration_s();
@@ -98,8 +112,8 @@ TEST(Passes, RefinementIsTight) {
   const Sgp4 prop(tle);
   PassPredictionOptions opts;
   opts.refine_tolerance_s = 0.5;
-  const auto windows = predict_passes(prop, kHongKong, tle.epoch_jd,
-                                      tle.epoch_jd + 1.0, opts);
+  const auto windows =
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 1.0, opts);
   ASSERT_FALSE(windows.empty());
   // Elevation at AOS/LOS should be within a small band around the mask.
   for (const ContactWindow& w : windows) {
@@ -113,21 +127,73 @@ TEST(Passes, RefinementIsTight) {
 TEST(Passes, InvalidArguments) {
   const Tle tle = polar_tle();
   const Sgp4 prop(tle);
+  const std::vector<GridObserver> site{GridObserver{kHongKong}};
+  const JulianDate jd0 = tle.epoch_jd;
+  ContactWindowCache cache;
+  EXPECT_THROW(predict_passes_grid({&prop}, site, jd0, jd0 - 1.0),
+               std::invalid_argument);
   EXPECT_THROW(
-      predict_passes(prop, kHongKong, tle.epoch_jd, tle.epoch_jd - 1.0),
+      predict_passes_grid_cached({tle}, site, jd0, jd0 - 1.0, {}, 0, &cache),
       std::invalid_argument);
   PassPredictionOptions opts;
   opts.coarse_step_s = 0.0;
-  EXPECT_THROW(predict_passes(prop, kHongKong, tle.epoch_jd,
-                              tle.epoch_jd + 1.0, opts),
+  EXPECT_THROW(predict_passes_grid({&prop}, site, jd0, jd0 + 1.0, opts),
                std::invalid_argument);
+  EXPECT_THROW(predict_passes_grid_cached({tle}, site, jd0, jd0 + 1.0, opts,
+                                          0, &cache),
+               std::invalid_argument);
+  EXPECT_THROW(predict_passes_grid({nullptr}, site, jd0, jd0 + 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(
+      predict_passes_grid_cached({tle}, site, jd0, jd0 + 1.0, {}, 0, nullptr),
+      std::invalid_argument);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+// A NaN or infinite span bound (or step) passes an `end < start` check
+// and never ends the scan grid's accumulation loop. Both entry points
+// reject it up front: with nothing to scan, and — for the cached one —
+// before a NaN key reaches the cache's ordered map.
+TEST(Passes, RejectsNonFiniteSpan) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Tle tle = polar_tle();
+  const Sgp4 prop(tle);
+  const std::vector<GridObserver> site{GridObserver{kHongKong}};
+  const JulianDate jd0 = tle.epoch_jd;
+  ContactWindowCache cache;
+  PassPredictionOptions nan_step;
+  nan_step.coarse_step_s = kNaN;
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    for (const auto& [start, end] :
+         {std::pair{jd0, bad}, std::pair{bad, jd0}, std::pair{bad, bad}}) {
+      EXPECT_THROW(predict_passes_grid({&prop}, site, start, end),
+                   std::invalid_argument);
+      EXPECT_THROW(predict_passes_grid({}, {}, start, end),
+                   std::invalid_argument);
+      EXPECT_THROW(
+          predict_passes_grid_cached({tle}, site, start, end, {}, 0, &cache),
+          std::invalid_argument);
+      EXPECT_THROW(predict_passes_grid_cached({}, {}, start, end, {}, 0,
+                                              &cache),
+                   std::invalid_argument);
+    }
+  }
+  EXPECT_THROW(predict_passes_grid({&prop}, site, jd0, jd0 + 1.0, nan_step),
+               std::invalid_argument);
+  EXPECT_THROW(predict_passes_grid_cached({tle}, site, jd0, jd0 + 1.0,
+                                          nan_step, 0, &cache),
+               std::invalid_argument);
+  const ContactWindowCache::Stats st = cache.stats();
+  EXPECT_EQ(st.hits + st.misses, 0u);
+  EXPECT_EQ(st.entries, 0u);
 }
 
 TEST(Passes, SamplePassCoversWindow) {
   const Tle tle = polar_tle();
   const Sgp4 prop(tle);
   const auto windows =
-      predict_passes(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 1.0);
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 1.0);
   ASSERT_FALSE(windows.empty());
   const auto samples = sample_pass(prop, kHongKong, windows[0], 5.0);
   EXPECT_GE(samples.size(),
@@ -142,7 +208,7 @@ TEST(Passes, SamplePassExactMultipleHasNoDuplicateTerminal) {
   const Tle tle = polar_tle();
   const Sgp4 prop(tle);
   const auto windows =
-      predict_passes(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 1.0);
+      scan_pair(prop, kHongKong, tle.epoch_jd, tle.epoch_jd + 1.0);
   ASSERT_FALSE(windows.empty());
 
   // Force a window whose duration is an exact multiple of the step: the

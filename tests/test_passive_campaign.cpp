@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/passive_campaign.h"
+#include "orbit/passes.h"
 
 namespace {
 
@@ -159,13 +160,16 @@ TEST(PassiveCampaign, DeterministicForSeed) {
 TEST(PassiveCampaignParallel, ThreadCountInvariant) {
   PassiveCampaignConfig cfg = default_campaign(2.0);
   ASSERT_EQ(cfg.sites.size(), 8u);
-  cfg.use_window_cache = false;  // each run predicts at its own count
+  // An empty window cache before each run: every run predicts its windows
+  // at its own thread count instead of reading the serial run's.
+  sinet::orbit::ContactWindowCache::global().clear();
   cfg.threads = 1;
   const PassiveCampaignResult serial = run_passive_campaign(cfg);
   ASSERT_GT(serial.traces.size(), 1000u);
   for (const unsigned threads : {2u, 4u, 0u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     cfg.threads = threads;
+    sinet::orbit::ContactWindowCache::global().clear();
     expect_same_result(run_passive_campaign(cfg), serial);
   }
 }

@@ -3,7 +3,9 @@
 // (refine_oracle.h). The primitives evaluate their search points four at
 // a time in SIMD lanes and take a comparison from the lanes only when it
 // clears a margin; every result must still carry the oracle's bits, and
-// every PropagationError the oracle throws must be thrown too.
+// every PropagationError the oracle throws must be thrown too. This is
+// what lets pass_scan_oracle.h refine with the scalar searches and still
+// stand for the engine's windows bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,6 +23,7 @@
 #include "orbit/passes.h"
 #include "orbit/sgp4.h"
 #include "orbit/tle.h"
+#include "pass_scan_oracle.h"
 #include "refine_oracle.h"
 
 namespace sinet {
@@ -119,7 +122,8 @@ bool peak_matches(const ElevationSampler& s, JulianDate a, JulianDate b,
 
 // Every window both engines emit, in both propagation modes, is the
 // oracle's refinement of its grid brackets; the primitives agree with the
-// oracle on each of those brackets too.
+// oracle on each of those brackets too. In kReference the whole window
+// list is the pass-scan oracle's.
 TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
   std::mt19937_64 rng(20261017u);
   std::vector<Sgp4> props;
@@ -155,6 +159,21 @@ TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
       const std::string label =
           std::string(orbit::propagation_mode_name(mode)) + " pair " +
           std::to_string(p);
+      if (mode == orbit::PropagationMode::kReference) {
+        orbit::PassPredictionOptions pair_opts = opts;
+        pair_opts.min_elevation_deg = obs.min_elevation_deg;
+        const auto want = testing::oracle_predict_passes(
+            *sats[pairs[p].satellite], obs.location, jd0, jd1, pair_opts);
+        ASSERT_EQ(windows[p].size(), want.size()) << label;
+        for (std::size_t w = 0; w < want.size(); ++w) {
+          EXPECT_EQ(bits(windows[p][w].aos_jd), bits(want[w].aos_jd)) << label;
+          EXPECT_EQ(bits(windows[p][w].los_jd), bits(want[w].los_jd)) << label;
+          EXPECT_EQ(bits(windows[p][w].tca_jd), bits(want[w].tca_jd)) << label;
+          EXPECT_EQ(bits(windows[p][w].max_elevation_deg),
+                    bits(want[w].max_elevation_deg))
+              << label;
+        }
+      }
       for (const ContactWindow& w : windows[p]) {
         for (const JulianDate edge : {w.aos_jd, w.los_jd}) {
           const auto bracket = scan_crossing_bracket(grid, edge);
@@ -180,11 +199,11 @@ TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
   }
 }
 
-// A scalar walk (like predict_passes) at every mask, at steps of 10-120 s,
-// starting up to a year after the epoch — beyond the 30 days over which
-// the batch kernel's accuracy is tested. Each transition's bracket and
-// each closed window go through both primitives and the oracle, at the
-// default and at a finer and a coarser tolerance.
+// A scalar walk (like pass_scan_oracle.h's) at every mask, at steps of
+// 10-120 s, starting up to a year after the epoch — beyond the 30 days
+// over which the batch kernel's accuracy is tested. Each transition's
+// bracket and each closed window go through both primitives and the
+// oracle, at the default and at a finer and a coarser tolerance.
 TEST(RefinePrimitives, MatchOracleAcrossMasksStepsAndSpans) {
   std::mt19937_64 rng(7031u);
   const std::vector<Geodetic> sites = paper_sites();

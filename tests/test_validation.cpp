@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -89,10 +90,10 @@ TEST(ValidationSchema, RoundTripIsBitExact) {
   r.link_records.push_back({"TQ-node-1", 1740787200.5, -1.0, -1.0, 0, false});
   r.link_records.push_back(
       {"TQ-node-2", 1740787260.25, 1740790000.125, 1740790321.0625, 3, true});
-  r.distributions.push_back({"contact_duration_s.legacy",
+  r.distributions.push_back({"contact_duration_s.reference",
                              {0.1, 602.5000000000001, 1e-300, 1.5e9}});
   r.distributions.push_back({"empty", {}});
-  r.scores.push_back({"windows.fast_vs_legacy.ks", 1.0 / 3.0});
+  r.scores.push_back({"windows.fast_vs_reference.ks", 1.0 / 3.0});
   r.scalars.push_back({"availability.daily_hours.measured", 20.401951923966408});
 
   const std::string json = val::to_json(r);
@@ -288,20 +289,13 @@ TEST(RunValidation, QuickScenarioPassesCommittedGate) {
   const val::ValidationScenario sc = val::validation_scenario("quick");
   const val::ValidationReport report = val::run_validation(sc);
 
-  // Shared-ephemeris and culled scans are bit-identical to the legacy
-  // per-pair scan, so their divergence must be *exactly* zero.
-  EXPECT_EQ(report.score_or_nan("windows.shared_vs_legacy.ks"), 0.0);
-  EXPECT_EQ(report.score_or_nan("windows.shared_vs_legacy.wasserstein_s"),
-            0.0);
-  EXPECT_EQ(report.score_or_nan("windows.culled_vs_legacy.ks"), 0.0);
-  EXPECT_EQ(report.score_or_nan("windows.culled_vs_legacy.count_rel_err"),
-            0.0);
-
   // The SIMD fast arm is tolerance-bounded, not bit-exact by contract.
-  EXPECT_LE(report.score_or_nan("windows.fast_vs_legacy.ks"), 0.02);
+  // (The reference arm's bit parity with the per-pair scan is ctest's
+  // EphemerisParity.ValidationScenarioPairsMatchOracle.)
+  EXPECT_LE(report.score_or_nan("windows.fast_vs_reference.ks"), 0.02);
 
   // Analytic agreement is coarse but bounded.
-  EXPECT_LT(report.score_or_nan("contact_duration.legacy_vs_analytic.ks"),
+  EXPECT_LT(report.score_or_nan("contact_duration.reference_vs_analytic.ks"),
             0.15);
   EXPECT_LT(report.score_or_nan("availability.daily_hours.rel_err"), 0.35);
   // Geometric renewal lower-bounds the DES wait.
@@ -310,7 +304,8 @@ TEST(RunValidation, QuickScenarioPassesCommittedGate) {
   // Report carries the data the scores were computed from.
   EXPECT_FALSE(report.windows.empty());
   EXPECT_FALSE(report.link_records.empty());
-  ASSERT_NE(report.find_distribution("contact_duration_s.legacy"), nullptr);
+  ASSERT_NE(report.find_distribution("contact_duration_s.reference"),
+            nullptr);
   ASSERT_NE(report.find_distribution("dts.wait_s"), nullptr);
 
   // Round-trips bit-exactly through the schema.
@@ -324,7 +319,18 @@ TEST(RunValidation, QuickScenarioPassesCommittedGate) {
   for (const val::GateCheck& c : gated.checks)
     EXPECT_TRUE(c.ok) << c.score << " = " << c.value << " > " << c.max;
   EXPECT_TRUE(gated.passed);
-  EXPECT_GE(gated.checks.size(), 10u);
+
+  // Exact coverage: every score the quick report computes is gated, and
+  // every committed quick threshold names a score the report computes.
+  std::set<std::string> scored;
+  for (const auto& score : report.scores) scored.insert(score.name);
+  std::set<std::string> thresholded;
+  const val::BaselineSet::Scenario* quick = baselines.find_scenario("quick");
+  ASSERT_NE(quick, nullptr);
+  for (const val::ScoreThreshold& t : quick->thresholds)
+    thresholded.insert(t.score);
+  EXPECT_EQ(scored, thresholded);
+  EXPECT_EQ(scored.size(), report.scores.size()) << "duplicate score names";
 }
 
 TEST(RunValidation, ScaleScenarioCatalogEntry) {
@@ -376,7 +382,7 @@ TEST(RunValidation, MiniScaleScenarioScoresAggregates) {
 
 TEST(RunValidation, FastModeQuickScenarioPassesSameGate) {
   // Acceptance criterion: the SIMD fast path passes the same gate as the
-  // reference mode. The DtS arm follows the ambient mode; the four scan
+  // reference mode. The DtS arm follows the ambient mode; the two scan
   // arms pin their own modes, so the cross-arm scores stay comparable.
   const orbit::PropagationMode prev = orbit::propagation_mode();
   orbit::set_propagation_mode(orbit::PropagationMode::kFast);

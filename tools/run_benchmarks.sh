@@ -129,8 +129,10 @@ if validation.exists():
         "scalars": {s["name"]: s["value"] for s in report.get("scalars", [])},
     }
 
-# Distill the 30-day campaign-scan ablation (legacy / shared / culled /
-# simd) into one flat column set so the perf trajectory diffs cleanly.
+# Distill the 30-day campaign-scan ablation (SharedCulled = kReference,
+# SharedCulledSimd = kFast) into one flat column set so the perf
+# trajectory diffs cleanly. Older results also carry Legacy and Shared
+# rows; speedup_vs_legacy is written only when a Legacy row exists.
 ablation = merged.get("bench_ablation_ephemeris", {})
 arms = {}
 for row in ablation.get("benchmarks", []):
