@@ -9,6 +9,9 @@
 // computed by phy/doppler.h.
 #pragma once
 
+#include <limits>
+#include <vector>
+
 #include "phy/doppler.h"
 #include "phy/link_budget.h"
 #include "phy/lora.h"
@@ -16,6 +19,7 @@
 
 namespace sinet::phy {
 
+/// Every field must be finite; ErrorModel's constructor checks the ranges.
 struct ErrorModelConfig {
   /// Symbol error rate at exactly the demod SNR threshold.
   double ser_at_threshold = 2e-3;
@@ -23,15 +27,16 @@ struct ErrorModelConfig {
   double slope_per_db = 1.9;
   /// Floor on PER from non-SNR effects (interference bursts, sync loss).
   double residual_per = 2e-3;
-  /// Coding-rate correction capability: fraction of symbol errors the FEC
-  /// absorbs at CR 4/8 (scaled linearly down to 0 at CR 4/5-equivalent).
+  /// Coding-rate correction capability in [0, 1]: fraction of symbol
+  /// errors the FEC absorbs at CR 4/8 (a quarter of it per CR step).
   double fec_strength = 0.5;
 };
 
 /// Everything of a reception decision fixed by (Doppler profile, LoRa
 /// parameters, payload size): what the PER curve needs besides the SNR.
-/// Prepared once per link; a decision is then the PER curve's exp/pow and
-/// one Bernoulli draw.
+/// Prepared once per link; a decision is then one Bernoulli draw against
+/// the PER curve, whose exp/pow run only above the saturation margin
+/// (ErrorModel::saturation_margin_db).
 struct PreparedReception {
   double time_on_air_s = 0.0;
   int symbols = 0;  ///< preamble + payload symbols
@@ -42,6 +47,14 @@ struct PreparedReception {
 
 class ErrorModel {
  public:
+  /// Symbol counts below this have a tabulated saturation margin: every
+  /// 255-byte packet at any SF and coding rate with a preamble of up to
+  /// 423 symbols.
+  static constexpr int kTabulatedSymbols = 1024;
+
+  /// Throws std::invalid_argument unless ser_at_threshold is in (0, 1),
+  /// slope_per_db is finite and > 0, residual_per is in [0, 1) and
+  /// fec_strength is in [0, 1].
   explicit ErrorModel(const ErrorModelConfig& cfg = {});
 
   /// Probability that a packet of `payload_bytes` is lost at the given
@@ -83,6 +96,18 @@ class ErrorModel {
     return cfg_;
   }
 
+  /// The margin over the demod threshold (dB) below which the PER curve
+  /// of a `symbols`-symbol packet at coding rate `cr` is exactly 1, so it
+  /// is returned without evaluating the curve. -infinity when the curve
+  /// never reaches 1, and for fewer than 2 or untabulated symbol counts.
+  [[nodiscard]] double saturation_margin_db(CodingRate cr,
+                                            int symbols) const noexcept {
+    const auto row = static_cast<unsigned>(static_cast<int>(cr) - 1);
+    if (row >= 4 || static_cast<unsigned>(symbols) >= kTabulatedSymbols)
+      return -std::numeric_limits<double>::infinity();
+    return saturation_db_[row * kTabulatedSymbols + symbols];
+  }
+
  private:
   /// The PER curve at post-Doppler SNR `snr_db` for a packet of
   /// `symbols` symbols.
@@ -90,6 +115,8 @@ class ErrorModel {
                                  CodingRate cr, int symbols) const;
 
   ErrorModelConfig cfg_;
+  /// saturation_margin_db per (coding rate, symbol count), row-major.
+  std::vector<double> saturation_db_;
 };
 
 }  // namespace sinet::phy

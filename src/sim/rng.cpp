@@ -60,13 +60,43 @@ double inverse_normal_cdf(double p) {
 
 }  // namespace
 
+Mt19937_64::Mt19937_64(std::uint64_t seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kWords; ++i)
+    state_[i] = 6364136223846793005ull *
+                    (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+}
+
+void Mt19937_64::refill() {
+  // libstdc++ writes the twist as `(y & 1) ? kA : 0`, a select GCC does
+  // not vectorize for 64-bit lanes below SSE4.1; the mask form is the same
+  // value and needs only and/sub, so both loops vectorize at the baseline
+  // x86-64 ISA. Neither loop reads a word it writes in the same pass.
+  constexpr std::size_t kShift = 156;
+  constexpr std::uint64_t kA = 0xB5026F5AA96619E9ull;
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  const auto twist = [](std::uint64_t hi, std::uint64_t lo) {
+    const std::uint64_t y = (hi & kUpper) | (lo & ~kUpper);
+    return (y >> 1) ^ (kA & (0 - (y & 1)));
+  };
+  for (std::size_t k = 0; k < kWords - kShift; ++k)
+    state_[k] = state_[k + kShift] ^ twist(state_[k], state_[k + 1]);
+  for (std::size_t k = kWords - kShift; k < kWords - 1; ++k)
+    state_[k] =
+        state_[k - (kWords - kShift)] ^ twist(state_[k], state_[k + 1]);
+  state_[kWords - 1] =
+      state_[kShift - 1] ^ twist(state_[kWords - 1], state_[0]);
+  next_ = 0;
+}
+
 double Rng::uniform() {
   // 53-bit mantissa from the top bits of one fully-specified raw draw.
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
-  if (hi < lo) throw std::invalid_argument("Rng::uniform: hi < lo");
+  if (!(hi >= lo) || !std::isfinite(lo) || !std::isfinite(hi))
+    throw std::invalid_argument("Rng::uniform: need finite lo <= hi");
   return lo + (hi - lo) * uniform();
 }
 
@@ -101,7 +131,8 @@ double Rng::normal(double mean, double stddev) {
 }
 
 double Rng::exponential(double mean) {
-  if (mean <= 0.0) throw std::invalid_argument("Rng::exponential: mean <= 0");
+  if (!(mean > 0.0))
+    throw std::invalid_argument("Rng::exponential: mean not > 0");
   return -mean * std::log1p(-uniform());
 }
 
@@ -111,7 +142,8 @@ bool Rng::chance(double p) {
 }
 
 double Rng::rayleigh(double sigma) {
-  if (sigma <= 0.0) throw std::invalid_argument("Rng::rayleigh: sigma <= 0");
+  if (!(sigma > 0.0))
+    throw std::invalid_argument("Rng::rayleigh: sigma not > 0");
   return sigma * std::sqrt(-2.0 * std::log1p(-uniform()));
 }
 

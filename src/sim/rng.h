@@ -5,15 +5,22 @@
 // perturbs the draws of another — runs stay comparable across versions.
 //
 // Cross-platform determinism: every distribution below is an explicit
-// algorithm over the raw (fully specified) mt19937_64 output — no
+// algorithm over the raw (fully specified) MT19937-64 output — no
 // std::*_distribution, whose sequences are implementation-defined and
 // differ between standard libraries. This is what lets a sweep manifest
 // written on one toolchain resume on another (see exp/sweep_runner.h);
 // test_sim.cpp pins golden values for each helper.
+//
+// The engine is this file's own Mt19937_64 rather than std::mt19937_64:
+// the same seeding, recurrence and tempering, so the same sequence for
+// every seed (test_sim.cpp checks it against the standard library's), but
+// a refill written so that the compiler vectorizes it at the baseline
+// ISA. DtS beacon decodes seed a fresh stream per slot and refill it at
+// once, so the refill is a hot path (docs/PERFORMANCE.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <string_view>
 
 namespace sinet::sim {
@@ -29,6 +36,31 @@ struct RicianParams {
 /// Rician parameters of K-factor `k_factor_db`.
 [[nodiscard]] RicianParams rician_params(double k_factor_db);
 
+/// MT19937-64 (Matsumoto and Nishimura): the sequence of
+/// std::mt19937_64 for every seed. The state is refilled 312 words at a
+/// time and each word is tempered as it is drawn, so the engine is no
+/// larger than the standard library's.
+class Mt19937_64 {
+ public:
+  explicit Mt19937_64(std::uint64_t seed);
+
+  std::uint64_t operator()() {
+    if (next_ == kWords) refill();
+    std::uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kWords = 312;
+  void refill();
+
+  std::uint64_t state_[kWords];
+  std::size_t next_ = kWords;
+};
+
 /// One random stream. Thin, value-semantic wrapper over a 64-bit engine
 /// with the distribution helpers the simulator needs.
 class Rng {
@@ -39,7 +71,7 @@ class Rng {
   std::uint64_t next_u64() { return engine_(); }
   /// Uniform in [0, 1), 53-bit resolution: (next_u64() >> 11) * 2^-53.
   double uniform();
-  /// Uniform in [lo, hi). Requires hi >= lo.
+  /// Uniform in [lo, hi). Requires finite bounds with hi >= lo.
   double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive (unbiased rejection sampling
   /// over raw draws).
@@ -53,7 +85,7 @@ class Rng {
   double exponential(double mean);
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool chance(double p);
-  /// Rayleigh-distributed magnitude with scale sigma.
+  /// Rayleigh-distributed magnitude with scale sigma (>0).
   double rayleigh(double sigma);
   /// Rician fading amplitude with K-factor (dB) and mean power 1.
   double rician_amplitude(double k_factor_db) {
@@ -62,10 +94,8 @@ class Rng {
   /// Rician fading amplitude from prepared parameters: two normals.
   double rician_amplitude(const RicianParams& p);
 
-  std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// Derive a child seed from a root seed and a component name (FNV-1a).

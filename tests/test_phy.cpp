@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "channel/fading.h"
@@ -156,6 +160,35 @@ TEST(ErrorModel, ConfigValidation) {
   ErrorModelConfig bad3;
   bad3.residual_per = 1.0;
   EXPECT_THROW(ErrorModel{bad3}, std::invalid_argument);
+
+  // Non-finite fields, and fec_strength outside [0, 1] (above 1 the CR 4/8
+  // absorption exceeds 1 and the SER goes negative). A NaN used to pass
+  // every check and make every packet decode.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double ErrorModelConfig::*field :
+       {&ErrorModelConfig::ser_at_threshold, &ErrorModelConfig::slope_per_db,
+        &ErrorModelConfig::residual_per, &ErrorModelConfig::fec_strength}) {
+    for (const double v : {kNaN, kInf, -kInf}) {
+      ErrorModelConfig c;
+      c.*field = v;
+      EXPECT_THROW(ErrorModel{c}, std::invalid_argument) << v;
+    }
+  }
+  for (const double fec : {-0.01, 1.01}) {
+    ErrorModelConfig c;
+    c.fec_strength = fec;
+    EXPECT_THROW(ErrorModel{c}, std::invalid_argument) << fec;
+  }
+  // The edges of each range stay valid.
+  for (const double fec : {0.0, 1.0}) {
+    ErrorModelConfig c;
+    c.fec_strength = fec;
+    EXPECT_NO_THROW(ErrorModel{c}) << fec;
+  }
+  ErrorModelConfig no_residual;
+  no_residual.residual_per = 0.0;
+  EXPECT_NO_THROW(ErrorModel{no_residual});
 }
 
 TEST(ErrorModel, ReceiveMatchesProbability) {
@@ -530,6 +563,180 @@ TEST(PreparedLink, MatchesPerDrawOracleBitForBit) {
   EXPECT_GT(lost, 1000u);
   EXPECT_GT(beyond_capture, 100u);
   EXPECT_GT(low_k, 300u);
+}
+
+// --- the PER curve's saturation shortcut against the oracle curve ------
+
+/// LoRa parameters whose zero-byte packet has exactly `symbols` symbols:
+/// with an implicit header and no CRC the payload is 8 symbols at every
+/// SF, and the preamble makes up the rest (negative below 8 symbols, which
+/// the curve takes as it is).
+LoraParams params_with_symbols(int symbols, CodingRate cr) {
+  LoraParams p;
+  p.sf = static_cast<SpreadingFactor>(7 + symbols % 6);
+  p.cr = cr;
+  p.explicit_header = false;
+  p.crc_on = false;
+  p.preamble_symbols = symbols - payload_symbol_count(p, 0);
+  return p;
+}
+
+/// The default error model, the edges of the ranges the saturation margin
+/// is derived for, and 30 random valid configs.
+std::vector<ErrorModelConfig> saturation_configs() {
+  std::vector<ErrorModelConfig> cfgs(4);
+  cfgs[1].residual_per = 0.0;
+  cfgs[2].fec_strength = 0.0;
+  cfgs[3].fec_strength = 1.0;
+  sinet::sim::Rng knobs(20261017);
+  for (int i = 0; i < 30; ++i) {
+    ErrorModelConfig c;
+    c.ser_at_threshold = std::pow(10.0, knobs.uniform(-6.0, -0.01));
+    c.slope_per_db = knobs.uniform(0.5, 4.0);
+    c.residual_per =
+        i % 5 == 0 ? 0.0 : std::pow(10.0, knobs.uniform(-6.0, -0.3));
+    c.fec_strength = i % 6 == 0   ? 1.0
+                     : i % 6 == 1 ? 0.0
+                                  : knobs.uniform(0.0, 1.0);
+    cfgs.push_back(c);
+  }
+  return cfgs;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+TEST(ErrorModel, SaturationShortcutMatchesOracleCurve) {
+  // Every coding rate and tabulated symbol count under every config:
+  // the SNRs at -inf, +inf and NaN, the 9 SNRs within 4 ulps of the
+  // saturation margin, and the margin from 3 dB below it to 0.1 dB above
+  // in 1e-4 dB steps. Each (config, CR, symbols) walks every kStride-th
+  // step from its own offset, so together they visit every step. Without
+  // a margin the curve is checked from -40 to +10 dB instead. Each SNR
+  // checks both library entry points bit for bit against the oracle, and
+  // the reception decision and the draw it consumes.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kStepDb = 1e-4;
+  constexpr int kSteps = 31000;  // -3 dB .. +0.1 dB
+  constexpr int kStride = 331;
+  std::size_t mismatches = 0, checked = 0, saturated = 0;
+  std::string first;
+  std::uint64_t stream = 0;
+  for (const ErrorModelConfig& cfg : saturation_configs()) {
+    const ErrorModel model(cfg);
+    for (int cr = 1; cr <= 4; ++cr) {
+      for (int n = 0; n < ErrorModel::kTabulatedSymbols; ++n, ++stream) {
+        const LoraParams p =
+            params_with_symbols(n, static_cast<CodingRate>(cr));
+        const double margin = model.saturation_margin_db(p.cr, n);
+        const double demod = demod_snr_threshold_db(p.sf);
+        // prepare() rejects the negative preambles of packets under 8
+        // symbols; those are prepared by hand.
+        PreparedReception rx{0.0, n, demod, 0.0, p.cr};
+        if (n >= 8) rx = model.prepare(DopplerProfile{}, p, 0);
+        ASSERT_EQ(rx.symbols, n);
+        ASSERT_EQ(rx.doppler_penalty_db, 0.0);
+        sinet::sim::Rng rng(stream), ref(stream);
+        const auto check = [&](double snr) {
+          const double want =
+              oracle::packet_error_probability(cfg, snr, p, 0);
+          const double by_params = model.packet_error_probability(snr, p, 0);
+          const double by_rx = model.reception_error_probability(snr, rx);
+          const bool ok = model.receive(snr, rx, rng);
+          const bool want_ok = !ref.chance(want);
+          ++checked;
+          saturated += want == 1.0;
+          if (same_bits(by_params, want) && same_bits(by_rx, want) &&
+              ok == want_ok)
+            return;
+          if (mismatches++ == 0) {
+            char buf[200];
+            std::snprintf(buf, sizeof buf,
+                          "CR index %d, %d symbols, SNR %.17g dB: oracle "
+                          "%.17g, library %.17g / %.17g",
+                          cr, n, snr, want, by_params, by_rx);
+            first = buf;
+          }
+        };
+        for (const double snr :
+             {-kInf, kInf, std::numeric_limits<double>::quiet_NaN()})
+          check(snr);
+        if (std::isfinite(margin)) {
+          double snr = demod + margin;
+          for (int k = 0; k < 4; ++k) snr = std::nextafter(snr, -kInf);
+          for (int k = 0; k <= 8; ++k, snr = std::nextafter(snr, kInf))
+            check(snr);
+          for (int k = static_cast<int>(stream % kStride); k <= kSteps;
+               k += kStride)
+            check(demod + (margin - 3.0 + k * kStepDb));
+        } else {
+          for (int k = 0; k <= 100; ++k) check(demod - 40.0 + 0.5 * k);
+        }
+        if (rng.next_u64() != ref.next_u64() && mismatches++ == 0)
+          first = "draws diverge at CR index " + std::to_string(cr) + ", " +
+                  std::to_string(n) + " symbols";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+  // Both sides of the margins are well covered.
+  EXPECT_GT(saturated, checked / 20);
+  EXPECT_GT(checked - saturated, checked / 20);
+}
+
+TEST(ErrorModel, SaturationMarginIsTight) {
+  // A margin set too low costs only speed, so parity alone cannot catch
+  // it. Where the table has a margin, the oracle curve must leave 1
+  // within 0.1 dB above it. Where it has none although the curve reaches
+  // 1 at its floor (SNR -inf), the loss product there lies within the
+  // factor of 2 the derivation gives away (2^-55 against 2^-54); doubling
+  // the symbol count squares that product, so the table must have a
+  // margin at twice the symbols.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t margins = 0;
+  double narrowest = kInf, widest = 0.0;
+  for (const ErrorModelConfig& cfg : saturation_configs()) {
+    const ErrorModel model(cfg);
+    for (int cr = 1; cr <= 4; ++cr) {
+      const auto rate = static_cast<CodingRate>(cr);
+      for (int n = 0; n < ErrorModel::kTabulatedSymbols; ++n) {
+        const LoraParams p = params_with_symbols(n, rate);
+        const double demod = demod_snr_threshold_db(p.sf);
+        const auto oracle_is_one = [&](double margin) {
+          return oracle::packet_error_probability(cfg, demod + margin, p,
+                                                  0) == 1.0;
+        };
+        const double margin = model.saturation_margin_db(rate, n);
+        if (!std::isfinite(margin)) {
+          const int twice = 2 * n;
+          if (oracle_is_one(-kInf) && twice < ErrorModel::kTabulatedSymbols) {
+            EXPECT_TRUE(std::isfinite(model.saturation_margin_db(rate, twice)))
+                << "CR index " << cr << ", " << twice << " symbols";
+          }
+          continue;
+        }
+        ++margins;
+        // Bisect for the largest margin at which the oracle is still 1.
+        double lo = margin, hi = margin + 1.0;
+        ASSERT_TRUE(oracle_is_one(lo)) << "CR index " << cr << ", " << n;
+        ASSERT_FALSE(oracle_is_one(hi)) << "CR index " << cr << ", " << n;
+        while (hi - lo > 1e-6) {
+          const double mid = 0.5 * (lo + hi);
+          (oracle_is_one(mid) ? lo : hi) = mid;
+        }
+        narrowest = std::min(narrowest, lo - margin);
+        widest = std::max(widest, lo - margin);
+        EXPECT_LE(lo - margin, 0.1) << "CR index " << cr << ", " << n;
+      }
+      if (testing::Test::HasFailure()) return;  // one CR is enough
+    }
+  }
+  // Most (CR, symbols) pairs saturate under most configs.
+  EXPECT_GT(margins, saturation_configs().size() * 4 * 512);
+  RecordProperty("gap_db",
+                 std::to_string(narrowest) + ".." + std::to_string(widest));
 }
 
 TEST(PreparedLink, CorpusCatchesFadeTermsAddedOneAtATime) {

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +30,14 @@ TEST(Rng, UniformInRange) {
     EXPECT_LT(u, 5.0);
   }
   EXPECT_THROW((void)rng.uniform(1.0, 0.0), std::invalid_argument);
+  // NaN and infinite bounds used to return NaN or inf instead.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)rng.uniform(0.0, kNaN), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(kNaN, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(0.0, kInf), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(-kInf, 0.0), std::invalid_argument);
+  EXPECT_EQ(rng.uniform(2.0, 2.0), 2.0);  // an empty range stays valid
 }
 
 TEST(Rng, DeterministicForSameSeed) {
@@ -55,6 +65,14 @@ TEST(Rng, ExponentialMeanAndErrors) {
   for (int i = 0; i < n; ++i) sum += rng.exponential(3.0);
   EXPECT_NEAR(sum / n, 3.0, 0.1);
   EXPECT_THROW((void)rng.exponential(0.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.exponential(std::nan("")), std::invalid_argument);
+}
+
+TEST(Rng, RayleighRejectsNonPositiveAndNaN) {
+  Rng rng(19);
+  EXPECT_GE(rng.rayleigh(2.0), 0.0);
+  EXPECT_THROW((void)rng.rayleigh(0.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.rayleigh(std::nan("")), std::invalid_argument);
 }
 
 TEST(Rng, ChanceExtremes) {
@@ -90,7 +108,7 @@ TEST(Rng, UniformIntBounds) {
 }
 
 // Golden values pin the exact draw sequences: every distribution is an
-// explicit algorithm over the fully-specified mt19937_64 output, so these
+// explicit algorithm over the fully-specified MT19937-64 output, so these
 // must hold on every platform and standard library. A failure here means
 // the reproducibility contract broke — sweep manifests written elsewhere
 // would no longer resume bit-identically.
@@ -224,6 +242,40 @@ TEST(Rng, DeriveStreamGolden) {
   EXPECT_EQ(sinet::sim::derive_stream(42, 2), 5139283748462763858ull);
   EXPECT_EQ(sinet::sim::derive_stream(0, 0), 16294208416658607535ull);
   EXPECT_EQ(sinet::sim::derive_stream(1, 0), 10451216379200822465ull);
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  // The engine is its own MT19937-64; it must yield std::mt19937_64's
+  // sequence for every seed, through several refills. The seeds cover
+  // the edges and the seed families the simulator actually uses.
+  std::vector<std::uint64_t> seeds = {
+      0, 1, 5489, std::numeric_limits<std::uint64_t>::max()};
+  for (std::uint64_t i = 0; seeds.size() < 1000; ++i) {
+    seeds.push_back(sinet::sim::derive_seed(i, "passive-ESA"));
+    seeds.push_back(sinet::sim::derive_stream(i * 0x9E3779B97F4A7C15ull, i));
+    seeds.push_back(i << 40 | i);
+  }
+  static_assert(sizeof(Rng) <= sizeof(std::mt19937_64),
+                "the engine must not grow sim::Rng");
+  constexpr int kDraws = 5 * 312;  // five refills
+  for (const std::uint64_t seed : seeds) {
+    sinet::sim::Mt19937_64 engine(seed);
+    Rng rng(seed);
+    std::mt19937_64 want(seed);
+    for (int d = 0; d < kDraws; ++d) {
+      const std::uint64_t w = want();
+      ASSERT_EQ(engine(), w) << "seed " << seed << " draw " << d;
+      ASSERT_EQ(rng.next_u64(), w) << "seed " << seed << " draw " << d;
+    }
+  }
+}
+
+TEST(Rng, EngineTenThousandthDrawIsTheStandardValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces this value.
+  sinet::sim::Mt19937_64 engine(5489);
+  for (int i = 1; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ull);
 }
 
 TEST(Rng, DeriveStreamDistinctAcrossBaseAndCounter) {
