@@ -88,6 +88,9 @@ static_assert(sizeof(Reception) == 32, "keep the per-beacon log compact");
 /// phase, then filled by exactly one observe task.
 struct SiteRun {
   std::vector<phy::LinkConfig> links;  ///< per constellation
+  /// Per constellation: the beacon's reception without Doppler (time on
+  /// air, symbols, demod threshold); each beacon adds its penalty.
+  std::vector<phy::PreparedReception> beacon_rx;
   std::vector<SiteObservation> observations;
   /// Upper bound on the beacons the site's windows can carry: the
   /// site's share of the observe work.
@@ -96,12 +99,21 @@ struct SiteRun {
   /// and pages no reception reaches stay untouched.
   std::vector<Reception> receptions;
   std::uint64_t transmitted = 0;
+  /// Beacons whose +1 s look was computed for their Doppler rate.
+  std::uint64_t doppler_twins = 0;
 };
 
 /// Observe every scheduled window of one site: draw the site's daily
 /// weather, then sample each window's beacon grid, draw the channel and
 /// log the received beacons. `rng` is the site's own stream, consumed in
 /// exactly the serial order.
+///
+/// A beacon's Doppler rate needs a second look one second later. Nothing
+/// before the decode reads the rate, and its drift penalty only adds to
+/// the shift's, so the decode is first tested on the shift alone: when
+/// that is already saturated (the PER curve exactly 1), the full penalty
+/// is too, and the decode takes its one draw and fails either way. Only
+/// the other beacons pay for the second look.
 void observe_site(const PassiveCampaignConfig& cfg,
                   const MeasurementSite& site,
                   const std::vector<CampaignSatellite>& satellites,
@@ -119,6 +131,8 @@ void observe_site(const PassiveCampaignConfig& cfg,
     const SiteObservation& obs = run.observations[k];
     const CampaignSatellite& sat = satellites[obs.satellite];
     const phy::LinkConfig& link = run.links[sat.constellation];
+    const phy::PreparedReception& no_doppler =
+        run.beacon_rx[sat.constellation];
     const orbit::ElevationSampler sampler(sat.propagator, site.location);
     for (double t = 0.0;; t += cfg.beacon.period_s) {
       const orbit::JulianDate jd = obs.aos_jd + t / orbit::kSecondsPerDay;
@@ -135,17 +149,23 @@ void observe_site(const PassiveCampaignConfig& cfg,
       const channel::Weather wx =
           weather[std::min<std::size_t>(day, weather.size() - 1)];
 
-      // Doppler rate by 1-s finite difference.
-      const orbit::LookAngles look1 =
-          sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
-      const double rate =
-          orbit::doppler_shift_hz(look1.range_rate_km_s, link.carrier_hz) -
-          orbit::doppler_shift_hz(look.range_rate_km_s, link.carrier_hz);
-
-      const phy::LinkState st =
-          phy::draw_link_state(link, look, wx, rate, rng);
-      if (!error_model.receive(st, link.lora, cfg.beacon.payload_bytes, rng))
-        continue;
+      // The fade draw reads no Doppler rate: draw it with the rate unset.
+      phy::LinkState st = phy::draw_link_state(link, look, wx, 0.0, rng);
+      phy::PreparedReception rx = no_doppler;
+      rx.doppler_penalty_db =
+          phy::doppler_snr_penalty_db(st.doppler, link.lora, rx.time_on_air_s);
+      if (!error_model.saturated(st.snr_db, rx)) {
+        // Doppler rate by 1-s finite difference.
+        ++run.doppler_twins;
+        const orbit::LookAngles look1 =
+            sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+        st.doppler.rate_hz_per_s =
+            orbit::doppler_shift_hz(look1.range_rate_km_s, link.carrier_hz) -
+            orbit::doppler_shift_hz(look.range_rate_km_s, link.carrier_hz);
+        rx.doppler_penalty_db = phy::doppler_snr_penalty_db(
+            st.doppler, link.lora, rx.time_on_air_s);
+      }
+      if (!error_model.receive(st.snr_db, rx, rng)) continue;
       run.receptions.push_back(Reception{
           jd, st.rssi_dbm, st.snr_db, static_cast<std::uint32_t>(k), wx});
     }
@@ -181,17 +201,44 @@ void append_records(const PassiveCampaignConfig& cfg,
   }
 }
 
+/// Throws std::invalid_argument unless every field the campaign reads is
+/// in range. Each check is written so that NaN fails it.
+void validate(const PassiveCampaignConfig& cfg) {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("passive campaign: " + what);
+  };
+  if (cfg.sites.empty()) reject("no sites");
+  if (cfg.constellations.empty()) reject("no constellations");
+  if (!(cfg.duration_days > 0.0)) reject("nonpositive duration");
+  if (!(cfg.beacon.period_s > 0.0 && std::isfinite(cfg.beacon.period_s)))
+    reject("beacon period not finite and > 0");
+  if (!(cfg.station_retune_gap_s >= 0.0 &&
+        std::isfinite(cfg.station_retune_gap_s)))
+    reject("station retune gap not finite and >= 0");
+  const phy::LinkConfig& link = cfg.beacon_link;
+  if (!(std::isfinite(link.tx_power_dbm) &&
+        std::isfinite(link.rx_noise_figure_db) &&
+        std::isfinite(link.external_noise_db) &&
+        std::isfinite(link.implementation_loss_db)))
+    reject("beacon link power, noise or loss not finite");
+  for (const MeasurementSite& site : cfg.sites) {
+    if (!(site.station_count >= 1))
+      reject("site " + site.code + " has no station");
+    if (!(site.rainy_fraction >= 0.0 && site.rainy_fraction <= 1.0))
+      reject("site " + site.code + " rainy fraction out of [0, 1]");
+    if (!(std::isfinite(site.location.latitude_deg) &&
+          std::isfinite(site.location.longitude_deg) &&
+          std::isfinite(site.location.altitude_km)))
+      reject("site " + site.code + " location not finite");
+    if (!std::isfinite(site.external_noise_db))
+      reject("site " + site.code + " external noise not finite");
+  }
+}
+
 }  // namespace
 
 PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
-  if (cfg.sites.empty())
-    throw std::invalid_argument("passive campaign: no sites");
-  if (cfg.constellations.empty())
-    throw std::invalid_argument("passive campaign: no constellations");
-  if (cfg.duration_days <= 0.0)
-    throw std::invalid_argument("passive campaign: nonpositive duration");
-  if (!(cfg.beacon.period_s > 0.0))
-    throw std::invalid_argument("passive campaign: nonpositive beacon period");
+  validate(cfg);
 
   PassiveCampaignResult result;
   sim::RngFactory rngs(cfg.seed);
@@ -208,30 +255,30 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
                                            cfg.metrics);
   obs::PhaseProfiler phases(cfg.metrics, "core.passive");
 
-  // Predict every (constellation, satellite, site) window up front — one
-  // shared-ephemeris grid call per constellation covering ALL sites, so
-  // each satellite propagates once per coarse step for the whole
-  // campaign instead of once per site. Prediction is deterministic and
-  // rng-free, so it cannot change any downstream draw.
+  // Predict every (satellite, site) window up front — one
+  // shared-ephemeris grid call for every satellite of every constellation
+  // over ALL sites, so each satellite propagates once per coarse step for
+  // the whole campaign instead of once per site. Prediction is
+  // deterministic and rng-free, so it cannot change any downstream draw.
   phases.phase("predict");
   std::vector<orbit::GridObserver> site_observers;
   site_observers.reserve(cfg.sites.size());
   for (const MeasurementSite& site : cfg.sites)
     site_observers.push_back(orbit::GridObserver{site.location});
+  std::vector<orbit::Tle> tles;
   std::vector<CampaignSatellite> satellites;
-  // [constellation][satellite][site] contact windows.
-  std::vector<std::vector<std::vector<std::vector<orbit::ContactWindow>>>>
-      windows;
-  windows.reserve(cfg.constellations.size());
   for (std::size_t c = 0; c < cfg.constellations.size(); ++c) {
-    const std::vector<orbit::Tle> tles =
-        orbit::generate_tles(cfg.constellations[c], cfg.start_jd);
-    windows.push_back(orbit::predict_passes_grid_cached(
-        tles, site_observers, cfg.start_jd, end_jd, pass_opts, cfg.threads,
-        &orbit::ContactWindowCache::global(), cfg.metrics));
-    for (const orbit::Tle& tle : tles)
+    for (orbit::Tle& tle :
+         orbit::generate_tles(cfg.constellations[c], cfg.start_jd)) {
       satellites.push_back(CampaignSatellite{orbit::Sgp4(tle), tle.name, c});
+      tles.push_back(std::move(tle));
+    }
   }
+  // [satellite][site] contact windows, satellites grouped by constellation.
+  std::vector<std::vector<std::vector<orbit::ContactWindow>>> windows =
+      orbit::predict_passes_grid_cached(
+          tles, site_observers, cfg.start_jd, end_jd, pass_opts, cfg.threads,
+          &orbit::ContactWindowCache::global(), cfg.metrics);
 
   // Schedule: per site, record the theoretical windows, list the
   // observation requests in (constellation, satellite, window) order and
@@ -245,9 +292,8 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
     const MeasurementSite& site = cfg.sites[site_index];
     SiteRun& run = runs[site_index];
     std::size_t window_count = 0;
-    for (const auto& constellation_windows : windows)
-      for (const auto& sat_windows : constellation_windows)
-        window_count += sat_windows[site_index].size();
+    for (const auto& sat_windows : windows)
+      window_count += sat_windows[site_index].size();
     std::vector<ObservationRequest> requests;
     requests.reserve(window_count);
     std::size_t sat_index = 0;
@@ -260,12 +306,16 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
       link.lora.sf = static_cast<phy::SpreadingFactor>(
           std::clamp(constellation.beacon_sf, 7, 12));
       run.links.push_back(link);
+      run.beacon_rx.push_back(error_model.prepare(
+          phy::DopplerProfile{}, link.lora, cfg.beacon.payload_bytes));
 
       std::vector<SatelliteWindows> cell;
-      for (std::size_t i = 0; i < windows[c].size(); ++i, ++sat_index) {
+      for (; sat_index < satellites.size() &&
+             satellites[sat_index].constellation == c;
+           ++sat_index) {
         SatelliteWindows sw;
         sw.satellite = satellites[sat_index].name;
-        sw.windows = std::move(windows[c][i][site_index]);
+        sw.windows = std::move(windows[sat_index][site_index]);
         for (const orbit::ContactWindow& w : sw.windows)
           requests.push_back(ObservationRequest{
               sw.satellite, constellation.name, w, sat_index});
@@ -330,9 +380,11 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
     sim::ThreadPool(cfg.threads).parallel_for(runs.size(), observe);
   }
 
+  std::uint64_t doppler_twins = 0;
   for (const SiteRun& run : runs) {
     result.beacons_transmitted += run.transmitted;
     result.beacons_received += run.receptions.size();
+    doppler_twins += run.doppler_twins;
   }
   result.traces.reserve(result.beacons_received);
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -346,6 +398,7 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
     m.counter("core.passive.beacons_transmitted")
         .add(result.beacons_transmitted);
     m.counter("core.passive.beacons_received").add(result.beacons_received);
+    m.counter("core.passive.doppler_twins").add(doppler_twins);
     m.counter("core.passive.sites").add(cfg.sites.size());
     std::uint64_t requested = 0;
     std::uint64_t observed = 0;

@@ -1,7 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -9,16 +9,18 @@
 namespace sinet::obs {
 
 std::string json_double(double x) {
-  char buf[40];
   // 17 significant digits: enough for strtod to reproduce the exact bits.
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
+  // to_chars with a precision prints what printf("%.17g") prints, NaN and
+  // infinities included, without parsing a format string.
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), x,
+                                        std::chars_format::general, 17)
+                              .ptr);
 }
 
 std::string json_u64(std::uint64_t x) {
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, x);
-  return buf;
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), x).ptr);
 }
 
 std::string json_escape(const std::string& s) {

@@ -13,8 +13,9 @@
 
 namespace sinet::obs {
 
-/// Format a double with 17 significant digits (%.17g): enough for strtod
-/// to reproduce the exact bits on parse.
+/// Format a double with 17 significant digits, byte for byte as
+/// printf("%.17g") does: enough for strtod to reproduce the exact bits on
+/// parse.
 [[nodiscard]] std::string json_double(double x);
 
 /// Format an unsigned 64-bit integer in decimal.

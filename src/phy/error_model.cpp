@@ -64,19 +64,19 @@ ErrorModel::ErrorModel(const ErrorModelConfig& cfg) : cfg_(cfg) {
 double ErrorModel::packet_error_probability(double snr_db,
                                             const LoraParams& params,
                                             int payload_bytes) const {
-  return per_curve(
-      snr_db, demod_snr_threshold_db(params.sf), params.cr,
-      params.preamble_symbols + payload_symbol_count(params, payload_bytes));
+  PreparedReception rx;  // no Doppler penalty
+  rx.threshold_db = demod_snr_threshold_db(params.sf);
+  rx.cr = params.cr;
+  rx.symbols =
+      params.preamble_symbols + payload_symbol_count(params, payload_bytes);
+  return reception_error_probability(snr_db, rx);
 }
 
-double ErrorModel::per_curve(double snr_db, double threshold_db,
-                             CodingRate cr, int symbols) const {
-  const double margin = snr_db - threshold_db;
-  // Exactly 1 there (see the constructor): skip the exp and pow.
-  if (margin < saturation_margin_db(cr, symbols)) return 1.0;
+double ErrorModel::per_curve(double margin_db, CodingRate cr,
+                             int symbols) const {
   // Symbol error rate decays exponentially with margin; saturates at 1.
   double ser =
-      cfg_.ser_at_threshold * std::exp(-cfg_.slope_per_db * margin);
+      cfg_.ser_at_threshold * std::exp(-cfg_.slope_per_db * margin_db);
   ser = std::min(ser, 1.0);
 
   // FEC absorbs part of the symbol errors, proportional to redundancy.

@@ -81,8 +81,11 @@ class ErrorModel {
   /// `snr_db`: the Doppler penalty, then the PER curve.
   [[nodiscard]] double reception_error_probability(
       double snr_db, const PreparedReception& rx) const {
-    return per_curve(snr_db - rx.doppler_penalty_db, rx.threshold_db, rx.cr,
-                     rx.symbols);
+    // Exactly 1 there (see the constructor): skip the exp and pow, and
+    // the call.
+    if (saturated(snr_db, rx)) return 1.0;
+    return per_curve((snr_db - rx.doppler_penalty_db) - rx.threshold_db,
+                     rx.cr, rx.symbols);
   }
 
   /// Reception decision at pre-Doppler SNR `snr_db`; same draw and
@@ -108,11 +111,23 @@ class ErrorModel {
     return saturation_db_[row * kTabulatedSymbols + symbols];
   }
 
+  /// True when a prepared reception at pre-Doppler SNR `snr_db` is lost
+  /// for certain: its margin after the Doppler penalty, (snr_db -
+  /// penalty) - threshold, is below saturation_margin_db, where the PER
+  /// curve is exactly 1. receive() still consumes its one draw. A larger
+  /// penalty only lowers the margin, so a reception saturated under part
+  /// of its penalty is saturated under all of it.
+  [[nodiscard]] bool saturated(double snr_db,
+                               const PreparedReception& rx) const noexcept {
+    return (snr_db - rx.doppler_penalty_db) - rx.threshold_db <
+           saturation_margin_db(rx.cr, rx.symbols);
+  }
+
  private:
-  /// The PER curve at post-Doppler SNR `snr_db` for a packet of
-  /// `symbols` symbols.
-  [[nodiscard]] double per_curve(double snr_db, double threshold_db,
-                                 CodingRate cr, int symbols) const;
+  /// The PER curve at `margin_db` over the demod threshold, above the
+  /// saturation margin.
+  [[nodiscard]] double per_curve(double margin_db, CodingRate cr,
+                                 int symbols) const;
 
   ErrorModelConfig cfg_;
   /// saturation_margin_db per (coding rate, symbol count), row-major.

@@ -2,9 +2,11 @@
 //
 // Owns the paper constellation (synthetic TLEs + SGP4 propagators), a
 // rolling-horizon shared ephemeris (orbit::RollingEphemeris) that a
-// maintenance thread advances incrementally, and the process-wide
-// ContactWindowCache for per-(satellite, observer, span) window reuse by
-// passes_in_range. next_pass searches the horizon directly
+// maintenance thread advances incrementally, and its own
+// ContactWindowCache (sized by ServiceOptions::cache_entries and
+// cache_bytes, separate from the process-wide one) for per-(satellite,
+// observer, span) window reuse by passes_in_range. next_pass searches the
+// horizon directly
 // (RollingEphemeris::next_pass) and never touches the cache.
 // Transport-agnostic: the TCP server (svc/server.h) feeds it request
 // lines; tests drive handle_line() directly.

@@ -4,16 +4,21 @@
 // instrumentation hooks.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/scoped_timer.h"
@@ -241,6 +246,51 @@ Snapshot awkward_snapshot() {
   h.max = 2.499999999999999;
   s.histograms["latency"] = h;
   return s;
+}
+
+TEST(Json, DoubleMatchesPrintf17g) {
+  // json_double must print exactly what printf("%.17g") prints: every
+  // report, reply and checkpoint is compared byte for byte across
+  // versions. 10^6 random bit patterns (every exponent, subnormals, NaN
+  // payloads) plus the values where the notation or the digit count
+  // changes.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon(),
+      0.1, 0.30000000000000004, 1.0 / 3.0, 2.0 / 3.0, 0.5, 1.0, -1.0, 9.5,
+      1e-5, 1e-4, 9.9999999999999991e-5, 1e15, 1e16, 1e17,
+      99999999999999984.0, 123456789012345678.0, 1e22, 1e23, 5e-324,
+      2451545.0, 2460735.5000000005, -140.25, 1e300, -2.5e-17};
+  std::mt19937_64 bits(20261017);
+  for (int i = 0; i < 1000000; ++i)
+    values.push_back(std::bit_cast<double>(bits()));
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const double x : values) {
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", x);
+    const std::string got = json_double(x);
+    if (got != want && mismatches++ == 0)
+      first = std::string(want) + " printed as " + got;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+
+  for (const std::uint64_t x :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{9},
+        std::uint64_t{10}, std::uint64_t{4294967296},
+        std::numeric_limits<std::uint64_t>::max(), bits(), bits()}) {
+    char want[24];
+    std::snprintf(want, sizeof want, "%" PRIu64, x);
+    EXPECT_EQ(json_u64(x), want);
+  }
 }
 
 TEST(RunReport, JsonRoundTripIsExact) {

@@ -1,14 +1,19 @@
 // Passive measurement campaign integration tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/passive_campaign.h"
+#include "obs/metrics.h"
 #include "orbit/passes.h"
+#include "passive_observe_oracle.h"
 
 namespace {
 
@@ -218,6 +223,139 @@ TEST(PassiveCampaign, ConfigValidation) {
   PassiveCampaignConfig cfg4 = tiny_campaign();
   cfg4.beacon.period_s = 0.0;  // would never leave the first window
   EXPECT_THROW(run_passive_campaign(cfg4), std::invalid_argument);
+
+  // One bad value per run, checked before the predict phase. Several of
+  // these used to crash the run or run it silently on nonsense; NaN must
+  // fail every check.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](auto&& spoil) {
+    PassiveCampaignConfig bad = tiny_campaign();
+    spoil(bad);
+    EXPECT_THROW(run_passive_campaign(bad), std::invalid_argument);
+  };
+  // No station: SIGFPE in the round-robin assignment without the
+  // scheduler, so it is rejected with the scheduler on as well.
+  rejects([](PassiveCampaignConfig& c) {
+    c.use_scheduler = false;
+    c.sites[0].station_count = 0;
+  });
+  rejects([](PassiveCampaignConfig& c) { c.sites[0].station_count = 0; });
+  rejects([](PassiveCampaignConfig& c) { c.sites[0].station_count = -1; });
+  rejects([](PassiveCampaignConfig& c) { c.sites[0].rainy_fraction = kNaN; });
+  rejects([](PassiveCampaignConfig& c) { c.sites[0].rainy_fraction = 5.0; });
+  rejects([](PassiveCampaignConfig& c) { c.sites[0].rainy_fraction = -0.1; });
+  rejects([](PassiveCampaignConfig& c) {
+    c.sites[0].location.latitude_deg = kNaN;
+  });
+  rejects([](PassiveCampaignConfig& c) {
+    c.sites[0].location.longitude_deg = kInf;
+  });
+  rejects([](PassiveCampaignConfig& c) {
+    c.sites[0].location.altitude_km = kNaN;
+  });
+  rejects([](PassiveCampaignConfig& c) {
+    c.sites[0].external_noise_db = kNaN;
+  });
+  rejects([](PassiveCampaignConfig& c) {
+    c.sites[0].external_noise_db = -kInf;
+  });
+  rejects([](PassiveCampaignConfig& c) { c.station_retune_gap_s = kNaN; });
+  rejects([](PassiveCampaignConfig& c) { c.station_retune_gap_s = kInf; });
+  rejects([](PassiveCampaignConfig& c) { c.station_retune_gap_s = -1.0; });
+  rejects([](PassiveCampaignConfig& c) { c.beacon.period_s = kInf; });
+  rejects([](PassiveCampaignConfig& c) { c.beacon.period_s = kNaN; });
+  rejects([](PassiveCampaignConfig& c) { c.duration_days = kNaN; });
+  rejects([](PassiveCampaignConfig& c) { c.beacon_link.tx_power_dbm = kNaN; });
+  rejects([](PassiveCampaignConfig& c) {
+    c.beacon_link.rx_noise_figure_db = kInf;
+  });
+  rejects([](PassiveCampaignConfig& c) {
+    c.beacon_link.external_noise_db = kNaN;
+  });
+  rejects([](PassiveCampaignConfig& c) {
+    c.beacon_link.implementation_loss_db = -kInf;
+  });
+  // The checks reject only bad values: the edges still run.
+  PassiveCampaignConfig edges = tiny_campaign();
+  edges.sites[0].rainy_fraction = 1.0;
+  edges.station_retune_gap_s = 0.0;
+  EXPECT_NO_THROW((void)run_passive_campaign(edges));
+}
+
+// The observe loop computes a beacon's +1 s look for its Doppler rate
+// only when the decode is not already saturated on the Doppler shift
+// alone. The eager loop it replaced is the oracle: every record, the
+// draws behind it and the counts must be its, bit for bit.
+TEST(PassiveCampaign, ObserveMatchesEagerTwinOracle) {
+  // Seeds 1 and 7, scheduler on and off, each at threads 1 and 0 against
+  // the oracle of the 1-thread run; then the eclipse gate on.
+  struct Case {
+    std::uint64_t seed;
+    bool scheduler;
+    bool eclipse;
+    std::vector<unsigned> threads;
+  };
+  const std::vector<Case> cases = {{1, true, false, {1, 0}},
+                                   {1, false, false, {1, 0}},
+                                   {7, true, false, {1, 0}},
+                                   {7, false, false, {1, 0}},
+                                   {1, true, true, {0}}};
+  std::size_t records = 0;
+  for (const Case& c : cases) {
+    PassiveCampaignConfig cfg = default_campaign(2.0);
+    ASSERT_EQ(cfg.sites.size(), 8u);
+    cfg.seed = c.seed;
+    cfg.use_scheduler = c.scheduler;
+    cfg.eclipse_gates_beacons = c.eclipse;
+    std::optional<sinet::testing::OracleObserve> want;
+    for (const unsigned threads : c.threads) {
+      SCOPED_TRACE("seed " + std::to_string(c.seed) + ", scheduler " +
+                   std::to_string(c.scheduler) + ", eclipse " +
+                   std::to_string(c.eclipse) + ", threads " +
+                   std::to_string(threads));
+      cfg.threads = threads;
+      const PassiveCampaignResult got = run_passive_campaign(cfg);
+      if (!want) want = sinet::testing::oracle_observe(cfg, got);
+      EXPECT_EQ(got.beacons_transmitted, want->transmitted);
+      EXPECT_EQ(got.beacons_received, want->received.size());
+      const std::vector<BeaconRecord>& recs = got.traces.records();
+      ASSERT_EQ(recs.size(), want->received.size());
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        const sinet::testing::OracleReception& w = want->received[i];
+        SCOPED_TRACE("record " + std::to_string(i));
+        EXPECT_EQ(recs[i].time_unix_s, sinet::orbit::julian_to_unix(w.jd));
+        EXPECT_EQ(recs[i].rssi_dbm, w.rssi_dbm);
+        EXPECT_EQ(recs[i].snr_db, w.snr_db);
+        EXPECT_EQ(recs[i].station, w.station);
+        EXPECT_EQ(recs[i].satellite, w.satellite);
+        EXPECT_EQ(recs[i].weather, sinet::channel::to_string(w.weather));
+        if (::testing::Test::HasFailure()) return;  // one record is enough
+      }
+      records += recs.size();
+    }
+  }
+  EXPECT_GT(records, 9000u);
+}
+
+// The skip is the gain: a run that computes the +1 s look for every
+// beacon again must fail here. Every received beacon needed its look, and
+// on the default campaign fewer than one beacon in ten does (about 5%).
+TEST(PassiveCampaign, DopplerTwinsOnlyWhereTheDecodeCanSucceed) {
+  sinet::obs::MetricsRegistry metrics;
+  PassiveCampaignConfig cfg = default_campaign(2.0);
+  cfg.metrics = &metrics;
+  const PassiveCampaignResult r = run_passive_campaign(cfg);
+  const sinet::obs::Snapshot snap = metrics.snapshot();
+  ASSERT_EQ(snap.counters.count("core.passive.doppler_twins"), 1u);
+  const std::uint64_t twins = snap.counters.at("core.passive.doppler_twins");
+  ASSERT_GT(r.beacons_received, 1000u);
+  EXPECT_GE(twins, r.beacons_received);
+  EXPECT_LE(static_cast<double>(twins),
+            0.10 * static_cast<double>(r.beacons_transmitted));
+  RecordProperty("twin_share",
+                 std::to_string(static_cast<double>(twins) /
+                                static_cast<double>(r.beacons_transmitted)));
 }
 
 TEST(PassiveCampaign, QuieterSiteLogsMoreTraces) {

@@ -739,6 +739,111 @@ TEST(ErrorModel, SaturationMarginIsTight) {
                  std::to_string(narrowest) + ".." + std::to_string(widest));
 }
 
+TEST(ErrorModel, ShiftOnlySaturationImpliesLossAtAnyDrift) {
+  // The passive campaign computes a beacon's Doppler rate (a second SGP4
+  // look) only when its reception is not already saturated on the Doppler
+  // shift alone. That is exact only if, whenever saturated() holds
+  // without the drift, the reception with any drift is lost for certain:
+  // the oracle curve is exactly 1, the library returns exactly 1, and the
+  // decision consumes the same one draw. Checked at every SF and coding
+  // rate, the campaign's and DtS's payloads (24-byte beacon, 20-byte
+  // report, 12-byte ACK), shifts from 0 to past the capture edge at 25% of
+  // the bandwidth, drift rates up to 1e4 Hz/s, and SNRs from 3 dB below to
+  // 3 dB above the shift-only saturation edge, within 4 ulps of it, and
+  // at +-inf and NaN.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::array<double, 9> kRates = {0.0,  1e-3,  -1e-3, 10.0, -10.0,
+                                            300.0, -300.0, 1e4,  -1e4};
+  constexpr std::array<int, 3> kPayloads = {24, 20, 12};
+  std::size_t saturated = 0, unsaturated = 0, mismatches = 0;
+  std::string first;
+  std::uint64_t stream = 0;
+  for (const ErrorModelConfig& cfg : saturation_configs()) {
+    const ErrorModel model(cfg);
+    for (int sf = 7; sf <= 12; ++sf) {
+      for (int cr = 1; cr <= 4; ++cr) {
+        for (const int payload : kPayloads) {
+          LoraParams p;
+          p.sf = static_cast<SpreadingFactor>(sf);
+          p.cr = static_cast<CodingRate>(cr);
+          const double edge = 0.25 * p.bandwidth_hz;
+          for (const double shift :
+               {0.0, -0.3 * edge, 0.7 * edge, -0.95 * edge, edge,
+                std::nextafter(edge, kInf), -1.2 * edge}) {
+            const PreparedReception rx_shift =
+                model.prepare(DopplerProfile{shift, 0.0}, p, payload);
+            const double margin =
+                model.saturation_margin_db(rx_shift.cr, rx_shift.symbols);
+            // The pre-Doppler SNR at which the shift-only margin reaches
+            // the saturation margin.
+            const double center = std::isfinite(margin)
+                                      ? rx_shift.threshold_db +
+                                            rx_shift.doppler_penalty_db +
+                                            margin
+                                      : rx_shift.threshold_db;
+            std::vector<double> snrs = {-kInf, kInf, kNaN};
+            double snr = center;
+            for (int k = 0; k < 4; ++k) snr = std::nextafter(snr, -kInf);
+            for (int k = 0; k <= 8; ++k, snr = std::nextafter(snr, kInf))
+              snrs.push_back(snr);
+            for (int k = -6; k <= 6; ++k) snrs.push_back(center + 0.5 * k);
+
+            sinet::sim::Rng by_shift(stream), by_full(stream),
+                by_oracle(stream);
+            ++stream;
+            for (const double rate : kRates) {
+              const PreparedReception rx_full =
+                  model.prepare(DopplerProfile{shift, rate}, p, payload);
+              for (const double snr_db : snrs) {
+                if (!model.saturated(snr_db, rx_shift)) {
+                  ++unsaturated;
+                  continue;
+                }
+                ++saturated;
+                LinkState link;
+                link.snr_db = snr_db;
+                link.doppler = DopplerProfile{shift, rate};
+                const double want = oracle::loss_probability(
+                    cfg, link, p, payload);
+                const double got =
+                    model.reception_error_probability(snr_db, rx_full);
+                const bool ok_shift = model.receive(snr_db, rx_shift, by_shift);
+                const bool ok_full = model.receive(snr_db, rx_full, by_full);
+                const bool ok_oracle =
+                    oracle::receive(cfg, link, p, payload, by_oracle);
+                if (want == 1.0 && got == 1.0 && !ok_shift && !ok_full &&
+                    !ok_oracle)
+                  continue;
+                if (mismatches++ == 0) {
+                  char buf[200];
+                  std::snprintf(buf, sizeof buf,
+                                "SF%d CR index %d, %d B, shift %.17g Hz, "
+                                "rate %g Hz/s, SNR %.17g dB: oracle %.17g, "
+                                "library %.17g",
+                                sf, cr, payload, shift, rate, snr_db, want,
+                                got);
+                  first = buf;
+                }
+              }
+            }
+            const std::uint64_t next = by_oracle.next_u64();
+            if ((by_shift.next_u64() != next || by_full.next_u64() != next) &&
+                mismatches++ == 0)
+              first = "draws diverge at SF" + std::to_string(sf) +
+                      ", CR index " + std::to_string(cr) + ", " +
+                      std::to_string(payload) + " B";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+  // Both sides of the edge are well covered.
+  EXPECT_GT(saturated, 500000u);
+  EXPECT_GT(unsaturated, 500000u);
+}
+
 TEST(PreparedLink, CorpusCatchesFadeTermsAddedOneAtATime) {
   // A plausible refactor of the prepared draw adds the shadowing and the
   // small-scale term to the mean one at a time instead of summing the
