@@ -15,8 +15,8 @@
 // scan (ctest holds it to tests/pass_scan_oracle.h). The simd arm is
 // tolerance-equal (window edges within one coarse step; see
 // docs/PERFORMANCE.md) and its window counts are checked against the
-// reference arm before the timings. The 30-day BM_CampaignScan_* rows
-// are tracked in BENCH_RESULTS.json.
+// reference arm before the timings. The 30-day scan is bench/e2e's
+// contact-plan-30d workload (docs/PERFORMANCE.md).
 #include "bench_common.h"
 
 #include <chrono>
@@ -82,13 +82,12 @@ double time_ms(Fn&& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto windows = fn();
   const auto t1 = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(windows);
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 void reproduce() {
-  // Parity + counters on a short span; the 30-day timings live in the
-  // BM_CampaignScan_* rows below (and BENCH_RESULTS.json).
+  // Parity + counters on a short span; the 30-day scan is timed by
+  // bench/e2e's contact-plan-30d workload.
   const double span_days = std::min(sinet::bench::days_or(30.0), 3.0);
   sinet::bench::banner(
       "Ablation", "Shared-ephemeris pass prediction (39 sats x 8 sites, " +
@@ -138,29 +137,6 @@ void reproduce() {
       100.0 * static_cast<double>(skipped) /
           static_cast<double>(visited + skipped > 0 ? visited + skipped : 1));
 }
-
-// --- the tracked 30-day campaign rows ------------------------------------
-
-void BM_CampaignScan_SharedCulled(benchmark::State& state) {
-  const Workload w = campaign_workload();
-  const double days = sinet::bench::days_or(30.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        run_engine(w, days, PropagationMode::kReference));
-}
-BENCHMARK(BM_CampaignScan_SharedCulled)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CampaignScan_SharedCulledSimd(benchmark::State& state) {
-  const Workload w = campaign_workload();
-  const double days = sinet::bench::days_or(30.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_engine(w, days, PropagationMode::kFast));
-}
-BENCHMARK(BM_CampaignScan_SharedCulledSimd)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -66,23 +66,6 @@ void reproduce() {
       "bottleneck — the intermittent effective windows (Fig 4).\n");
 }
 
-void BM_ScheduledSlotAssignment(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        net::assign_subslots(state.range(0), 0.37, 30.0));
-  }
-}
-BENCHMARK(BM_ScheduledSlotAssignment)->Arg(3)->Arg(50);
-
-void BM_AdaptiveSfChoice(benchmark::State& state) {
-  double snr = -25.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::choose_spreading_factor(snr));
-    snr = snr < 10.0 ? snr + 0.1 : -25.0;
-  }
-}
-BENCHMARK(BM_AdaptiveSfChoice);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

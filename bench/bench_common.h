@@ -1,26 +1,24 @@
-// Shared helpers for the bench binaries: each binary prints its
-// reproduction (paper vs. measured) and then runs google-benchmark on the
-// kernels the experiment exercises.
+// Shared helpers for the reproduction programs: each program prints one
+// paper table, figure or ablation (paper vs. measured) to stdout. Timing
+// lives in bench/e2e, not here.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "core/report.h"
 
 namespace sinet::bench {
 
-/// Knobs every bench binary honors, so figure runs are reproducible and
-/// resizable without editing constants:
+/// Flags every reproduction program honors, so figure runs are
+/// reproducible and resizable without editing constants:
 ///   --seed=N     root seed for replicate sweeps (default 42)
 ///   --days=X     campaign duration override; 0 keeps each figure's default
 ///   --threads=N  sweep fan-out (0 = shared pool, 1 = serial)
-/// SINET_BENCH_MAIN strips them from argv before google-benchmark sees it.
 struct BenchFlags {
   std::uint64_t seed = 42;
   double days = 0.0;
@@ -37,27 +35,54 @@ inline double days_or(double fallback) {
   return flags().days > 0.0 ? flags().days : fallback;
 }
 
-/// Consume --seed/--days/--threads from argv (leaving everything else,
-/// e.g. --benchmark_filter, for benchmark::Initialize).
-inline void parse_flags(int* argc, char** argv) {
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      flags().seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--days=", 7) == 0) {
-      flags().days = std::strtod(arg + 7, nullptr);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      flags().threads =
-          static_cast<unsigned>(std::strtoul(arg + 10, nullptr, 10));
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  *argc = kept;
+/// Parse the whole of `text` into `value`; false on anything left over.
+template <typename T>
+bool parse_full(std::string_view text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && ptr == end;
 }
 
-/// Print the experiment banner used by every bench binary.
+/// Read --seed/--days/--threads into flags(). Any other argument, or a
+/// malformed, negative or non-finite value, prints a message and returns
+/// false, so a typo never runs a reproduction on the defaults (and a
+/// negative count never becomes 4,294,967,295 threads).
+inline bool parse_flags(int argc, char** argv) {
+  BenchFlags& f = flags();
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    const std::string value(eq == arg.npos ? "" : arg.substr(eq + 1));
+    const char* expected = "a non-negative integer";
+    bool ok = false;
+    if (name == "--seed") {
+      ok = parse_full(value, f.seed);
+    } else if (name == "--days") {
+      expected = "a non-negative finite number";
+      ok = parse_full(value, f.days) && std::isfinite(f.days) &&
+           f.days >= 0.0;
+    } else if (name == "--threads") {
+      int threads = -1;
+      ok = parse_full(value, threads) && threads >= 0;
+      if (ok) f.threads = static_cast<unsigned>(threads);
+    } else {
+      std::fprintf(stderr,
+                   "error: unknown argument '%s'\n"
+                   "usage: %s [--seed=N] [--days=X] [--threads=N]\n",
+                   argv[i], argv[0]);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "error: %s: expected %s, got '%s'\n",
+                   name.c_str(), expected, value.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Print the experiment banner used by every reproduction program.
 inline void banner(const std::string& exp_id, const std::string& title) {
   std::printf("%s\n",
               sinet::core::experiment_banner(exp_id, title).c_str());
@@ -70,25 +95,13 @@ inline void pvm(const std::string& metric, const std::string& paper,
               sinet::core::paper_vs_measured(metric, paper, measured).c_str());
 }
 
-/// Print one "metric: mean [ci_low, ci_high] (n=N)" confidence-band line.
-inline void ci_band(const std::string& metric, double mean, double ci_low,
-                    double ci_high, std::size_t n) {
-  std::printf("  %-32s %.4g  [%.4g, %.4g]  (n=%zu)\n", metric.c_str(), mean,
-              ci_low, ci_high, n);
-}
-
-/// Standard main: strip sinet flags, run the reproduction, then the
-/// microbenchmarks.
-#define SINET_BENCH_MAIN(reproduce_fn)                         \
-  int main(int argc, char** argv) {                            \
-    ::sinet::bench::parse_flags(&argc, argv);                  \
-    reproduce_fn();                                            \
-    ::benchmark::Initialize(&argc, argv);                      \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv))  \
-      return 1;                                                \
-    ::benchmark::RunSpecifiedBenchmarks();                     \
-    ::benchmark::Shutdown();                                   \
-    return 0;                                                  \
+/// Standard main: read the flags, then print the reproduction. Exits 2
+/// without running it when an argument does not parse.
+#define SINET_BENCH_MAIN(reproduce_fn)                        \
+  int main(int argc, char** argv) {                           \
+    if (!::sinet::bench::parse_flags(argc, argv)) return 2;   \
+    reproduce_fn();                                           \
+    return 0;                                                 \
   }
 
 }  // namespace sinet::bench

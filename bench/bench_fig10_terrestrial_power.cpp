@@ -38,26 +38,6 @@ void reproduce() {
                             0) + "x sleep)");
 }
 
-void BM_PowerLookup(benchmark::State& state) {
-  const PowerProfile p = terrestrial_node_profile();
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.power_mw(static_cast<Mode>(i & 3)));
-    ++i;
-  }
-}
-BENCHMARK(BM_PowerLookup);
-
-void BM_TimeOnAir(benchmark::State& state) {
-  const phy::LoraParams params = phy::default_dts_params();
-  int bytes = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::time_on_air_s(params, bytes & 0xFF));
-    ++bytes;
-  }
-}
-BENCHMARK(BM_TimeOnAir);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

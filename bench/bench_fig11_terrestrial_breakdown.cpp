@@ -54,14 +54,6 @@ void reproduce() {
               paper_duty.energy_fraction(Mode::kRx, p)));
 }
 
-void BM_DutyConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(terrestrial_daily_duty());
-    benchmark::DoNotOptimize(paper_fig11_terrestrial_duty());
-  }
-}
-BENCHMARK(BM_DutyConstruction);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

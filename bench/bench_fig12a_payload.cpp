@@ -53,18 +53,6 @@ void reproduce() {
   std::printf("\n");
 }
 
-void BM_PerComputation(benchmark::State& state) {
-  const phy::ErrorModel model;
-  const auto params = phy::default_dts_params();
-  double snr = -20.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.packet_error_probability(snr, params, 60));
-    snr = snr < 0.0 ? snr + 0.01 : -20.0;
-  }
-}
-BENCHMARK(BM_PerComputation);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -62,20 +62,6 @@ void reproduce() {
   }
 }
 
-void BM_ResolveCollisions(benchmark::State& state) {
-  sim::Rng rng(7);
-  std::vector<net::Transmission> txs;
-  for (int k = 0; k < state.range(0); ++k) {
-    const double start = rng.uniform(0.0, 10.0);
-    txs.push_back(net::Transmission{static_cast<std::uint64_t>(k), start,
-                                    start + 0.4, -120.0 + rng.normal()});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::resolve_collisions(txs));
-  }
-}
-BENCHMARK(BM_ResolveCollisions)->Arg(3)->Arg(16)->Arg(64);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

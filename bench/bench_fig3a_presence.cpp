@@ -58,30 +58,6 @@ void reproduce() {
   sinet::bench::pvm("Tianqi 22 sats", "19.1 h", fmt(hours[3], 1) + " h");
 }
 
-void BM_DailyPresence(benchmark::State& state) {
-  const auto spec = orbit::paper_constellation("FOSSA");
-  const auto site = paper_site("HK");
-  AvailabilityOptions opts;
-  opts.duration_days = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        daily_presence_hours(spec, site, campaign_epoch_jd(), opts));
-  }
-}
-BENCHMARK(BM_DailyPresence)->Unit(benchmark::kMillisecond);
-
-void BM_ConstellationWindows(benchmark::State& state) {
-  const auto spec = orbit::paper_constellation("Tianqi");
-  const auto site = paper_site("SYD");
-  AvailabilityOptions opts;
-  opts.duration_days = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        constellation_windows(spec, site, campaign_epoch_jd(), opts));
-  }
-}
-BENCHMARK(BM_ConstellationWindows)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

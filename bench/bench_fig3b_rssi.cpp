@@ -49,17 +49,6 @@ void reproduce() {
     std::printf("  %7.1f  %.2f\n", v, p);
 }
 
-void BM_CdfQuantiles(benchmark::State& state) {
-  stats::EmpiricalCdf cdf;
-  for (int i = 0; i < 100000; ++i)
-    cdf.add(-140.0 + 30.0 * std::sin(i * 0.61));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cdf.quantile(0.5));
-    benchmark::DoNotOptimize(cdf.fraction_between(-130.0, -115.0));
-  }
-}
-BENCHMARK(BM_CdfQuantiles);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

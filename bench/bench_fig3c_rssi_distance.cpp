@@ -4,7 +4,6 @@
 
 #include "core/passive_campaign.h"
 #include "core/report.h"
-#include "phy/link_budget.h"
 #include "stats/descriptive.h"
 #include "stats/regression.h"
 
@@ -69,18 +68,6 @@ void reproduce() {
                       fmt(near_rssi.mean(), 1) + " dBm (<1400 km) vs " +
                           fmt(far_rssi.mean(), 1) + " dBm (>2000 km)");
 }
-
-void BM_MeanLinkState(benchmark::State& state) {
-  phy::LinkConfig cfg;
-  orbit::LookAngles look;
-  look.elevation_deg = 30.0;
-  look.range_km = 1500.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        phy::mean_link_state(cfg, look, channel::Weather::kSunny));
-  }
-}
-BENCHMARK(BM_MeanLinkState);
 
 }  // namespace
 

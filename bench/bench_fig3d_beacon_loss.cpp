@@ -77,18 +77,6 @@ void reproduce() {
                   .c_str());
 }
 
-void BM_AnalyzeContacts(benchmark::State& state) {
-  PassiveCampaignConfig cfg = default_campaign(1.0);
-  cfg.sites = {paper_site("HK")};
-  cfg.constellations = {orbit::paper_constellation("Tianqi")};
-  const PassiveCampaignResult res = run_passive_campaign(cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analyze_contacts(res, {"HK", "Tianqi"}, cfg.beacon.period_s));
-  }
-}
-BENCHMARK(BM_AnalyzeContacts)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

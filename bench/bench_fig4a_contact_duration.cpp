@@ -104,18 +104,6 @@ void reproduce() {
   std::printf("%s", a.render().c_str());
 }
 
-void BM_SummarizeContacts(benchmark::State& state) {
-  PassiveCampaignConfig cfg = default_campaign(2.0);
-  cfg.sites = {paper_site("HK")};
-  cfg.constellations = {orbit::paper_constellation("Tianqi")};
-  const PassiveCampaignResult res = run_passive_campaign(cfg);
-  const auto outcomes = analyze_contacts(res, {"HK", "Tianqi"}, 10.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(summarize_contacts(outcomes));
-  }
-}
-BENCHMARK(BM_SummarizeContacts);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -6,7 +6,6 @@
 #include "core/contact_analysis.h"
 #include "core/passive_campaign.h"
 #include "core/report.h"
-#include "net/satellite.h"
 
 namespace {
 
@@ -59,32 +58,6 @@ void reproduce() {
       "sensor needs >= %.0f report slots of local buffer\n",
       worst_gap_s / 60.0, std::ceil(reports_per_gap));
 }
-
-void BM_ContactGaps(benchmark::State& state) {
-  PassiveCampaignConfig cfg = default_campaign(2.0);
-  cfg.sites = {paper_site("HK")};
-  cfg.constellations = {orbit::paper_constellation("Tianqi")};
-  const PassiveCampaignResult res = run_passive_campaign(cfg);
-  const auto windows = res.cell_windows({"HK", "Tianqi"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::contact_gaps_s(windows));
-  }
-}
-BENCHMARK(BM_ContactGaps);
-
-void BM_SfBufferChurn(benchmark::State& state) {
-  net::StoreAndForwardBuffer buf(4096);
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      net::StoredPacket p;
-      p.packet.sequence = seq++;
-      buf.store(std::move(p));
-    }
-    benchmark::DoNotOptimize(buf.flush());
-  }
-}
-BENCHMARK(BM_SfBufferChurn);
 
 }  // namespace
 

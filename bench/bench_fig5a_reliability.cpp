@@ -87,16 +87,6 @@ void reproduce() {
   std::printf("%s", a.render().c_str());
 }
 
-void BM_DtsNetworkOneDay(benchmark::State& state) {
-  ActiveExperimentKnobs knobs;
-  knobs.duration_days = 1.0;
-  const auto cfg = make_active_config(knobs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::run_dts_network(cfg));
-  }
-}
-BENCHMARK(BM_DtsNetworkOneDay)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

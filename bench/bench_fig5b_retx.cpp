@@ -75,16 +75,6 @@ void reproduce() {
           static_cast<double>(c.uplinks_received));
 }
 
-void BM_AntennaGainLookup(benchmark::State& state) {
-  double el = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel::antenna_gain_dbi(
-        channel::AntennaType::kFiveEighthsWaveMonopole, el));
-    el = el < 90.0 ? el + 0.1 : 0.0;
-  }
-}
-BENCHMARK(BM_AntennaGainLookup);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -56,15 +56,6 @@ void reproduce() {
     std::printf("  %7.1f  %.2f\n", v, p);
 }
 
-void BM_LorawanMonth(benchmark::State& state) {
-  net::LorawanConfig cfg;
-  cfg.duration_days = 30.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::run_lorawan(cfg));
-  }
-}
-BENCHMARK(BM_LorawanMonth)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -43,16 +43,6 @@ void reproduce() {
               lat.mean_min);
 }
 
-void BM_LatencySummary(benchmark::State& state) {
-  ActiveExperimentKnobs knobs;
-  knobs.duration_days = 2.0;
-  const auto res = net::run_dts_network(make_active_config(knobs));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(summarize_latency(res));
-  }
-}
-BENCHMARK(BM_LatencySummary);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

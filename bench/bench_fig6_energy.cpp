@@ -79,17 +79,6 @@ void reproduce() {
       "reproducible shape. See EXPERIMENTS.md.\n");
 }
 
-void BM_ResidencyAccounting(benchmark::State& state) {
-  const PowerProfile sat = satellite_node_profile();
-  ResidencyTracker t;
-  for (auto _ : state) {
-    t.record(Mode::kRx, 10.0);
-    t.record(Mode::kTx, 0.4);
-    benchmark::DoNotOptimize(t.average_power_mw(sat));
-  }
-}
-BENCHMARK(BM_ResidencyAccounting);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

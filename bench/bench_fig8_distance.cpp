@@ -55,15 +55,6 @@ void reproduce() {
   }
 }
 
-void BM_SlantRange(benchmark::State& state) {
-  double el = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::slant_range_km(860.0, el));
-    el = el < 89.0 ? el + 0.5 : 0.0;
-  }
-}
-BENCHMARK(BM_SlantRange);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -42,18 +42,6 @@ void reproduce() {
               hist.render(40).c_str());
 }
 
-void BM_BeaconPositions(benchmark::State& state) {
-  PassiveCampaignConfig cfg = default_campaign(2.0);
-  cfg.sites = {paper_site("HK")};
-  cfg.constellations = {orbit::paper_constellation("Tianqi")};
-  const PassiveCampaignResult res = run_passive_campaign(cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        beacon_positions_in_window(res, {"HK", "Tianqi"}));
-  }
-}
-BENCHMARK(BM_BeaconPositions)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -9,7 +9,6 @@
 
 #include "core/passive_campaign.h"
 #include "core/report.h"
-#include "orbit/sgp4.h"
 
 namespace {
 
@@ -61,28 +60,6 @@ void reproduce() {
                     "busy sites (HK/YC/GZ) >> sparse sites (NC/LDN)",
                     "same ordering driven by station count and latitude");
 }
-
-void BM_PassiveCampaignOneSiteOneDay(benchmark::State& state) {
-  PassiveCampaignConfig cfg = default_campaign(1.0);
-  cfg.sites = {paper_site("HK")};
-  cfg.constellations = {orbit::paper_constellation("FOSSA")};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_passive_campaign(cfg));
-  }
-}
-BENCHMARK(BM_PassiveCampaignOneSiteOneDay)->Unit(benchmark::kMillisecond);
-
-void BM_Sgp4Propagate(benchmark::State& state) {
-  const auto tles = orbit::generate_tles(
-      orbit::paper_constellation("Tianqi"), orbit::kJdJ2000 + 9000.0);
-  const orbit::Sgp4 prop(tles.front());
-  double t = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prop.at(t));
-    t += 1.0;
-  }
-}
-BENCHMARK(BM_Sgp4Propagate);
 
 }  // namespace
 

@@ -47,21 +47,6 @@ void reproduce() {
   std::printf("%s", b.render().c_str());
 }
 
-void BM_TcoSweep(benchmark::State& state) {
-  Workload w;
-  w.sensor_count = static_cast<int>(state.range(0));
-  const TerrestrialPricing tp;
-  const SatellitePricing sp;
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (double m = 0.0; m <= 60.0; m += 1.0) {
-      acc += satellite_tco_usd(w, m, sp) - terrestrial_tco_usd(w, 3, m, tp);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_TcoSweep)->Arg(1)->Arg(10)->Arg(100);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -56,25 +56,6 @@ void reproduce() {
               ok, total);
 }
 
-void BM_GenerateCatalog(benchmark::State& state) {
-  const auto specs = orbit::paper_constellations();
-  for (auto _ : state) {
-    for (const auto& spec : specs)
-      benchmark::DoNotOptimize(
-          orbit::generate_tles(spec, orbit::kJdJ2000));
-  }
-}
-BENCHMARK(BM_GenerateCatalog);
-
-void BM_FootprintArea(benchmark::State& state) {
-  double alt = 400.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::footprint_area_km2(alt, 5.0));
-    alt = alt < 900.0 ? alt + 1.0 : 400.0;
-  }
-}
-BENCHMARK(BM_FootprintArea);
-
 }  // namespace
 
 SINET_BENCH_MAIN(reproduce)

@@ -176,6 +176,17 @@ int parse_int_arg(const char* text, const char* what) {
   return static_cast<int>(value);
 }
 
+// A count (threads, workers, requests, ...). Cast to unsigned or size_t,
+// a negative value would ask for billions of threads, or turn a queue
+// bound into no bound at all.
+int parse_count_arg(const char* text, const char* what) {
+  const int value = parse_int_arg(text, what);
+  if (value < 0)
+    throw UsageError(std::string(what) +
+                     ": expected a non-negative integer, got '" + text + "'");
+  return value;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -398,10 +409,10 @@ int cmd_sweep(int argc, char** argv) {
       opts.fresh = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opts.threads =
-          static_cast<unsigned>(parse_int_arg(argv[++i], "--threads"));
+          static_cast<unsigned>(parse_count_arg(argv[++i], "--threads"));
     } else if (std::strcmp(argv[i], "--max-points") == 0 && i + 1 < argc) {
-      opts.max_points =
-          static_cast<std::size_t>(parse_int_arg(argv[++i], "--max-points"));
+      opts.max_points = static_cast<std::size_t>(
+          parse_count_arg(argv[++i], "--max-points"));
     } else {
       return usage();
     }
@@ -448,7 +459,7 @@ int cmd_validate(int argc, char** argv) {
       baselines_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opts.threads =
-          static_cast<unsigned>(parse_int_arg(argv[++i], "--threads"));
+          static_cast<unsigned>(parse_count_arg(argv[++i], "--threads"));
     } else {
       return usage();
     }
@@ -485,8 +496,8 @@ int cmd_validate(int argc, char** argv) {
 }
 
 // Population-scale DtS run. Output is machine-greppable key=value lines
-// (one per line, no alignment) so the CI scale-smoke job and
-// tools/run_benchmarks.sh can parse it with a plain regex.
+// (one per line, no alignment) so the CI scale-smoke job can parse it
+// with a plain regex.
 int cmd_dts(int argc, char** argv) {
   long nodes = 0;
   long sats = 0;
@@ -515,7 +526,7 @@ int cmd_dts(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--interval") == 0)
       interval_s = parse_double_arg(next("--interval"), "--interval");
     else if (std::strcmp(argv[i], "--threads") == 0)
-      threads = parse_int_arg(next("--threads"), "--threads");
+      threads = parse_count_arg(next("--threads"), "--threads");
     else if (std::strcmp(argv[i], "--access") == 0)
       access = next("--access");
     else
@@ -530,7 +541,6 @@ int cmd_dts(int argc, char** argv) {
       static_cast<std::size_t>(sites), campaign_epoch_jd(), days);
   cfg.seed = static_cast<std::uint64_t>(seed);
   if (interval_s > 0.0) cfg.fleet.prototype.report_interval_s = interval_s;
-  if (threads < 0) throw UsageError("dts: --threads must be >= 0");
   cfg.sim_threads = static_cast<unsigned>(threads);
   if (access == "aloha")
     cfg.uplink_access = net::UplinkAccess::kSlottedAloha;
@@ -624,11 +634,11 @@ int cmd_serve(int argc, char** argv) {
           parse_double_arg(next("--min-elevation"), "--min-elevation");
     else if (std::strcmp(argv[i], "--cache-entries") == 0)
       sopts.cache_entries = static_cast<std::size_t>(
-          parse_int_arg(next("--cache-entries"), "--cache-entries"));
+          parse_count_arg(next("--cache-entries"), "--cache-entries"));
     else if (std::strcmp(argv[i], "--cache-mb") == 0)
       sopts.cache_bytes =
           static_cast<std::size_t>(
-              parse_int_arg(next("--cache-mb"), "--cache-mb"))
+              parse_count_arg(next("--cache-mb"), "--cache-mb"))
           << 20;
     else if (std::strcmp(argv[i], "--epoch-unix") == 0)
       sopts.epoch_unix_s =
@@ -638,10 +648,10 @@ int cmd_serve(int argc, char** argv) {
           parse_double_arg(next("--time-scale"), "--time-scale");
     else if (std::strcmp(argv[i], "--workers") == 0)
       ropts.workers = static_cast<unsigned>(
-          parse_int_arg(next("--workers"), "--workers"));
+          parse_count_arg(next("--workers"), "--workers"));
     else if (std::strcmp(argv[i], "--queue-capacity") == 0)
       ropts.queue_capacity = static_cast<std::size_t>(
-          parse_int_arg(next("--queue-capacity"), "--queue-capacity"));
+          parse_count_arg(next("--queue-capacity"), "--queue-capacity"));
     else if (std::strcmp(argv[i], "--advance-period") == 0)
       ropts.advance_period_s =
           parse_double_arg(next("--advance-period"), "--advance-period");
@@ -736,13 +746,13 @@ int cmd_loadgen(int argc, char** argv) {
       opts.host = next("--host");
     else if (std::strcmp(argv[i], "--requests") == 0)
       opts.requests = static_cast<std::size_t>(
-          parse_int_arg(next("--requests"), "--requests"));
+          parse_count_arg(next("--requests"), "--requests"));
     else if (std::strcmp(argv[i], "--connections") == 0)
       opts.connections = static_cast<std::size_t>(
-          parse_int_arg(next("--connections"), "--connections"));
+          parse_count_arg(next("--connections"), "--connections"));
     else if (std::strcmp(argv[i], "--observers") == 0)
       opts.observers = static_cast<std::size_t>(
-          parse_int_arg(next("--observers"), "--observers"));
+          parse_count_arg(next("--observers"), "--observers"));
     else if (std::strcmp(argv[i], "--zipf") == 0)
       opts.zipf_s = parse_double_arg(next("--zipf"), "--zipf");
     else if (std::strcmp(argv[i], "--seed") == 0)

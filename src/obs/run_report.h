@@ -2,8 +2,8 @@
 //
 // One schema, two encodings:
 //  - JSON: the machine-readable report a campaign run emits via
-//    `--metrics <out.json>` (examples/sinet_cli.cpp) and that
-//    tools/run_benchmarks.sh records alongside the bench timings.
+//    `--metrics <out.json>` (examples/sinet_cli.cpp), which CI's smoke
+//    jobs and bench/e2e's serve-zipf workload read back.
 //  - CSV: flat `kind,name,field,value` rows for spreadsheet-style diffing
 //    across runs.
 //

@@ -159,7 +159,17 @@ void ThreadPool::parallel_for(std::size_t n,
     state->done_cv.wait(lock, [&] { return state->remaining == 0; });
   }
 
-  for (const std::exception_ptr& e : state->errors)
+  // Move the exceptions out of the shared state before rethrowing. A
+  // worker may still hold the last reference to `state`; left inside it,
+  // the rethrown exception would be freed on that worker while the caller
+  // still reads it, ordered only by exception_ptr's reference count in the
+  // uninstrumented runtime, which ThreadSanitizer cannot see.
+  std::vector<std::exception_ptr> errors;
+  {
+    std::lock_guard<std::mutex> lock(state->m);
+    errors.swap(state->errors);
+  }
+  for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 }
 
