@@ -9,6 +9,7 @@
 #include "core/contact_analysis.h"
 #include "core/passive_campaign.h"
 #include "core/report.h"
+#include "stats/cdf.h"
 
 namespace {
 

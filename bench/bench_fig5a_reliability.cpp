@@ -81,7 +81,11 @@ void reproduce() {
     const auto& rel = cell.metrics.at("reliability");
     const auto& att = cell.metrics.at("mean_attempts");
     a.add_row({fmt(cell.params[0].second, 0), fmt_pct(rel.mean),
-               "[" + fmt_pct(rel.ci_low) + ", " + fmt_pct(rel.ci_high) + "]",
+               std::string("[")
+                   .append(fmt_pct(rel.ci_low))
+                   .append(", ")
+                   .append(fmt_pct(rel.ci_high))
+                   .append("]"),
                fmt(att.mean, 2)});
   }
   std::printf("%s", a.render().c_str());

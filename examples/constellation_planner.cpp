@@ -20,12 +20,10 @@ using namespace sinet::core;
 namespace {
 
 orbit::ConstellationSpec custom(int count, double alt_km, double incl) {
-  orbit::ConstellationSpec spec;
-  spec.name = "planned";
-  spec.region = "-";
-  spec.dts_frequency_hz = 433e6;
-  spec.groups = {{count, alt_km, alt_km, incl}};
-  return spec;
+  return {.name = "planned",
+          .region = "-",
+          .dts_frequency_hz = 433e6,
+          .groups = {{count, alt_km, alt_km, incl}}};
 }
 
 double worst_gap_hours(const std::vector<orbit::ContactWindow>& windows) {

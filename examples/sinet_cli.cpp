@@ -441,7 +441,11 @@ int cmd_sweep(int argc, char** argv) {
     for (const auto& [name, agg] : cell.metrics)
       t.add_row({std::to_string(cell.grid_index), params, name,
                  fmt(agg.mean, 3),
-                 "[" + fmt(agg.ci_low, 3) + ", " + fmt(agg.ci_high, 3) + "]",
+                 std::string("[")
+                     .append(fmt(agg.ci_low, 3))
+                     .append(", ")
+                     .append(fmt(agg.ci_high, 3))
+                     .append("]"),
                  std::to_string(agg.n)});
   }
   std::printf("%sreport written to %s\n", t.render().c_str(),

@@ -63,36 +63,4 @@ double antenna_gain_dbi(AntennaType type, double elevation_deg) {
   throw std::invalid_argument("antenna_gain_dbi: unknown antenna type");
 }
 
-double antenna_peak_gain_dbi(AntennaType type) noexcept {
-  switch (type) {
-    case AntennaType::kIsotropic:
-      return 0.0;
-    case AntennaType::kDipole:
-      return 2.15;
-    case AntennaType::kSatelliteTurnstile:
-      return 4.5;
-    case AntennaType::kQuarterWaveMonopole:
-      return 2.0;
-    case AntennaType::kFiveEighthsWaveMonopole:
-      return 4.0;
-  }
-  return 0.0;
-}
-
-std::string to_string(AntennaType type) {
-  switch (type) {
-    case AntennaType::kIsotropic:
-      return "isotropic";
-    case AntennaType::kDipole:
-      return "dipole";
-    case AntennaType::kSatelliteTurnstile:
-      return "satellite turnstile";
-    case AntennaType::kQuarterWaveMonopole:
-      return "1/4-wave monopole";
-    case AntennaType::kFiveEighthsWaveMonopole:
-      return "5/8-wave monopole";
-  }
-  return "unknown";
-}
-
 }  // namespace sinet::channel

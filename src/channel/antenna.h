@@ -6,8 +6,6 @@
 // omnidirectional with lower gain. Satellites carry simple dipoles.
 #pragma once
 
-#include <string>
-
 namespace sinet::channel {
 
 enum class AntennaType {
@@ -21,10 +19,5 @@ enum class AntennaType {
 /// Gain (dBi) toward a target at `elevation_deg` above the local horizon.
 /// Patterns are azimuth-symmetric.
 [[nodiscard]] double antenna_gain_dbi(AntennaType type, double elevation_deg);
-
-/// Peak gain (dBi) of the pattern.
-[[nodiscard]] double antenna_peak_gain_dbi(AntennaType type) noexcept;
-
-[[nodiscard]] std::string to_string(AntennaType type);
 
 }  // namespace sinet::channel

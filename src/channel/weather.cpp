@@ -40,11 +40,4 @@ std::string to_string(Weather w) {
   return "unknown";
 }
 
-Weather weather_from_string(const std::string& s) {
-  if (s == "sunny") return Weather::kSunny;
-  if (s == "cloudy") return Weather::kCloudy;
-  if (s == "rainy") return Weather::kRainy;
-  throw std::invalid_argument("unknown weather: " + s);
-}
-
 }  // namespace sinet::channel

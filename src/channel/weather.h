@@ -22,7 +22,4 @@ enum class Weather { kSunny, kCloudy, kRainy };
 
 [[nodiscard]] std::string to_string(Weather w);
 
-/// Parse "sunny" / "cloudy" / "rainy"; throws std::invalid_argument.
-[[nodiscard]] Weather weather_from_string(const std::string& s);
-
 }  // namespace sinet::channel

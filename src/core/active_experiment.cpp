@@ -47,7 +47,7 @@ LatencySummary summarize_latency(
     const std::vector<trace::UplinkRecord>& uplinks) {
   LatencySummary s;
   stats::EmpiricalCdf e2e;
-  net::DtsNetworkResult::LatencyBreakdown sum;
+  LatencyBreakdown sum;
   std::size_t n_breakdown = 0;
   for (const trace::UplinkRecord& u : uplinks) {
     if (!u.delivered) continue;

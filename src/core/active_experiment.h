@@ -43,12 +43,20 @@ struct RetxSummary {
 [[nodiscard]] RetxSummary summarize_retx(
     const std::vector<trace::UplinkRecord>& uplinks);
 
+/// Mean latency decomposition (Fig 5d), seconds: {wait for pass, DtS
+/// transfer, delivery via GS+backhaul}.
+struct LatencyBreakdown {
+  double wait_for_pass_s = 0.0;
+  double dts_transfer_s = 0.0;
+  double delivery_s = 0.0;
+};
+
 /// End-to-end latency statistics in minutes (paper Fig 5c/5d).
 struct LatencySummary {
   double mean_min = 0.0;
   double median_min = 0.0;
   double p90_min = 0.0;
-  net::DtsNetworkResult::LatencyBreakdown mean_breakdown;  ///< seconds
+  LatencyBreakdown mean_breakdown;  ///< seconds
 };
 [[nodiscard]] LatencySummary summarize_latency(
     const net::DtsNetworkResult& result);

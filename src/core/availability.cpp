@@ -52,20 +52,6 @@ double daily_presence_hours(const orbit::ConstellationSpec& spec,
          3600.0;
 }
 
-std::vector<double> per_satellite_daily_hours(
-    const orbit::ConstellationSpec& spec, const MeasurementSite& site,
-    orbit::JulianDate start_jd, const AvailabilityOptions& opts) {
-  const auto tles = orbit::generate_tles(spec, start_jd);
-  const auto per_sat = per_tle_windows(tles, site, start_jd, opts);
-  std::vector<double> out;
-  out.reserve(tles.size());
-  for (const auto& ws : per_sat)
-    out.push_back(orbit::daily_visible_seconds(
-                      ws[0], start_jd, start_jd + opts.duration_days) /
-                  3600.0);
-  return out;
-}
-
 std::vector<double> presence_vs_constellation_size(
     const orbit::ConstellationSpec& spec, const MeasurementSite& site,
     orbit::JulianDate start_jd, const std::vector<int>& sizes,
@@ -102,45 +88,6 @@ std::vector<double> presence_vs_constellation_size(
     out[idx] = orbit::daily_visible_seconds(
                    flat, start_jd, start_jd + opts.duration_days) /
                3600.0;
-  }
-  return out;
-}
-
-std::vector<double> presence_by_latitude(
-    const orbit::ConstellationSpec& spec,
-    const std::vector<double>& latitudes_deg, orbit::JulianDate start_jd,
-    const AvailabilityOptions& opts) {
-  if (opts.duration_days <= 0.0)
-    throw std::invalid_argument("presence_by_latitude: bad duration");
-  // One shared-ephemeris grid call for ALL latitude probes: each
-  // satellite propagates once per coarse step for the whole latitude
-  // sweep instead of once per probe. Presence values are bit-identical
-  // to the per-latitude daily_presence_hours loop this replaces (same
-  // windows per pair, same concatenation order into the merge).
-  const auto tles = orbit::generate_tles(spec, start_jd);
-  std::vector<orbit::GridObserver> observers;
-  observers.reserve(latitudes_deg.size());
-  for (const double lat : latitudes_deg)
-    observers.push_back(orbit::GridObserver{{lat, 114.0, 0.0}});
-
-  orbit::PassPredictionOptions popts;
-  popts.min_elevation_deg = opts.min_elevation_deg;
-  popts.coarse_step_s = opts.pass_scan_step_s;
-  const orbit::JulianDate end_jd = start_jd + opts.duration_days;
-  const auto windows = orbit::predict_passes_grid_cached(
-      tles, observers, start_jd, end_jd, popts, opts.threads,
-      &orbit::ContactWindowCache::global(), opts.metrics);
-
-  std::vector<double> out;
-  out.reserve(latitudes_deg.size());
-  for (std::size_t o = 0; o < observers.size(); ++o) {
-    std::vector<orbit::ContactWindow> all;
-    for (std::size_t s = 0; s < tles.size(); ++s)
-      all.insert(all.end(), windows[s][o].begin(), windows[s][o].end());
-    out.push_back(
-        orbit::daily_visible_seconds(orbit::merge_windows(std::move(all)),
-                                     start_jd, end_jd) /
-        3600.0);
   }
   return out;
 }

@@ -38,12 +38,6 @@ struct AvailabilityOptions {
     const orbit::ConstellationSpec& spec, const MeasurementSite& site,
     orbit::JulianDate start_jd, const AvailabilityOptions& opts = {});
 
-/// Per-satellite daily visible hours (unmerged; used for constellation
-/// sizing studies).
-[[nodiscard]] std::vector<double> per_satellite_daily_hours(
-    const orbit::ConstellationSpec& spec, const MeasurementSite& site,
-    orbit::JulianDate start_jd, const AvailabilityOptions& opts = {});
-
 /// Availability as a function of constellation size: daily presence hours
 /// when only the first `k` satellites of the catalog are active, for each
 /// k in `sizes` (paper: Tianqi 12 -> 22 sats moves 13.4 h -> 19.1 h).
@@ -57,14 +51,5 @@ struct AvailabilityOptions {
 [[nodiscard]] std::vector<orbit::ContactWindow> constellation_windows(
     const orbit::ConstellationSpec& spec, const MeasurementSite& site,
     orbit::JulianDate start_jd, const AvailabilityOptions& opts = {});
-
-/// Daily presence hours as a function of service latitude (at a fixed
-/// reference longitude): coverage of an inclined constellation collapses
-/// beyond its inclination band, which determines who a given fleet can
-/// actually serve. One entry per input latitude.
-[[nodiscard]] std::vector<double> presence_by_latitude(
-    const orbit::ConstellationSpec& spec,
-    const std::vector<double>& latitudes_deg, orbit::JulianDate start_jd,
-    const AvailabilityOptions& opts = {});
 
 }  // namespace sinet::core

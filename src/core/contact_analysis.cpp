@@ -203,34 +203,4 @@ double mid_window_fraction(const std::vector<double>& positions, double lo,
   return static_cast<double>(mid) / static_cast<double>(positions.size());
 }
 
-WeatherReceptionSplit reception_by_weather(
-    const PassiveCampaignResult& campaign, const CellKey& cell,
-    double beacon_period_s) {
-  WeatherReceptionSplit split;
-  const auto outcomes = analyze_contacts(campaign, cell, beacon_period_s);
-  const auto per_sat = traces_by_satellite(campaign, cell);
-
-  for (const ContactOutcome& c : outcomes) {
-    if (!c.effective()) continue;  // weather unknown without a trace
-    // Weather of the contact = weather recorded on its first trace.
-    const auto traces_it = per_sat.find(c.satellite);
-    if (traces_it == per_sat.end()) continue;
-    const double a = orbit::julian_to_unix(c.window.aos_jd);
-    const double b = orbit::julian_to_unix(c.window.los_jd);
-    const trace::BeaconRecord* first = nullptr;
-    for (const trace::BeaconRecord* r : traces_it->second) {
-      if (r->time_unix_s >= a && r->time_unix_s <= b) {
-        first = r;
-        break;
-      }
-    }
-    if (first == nullptr) continue;
-    if (first->weather == "rainy")
-      split.rainy.add(c.reception_ratio());
-    else
-      split.sunny.add(c.reception_ratio());
-  }
-  return split;
-}
-
 }  // namespace sinet::core

@@ -9,7 +9,6 @@
 
 #include "core/passive_campaign.h"
 #include "orbit/passes.h"
-#include "stats/cdf.h"
 #include "trace/packet_trace.h"
 
 namespace sinet::core {
@@ -69,15 +68,5 @@ struct ContactStats {
 /// their contact window (paper: 70.4% within 30%-70%).
 [[nodiscard]] double mid_window_fraction(const std::vector<double>& positions,
                                          double lo = 0.3, double hi = 0.7);
-
-/// Per-contact reception ratios split by weather ("sunny"/"rainy") for a
-/// cell — paper Fig 3d.
-struct WeatherReceptionSplit {
-  stats::EmpiricalCdf sunny;
-  stats::EmpiricalCdf rainy;
-};
-[[nodiscard]] WeatherReceptionSplit reception_by_weather(
-    const PassiveCampaignResult& campaign, const CellKey& cell,
-    double beacon_period_s);
 
 }  // namespace sinet::core

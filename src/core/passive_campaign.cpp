@@ -44,16 +44,6 @@ PassiveCampaignConfig default_campaign(double duration_days) {
   return cfg;
 }
 
-std::vector<orbit::ContactWindow> PassiveCampaignResult::cell_windows(
-    const CellKey& key) const {
-  std::vector<orbit::ContactWindow> out;
-  const auto it = theoretical.find(key);
-  if (it == theoretical.end()) return out;
-  for (const SatelliteWindows& sw : it->second)
-    out.insert(out.end(), sw.windows.begin(), sw.windows.end());
-  return out;
-}
-
 namespace {
 
 /// One satellite of the campaign: propagated read-only by every site.

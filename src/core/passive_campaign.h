@@ -83,10 +83,6 @@ struct PassiveCampaignResult {
   /// Windows requested vs actually observed per site (scheduler effect).
   std::map<std::string, std::pair<std::size_t, std::size_t>>
       windows_requested_observed;
-
-  /// All theoretical windows of a cell flattened (unmerged).
-  [[nodiscard]] std::vector<orbit::ContactWindow> cell_windows(
-      const CellKey& key) const;
 };
 
 /// Run the campaign. Deterministic given (config, seed).

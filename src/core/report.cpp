@@ -45,28 +45,6 @@ std::string Table::render() const {
   return out;
 }
 
-std::string Table::render_markdown() const {
-  const auto escape = [](const std::string& cell) {
-    std::string out;
-    for (const char c : cell) {
-      if (c == '|') out += "\\|";
-      else out += c;
-    }
-    return out;
-  };
-  std::string out = "|";
-  for (const auto& h : headers_) out += " " + escape(h) + " |";
-  out += "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& row : rows_) {
-    out += "|";
-    for (const auto& cell : row) out += " " + escape(cell) + " |";
-    out += "\n";
-  }
-  return out;
-}
-
 std::string fmt(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);

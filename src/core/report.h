@@ -18,9 +18,6 @@ class Table {
   /// Render with column-width alignment and a header separator.
   [[nodiscard]] std::string render() const;
 
-  /// Render as a GitHub-flavored markdown table (pipes escaped).
-  [[nodiscard]] std::string render_markdown() const;
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
  private:

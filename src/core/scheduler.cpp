@@ -44,17 +44,4 @@ std::vector<ScheduledObservation> schedule_observations(
   return out;
 }
 
-SchedulerStats schedule_stats(
-    const std::vector<ObservationRequest>& requests,
-    const std::vector<ScheduledObservation>& scheduled) {
-  SchedulerStats st;
-  st.requested = requests.size();
-  st.scheduled = scheduled.size();
-  for (const ObservationRequest& r : requests)
-    st.requested_seconds += r.window.duration_s();
-  for (const ScheduledObservation& s : scheduled)
-    st.scheduled_seconds += s.request.window.duration_s();
-  return st;
-}
-
 }  // namespace sinet::core

@@ -33,18 +33,6 @@ struct ScheduledObservation {
   int station_index = -1;
 };
 
-struct SchedulerStats {
-  std::size_t requested = 0;
-  std::size_t scheduled = 0;
-  double requested_seconds = 0.0;
-  double scheduled_seconds = 0.0;
-
-  [[nodiscard]] double coverage_fraction() const {
-    return requested_seconds > 0.0 ? scheduled_seconds / requested_seconds
-                                   : 0.0;
-  }
-};
-
 /// Greedy interval scheduling across `station_count` identical stations:
 /// requests are sorted by window end (the classic exchange-argument
 /// order) and each is placed on the first station free at its start.
@@ -55,10 +43,5 @@ struct SchedulerStats {
 [[nodiscard]] std::vector<ScheduledObservation> schedule_observations(
     std::vector<ObservationRequest> requests, int station_count,
     double retune_gap_s = 15.0);
-
-/// Summary statistics of a schedule against its request list.
-[[nodiscard]] SchedulerStats schedule_stats(
-    const std::vector<ObservationRequest>& requests,
-    const std::vector<ScheduledObservation>& scheduled);
 
 }  // namespace sinet::core

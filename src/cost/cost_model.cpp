@@ -49,20 +49,6 @@ double satellite_monthly_usd(const Workload& w, const SatellitePricing& p) {
   return packets_per_month / 1000.0 * p.usd_per_thousand_packets;
 }
 
-double terrestrial_tco_usd(const Workload& w, int gateway_count,
-                           double months, const TerrestrialPricing& p) {
-  if (months < 0.0) throw std::invalid_argument("negative months");
-  return terrestrial_construction_usd(w, gateway_count, p) +
-         months * terrestrial_monthly_usd(gateway_count, p);
-}
-
-double satellite_tco_usd(const Workload& w, double months,
-                         const SatellitePricing& p) {
-  if (months < 0.0) throw std::invalid_argument("negative months");
-  return satellite_construction_usd(w, p) +
-         months * satellite_monthly_usd(w, p);
-}
-
 double breakeven_months(const Workload& w, int gateway_count,
                         const TerrestrialPricing& tp,
                         const SatellitePricing& sp) {

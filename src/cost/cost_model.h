@@ -50,13 +50,6 @@ struct Workload {
 [[nodiscard]] double satellite_monthly_usd(const Workload& w,
                                            const SatellitePricing& p);
 
-/// Total cost of ownership over `months`.
-[[nodiscard]] double terrestrial_tco_usd(const Workload& w, int gateway_count,
-                                         double months,
-                                         const TerrestrialPricing& p);
-[[nodiscard]] double satellite_tco_usd(const Workload& w, double months,
-                                       const SatellitePricing& p);
-
 /// Months after which the satellite deployment's lower CAPEX is overtaken
 /// by its higher OPEX (break-even vs. terrestrial); returns +inf if the
 /// satellite option never becomes more expensive, 0 if it always is.

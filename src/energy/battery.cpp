@@ -13,33 +13,4 @@ double lifetime_days(const Battery& battery, double average_power_mw) {
   return hours / 24.0;
 }
 
-double remaining_fraction(const Battery& battery, double average_power_mw,
-                          double days) {
-  if (average_power_mw < 0.0 || days < 0.0)
-    throw std::invalid_argument("remaining_fraction: negative input");
-  const double used_mwh = average_power_mw * days * 24.0;
-  const double frac = 1.0 - used_mwh / battery.energy_mwh();
-  return std::clamp(frac, 0.0, 1.0);
-}
-
-double lifetime_days_with_self_discharge(
-    const Battery& battery, double average_power_mw,
-    double self_discharge_fraction_per_month) {
-  if (average_power_mw <= 0.0)
-    throw std::invalid_argument(
-        "lifetime_days_with_self_discharge: nonpositive power");
-  if (self_discharge_fraction_per_month < 0.0 ||
-      self_discharge_fraction_per_month >= 1.0)
-    throw std::invalid_argument(
-        "lifetime_days_with_self_discharge: rate out of [0,1)");
-  if (self_discharge_fraction_per_month == 0.0)
-    return lifetime_days(battery, average_power_mw);
-  // dQ/dt = -P - kQ with Q(0)=Q0 empties at t = ln(1 + k Q0 / P) / k.
-  const double k_per_day =
-      -std::log(1.0 - self_discharge_fraction_per_month) / 30.0;
-  const double q0_mwh = battery.energy_mwh();
-  const double p_mwh_per_day = average_power_mw * 24.0;
-  return std::log(1.0 + k_per_day * q0_mwh / p_mwh_per_day) / k_per_day;
-}
-
 }  // namespace sinet::energy

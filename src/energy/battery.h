@@ -17,17 +17,4 @@ struct Battery {
 [[nodiscard]] double lifetime_days(const Battery& battery,
                                    double average_power_mw);
 
-/// Remaining charge fraction after `days` at `average_power_mw` (clamped
-/// to [0, 1]).
-[[nodiscard]] double remaining_fraction(const Battery& battery,
-                                        double average_power_mw, double days);
-
-/// Lifetime including chemistry self-discharge: the cell loses
-/// `self_discharge_fraction_per_month` of its *remaining* charge per
-/// 30-day month on top of the load. Solved analytically from
-/// dQ/dt = -P - k Q. For LiSOCl2 cells (typical IoT) k ~ 1-2%/month.
-[[nodiscard]] double lifetime_days_with_self_discharge(
-    const Battery& battery, double average_power_mw,
-    double self_discharge_fraction_per_month = 0.01);
-
 }  // namespace sinet::energy

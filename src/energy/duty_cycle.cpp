@@ -27,26 +27,6 @@ ResidencyTracker terrestrial_daily_duty(const TerrestrialDutyParams& p) {
   return t;
 }
 
-ResidencyTracker satellite_daily_duty(const SatelliteDutyParams& p) {
-  if (p.report_interval_s <= 0.0 || p.mean_tx_attempts < 0.0)
-    throw std::invalid_argument("satellite_daily_duty: bad params");
-  if (p.rx_listen_fraction < 0.0 || p.rx_listen_fraction > 1.0)
-    throw std::invalid_argument(
-        "satellite_daily_duty: rx_listen_fraction out of [0,1]");
-  const double reports = kDayS / p.report_interval_s;
-  ResidencyTracker t;
-  const double tx =
-      reports * p.mean_tx_attempts * p.tx_time_per_attempt_s;
-  const double rx = p.rx_listen_fraction * kDayS;
-  if (tx + rx >= kDayS)
-    throw std::invalid_argument(
-        "satellite_daily_duty: active time exceeds a day");
-  t.record(Mode::kTx, tx);
-  t.record(Mode::kRx, rx);
-  t.record(Mode::kSleep, kDayS - tx - rx);
-  return t;
-}
-
 ResidencyTracker paper_fig11_terrestrial_duty() {
   // Calibrated to paper Fig 11: ~95% of wall time in sleep+standby while
   // Tx+Rx carry ~70% of the energy at the Fig 10 mode powers.

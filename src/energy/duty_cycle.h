@@ -19,25 +19,9 @@ struct TerrestrialDutyParams {
   double standby_time_per_report_s = 2.0;
 };
 
-struct SatelliteDutyParams {
-  double report_interval_s = 1800.0;
-  /// Mean DtS attempts per report (ARQ; paper Fig 5b: ~1.7 on average).
-  double mean_tx_attempts = 1.7;
-  double tx_time_per_attempt_s = 0.37;  ///< SF10 ToA for 20 B + headers
-  /// Fraction of the day the node holds MCU+Rx waiting for beacons. The
-  /// paper attributes the battery gap mostly to this hang-on time: a node
-  /// cannot predict effective windows, so the Rx radio idles through the
-  /// (much longer) theoretical presence of the constellation.
-  double rx_listen_fraction = 0.78;  ///< Tianqi theoretical ~18.5 h/day
-};
-
 /// Residency of one day (86,400 s) of terrestrial LoRaWAN operation.
 [[nodiscard]] ResidencyTracker terrestrial_daily_duty(
     const TerrestrialDutyParams& p = {});
-
-/// Residency of one day of Tianqi-node operation.
-[[nodiscard]] ResidencyTracker satellite_daily_duty(
-    const SatelliteDutyParams& p = {});
 
 /// Residency reproducing the *measured* terrestrial breakdown of paper
 /// Fig 11 (95% of time in sleep+standby, yet >70% of energy in Tx+Rx).

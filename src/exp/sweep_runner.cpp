@@ -271,11 +271,6 @@ void SweepAccumulator::add(const RunPoint& point, PointMetrics metrics) {
   points_.emplace_back(point, std::move(metrics));
 }
 
-std::size_t SweepAccumulator::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return points_.size();
-}
-
 std::vector<std::pair<RunPoint, PointMetrics>>
 SweepAccumulator::sorted_points() const {
   std::vector<std::pair<RunPoint, PointMetrics>> out;
@@ -450,19 +445,28 @@ std::string report_json(const SweepResult& result) {
            ", \"params\": {";
     for (std::size_t i = 0; i < cell.params.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + obs::json_escape(cell.params[i].first) +
-             "\": " + obs::json_double(cell.params[i].second);
+      out += '"';
+      out += obs::json_escape(cell.params[i].first);
+      out += "\": ";
+      out += obs::json_double(cell.params[i].second);
     }
     out += "}, \"metrics\": {";
     bool first = true;
     for (const auto& [name, agg] : cell.metrics) {
       if (!first) out += ", ";
-      out += "\"" + obs::json_escape(name) + "\": {\"n\": " +
-             obs::json_u64(static_cast<std::uint64_t>(agg.n)) +
-             ", \"mean\": " + obs::json_double(agg.mean) +
-             ", \"stddev\": " + obs::json_double(agg.stddev) +
-             ", \"ci_low\": " + obs::json_double(agg.ci_low) +
-             ", \"ci_high\": " + obs::json_double(agg.ci_high) + "}";
+      out += '"';
+      out += obs::json_escape(name);
+      out += "\": {\"n\": ";
+      out += obs::json_u64(static_cast<std::uint64_t>(agg.n));
+      out += ", \"mean\": ";
+      out += obs::json_double(agg.mean);
+      out += ", \"stddev\": ";
+      out += obs::json_double(agg.stddev);
+      out += ", \"ci_low\": ";
+      out += obs::json_double(agg.ci_low);
+      out += ", \"ci_high\": ";
+      out += obs::json_double(agg.ci_high);
+      out += '}';
       first = false;
     }
     out += "}}";

@@ -86,7 +86,6 @@ struct CellAggregate {
 class SweepAccumulator {
  public:
   void add(const RunPoint& point, PointMetrics metrics);
-  [[nodiscard]] std::size_t size() const;
   /// Completed points sorted by (grid_index, replicate).
   [[nodiscard]] std::vector<std::pair<RunPoint, PointMetrics>>
   sorted_points() const;

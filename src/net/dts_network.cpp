@@ -58,36 +58,6 @@ double DtsNetworkResult::mean_end_to_end_s() const {
   return agg.mean_end_to_end_s();
 }
 
-DtsNetworkResult::LatencyBreakdown DtsNetworkResult::mean_latency_breakdown()
-    const {
-  LatencyBreakdown b;
-  if (uplinks.empty()) {
-    if (agg.breakdown_samples > 0) {
-      const double k = static_cast<double>(agg.breakdown_samples);
-      b.dts_transfer_s = agg.sum_dts_transfer_s / k;
-      b.delivery_s = agg.sum_delivery_s / k;
-    }
-    if (agg.wait_samples > 0) b.wait_for_pass_s = agg.mean_wait_s();
-    return b;
-  }
-  std::size_t n = 0;
-  for (const auto& u : uplinks) {
-    if (!u.delivered || u.first_tx_unix_s < 0.0 ||
-        u.satellite_rx_unix_s < 0.0)
-      continue;
-    b.wait_for_pass_s += u.wait_for_pass_s();
-    b.dts_transfer_s += u.dts_transfer_s();
-    b.delivery_s += u.delivery_s();
-    ++n;
-  }
-  if (n > 0) {
-    b.wait_for_pass_s /= static_cast<double>(n);
-    b.dts_transfer_s /= static_cast<double>(n);
-    b.delivery_s /= static_cast<double>(n);
-  }
-  return b;
-}
-
 DtsNetworkConfig tianqi_agriculture_config(orbit::JulianDate start_jd,
                                            double duration_days) {
   DtsNetworkConfig cfg;

@@ -254,16 +254,6 @@ struct DtsNetworkResult {
   /// Both read `agg`.
   [[nodiscard]] double delivered_fraction() const;
   [[nodiscard]] double mean_end_to_end_s() const;
-  /// Mean latency decomposition (Fig 5d), seconds: {wait for pass, DtS
-  /// transfer, delivery via GS+backhaul}. With a trace every term is over
-  /// delivered packets with complete timing; without one the wait is
-  /// over every transmitted packet (DtsAggregates::mean_wait_s).
-  struct LatencyBreakdown {
-    double wait_for_pass_s = 0.0;
-    double dts_transfer_s = 0.0;
-    double delivery_s = 0.0;
-  };
-  [[nodiscard]] LatencyBreakdown mean_latency_breakdown() const;
 };
 
 /// Ground-station drain opportunities inside one contact window, as sim

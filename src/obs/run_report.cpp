@@ -100,33 +100,6 @@ std::string to_json(const Snapshot& snapshot) {
   return out;
 }
 
-std::string to_csv(const Snapshot& snapshot) {
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [k, v] : snapshot.info)
-    out += "info," + k + ",value," + v + "\n";
-  for (const auto& [k, v] : snapshot.counters)
-    out += "counter," + k + ",value," + json_u64(v) + "\n";
-  for (const auto& [k, g] : snapshot.gauges) {
-    out += "gauge," + k + ",value," + json_double(g.value) + "\n";
-    out += "gauge," + k + ",max," + json_double(g.max) + "\n";
-  }
-  for (const auto& [k, h] : snapshot.histograms) {
-    out += "histogram," + k + ",lo," + json_double(h.lo) + "\n";
-    out += "histogram," + k + ",hi," + json_double(h.hi) + "\n";
-    out += "histogram," + k + ",underflow," + json_u64(h.underflow) + "\n";
-    out += "histogram," + k + ",overflow," + json_u64(h.overflow) + "\n";
-    out += "histogram," + k + ",nan," + json_u64(h.nan_count) + "\n";
-    out += "histogram," + k + ",total," + json_u64(h.total) + "\n";
-    out += "histogram," + k + ",sum," + json_double(h.sum) + "\n";
-    out += "histogram," + k + ",min," + json_double(h.min) + "\n";
-    out += "histogram," + k + ",max," + json_double(h.max) + "\n";
-    for (std::size_t i = 0; i < h.bins.size(); ++i)
-      out += "histogram," + k + ",bin" + std::to_string(i) + "," +
-             json_u64(h.bins[i]) + "\n";
-  }
-  return out;
-}
-
 Snapshot parse_json(const std::string& json) {
   JsonCursor cur(json);
   Snapshot s;

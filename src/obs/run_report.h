@@ -1,11 +1,8 @@
 // Structured run-report export for obs::MetricsRegistry snapshots.
 //
-// One schema, two encodings:
-//  - JSON: the machine-readable report a campaign run emits via
-//    `--metrics <out.json>` (examples/sinet_cli.cpp), which CI's smoke
-//    jobs and bench/e2e's serve-zipf workload read back.
-//  - CSV: flat `kind,name,field,value` rows for spreadsheet-style diffing
-//    across runs.
+// The machine-readable JSON report a campaign run emits via
+// `--metrics <out.json>` (examples/sinet_cli.cpp), which CI's smoke jobs
+// and bench/e2e's serve-zipf workload read back.
 //
 // parse_json() understands exactly what to_json() emits (numbers printed
 // with 17 significant digits, so doubles survive a write/parse cycle
@@ -23,11 +20,6 @@ inline constexpr const char* kRunReportSchema = "sinet.run_report.v1";
 
 /// Serialize a snapshot as a self-describing JSON document.
 [[nodiscard]] std::string to_json(const Snapshot& snapshot);
-
-/// Serialize as flat CSV: header `kind,name,field,value`, one row per
-/// scalar (counters: value; gauges: value/max; histograms: summary fields
-/// plus one row per bin).
-[[nodiscard]] std::string to_csv(const Snapshot& snapshot);
 
 /// Parse a document produced by to_json(). Throws std::runtime_error on
 /// malformed input or a schema mismatch.

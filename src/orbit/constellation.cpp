@@ -17,45 +17,32 @@ int ConstellationSpec::total_satellites() const {
 std::vector<ConstellationSpec> paper_constellations() {
   // Values transcribed from paper Table 3.
   std::vector<ConstellationSpec> out;
-
-  ConstellationSpec tianqi;
-  tianqi.name = "Tianqi";
-  tianqi.region = "China";
-  tianqi.dts_frequency_hz = 400.45e6;
-  tianqi.beacon_sf = 10;
-  tianqi.beacon_eirp_dbm = 18.5;
-  tianqi.groups = {{16, 815.7, 897.5, 49.97},
-                   {4, 544.0, 556.9, 35.00},
-                   {2, 441.9, 493.0, 97.61}};
-  out.push_back(tianqi);
-
-  ConstellationSpec fossa;
-  fossa.name = "FOSSA";
-  fossa.region = "EU";
-  fossa.dts_frequency_hz = 401.7e6;
-  fossa.beacon_sf = 11;
-  fossa.beacon_eirp_dbm = 15.0;
-  fossa.groups = {{3, 508.7, 512.0, 97.36}};
-  out.push_back(fossa);
-
-  ConstellationSpec pico;
-  pico.name = "PICO";
-  pico.region = "US";
-  pico.dts_frequency_hz = 436.26e6;
-  pico.beacon_sf = 11;
-  pico.beacon_eirp_dbm = 15.5;
-  pico.groups = {{9, 507.9, 522.1, 97.72}};
-  out.push_back(pico);
-
-  ConstellationSpec cstp;
-  cstp.name = "CSTP";
-  cstp.region = "Russia";
-  cstp.dts_frequency_hz = 437.985e6;
-  cstp.beacon_sf = 12;
-  cstp.beacon_eirp_dbm = 14.0;
-  cstp.groups = {{5, 468.3, 523.7, 97.45}};
-  out.push_back(cstp);
-
+  out.push_back({.name = "Tianqi",
+                 .region = "China",
+                 .dts_frequency_hz = 400.45e6,
+                 .beacon_sf = 10,
+                 .beacon_eirp_dbm = 18.5,
+                 .groups = {{16, 815.7, 897.5, 49.97},
+                            {4, 544.0, 556.9, 35.00},
+                            {2, 441.9, 493.0, 97.61}}});
+  out.push_back({.name = "FOSSA",
+                 .region = "EU",
+                 .dts_frequency_hz = 401.7e6,
+                 .beacon_sf = 11,
+                 .beacon_eirp_dbm = 15.0,
+                 .groups = {{3, 508.7, 512.0, 97.36}}});
+  out.push_back({.name = "PICO",
+                 .region = "US",
+                 .dts_frequency_hz = 436.26e6,
+                 .beacon_sf = 11,
+                 .beacon_eirp_dbm = 15.5,
+                 .groups = {{9, 507.9, 522.1, 97.72}}});
+  out.push_back({.name = "CSTP",
+                 .region = "Russia",
+                 .dts_frequency_hz = 437.985e6,
+                 .beacon_sf = 12,
+                 .beacon_eirp_dbm = 14.0,
+                 .groups = {{5, 468.3, 523.7, 97.45}}});
   return out;
 }
 

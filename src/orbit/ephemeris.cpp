@@ -624,10 +624,6 @@ struct RollingView {
 }  // namespace
 
 RollingEphemeris::RollingEphemeris(std::vector<const Sgp4*> satellites,
-                                   JulianDate anchor_jd)
-    : RollingEphemeris(std::move(satellites), anchor_jd, Options{}) {}
-
-RollingEphemeris::RollingEphemeris(std::vector<const Sgp4*> satellites,
                                    JulianDate anchor_jd, const Options& opts)
     : satellites_(std::move(satellites)), opts_(opts), anchor_jd_(anchor_jd),
       step_days_(opts.coarse_step_s / kSecondsPerDay) {

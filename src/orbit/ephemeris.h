@@ -309,11 +309,7 @@ class RollingEphemeris {
   /// `satellites` are borrowed and must outlive the engine. The horizon
   /// starts empty at `anchor_jd`; call advance() to populate it. Throws
   /// std::invalid_argument on a non-finite anchor, a non-finite or
-  /// nonpositive step, zero chunk_samples or a null propagator. (Two
-  /// overloads instead of `opts = {}` — a nested-class default argument
-  /// cannot use Options' default member initializers before the
-  /// enclosing class is complete.)
-  RollingEphemeris(std::vector<const Sgp4*> satellites, JulianDate anchor_jd);
+  /// nonpositive step, zero chunk_samples or a null propagator.
   RollingEphemeris(std::vector<const Sgp4*> satellites, JulianDate anchor_jd,
                    const Options& opts);
   ~RollingEphemeris();

@@ -12,21 +12,8 @@ Vec3 rotate_z(const Vec3& v, double angle_rad) {
 }
 }  // namespace
 
-Vec3 teme_to_ecef_position(const Vec3& r_teme_km, JulianDate jd) {
-  return rotate_z(r_teme_km, gmst_rad(jd));
-}
-
 Vec3 teme_to_ecef_position_gmst(const Vec3& r_teme_km, double gmst) {
   return rotate_z(r_teme_km, gmst);
-}
-
-Vec3 teme_to_ecef_velocity(const Vec3& r_teme_km, const Vec3& v_teme_km_s,
-                           JulianDate jd) {
-  const double theta = gmst_rad(jd);
-  const Vec3 v_rot = rotate_z(v_teme_km_s, theta);
-  const Vec3 r_ecef = rotate_z(r_teme_km, theta);
-  const Vec3 omega{0.0, 0.0, kEarthRotationRadPerSec};
-  return v_rot - omega.cross(r_ecef);
 }
 
 EcefState teme_to_ecef_state(const Vec3& r_teme_km, const Vec3& v_teme_km_s,
@@ -36,10 +23,6 @@ EcefState teme_to_ecef_state(const Vec3& r_teme_km, const Vec3& v_teme_km_s,
   const Vec3 v_rot = rotate_z(v_teme_km_s, theta);
   const Vec3 omega{0.0, 0.0, kEarthRotationRadPerSec};
   return {r_ecef, v_rot - omega.cross(r_ecef)};
-}
-
-Vec3 ecef_to_teme_position(const Vec3& r_ecef_km, JulianDate jd) {
-  return rotate_z(r_ecef_km, -gmst_rad(jd));
 }
 
 }  // namespace sinet::orbit

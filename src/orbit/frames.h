@@ -1,4 +1,4 @@
-// Reference-frame rotations: TEME (SGP4 output) <-> ECEF.
+// Reference-frame rotations: TEME (SGP4 output) -> ECEF.
 //
 // SGP4 emits position/velocity in the True Equator Mean Equinox (TEME)
 // frame. Ground geometry wants Earth-fixed (ECEF) coordinates. We rotate
@@ -14,9 +14,6 @@ namespace sinet::orbit {
 /// Earth rotation rate (rad/s), IAU-82 value.
 inline constexpr double kEarthRotationRadPerSec = 7.29211514670698e-5;
 
-/// Rotate a TEME position (km) into ECEF at the given UTC Julian date.
-[[nodiscard]] Vec3 teme_to_ecef_position(const Vec3& r_teme_km, JulianDate jd);
-
 /// Rotate a TEME position (km) into ECEF given a precomputed GMST angle.
 /// Bit-identical to the position teme_to_ecef_state(jd) produces when
 /// `gmst` equals gmst_rad(jd); the shared-ephemeris table uses this to
@@ -24,29 +21,19 @@ inline constexpr double kEarthRotationRadPerSec = 7.29211514670698e-5;
 [[nodiscard]] Vec3 teme_to_ecef_position_gmst(const Vec3& r_teme_km,
                                               double gmst);
 
-/// Rotate a TEME velocity (km/s) into ECEF, including the transport term
-/// (-omega x r) due to the rotating frame.
-[[nodiscard]] Vec3 teme_to_ecef_velocity(const Vec3& r_teme_km,
-                                         const Vec3& v_teme_km_s,
-                                         JulianDate jd);
-
 /// Position + velocity in ECEF.
 struct EcefState {
   Vec3 position_km;
   Vec3 velocity_km_s;
 };
 
-/// Rotate a full TEME state into ECEF, evaluating GMST and the position
-/// rotation once and sharing them between position and velocity.
-/// Bit-identical to calling teme_to_ecef_position and
-/// teme_to_ecef_velocity separately (both would compute the same GMST and
-/// the same rotated position); this is the hot-path form used by pass
-/// prediction, which needs both vectors at every sample.
+/// Rotate a full TEME state into ECEF at the given UTC Julian date: both
+/// vectors turn by GMST about z, and the velocity takes the transport term
+/// (-omega x r) of the rotating frame. GMST and the rotated position are
+/// computed once and shared; pass prediction needs both vectors at every
+/// sample.
 [[nodiscard]] EcefState teme_to_ecef_state(const Vec3& r_teme_km,
                                            const Vec3& v_teme_km_s,
                                            JulianDate jd);
-
-/// Inverse rotation: ECEF position (km) -> TEME.
-[[nodiscard]] Vec3 ecef_to_teme_position(const Vec3& r_ecef_km, JulianDate jd);
 
 }  // namespace sinet::orbit

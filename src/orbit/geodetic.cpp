@@ -1,6 +1,5 @@
 #include "orbit/geodetic.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,8 +8,12 @@
 namespace sinet::orbit {
 
 Vec3 geodetic_to_ecef(const Geodetic& g) {
-  if (g.latitude_deg < -90.0 || g.latitude_deg > 90.0)
+  // Written so that a NaN latitude fails the test too.
+  if (!(g.latitude_deg >= -90.0 && g.latitude_deg <= 90.0))
     throw std::invalid_argument("geodetic_to_ecef: latitude out of range");
+  if (!std::isfinite(g.longitude_deg) || !std::isfinite(g.altitude_km))
+    throw std::invalid_argument(
+        "geodetic_to_ecef: non-finite longitude or altitude");
   const double lat = g.latitude_deg * kDegToRad;
   const double lon = g.longitude_deg * kDegToRad;
   const double e2 = kWgs84Flattening * (2.0 - kWgs84Flattening);
@@ -42,17 +45,6 @@ Geodetic ecef_to_geodetic(const Vec3& p) {
   g.longitude_deg = std::atan2(p.y, p.x) * kRadToDeg;
   g.altitude_km = alt;
   return g;
-}
-
-double great_circle_km(const Geodetic& a, const Geodetic& b) {
-  const double la1 = a.latitude_deg * kDegToRad;
-  const double la2 = b.latitude_deg * kDegToRad;
-  const double dlat = la2 - la1;
-  const double dlon = (b.longitude_deg - a.longitude_deg) * kDegToRad;
-  const double s1 = std::sin(dlat / 2.0);
-  const double s2 = std::sin(dlon / 2.0);
-  const double h = s1 * s1 + std::cos(la1) * std::cos(la2) * s2 * s2;
-  return 2.0 * kEarthMeanRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
 }  // namespace sinet::orbit

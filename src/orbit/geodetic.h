@@ -16,15 +16,12 @@ struct Geodetic {
   double altitude_km = 0.0;    ///< height above the ellipsoid
 };
 
-/// Geodetic -> ECEF (km). Throws std::invalid_argument for |lat| > 90.
+/// Geodetic -> ECEF (km). Throws std::invalid_argument for a latitude
+/// outside [-90, 90] (NaN included) or a non-finite longitude or altitude.
 [[nodiscard]] Vec3 geodetic_to_ecef(const Geodetic& g);
 
 /// ECEF (km) -> geodetic, iterative (Bowring-style); converges in a few
 /// iterations for any point outside the Earth's core.
 [[nodiscard]] Geodetic ecef_to_geodetic(const Vec3& ecef_km);
-
-/// Great-circle distance between two geodetic points (spherical Earth,
-/// mean radius). Used for footprint sizing, not precise geodesy.
-[[nodiscard]] double great_circle_km(const Geodetic& a, const Geodetic& b);
 
 }  // namespace sinet::orbit

@@ -17,12 +17,6 @@ TopocentricFrame::TopocentricFrame(const Geodetic& observer)
   cos_lon = std::cos(lon);
 }
 
-LookAngles look_angles(const Geodetic& observer, const Vec3& sat_ecef_km,
-                       const Vec3& sat_ecef_vel_km_s) {
-  return look_angles(TopocentricFrame(observer), sat_ecef_km,
-                     sat_ecef_vel_km_s);
-}
-
 LookAngles look_angles(const TopocentricFrame& frame, const Vec3& sat_ecef_km,
                        const Vec3& sat_ecef_vel_km_s) {
   const Vec3 rel = sat_ecef_km - frame.obs_ecef_km;

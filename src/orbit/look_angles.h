@@ -81,13 +81,8 @@ void fused_visibility(const TopocentricFrameSoA& frames,
                       const Vec3& sat_ecef_km, const simd::Vd& sin_mask,
                       simd::Vi* visible_out) noexcept;
 
-/// Compute look angles from an observer (geodetic, WGS-84) to a satellite
-/// given both ECEF position (km) and ECEF velocity (km/s).
-[[nodiscard]] LookAngles look_angles(const Geodetic& observer,
-                                     const Vec3& sat_ecef_km,
-                                     const Vec3& sat_ecef_vel_km_s);
-
-/// Same computation with the observer-fixed terms precomputed.
+/// Compute look angles from an observer frame to a satellite given both
+/// ECEF position (km) and ECEF velocity (km/s).
 [[nodiscard]] LookAngles look_angles(const TopocentricFrame& frame,
                                      const Vec3& sat_ecef_km,
                                      const Vec3& sat_ecef_vel_km_s);

@@ -62,9 +62,8 @@ struct PassPredictionOptions {
 ///
 /// Hoists everything that does not change between samples out of the
 /// per-sample loop: the observer's ECEF position and ENU basis trig
-/// (TopocentricFrame), and — via teme_to_ecef_state — the GMST rotation,
-/// which the naive path (teme_to_ecef_position + teme_to_ecef_velocity)
-/// evaluates twice per sample. Output is bit-identical to the naive path.
+/// (TopocentricFrame); teme_to_ecef_state evaluates the GMST rotation
+/// once per sample for both position and velocity.
 class ElevationSampler {
  public:
   /// `prop` must outlive the sampler.
@@ -159,7 +158,8 @@ predict_passes_grid(const std::vector<const Sgp4*>& satellites,
 /// Key = (TLE epoch + orbital elements, observer, span, prediction
 /// options), all compared exactly — a cache hit can only return windows
 /// an identical computation would have produced. The campaign drivers
-/// (run_passive_campaign, constellation_windows, per_satellite_daily_hours)
+/// (run_passive_campaign, constellation_windows,
+/// presence_vs_constellation_size)
 /// repeatedly re-derive the same windows for the same satellite/site/span;
 /// this cache collapses those recomputations. Thread-safe; bounded LRU
 /// (hits refresh recency). get_or_compute is single-flight: concurrent

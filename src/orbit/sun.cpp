@@ -1,9 +1,7 @@
 #include "orbit/sun.h"
 
 #include <cmath>
-#include <stdexcept>
 
-#include "orbit/sgp4.h"
 #include "orbit/tle.h"
 
 namespace sinet::orbit {
@@ -31,21 +29,6 @@ bool in_earth_shadow(const Vec3& r_sat_km, JulianDate jd) {
   if (along >= 0.0) return false;  // sunlit side of the planet
   const Vec3 perp = r_sat_km - s * along;
   return perp.norm() < kEarthRadiusKm;
-}
-
-double eclipse_fraction(const Sgp4& prop, JulianDate jd_start,
-                        JulianDate jd_end, double step_s) {
-  if (step_s <= 0.0)
-    throw std::invalid_argument("eclipse_fraction: nonpositive step");
-  if (jd_end <= jd_start)
-    throw std::invalid_argument("eclipse_fraction: empty interval");
-  std::size_t total = 0, shadowed = 0;
-  const double step_days = step_s / kSecondsPerDay;
-  for (JulianDate jd = jd_start; jd <= jd_end; jd += step_days) {
-    ++total;
-    if (in_earth_shadow(prop.at_jd(jd).position_km, jd)) ++shadowed;
-  }
-  return static_cast<double>(shadowed) / static_cast<double>(total);
 }
 
 }  // namespace sinet::orbit

@@ -20,12 +20,4 @@ namespace sinet::orbit {
 /// shadow (cylindrical umbra model).
 [[nodiscard]] bool in_earth_shadow(const Vec3& r_sat_km, JulianDate jd);
 
-/// Fraction of the interval [jd_start, jd_end] a satellite spends in
-/// shadow, sampled every `step_s` seconds. For LEO this is ~30-40% near
-/// equinox for most orbits, ~0% for dawn-dusk sun-synchronous orbits.
-class Sgp4;  // forward declaration
-[[nodiscard]] double eclipse_fraction(const Sgp4& prop, JulianDate jd_start,
-                                      JulianDate jd_end,
-                                      double step_s = 60.0);
-
 }  // namespace sinet::orbit

@@ -89,10 +89,4 @@ double wrap_two_pi(double angle_rad) noexcept {
   return a;
 }
 
-double wrap_pi(double angle_rad) noexcept {
-  double a = wrap_two_pi(angle_rad);
-  if (a > kPi) a -= kTwoPi;
-  return a;
-}
-
 }  // namespace sinet::orbit

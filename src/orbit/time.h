@@ -59,9 +59,6 @@ struct CivilTime {
 /// Wrap an angle to [0, 2*pi).
 [[nodiscard]] double wrap_two_pi(double angle_rad) noexcept;
 
-/// Wrap an angle to (-pi, pi].
-[[nodiscard]] double wrap_pi(double angle_rad) noexcept;
-
 inline constexpr double kPi = 3.14159265358979323846;
 inline constexpr double kTwoPi = 2.0 * kPi;
 inline constexpr double kDegToRad = kPi / 180.0;

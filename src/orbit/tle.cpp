@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -112,31 +111,6 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
-/// Format a value in TLE implied-decimal notation (field width 8).
-std::string format_implied_exponent(double v) {
-  char out[16];
-  if (v == 0.0) {
-    std::snprintf(out, sizeof(out), " 00000+0");
-    return out;
-  }
-  const char sign = v < 0.0 ? '-' : ' ';
-  double mag = std::abs(v);
-  int exponent = 0;
-  // Normalize mantissa into [0.1, 1).
-  while (mag >= 1.0) {
-    mag /= 10.0;
-    ++exponent;
-  }
-  while (mag < 0.1) {
-    mag *= 10.0;
-    --exponent;
-  }
-  const int mantissa = static_cast<int>(std::lround(mag * 1e5));
-  std::snprintf(out, sizeof(out), "%c%05d%+d", sign,
-                mantissa >= 100000 ? 99999 : mantissa, exponent);
-  return out;
-}
-
 }  // namespace
 
 int tle_checksum(std::string_view line68) {
@@ -152,15 +126,6 @@ double Tle::period_minutes() const {
   if (mean_motion_rev_day <= 0.0)
     throw std::logic_error("Tle: nonpositive mean motion");
   return kMinutesPerDay / mean_motion_rev_day;
-}
-
-double Tle::semi_major_axis_km() const {
-  const double n_rad_s = mean_motion_rev_day * kTwoPi / kSecondsPerDay;
-  return std::cbrt(kMuEarthKm3PerS2 / (n_rad_s * n_rad_s));
-}
-
-double Tle::mean_altitude_km() const {
-  return semi_major_axis_km() - kEarthRadiusKm;
 }
 
 Tle parse_tle(std::string_view line1, std::string_view line2) {
@@ -220,37 +185,6 @@ Tle parse_tle(std::string_view name, std::string_view line1,
   Tle t = parse_tle(line1, line2);
   t.name = trim(name);
   return t;
-}
-
-TleLines format_tle(const Tle& t) {
-  // Recover the 2-digit year + fractional day-of-year from the epoch.
-  const CivilTime ct = civil_from_julian(t.epoch_jd);
-  const JulianDate jan1 = julian_from_civil(ct.year, 1, 1);
-  const double doy = t.epoch_jd - jan1 + 1.0;
-  const int yy = ct.year % 100;
-
-  char l1[80];
-  std::snprintf(
-      l1, sizeof(l1), "1 %05d%c %-8s %02d%012.8f %c.%08.0f %s %s 0 %4d",
-      t.catalog_number % 100000, t.classification,
-      t.intl_designator.substr(0, 8).c_str(), yy, doy,
-      t.mean_motion_dot < 0.0 ? '-' : ' ',
-      std::abs(t.mean_motion_dot) * 1e8,
-      format_implied_exponent(t.mean_motion_ddot).c_str(),
-      format_implied_exponent(t.bstar).c_str(),
-      t.element_set_number % 10000);
-
-  char l2[80];
-  std::snprintf(l2, sizeof(l2),
-                "2 %05d %8.4f %8.4f %07.0f %8.4f %8.4f %11.8f%05d",
-                t.catalog_number % 100000, t.inclination_deg, t.raan_deg,
-                t.eccentricity * 1e7, t.arg_perigee_deg, t.mean_anomaly_deg,
-                t.mean_motion_rev_day, t.revolution_number % 100000);
-
-  TleLines out{l1, l2};
-  out.line1 += static_cast<char>('0' + tle_checksum(out.line1));
-  out.line2 += static_cast<char>('0' + tle_checksum(out.line2));
-  return out;
 }
 
 Tle make_tle(std::string name, int catalog_number,

@@ -1,4 +1,4 @@
-// Two-Line Element sets: parsing, serialization, and synthetic generation.
+// Two-Line Element sets: parsing and synthetic generation.
 //
 // The paper tracks satellites via TLEs fed to simplified-perturbation
 // propagators (SGP4 family). We parse standard NORAD TLEs (with checksum
@@ -36,10 +36,6 @@ struct Tle {
 
   /// Orbital period in minutes.
   [[nodiscard]] double period_minutes() const;
-  /// Semi-major axis (km) recovered from the mean motion (two-body).
-  [[nodiscard]] double semi_major_axis_km() const;
-  /// Mean altitude above a spherical Earth (km).
-  [[nodiscard]] double mean_altitude_km() const;
   /// True if SGP4's deep-space branch would activate (period >= 225 min).
   [[nodiscard]] bool is_deep_space() const { return period_minutes() >= 225.0; }
 };
@@ -50,13 +46,6 @@ struct Tle {
 [[nodiscard]] Tle parse_tle(std::string_view line1, std::string_view line2);
 [[nodiscard]] Tle parse_tle(std::string_view name, std::string_view line1,
                             std::string_view line2);
-
-/// Serialize back to standard 69-column lines with valid checksums.
-struct TleLines {
-  std::string line1;
-  std::string line2;
-};
-[[nodiscard]] TleLines format_tle(const Tle& tle);
 
 /// Compute the NORAD mod-10 checksum of the first 68 columns of a line.
 [[nodiscard]] int tle_checksum(std::string_view line68);

@@ -68,12 +68,4 @@ std::vector<Tle> read_tle_catalog(std::istream& is) {
   return out;
 }
 
-void write_tle_catalog(std::ostream& os, const std::vector<Tle>& catalog) {
-  for (const Tle& tle : catalog) {
-    if (!tle.name.empty()) os << tle.name << '\n';
-    const TleLines lines = format_tle(tle);
-    os << lines.line1 << '\n' << lines.line2 << '\n';
-  }
-}
-
 }  // namespace sinet::orbit

@@ -1,11 +1,10 @@
-// TLE catalog file I/O: read/write multi-satellite element files in the
+// TLE catalog files: read multi-satellite element files in the
 // standard CelesTrak 3-line (name + 2 element lines) or bare 2-line
 // format. Lets the framework consume real published TLEs instead of the
 // synthetic Table 3 catalog.
 #pragma once
 
 #include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,5 @@ namespace sinet::orbit {
 /// Throws std::invalid_argument (with a line number) on malformed
 /// element lines; unpaired trailing lines are an error too.
 [[nodiscard]] std::vector<Tle> read_tle_catalog(std::istream& is);
-
-/// Serialize TLEs in 3-line format (name line included when nonempty).
-void write_tle_catalog(std::ostream& os, const std::vector<Tle>& catalog);
 
 }  // namespace sinet::orbit

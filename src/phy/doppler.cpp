@@ -27,12 +27,4 @@ double doppler_snr_penalty_db(const DopplerProfile& prof,
   return penalty;
 }
 
-double max_doppler_rate_hz_s(double speed_km_s, double min_range_km,
-                             double carrier_hz) {
-  if (min_range_km <= 0.0)
-    throw std::invalid_argument("max_doppler_rate_hz_s: range <= 0");
-  constexpr double kC = 299792.458;  // km/s
-  return speed_km_s * speed_km_s / min_range_km * carrier_hz / kC;
-}
-
 }  // namespace sinet::phy

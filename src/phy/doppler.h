@@ -27,11 +27,4 @@ struct DopplerProfile {
                                             const LoraParams& params,
                                             double packet_duration_s);
 
-/// Worst-case Doppler rate (Hz/s) for a pass with closest range
-/// `min_range_km` and speed `speed_km_s` on carrier `carrier_hz`
-/// (rate ~ v^2 / r_min * fc / c at culmination).
-[[nodiscard]] double max_doppler_rate_hz_s(double speed_km_s,
-                                           double min_range_km,
-                                           double carrier_hz);
-
 }  // namespace sinet::phy

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "channel/noise.h"
 
 namespace sinet::phy {
 
@@ -61,16 +60,6 @@ double demod_snr_threshold_db(SpreadingFactor sf) {
       return -20.0;
   }
   throw std::invalid_argument("demod_snr_threshold_db: unknown SF");
-}
-
-double sensitivity_dbm(const LoraParams& p, double noise_figure_db) {
-  return sinet::channel::noise_floor_dbm(p.bandwidth_hz, noise_figure_db,
-                                         0.0) +
-         demod_snr_threshold_db(p.sf);
-}
-
-std::string to_string(SpreadingFactor sf) {
-  return "SF" + std::to_string(static_cast<int>(sf));
 }
 
 SpreadingFactor choose_spreading_factor(double estimated_snr_db,

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace sinet::phy {
 
@@ -49,12 +48,6 @@ struct LoraParams {
 /// Minimum SNR (dB) at which the demodulator achieves its quasi-error-free
 /// operating point (Semtech datasheet values: -7.5 dB @ SF7 ... -20 @ SF12).
 [[nodiscard]] double demod_snr_threshold_db(SpreadingFactor sf);
-
-/// Receiver sensitivity (dBm): noise floor + demod threshold.
-[[nodiscard]] double sensitivity_dbm(const LoraParams& p,
-                                     double noise_figure_db = 6.0);
-
-[[nodiscard]] std::string to_string(SpreadingFactor sf);
 
 /// Beacon/uplink radio profile used by the measured constellations:
 /// SF10 / 125 kHz / CR 4/5 (typical TinyGS-compatible configuration).

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "channel/noise.h"
 
 namespace sinet::phy {
 
@@ -35,15 +34,6 @@ double nbiot_required_snr_db(int repetitions) {
   // relative to the ideal 3 dB). At 128 repetitions this reproduces the
   // 3GPP 164 dB MCL design point.
   return 5.0 - 2.5 * std::log2(static_cast<double>(repetitions));
-}
-
-double nbiot_max_coupling_loss_db(const NbIotParams& p,
-                                  double rx_noise_figure_db) {
-  validate(p);
-  const double noise_floor = sinet::channel::noise_floor_dbm(
-      p.subcarrier_hz, rx_noise_figure_db, 0.0);
-  return p.tx_power_dbm - noise_floor +
-         (-nbiot_required_snr_db(p.repetitions));
 }
 
 double nbiot_tx_energy_mj(const NbIotParams& p, int payload_bytes,

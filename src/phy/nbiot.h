@@ -31,12 +31,6 @@ struct NbIotParams {
 /// each doubling of repetitions buys ~2.5 dB of combining gain.
 [[nodiscard]] double nbiot_required_snr_db(int repetitions);
 
-/// Maximum coupling loss (dB) the uplink closes: EIRP - noise floor
-/// (thermal + NF over the subcarrier bandwidth) + allowed negative SNR.
-/// NB-IoT's design target is 164 dB MCL at maximum repetitions.
-[[nodiscard]] double nbiot_max_coupling_loss_db(const NbIotParams& p,
-                                                double rx_noise_figure_db = 3.0);
-
 /// Transmit energy (mJ) for one report at `tx_power_mw` electronics draw
 /// (PA + baseband) — used for the LoRa-vs-NB-IoT energy comparison.
 [[nodiscard]] double nbiot_tx_energy_mj(const NbIotParams& p,

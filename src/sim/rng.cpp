@@ -141,12 +141,6 @@ bool Rng::chance(double p) {
   return uniform() < clamped;
 }
 
-double Rng::rayleigh(double sigma) {
-  if (!(sigma > 0.0))
-    throw std::invalid_argument("Rng::rayleigh: sigma not > 0");
-  return sigma * std::sqrt(-2.0 * std::log1p(-uniform()));
-}
-
 RicianParams rician_params(double k_factor_db) {
   // Rician with mean power E[r^2] = 1: deterministic LoS component of
   // power K/(K+1) plus scattered complex Gaussian of power 1/(K+1).

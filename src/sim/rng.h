@@ -85,8 +85,6 @@ class Rng {
   double exponential(double mean);
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool chance(double p);
-  /// Rayleigh-distributed magnitude with scale sigma (>0).
-  double rayleigh(double sigma);
   /// Rician fading amplitude with K-factor (dB) and mean power 1.
   double rician_amplitude(double k_factor_db) {
     return rician_amplitude(rician_params(k_factor_db));

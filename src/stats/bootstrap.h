@@ -30,9 +30,4 @@ struct ConfidenceInterval {
     std::span<const double> samples, sinet::sim::Rng& rng,
     std::size_t resamples = 1000, double confidence = 0.95);
 
-/// Percentile-bootstrap CI for an arbitrary quantile `p` of `samples`.
-[[nodiscard]] ConfidenceInterval bootstrap_quantile_ci(
-    std::span<const double> samples, double p, sinet::sim::Rng& rng,
-    std::size_t resamples = 1000, double confidence = 0.95);
-
 }  // namespace sinet::stats

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -10,9 +9,6 @@ namespace sinet::stats {
 
 EmpiricalCdf::EmpiricalCdf(std::span<const double> samples)
     : samples_(samples.begin(), samples.end()), sorted_(false) {}
-
-EmpiricalCdf::EmpiricalCdf(std::initializer_list<double> samples)
-    : samples_(samples), sorted_(false) {}
 
 EmpiricalCdf::EmpiricalCdf(const EmpiricalCdf& other) {
   // Sorting the source first means the copy never races with a concurrent
@@ -54,24 +50,6 @@ void EmpiricalCdf::add(double x) {
   sorted_.store(false, std::memory_order_release);
 }
 
-void EmpiricalCdf::add(std::span<const double> xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_.store(false, std::memory_order_release);
-}
-
-void EmpiricalCdf::merge(const EmpiricalCdf& other) {
-  if (this == &other) {
-    // Self-merge doubles the multiset; copy first so the insert's
-    // potential reallocation never invalidates its own source range.
-    const std::vector<double> copy = samples_;
-    samples_.insert(samples_.end(), copy.begin(), copy.end());
-  } else {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-  }
-  sorted_.store(false, std::memory_order_release);
-}
-
 void EmpiricalCdf::ensure_sorted() const {
   // Double-checked: the fast path is one acquire load, so concurrent
   // queries from pool workers only contend on the very first call after a
@@ -105,15 +83,6 @@ double EmpiricalCdf::fraction_at_or_below(double x) const {
          static_cast<double>(samples_.size());
 }
 
-double EmpiricalCdf::fraction_between(double lo, double hi) const {
-  if (samples_.empty() || hi < lo) return 0.0;
-  ensure_sorted();
-  const auto first = std::lower_bound(samples_.begin(), samples_.end(), lo);
-  const auto last = std::upper_bound(samples_.begin(), samples_.end(), hi);
-  return static_cast<double>(last - first) /
-         static_cast<double>(samples_.size());
-}
-
 std::vector<std::pair<double, double>> EmpiricalCdf::curve(
     std::size_t points) const {
   std::vector<std::pair<double, double>> out;
@@ -130,16 +99,6 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(
 std::span<const double> EmpiricalCdf::sorted_samples() const {
   ensure_sorted();
   return samples_;
-}
-
-std::string EmpiricalCdf::describe() const {
-  if (samples_.empty()) return "empty";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu p10=%.4g p50=%.4g p90=%.4g min=%.4g max=%.4g",
-                samples_.size(), quantile(0.1), quantile(0.5), quantile(0.9),
-                quantile(0.0), quantile(1.0));
-  return buf;
 }
 
 }  // namespace sinet::stats

@@ -5,7 +5,7 @@
 // with linear interpolation between order statistics.
 //
 // Thread safety: concurrent const accessors (quantile, fraction_*, curve,
-// sorted_samples, describe) are safe — the lazy sort is guarded by a
+// sorted_samples) are safe — the lazy sort is guarded by a
 // mutex behind a double-checked atomic flag, so pool workers can query one
 // shared CDF without racing. Mutation (add) is not safe concurrently with
 // readers or other writers; collect first, then query.
@@ -13,10 +13,9 @@
 
 #include <atomic>
 #include <cstddef>
-#include <initializer_list>
 #include <mutex>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace sinet::stats {
@@ -25,7 +24,6 @@ class EmpiricalCdf {
  public:
   EmpiricalCdf() = default;
   explicit EmpiricalCdf(std::span<const double> samples);
-  EmpiricalCdf(std::initializer_list<double> samples);
 
   // The sort mutex/flag make the type non-trivially copyable; copies carry
   // the samples (result structs holding CDFs are returned by value).
@@ -35,13 +33,6 @@ class EmpiricalCdf {
   EmpiricalCdf& operator=(EmpiricalCdf&& other) noexcept;
 
   void add(double x);
-  void add(std::span<const double> xs);
-
-  /// Append every sample of `other` (a mutation — see thread-safety note
-  /// above). Sample multiset union, so quantiles over the merged CDF
-  /// equal quantiles over the concatenated sample sets; merge order
-  /// never changes any query result.
-  void merge(const EmpiricalCdf& other);
 
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
@@ -56,9 +47,6 @@ class EmpiricalCdf {
   /// Fraction of samples <= x, in [0, 1]. Returns 0 for an empty CDF.
   [[nodiscard]] double fraction_at_or_below(double x) const;
 
-  /// Fraction of samples inside [lo, hi] (inclusive).
-  [[nodiscard]] double fraction_between(double lo, double hi) const;
-
   /// Evenly spaced (value, cumulative-fraction) points for plotting.
   /// `points` >= 2; returns empty for an empty CDF.
   [[nodiscard]] std::vector<std::pair<double, double>> curve(
@@ -66,9 +54,6 @@ class EmpiricalCdf {
 
   /// Sorted view of the underlying samples.
   [[nodiscard]] std::span<const double> sorted_samples() const;
-
-  /// Render "p10/p50/p90" style line for reports.
-  [[nodiscard]] std::string describe() const;
 
  private:
   void ensure_sorted() const;

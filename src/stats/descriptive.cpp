@@ -1,7 +1,6 @@
 #include "stats/descriptive.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace sinet::stats {
 
@@ -13,24 +12,6 @@ void StreamingStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
   if (x < min_) min_ = x;
   if (x > max_) max_ = x;
-}
-
-void StreamingStats::merge(const StreamingStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
 }
 
 double StreamingStats::mean() const noexcept {
@@ -45,25 +26,6 @@ double StreamingStats::variance() const noexcept {
 double StreamingStats::stddev() const noexcept {
   const double v = variance();
   return std::isnan(v) ? v : std::sqrt(v);
-}
-
-Summary summarize(const StreamingStats& s) noexcept {
-  Summary out;
-  out.count = s.count();
-  out.mean = s.mean();
-  out.stddev = s.stddev();
-  out.min = s.min();
-  out.max = s.max();
-  out.sum = s.sum();
-  return out;
-}
-
-std::string to_string(const Summary& s) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.4g sd=%.4g min=%.4g max=%.4g sum=%.4g", s.count,
-                s.mean, s.stddev, s.min, s.max, s.sum);
-  return buf;
 }
 
 }  // namespace sinet::stats

@@ -7,20 +7,15 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 
 namespace sinet::stats {
 
 /// Online accumulator for count / mean / variance / min / max.
 ///
-/// Numerically stable (Welford). All methods are O(1); merging two
-/// accumulators is supported for parallel or per-shard aggregation.
+/// Numerically stable (Welford). All methods are O(1).
 class StreamingStats {
  public:
   void add(double x) noexcept;
-
-  /// Merge another accumulator into this one (Chan et al. parallel form).
-  void merge(const StreamingStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
@@ -48,26 +43,5 @@ class StreamingStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Immutable snapshot of a StreamingStats, convenient for reporting.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-};
-
-/// Take a snapshot of `s`. Fields mirror the accessors exactly,
-/// degenerate values included: mean is NaN when empty, stddev NaN for
-/// fewer than two samples, min/max are +/-inf when empty. summarize()
-/// used to mask the NaN stddev as 0.0, which made a single-sample
-/// series indistinguishable from a perfectly repeated measurement —
-/// downstream consumers must handle NaN (obs JSON round-trips it).
-[[nodiscard]] Summary summarize(const StreamingStats& s) noexcept;
-
-/// Render a summary as a fixed-width human-readable line.
-[[nodiscard]] std::string to_string(const Summary& s);
 
 }  // namespace sinet::stats

@@ -54,22 +54,7 @@ double Histogram::bin_lower_edge(std::size_t i) const noexcept {
   return lo_ + static_cast<double>(i) * width_;
 }
 
-double Histogram::bin_center(std::size_t i) const noexcept {
-  return bin_lower_edge(i) + 0.5 * width_;
-}
-
 double Histogram::count(std::size_t i) const { return counts_.at(i); }
-
-double Histogram::fraction(std::size_t i) const {
-  if (total_ <= 0.0) return 0.0;
-  return counts_.at(i) / total_;
-}
-
-std::size_t Histogram::mode_bin() const {
-  if (counts_.empty()) throw std::logic_error("mode_bin of empty histogram");
-  return static_cast<std::size_t>(
-      std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
-}
 
 std::string Histogram::render(std::size_t max_width) const {
   std::string out;

@@ -21,7 +21,6 @@ class Histogram {
   }
   [[nodiscard]] double bin_width() const noexcept { return width_; }
   [[nodiscard]] double bin_lower_edge(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_center(std::size_t i) const noexcept;
   [[nodiscard]] double count(std::size_t i) const;
   [[nodiscard]] double underflow() const noexcept { return underflow_; }
   [[nodiscard]] double overflow() const noexcept { return overflow_; }
@@ -37,12 +36,6 @@ class Histogram {
   /// shard-local histograms in a fixed shard order yields bit-identical
   /// totals regardless of how the shards were scheduled.
   void merge(const Histogram& other);
-
-  /// Fraction of total mass in bin i; 0 if the histogram is empty.
-  [[nodiscard]] double fraction(std::size_t i) const;
-
-  /// Index of the fullest bin (first on ties). Requires nonempty histogram.
-  [[nodiscard]] std::size_t mode_bin() const;
 
   /// ASCII rendering for reports, one line per bin.
   [[nodiscard]] std::string render(std::size_t max_width = 50) const;

@@ -23,21 +23,6 @@ double to_double(const std::string& s, std::size_t line_no) {
   return v;
 }
 
-int to_int(const std::string& s, std::size_t line_no) {
-  return static_cast<int>(to_double(s, line_no));
-}
-
-/// 64-bit counters (packet sequence numbers) must not round-trip through
-/// a double: above 2^53 the cast silently lands on the nearest even
-/// integer and two distinct sequences collide. Parse integral fields
-/// with strtoull instead.
-std::uint64_t to_u64(const std::string& s, std::size_t line_no) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str()) fail_row(line_no, "expected an integer");
-  return static_cast<std::uint64_t>(v);
-}
-
 /// Fixed-precision double for streaming. Keeps the printf-style rounding
 /// the readers expect while letting string fields of any length stream
 /// directly (a whole-row snprintf into char[256] silently truncated rows
@@ -112,36 +97,6 @@ std::vector<BeaconRecord> read_beacon_csv(std::istream& is) {
     r.doppler_hz = to_double(f[9], line_no);
     r.sat_altitude_km = to_double(f[10], line_no);
     r.weather = f[11];
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
-std::vector<UplinkRecord> read_uplink_csv(std::istream& is) {
-  std::vector<UplinkRecord> out;
-  std::string line;
-  std::size_t line_no = 0;
-  if (!std::getline(is, line))
-    throw std::invalid_argument("CSV parse error: empty stream");
-  ++line_no;
-  if (line.rfind("sequence,", 0) != 0)
-    fail_row(line_no, "missing uplink CSV header");
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto f = csv_split(line);
-    if (f.size() != 10) fail_row(line_no, "expected 10 columns");
-    UplinkRecord r;
-    r.sequence = to_u64(f[0], line_no);
-    r.node = f[1];
-    r.payload_bytes = to_int(f[2], line_no);
-    r.generated_unix_s = to_double(f[3], line_no);
-    r.first_tx_unix_s = to_double(f[4], line_no);
-    r.satellite_rx_unix_s = to_double(f[5], line_no);
-    r.server_rx_unix_s = to_double(f[6], line_no);
-    r.dts_attempts = to_int(f[7], line_no);
-    r.delivered = to_int(f[8], line_no) != 0;
-    r.via_satellite = f[9];
     out.push_back(std::move(r));
   }
   return out;

@@ -26,7 +26,4 @@ void write_uplink_csv(std::ostream& os, const std::vector<UplinkRecord>& rs);
 /// 1-based line number in the message.
 [[nodiscard]] std::vector<BeaconRecord> read_beacon_csv(std::istream& is);
 
-/// Parse an uplink-record CSV produced by write_uplink_csv.
-[[nodiscard]] std::vector<UplinkRecord> read_uplink_csv(std::istream& is);
-
 }  // namespace sinet::trace

@@ -74,10 +74,6 @@ class BeaconTraceSet {
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
 
-  /// Records matching a predicate-style filter (empty string = wildcard).
-  [[nodiscard]] std::vector<BeaconRecord> filter(
-      const std::string& station, const std::string& constellation) const;
-
   void clear() noexcept { records_.clear(); }
 
  private:

@@ -76,16 +76,6 @@ double max_pass_duration_s(double altitude_km, double mask_deg,
   return 2.0 * theta / omega_rel;
 }
 
-double pass_duration_cdf(double t_s, double max_duration_s) {
-  if (!(max_duration_s > 0.0))
-    throw std::invalid_argument(
-        "pass_duration_cdf: max duration must be positive");
-  if (t_s <= 0.0) return 0.0;
-  if (t_s >= max_duration_s) return 1.0;
-  const double x = t_s / max_duration_s;
-  return 1.0 - std::sqrt(1.0 - x * x);
-}
-
 stats::EmpiricalCdf analytic_pass_duration_cdf(
     const std::vector<ShellSpec>& shells, double mask_deg,
     std::size_t points) {

@@ -65,14 +65,12 @@ struct ShellSpec {
 [[nodiscard]] double max_pass_duration_s(double altitude_km, double mask_deg,
                                          double inclination_deg);
 
-/// Random-chord pass-duration CDF: with the normalized impact parameter
-/// u ~ U[0,1], the pass lasts T = T_max * sqrt(1 - u^2), so
-///     F(t) = 1 - sqrt(1 - (t / T_max)^2)  for t in [0, T_max],
-/// 0 below, 1 above. The mean of this law is (pi/4) * T_max.
-[[nodiscard]] double pass_duration_cdf(double t_s, double max_duration_s);
-
 /// Materialize the analytic pass-duration law of a (possibly
-/// multi-shell) constellation as an EmpiricalCdf: each shell contributes
+/// multi-shell) constellation as an EmpiricalCdf. The law is the random
+/// chord: with the normalized impact parameter u ~ U[0,1], the pass lasts
+/// T = T_max * sqrt(1 - u^2), so
+///     F(t) = 1 - sqrt(1 - (t / T_max)^2)  for t in [0, T_max],
+/// 0 below, 1 above, with mean (pi/4) * T_max. Each shell contributes
 /// inverse-CDF samples at midpoint quantiles, `points` samples total
 /// split proportionally to shell population. Deterministic.
 [[nodiscard]] stats::EmpiricalCdf analytic_pass_duration_cdf(

@@ -1,10 +1,7 @@
 #include "val/schema.h"
 
-#include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
 
 #include "obs/json.h"
 
@@ -29,20 +26,6 @@ void append_named_values(std::string& out, const char* key,
   out += values.empty() ? "]" : "\n  ]";
 }
 
-std::vector<NamedValue> parse_named_values(obs::JsonCursor& cur) {
-  std::vector<NamedValue> out;
-  obs::parse_json_array(cur, [&] {
-    NamedValue v;
-    obs::parse_json_object(cur, [&](const std::string& k) {
-      if (k == "name") v.name = cur.parse_string();
-      else if (k == "value") v.value = cur.parse_double();
-      else cur.fail("unknown named-value field '" + k + "'");
-    });
-    out.push_back(std::move(v));
-  });
-  return out;
-}
-
 double named_or_nan(const std::vector<NamedValue>& values,
                     const std::string& name) {
   for (const NamedValue& v : values)
@@ -52,19 +35,8 @@ double named_or_nan(const std::vector<NamedValue>& values,
 
 }  // namespace
 
-const NamedDistribution* ValidationReport::find_distribution(
-    const std::string& name) const {
-  for (const NamedDistribution& d : distributions)
-    if (d.name == name) return &d;
-  return nullptr;
-}
-
 double ValidationReport::score_or_nan(const std::string& name) const {
   return named_or_nan(scores, name);
-}
-
-double ValidationReport::scalar_or_nan(const std::string& name) const {
-  return named_or_nan(scalars, name);
 }
 
 std::string to_json(const ValidationReport& r) {
@@ -123,96 +95,12 @@ std::string to_json(const ValidationReport& r) {
   return out;
 }
 
-ValidationReport parse_json(const std::string& json) {
-  obs::JsonCursor cur(json);
-  ValidationReport r;
-  bool schema_ok = false;
-  obs::parse_json_object(cur, [&](const std::string& key) {
-    if (key == "schema") {
-      if (cur.parse_string() != kValidationSchema)
-        cur.fail("unsupported schema");
-      schema_ok = true;
-    } else if (key == "scenario") {
-      r.scenario = cur.parse_string();
-    } else if (key == "propagation_mode") {
-      r.propagation_mode = cur.parse_string();
-    } else if (key == "start_jd") {
-      r.start_jd = cur.parse_double();
-    } else if (key == "duration_days") {
-      r.duration_days = cur.parse_double();
-    } else if (key == "windows") {
-      obs::parse_json_array(cur, [&] {
-        WindowRecord w;
-        obs::parse_json_object(cur, [&](const std::string& k) {
-          if (k == "satellite") w.satellite = cur.parse_string();
-          else if (k == "observer") w.observer = cur.parse_string();
-          else if (k == "aos_jd") w.aos_jd = cur.parse_double();
-          else if (k == "los_jd") w.los_jd = cur.parse_double();
-          else if (k == "tca_jd") w.tca_jd = cur.parse_double();
-          else if (k == "max_elevation_deg")
-            w.max_elevation_deg = cur.parse_double();
-          else cur.fail("unknown window field '" + k + "'");
-        });
-        r.windows.push_back(std::move(w));
-      });
-    } else if (key == "link_records") {
-      obs::parse_json_array(cur, [&] {
-        LinkRecord l;
-        obs::parse_json_object(cur, [&](const std::string& k) {
-          if (k == "node") l.node = cur.parse_string();
-          else if (k == "generated_unix_s")
-            l.generated_unix_s = cur.parse_double();
-          else if (k == "first_tx_unix_s")
-            l.first_tx_unix_s = cur.parse_double();
-          else if (k == "server_rx_unix_s")
-            l.server_rx_unix_s = cur.parse_double();
-          else if (k == "attempts") l.attempts = cur.parse_u64();
-          else if (k == "delivered") l.delivered = cur.parse_bool();
-          else cur.fail("unknown link-record field '" + k + "'");
-        });
-        r.link_records.push_back(std::move(l));
-      });
-    } else if (key == "distributions") {
-      obs::parse_json_array(cur, [&] {
-        NamedDistribution d;
-        obs::parse_json_object(cur, [&](const std::string& k) {
-          if (k == "name") d.name = cur.parse_string();
-          else if (k == "samples")
-            obs::parse_json_array(
-                cur, [&] { d.samples.push_back(cur.parse_double()); });
-          else cur.fail("unknown distribution field '" + k + "'");
-        });
-        r.distributions.push_back(std::move(d));
-      });
-    } else if (key == "scalars") {
-      r.scalars = parse_named_values(cur);
-    } else if (key == "scores") {
-      r.scores = parse_named_values(cur);
-    } else {
-      cur.fail("unknown top-level key '" + key + "'");
-    }
-  });
-  if (!schema_ok)
-    throw std::runtime_error(
-        "validation report parse error: missing schema tag");
-  return r;
-}
-
 bool write_json_file(const std::string& path,
                      const ValidationReport& report) {
   std::ofstream out(path);
   if (!out) return false;
   out << to_json(report);
   return static_cast<bool>(out);
-}
-
-ValidationReport read_json_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw std::runtime_error("cannot open validation report " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_json(buf.str());
 }
 
 }  // namespace sinet::val

@@ -68,28 +68,15 @@ struct ValidationReport {
   std::vector<NamedValue> scalars;
   std::vector<NamedValue> scores;
 
-  /// Distribution by name; nullptr when absent.
-  [[nodiscard]] const NamedDistribution* find_distribution(
-      const std::string& name) const;
   /// Score by name; NaN when absent.
   [[nodiscard]] double score_or_nan(const std::string& name) const;
-  /// Scalar by name; NaN when absent.
-  [[nodiscard]] double scalar_or_nan(const std::string& name) const;
 };
 
 /// Serialize as a self-describing JSON document (17-significant-digit
-/// numbers; parse_json(to_json(r)) reproduces every double bit-exactly).
+/// numbers, so every double is written bit-exactly).
 [[nodiscard]] std::string to_json(const ValidationReport& report);
-
-/// Parse a document produced by to_json(). Throws std::runtime_error on
-/// malformed input or a schema mismatch.
-[[nodiscard]] ValidationReport parse_json(const std::string& json);
 
 /// Write to_json(report) to `path`. Returns false on I/O failure.
 bool write_json_file(const std::string& path, const ValidationReport& report);
-
-/// Read + parse a report file. Throws std::runtime_error on I/O or parse
-/// failure.
-[[nodiscard]] ValidationReport read_json_file(const std::string& path);
 
 }  // namespace sinet::val

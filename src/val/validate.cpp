@@ -453,27 +453,6 @@ const BaselineSet::Scenario* BaselineSet::find_scenario(
   return nullptr;
 }
 
-std::string to_json(const BaselineSet& baselines) {
-  std::string out = "{\n  \"schema\": \"";
-  out += kBaselineSchema;
-  out += "\",\n  \"scenarios\": [";
-  for (std::size_t s = 0; s < baselines.scenarios.size(); ++s) {
-    const BaselineSet::Scenario& sc = baselines.scenarios[s];
-    out += s == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + obs::json_escape(sc.name) +
-           "\", \"thresholds\": [";
-    for (std::size_t t = 0; t < sc.thresholds.size(); ++t) {
-      out += t == 0 ? "\n" : ",\n";
-      out += "      {\"score\": \"" +
-             obs::json_escape(sc.thresholds[t].score) +
-             "\", \"max\": " + obs::json_double(sc.thresholds[t].max) + "}";
-    }
-    out += sc.thresholds.empty() ? "]}" : "\n    ]}";
-  }
-  out += baselines.scenarios.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
 BaselineSet parse_baselines_json(const std::string& json) {
   obs::JsonCursor cur(json);
   BaselineSet out;

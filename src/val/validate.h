@@ -107,7 +107,6 @@ struct BaselineSet {
   [[nodiscard]] const Scenario* find_scenario(const std::string& name) const;
 };
 
-[[nodiscard]] std::string to_json(const BaselineSet& baselines);
 [[nodiscard]] BaselineSet parse_baselines_json(const std::string& json);
 /// Throws std::runtime_error on I/O or parse failure.
 [[nodiscard]] BaselineSet read_baselines_file(const std::string& path);

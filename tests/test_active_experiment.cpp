@@ -83,7 +83,13 @@ TEST(Concurrency, GroupsByPeakConcurrency) {
 
 TEST(Energy, ComparisonUsesPaperProfiles) {
   const auto terr = sinet::energy::terrestrial_daily_duty();
-  const auto sat = sinet::energy::satellite_daily_duty();
+  // A Tianqi node's day: the Rx radio idles through the constellation's
+  // ~18.5 h of theoretical presence waiting for beacons.
+  sinet::energy::ResidencyTracker sat;
+  sat.record(sinet::energy::Mode::kTx, 48.0 * 1.7 * 0.37);
+  sat.record(sinet::energy::Mode::kRx, 0.78 * 86400.0);
+  sat.record(sinet::energy::Mode::kSleep, 86400.0 - 48.0 * 1.7 * 0.37 -
+                                               0.78 * 86400.0);
   const auto cmp = compare_energy(terr, sat);
   EXPECT_GT(cmp.satellite_avg_power_mw, cmp.terrestrial_avg_power_mw);
   EXPECT_GT(cmp.terrestrial_lifetime_days, cmp.satellite_lifetime_days);

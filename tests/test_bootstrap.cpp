@@ -35,19 +35,6 @@ TEST(Bootstrap, WiderConfidenceWiderInterval) {
   EXPECT_LT(ci90.half_width(), ci99.half_width());
 }
 
-TEST(Bootstrap, QuantileCi) {
-  Rng data_rng(5);
-  std::vector<double> samples;
-  for (int i = 0; i < 500; ++i) samples.push_back(data_rng.exponential(10.0));
-  Rng boot_rng(6);
-  const auto median_ci =
-      bootstrap_quantile_ci(samples, 0.5, boot_rng, 1500);
-  // Median of Exp(10) is 10*ln2 = 6.93.
-  EXPECT_TRUE(median_ci.contains(6.93));
-  EXPECT_THROW(bootstrap_quantile_ci(samples, 1.5, boot_rng),
-               std::invalid_argument);
-}
-
 TEST(Bootstrap, DegenerateSample) {
   const std::vector<double> constant(50, 7.0);
   Rng rng(7);

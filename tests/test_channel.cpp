@@ -1,6 +1,7 @@
 // Channel models: path loss, weather, fading, noise, antennas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/antenna.h"
@@ -55,11 +56,10 @@ TEST(Weather, LossesOrderedByCondition) {
             weather_extra_shadowing_db(Weather::kSunny));
 }
 
-TEST(Weather, StringRoundTrip) {
-  for (const Weather w :
-       {Weather::kSunny, Weather::kCloudy, Weather::kRainy})
-    EXPECT_EQ(weather_from_string(to_string(w)), w);
-  EXPECT_THROW(weather_from_string("hail"), std::invalid_argument);
+TEST(Weather, Names) {
+  EXPECT_EQ(to_string(Weather::kSunny), "sunny");
+  EXPECT_EQ(to_string(Weather::kCloudy), "cloudy");
+  EXPECT_EQ(to_string(Weather::kRainy), "rainy");
 }
 
 TEST(Noise, ThermalAndFloor) {
@@ -123,12 +123,6 @@ TEST(Fading, InvalidConfigThrows) {
   EXPECT_THROW(FadingModel{bad2}, std::invalid_argument);
 }
 
-TEST(Antenna, PeakGainsOrdered) {
-  EXPECT_DOUBLE_EQ(antenna_peak_gain_dbi(AntennaType::kIsotropic), 0.0);
-  EXPECT_GT(antenna_peak_gain_dbi(AntennaType::kFiveEighthsWaveMonopole),
-            antenna_peak_gain_dbi(AntennaType::kQuarterWaveMonopole));
-}
-
 TEST(Antenna, IsotropicIsFlat) {
   for (double el = 0.0; el <= 90.0; el += 10.0)
     EXPECT_DOUBLE_EQ(antenna_gain_dbi(AntennaType::kIsotropic, el), 0.0);
@@ -137,9 +131,11 @@ TEST(Antenna, IsotropicIsFlat) {
 TEST(Antenna, MonopoleHasZenithNull) {
   for (const AntennaType t : {AntennaType::kQuarterWaveMonopole,
                               AntennaType::kFiveEighthsWaveMonopole}) {
-    const double at_peak = antenna_peak_gain_dbi(t);
+    double at_peak = antenna_gain_dbi(t, 0.0);
+    for (double el = 1.0; el <= 90.0; el += 1.0)
+      at_peak = std::max(at_peak, antenna_gain_dbi(t, el));
     const double at_zenith = antenna_gain_dbi(t, 90.0);
-    EXPECT_LT(at_zenith, at_peak - 8.0) << to_string(t);
+    EXPECT_LT(at_zenith, at_peak - 8.0) << static_cast<int>(t);
   }
 }
 
@@ -162,13 +158,6 @@ TEST(Antenna, DipolePatternSymmetricAndBounded) {
     EXPECT_GE(g, -45.0);
   }
   EXPECT_NEAR(antenna_gain_dbi(AntennaType::kDipole, 0.0), 2.15, 0.01);
-}
-
-TEST(Antenna, NamesAreDistinct) {
-  EXPECT_NE(to_string(AntennaType::kQuarterWaveMonopole),
-            to_string(AntennaType::kFiveEighthsWaveMonopole));
-  EXPECT_NE(to_string(AntennaType::kDipole),
-            to_string(AntennaType::kIsotropic));
 }
 
 }  // namespace

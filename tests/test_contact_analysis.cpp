@@ -104,13 +104,6 @@ TEST(ContactAnalysis, BeaconPositionsNormalized) {
   EXPECT_DOUBLE_EQ(mid_window_fraction({}), 0.0);
 }
 
-TEST(ContactAnalysis, WeatherSplit) {
-  const auto res = synthetic_campaign();
-  const auto split = reception_by_weather(res, {"HK", "Test"}, 10.0);
-  EXPECT_EQ(split.sunny.size(), 1u);
-  EXPECT_EQ(split.rainy.size(), 0u);
-}
-
 TEST(ContactAnalysis, UnknownCellThrows) {
   const auto res = synthetic_campaign();
   EXPECT_THROW(analyze_contacts(res, {"HK", "Nope"}, 10.0),
@@ -135,8 +128,9 @@ TEST(ContactAnalysis, EndToEndOnRealCampaign) {
   EXPECT_LT(stats.duration_shrink_fraction, 1.0);
   // And receptions cluster mid-window (paper Fig 9: 70.4% in 30-70%).
   const auto pos = beacon_positions_in_window(res, {"HK", "FOSSA"});
-  if (pos.size() > 50)
+  if (pos.size() > 50) {
     EXPECT_GT(mid_window_fraction(pos), 0.4);
+  }
 }
 
 TEST(ContactAnalysis, SummaryOfEmptyIsZeroed) {

@@ -57,17 +57,6 @@ TEST(Construction, MatchesTable2) {
   EXPECT_NEAR(satellite_construction_usd(w, sp), 660.0, 1e-9);
 }
 
-TEST(Tco, GrowsLinearlyWithMonths) {
-  Workload w;
-  const TerrestrialPricing tp;
-  const SatellitePricing sp;
-  const double t0 = satellite_tco_usd(w, 0.0, sp);
-  const double t12 = satellite_tco_usd(w, 12.0, sp);
-  EXPECT_NEAR(t12 - t0, 12.0 * satellite_monthly_usd(w, sp), 1e-9);
-  EXPECT_THROW(satellite_tco_usd(w, -1.0, sp), std::invalid_argument);
-  EXPECT_THROW(terrestrial_tco_usd(w, 1, -1.0, tp), std::invalid_argument);
-}
-
 TEST(Breakeven, SingleSensorWithGateway) {
   // One sensor: terrestrial CAPEX $35+$219 = $254 vs satellite $220;
   // OPEX gap 23.76 - 4.9 = 18.86/month -> breakeven ~1.8 months.

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 
+#include "core/active_experiment.h"
 #include "core/scenario.h"
 #include "net/dts_network.h"
 #include "obs/metrics.h"
@@ -44,8 +45,9 @@ TEST(DtsNetwork, DeliversMostPackets) {
 TEST(DtsNetwork, RecordInvariants) {
   const auto& res = shared_run();
   for (const auto& u : res.uplinks) {
-    if (u.first_tx_unix_s >= 0.0)
+    if (u.first_tx_unix_s >= 0.0) {
       EXPECT_GE(u.first_tx_unix_s, u.generated_unix_s);
+    }
     if (u.satellite_rx_unix_s >= 0.0) {
       EXPECT_GE(u.satellite_rx_unix_s, u.first_tx_unix_s);
       EXPECT_FALSE(u.via_satellite.empty());
@@ -92,7 +94,7 @@ TEST(DtsNetwork, LatencyIsHourScale) {
 
 TEST(DtsNetwork, LatencyBreakdownSumsToTotal) {
   const auto& res = shared_run();
-  const auto b = res.mean_latency_breakdown();
+  const auto b = sinet::core::summarize_latency(res).mean_breakdown;
   EXPECT_GT(b.wait_for_pass_s, 0.0);
   EXPECT_GT(b.dts_transfer_s, 0.0);
   EXPECT_GT(b.delivery_s, 0.0);

@@ -170,22 +170,6 @@ TEST(DtsScaleBugs, PacketIndexFieldsAreSixtyFourBit) {
                 "satellite_index must be 64-bit");
 }
 
-TEST(DtsScaleBugs, CsvSequenceSurvivesBeyondDoublePrecision) {
-  // Sequences above 2^53 collide when parsed through a double; the CSV
-  // reader must round-trip them exactly (fails with the old
-  // to_double-based parse, which lands on the nearest even integer).
-  const std::uint64_t seq = (1ull << 53) + 3;
-  trace::UplinkRecord rec;
-  rec.sequence = seq;
-  rec.node = "n";
-  rec.via_satellite = "s";
-  std::stringstream ss;
-  trace::write_uplink_csv(ss, {rec});
-  const auto back = trace::read_uplink_csv(ss);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].sequence, seq);
-}
-
 TEST(DtsScaleBugs, TinyBufferArqInterleavingStaysConsistent) {
   // buffer_capacity=1 with a fast report cadence forces constant local
   // drops interleaved with ARQ retransmissions — the pattern that opens

@@ -75,39 +75,6 @@ TEST(Battery, EnergyAndLifetime) {
   EXPECT_THROW(lifetime_days(b, 0.0), std::invalid_argument);
 }
 
-TEST(Battery, RemainingFraction) {
-  const Battery b{5000.0, 3.7};
-  EXPECT_DOUBLE_EQ(remaining_fraction(b, 18.5, 0.0), 1.0);
-  EXPECT_NEAR(remaining_fraction(b, 18.5, 1000.0 / 24.0 / 2.0), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(remaining_fraction(b, 18.5, 1e6), 0.0);  // clamped
-  EXPECT_THROW(remaining_fraction(b, -1.0, 1.0), std::invalid_argument);
-}
-
-TEST(Battery, SelfDischargeShortensLifetime) {
-  const Battery b{5000.0, 3.7};
-  const double plain = lifetime_days(b, 2.0);  // ~385 days at 2 mW
-  const double with_sd = lifetime_days_with_self_discharge(b, 2.0, 0.02);
-  EXPECT_LT(with_sd, plain);
-  // Zero self-discharge reduces to the plain model.
-  EXPECT_DOUBLE_EQ(lifetime_days_with_self_discharge(b, 2.0, 0.0), plain);
-  // Self-discharge matters more for low-power (long-lived) loads.
-  const double heavy_plain = lifetime_days(b, 400.0);
-  const double heavy_sd =
-      lifetime_days_with_self_discharge(b, 400.0, 0.02);
-  EXPECT_GT(with_sd / plain, 0.5);
-  EXPECT_GT(heavy_sd / heavy_plain, with_sd / plain);
-}
-
-TEST(Battery, SelfDischargeValidation) {
-  const Battery b;
-  EXPECT_THROW(lifetime_days_with_self_discharge(b, 0.0, 0.01),
-               std::invalid_argument);
-  EXPECT_THROW(lifetime_days_with_self_discharge(b, 1.0, -0.1),
-               std::invalid_argument);
-  EXPECT_THROW(lifetime_days_with_self_discharge(b, 1.0, 1.0),
-               std::invalid_argument);
-}
-
 TEST(DutyCycle, TerrestrialSpendsMostTimeAsleep) {
   const ResidencyTracker t = terrestrial_daily_duty();
   EXPECT_NEAR(t.total_seconds(), 86400.0, 1e-6);
@@ -140,39 +107,10 @@ TEST(DutyCycle, PaperFig11ProfileReproducesBreakdown) {
   EXPECT_GT(radio_energy, 0.68);
 }
 
-TEST(DutyCycle, SatelliteRxDominatesTime) {
-  const ResidencyTracker t = satellite_daily_duty();
-  EXPECT_NEAR(t.total_seconds(), 86400.0, 1e-6);
-  // Paper: the Rx radio idles through the constellation's theoretical
-  // presence (~18.5 h / day for Tianqi).
-  EXPECT_GT(t.time_fraction(Mode::kRx), 0.5);
-  EXPECT_DOUBLE_EQ(t.seconds_in(Mode::kStandby), 0.0);
-}
-
-TEST(DutyCycle, LifetimeRatioIsPaperScale) {
-  // Fig 6d: terrestrial ~15x the satellite node's lifetime.
-  const Battery b;
-  const double terr_power =
-      terrestrial_daily_duty().average_power_mw(terrestrial_node_profile());
-  const double sat_power =
-      satellite_daily_duty().average_power_mw(satellite_node_profile());
-  const double ratio =
-      lifetime_days(b, terr_power) / lifetime_days(b, sat_power);
-  EXPECT_GT(ratio, 8.0);
-  EXPECT_LT(ratio, 25.0);
-}
-
 TEST(DutyCycle, InvalidParamsThrow) {
   TerrestrialDutyParams tp;
   tp.report_interval_s = 0.0;
   EXPECT_THROW(terrestrial_daily_duty(tp), std::invalid_argument);
-  SatelliteDutyParams sp;
-  sp.rx_listen_fraction = 1.5;
-  EXPECT_THROW(satellite_daily_duty(sp), std::invalid_argument);
-  SatelliteDutyParams sp2;
-  sp2.rx_listen_fraction = 1.0;
-  sp2.mean_tx_attempts = 10.0;  // tx + rx exceeds the day
-  EXPECT_THROW(satellite_daily_duty(sp2), std::invalid_argument);
 }
 
 TEST(ModeNames, Distinct) {

@@ -602,7 +602,10 @@ TEST(GridCached, RepeatedSatellitesAndObserversMatchOracle) {
           got[s][o],
           oracle_predict_passes(Sgp4(tles[s]), observers[o].location, jd0,
                                 jd1, opts),
-          "s" + std::to_string(s) + " o" + std::to_string(o));
+          std::string("s")
+              .append(std::to_string(s))
+              .append(" o")
+              .append(std::to_string(o)));
   }
   EXPECT_EQ(cache.stats().entries, 4u);  // {a, b} x {hk, syd}
 }
@@ -1132,13 +1135,14 @@ TEST(RollingEphemeris, RejectsBadArguments) {
     bad_step.coarse_step_s = bad;
     EXPECT_THROW(orbit::RollingEphemeris({&prop}, anchor, bad_step),
                  std::invalid_argument);
-    EXPECT_THROW(orbit::RollingEphemeris({&prop}, bad), std::invalid_argument);
-    orbit::RollingEphemeris unbounded({&prop}, anchor);
+    EXPECT_THROW(orbit::RollingEphemeris({&prop}, bad, {}),
+                 std::invalid_argument);
+    orbit::RollingEphemeris unbounded({&prop}, anchor, {});
     EXPECT_THROW((void)unbounded.advance(anchor, bad), std::invalid_argument);
     EXPECT_TRUE(unbounded.empty());
   }
 
-  orbit::RollingEphemeris rolling({&prop}, anchor);
+  orbit::RollingEphemeris rolling({&prop}, anchor, {});
   const GridObserver site{Geodetic{22.3, 114.2, 0.05}};
   PassPredictionOptions popts;
   // Scanning an empty horizon, an out-of-range satellite, or with a

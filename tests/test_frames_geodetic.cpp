@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "orbit/frames.h"
 #include "orbit/geodetic.h"
@@ -45,29 +46,30 @@ TEST(Geodetic, InvalidLatitudeThrows) {
   EXPECT_THROW(geodetic_to_ecef({-91.0, 0.0, 0.0}), std::invalid_argument);
 }
 
-TEST(Geodetic, GreatCircleKnownDistances) {
-  const Geodetic hk{22.32, 114.17, 0.0};
-  const Geodetic syd{-33.87, 151.21, 0.0};
-  // Hong Kong - Sydney is about 7,370 km.
-  EXPECT_NEAR(great_circle_km(hk, syd), 7370.0, 80.0);
-  EXPECT_NEAR(great_circle_km(hk, hk), 0.0, 1e-9);
-  // One degree of latitude ~ 111 km.
-  EXPECT_NEAR(great_circle_km({0, 0, 0}, {1, 0, 0}), 111.2, 1.0);
+TEST(Geodetic, NonFiniteInputThrows) {
+  // NaN compares false with everything, so a range test written as
+  // `lat < -90 || lat > 90` lets it through to a silent zero-pass scan.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(geodetic_to_ecef({nan, 114.2, 0.0}), std::invalid_argument);
+  EXPECT_THROW(geodetic_to_ecef({22.3, inf, 0.0}), std::invalid_argument);
+  EXPECT_THROW(geodetic_to_ecef({22.3, nan, 0.0}), std::invalid_argument);
+  EXPECT_THROW(geodetic_to_ecef({22.3, 114.2, -inf}), std::invalid_argument);
+  EXPECT_THROW(TopocentricFrame(Geodetic{nan, nan, 0.0}),
+               std::invalid_argument);
 }
 
-TEST(Frames, TemeEcefRoundTrip) {
+TEST(Frames, RotationPreservesLength) {
   const JulianDate jd = julian_from_civil(2025, 3, 1, 6, 0, 0.0);
   const Vec3 r{6800.0, 1234.0, -2345.0};
-  const Vec3 ecef = teme_to_ecef_position(r, jd);
-  const Vec3 back = ecef_to_teme_position(ecef, jd);
-  EXPECT_NEAR((back - r).norm(), 0.0, 1e-9);
-  EXPECT_NEAR(ecef.norm(), r.norm(), 1e-9);  // rotation preserves length
+  const Vec3 ecef = teme_to_ecef_state(r, {}, jd).position_km;
+  EXPECT_NEAR(ecef.norm(), r.norm(), 1e-9);
 }
 
 TEST(Frames, ZAxisInvariant) {
   const JulianDate jd = julian_from_civil(2025, 3, 1);
   const Vec3 r{0.0, 0.0, 7000.0};
-  const Vec3 ecef = teme_to_ecef_position(r, jd);
+  const Vec3 ecef = teme_to_ecef_state(r, {}, jd).position_km;
   EXPECT_NEAR(ecef.x, 0.0, 1e-9);
   EXPECT_NEAR(ecef.y, 0.0, 1e-9);
   EXPECT_NEAR(ecef.z, 7000.0, 1e-9);
@@ -79,56 +81,60 @@ TEST(Frames, VelocityTransportTerm) {
   const JulianDate jd = julian_from_civil(2025, 3, 1);
   const Vec3 r{42164.0, 0.0, 0.0};
   const Vec3 v{0.0, 0.0, 0.0};
-  const Vec3 v_ecef = teme_to_ecef_velocity(r, v, jd);
+  const Vec3 v_ecef = teme_to_ecef_state(r, v, jd).velocity_km_s;
   EXPECT_NEAR(v_ecef.norm(), kEarthRotationRadPerSec * 42164.0, 1e-6);
 }
 
 TEST(LookAngles, SatelliteDirectlyOverhead) {
   const Geodetic obs{0.0, 0.0, 0.0};
+  const TopocentricFrame frame(obs);
   // A point 500 km above the observer along the ECEF x-axis.
   const Vec3 obs_ecef = geodetic_to_ecef(obs);
   const Vec3 sat = obs_ecef * ((obs_ecef.norm() + 500.0) / obs_ecef.norm());
-  const LookAngles la = look_angles(obs, sat, {0.0, 0.0, 0.0});
+  const LookAngles la = look_angles(frame, sat, {0.0, 0.0, 0.0});
   EXPECT_NEAR(la.elevation_deg, 90.0, 0.2);
   EXPECT_NEAR(la.range_km, 500.0, 1.0);
 }
 
 TEST(LookAngles, CardinalAzimuths) {
   const Geodetic obs{0.0, 0.0, 0.0};
+  const TopocentricFrame frame(obs);
   const Vec3 obs_ecef = geodetic_to_ecef(obs);
   // Slightly north of the observer at the same radius + altitude.
   const Vec3 north = geodetic_to_ecef({5.0, 0.0, 500.0});
-  const LookAngles la_n = look_angles(obs, north, {});
+  const LookAngles la_n = look_angles(frame, north, {});
   EXPECT_NEAR(la_n.azimuth_deg, 0.0, 1.0);
   const Vec3 east = geodetic_to_ecef({0.0, 5.0, 500.0});
-  const LookAngles la_e = look_angles(obs, east, {});
+  const LookAngles la_e = look_angles(frame, east, {});
   EXPECT_NEAR(la_e.azimuth_deg, 90.0, 1.0);
   const Vec3 south = geodetic_to_ecef({-5.0, 0.0, 500.0});
-  const LookAngles la_s = look_angles(obs, south, {});
+  const LookAngles la_s = look_angles(frame, south, {});
   EXPECT_NEAR(la_s.azimuth_deg, 180.0, 1.0);
   const Vec3 west = geodetic_to_ecef({0.0, -5.0, 500.0});
-  const LookAngles la_w = look_angles(obs, west, {});
+  const LookAngles la_w = look_angles(frame, west, {});
   EXPECT_NEAR(la_w.azimuth_deg, 270.0, 1.0);
   (void)obs_ecef;
 }
 
 TEST(LookAngles, NegativeElevationBelowHorizon) {
   const Geodetic obs{0.0, 0.0, 0.0};
+  const TopocentricFrame frame(obs);
   // Antipodal satellite is far below the horizon.
   const Vec3 sat = geodetic_to_ecef({0.0, 180.0, 500.0});
-  const LookAngles la = look_angles(obs, sat, {});
+  const LookAngles la = look_angles(frame, sat, {});
   EXPECT_LT(la.elevation_deg, -45.0);
 }
 
 TEST(LookAngles, RangeRateSign) {
   const Geodetic obs{0.0, 0.0, 0.0};
+  const TopocentricFrame frame(obs);
   const Vec3 obs_ecef = geodetic_to_ecef(obs);
   const Vec3 sat = obs_ecef * ((obs_ecef.norm() + 500.0) / obs_ecef.norm());
   // Moving straight up: receding.
   const Vec3 up = obs_ecef.normalized();
-  const LookAngles receding = look_angles(obs, sat, up * 7.0);
+  const LookAngles receding = look_angles(frame, sat, up * 7.0);
   EXPECT_GT(receding.range_rate_km_s, 0.0);
-  const LookAngles approaching = look_angles(obs, sat, up * -7.0);
+  const LookAngles approaching = look_angles(frame, sat, up * -7.0);
   EXPECT_LT(approaching.range_rate_km_s, 0.0);
 }
 

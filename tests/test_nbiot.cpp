@@ -1,6 +1,7 @@
 // NB-IoT (NTN) DtS model tests.
 #include <gtest/gtest.h>
 
+#include "channel/noise.h"
 #include "phy/nbiot.h"
 
 namespace {
@@ -49,14 +50,18 @@ TEST(NbIot, RequiredSnrDropsWithRepetitions) {
 }
 
 TEST(NbIot, MaxCouplingLossNearDesignTarget) {
-  // NB-IoT's design target is 164 dB MCL at max repetitions. Our model:
-  // 23 dBm - (-174 + 10log10(15k) + 3) + 12.5 = ~164.7 dB.
-  NbIotParams p;
-  p.repetitions = 128;
-  EXPECT_NEAR(nbiot_max_coupling_loss_db(p), 164.0, 2.0);
+  // NB-IoT's design target is 164 dB MCL at max repetitions. MCL = EIRP -
+  // noise floor (thermal + 3 dB NF over the subcarrier) + the allowed
+  // negative SNR: 23 dBm - (-174 + 10log10(15k) + 3) + 12.5 = ~164.7 dB.
+  const NbIotParams p;
+  const auto mcl_db = [&](int repetitions) {
+    return p.tx_power_dbm -
+           sinet::channel::noise_floor_dbm(p.subcarrier_hz, 3.0, 0.0) -
+           nbiot_required_snr_db(repetitions);
+  };
+  EXPECT_NEAR(mcl_db(128), 164.0, 2.0);
   // One repetition: 17.5 dB less.
-  p.repetitions = 1;
-  EXPECT_NEAR(nbiot_max_coupling_loss_db(p), 164.0 - 17.5, 2.5);
+  EXPECT_NEAR(mcl_db(1), 164.0 - 17.5, 2.5);
 }
 
 TEST(NbIot, ChooseRepetitionsMatchesThresholds) {

@@ -335,22 +335,6 @@ TEST(RunReport, ParseRejectsGarbageAndWrongSchema) {
                std::runtime_error);
 }
 
-TEST(RunReport, CsvHasOneRowPerField) {
-  const std::string csv = to_csv(awkward_snapshot());
-  std::istringstream lines(csv);
-  std::string line;
-  std::getline(lines, line);
-  EXPECT_EQ(line, "kind,name,field,value");
-  std::size_t counter_rows = 0;
-  std::size_t bin_rows = 0;
-  while (std::getline(lines, line)) {
-    if (line.rfind("counter,", 0) == 0) ++counter_rows;
-    if (line.rfind("histogram,latency,bin", 0) == 0) ++bin_rows;
-  }
-  EXPECT_EQ(counter_rows, 2u);
-  EXPECT_EQ(bin_rows, 4u);
-}
-
 TEST(RunReport, WriteJsonFileRoundTrips) {
   const Snapshot original = awkward_snapshot();
   const std::string path = ::testing::TempDir() + "sinet_obs_report.json";

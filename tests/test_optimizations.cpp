@@ -3,6 +3,7 @@
 // and satellite buffer drop policies.
 #include <gtest/gtest.h>
 
+#include "core/active_experiment.h"
 #include "core/scenario.h"
 #include "net/dts_network.h"
 #include "net/mac.h"
@@ -143,8 +144,8 @@ TEST(DownlinkCapacity, RateLimitDelaysDelivery) {
   const auto l = run_dts_network(limited);
   // Packets still (mostly) arrive, but the drained backlog takes more
   // ground-station contacts: mean delivery segment grows.
-  const auto bu = u.mean_latency_breakdown();
-  const auto bl = l.mean_latency_breakdown();
+  const auto bu = core::summarize_latency(u).mean_breakdown;
+  const auto bl = core::summarize_latency(l).mean_breakdown;
   EXPECT_GT(bl.delivery_s, bu.delivery_s);
 }
 

@@ -129,10 +129,4 @@ TEST(AngleWrap, TwoPi) {
   EXPECT_NEAR(wrap_two_pi(7.0 * kTwoPi), 0.0, 1e-9);
 }
 
-TEST(AngleWrap, Pi) {
-  EXPECT_NEAR(wrap_pi(kPi + 0.1), -kPi + 0.1, 1e-12);
-  EXPECT_NEAR(wrap_pi(-kPi + 0.1), -kPi + 0.1, 1e-12);
-  EXPECT_NEAR(wrap_pi(kPi), kPi, 1e-12);
-}
-
 }  // namespace

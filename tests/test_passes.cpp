@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "orbit/frames.h"
 #include "orbit/passes.h"
 #include "orbit/time.h"
 #include "orbit/tle.h"
@@ -223,6 +224,29 @@ TEST(Passes, SamplePassExactMultipleHasNoDuplicateTerminal) {
   for (std::size_t i = 1; i < samples.size(); ++i) {
     const double dt_s = (samples[i].jd - samples[i - 1].jd) * kSecondsPerDay;
     EXPECT_GT(dt_s, 0.5 * step_s) << "near-duplicate sample at i=" << i;
+  }
+}
+
+TEST(Passes, ObserverAtSubsatellitePointSeesZenith) {
+  // Cross-module consistency: put an observer exactly at the nadir point
+  // (TEME -> ECEF -> geodetic) and the look angles must report the
+  // satellite (nearly) overhead at a range equal to its altitude.
+  KeplerianElements kep;
+  kep.altitude_km = 700.0;
+  kep.inclination_deg = 49.97;
+  kep.eccentricity = 0.0005;
+  const Tle tle = make_tle("GT", 93000, kep, julian_from_civil(2025, 3, 1));
+  const Sgp4 prop(tle);
+  for (JulianDate jd = tle.epoch_jd; jd <= tle.epoch_jd + 0.05;
+       jd += 120.0 / kSecondsPerDay) {
+    const TemeState st = prop.at_jd(jd);
+    const Geodetic nadir = ecef_to_geodetic(
+        teme_to_ecef_state(st.position_km, st.velocity_km_s, jd).position_km);
+    Geodetic observer = nadir;
+    observer.altitude_km = 0.0;
+    const auto sample = sample_geometry(prop, observer, jd);
+    EXPECT_GT(sample.look.elevation_deg, 89.0);
+    EXPECT_NEAR(sample.look.range_km, nadir.altitude_km, 2.0);
   }
 }
 

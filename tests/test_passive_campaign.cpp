@@ -115,11 +115,15 @@ TEST(PassiveCampaign, TraceFieldsPlausible) {
 
 TEST(PassiveCampaign, TheoreticalWindowsPopulated) {
   const auto& res = shared_campaign();
-  const auto fossa = res.cell_windows({"HK", "FOSSA"});
-  const auto tianqi = res.cell_windows({"HK", "Tianqi"});
-  EXPECT_GT(fossa.size(), 3u);   // 3 sats, several passes each per day
-  EXPECT_GT(tianqi.size(), 30u); // 22 sats
-  EXPECT_TRUE(res.cell_windows({"HK", "Nonexistent"}).empty());
+  const auto window_count = [&](const CellKey& key) {
+    std::size_t n = 0;
+    for (const SatelliteWindows& sw : res.theoretical.at(key))
+      n += sw.windows.size();
+    return n;
+  };
+  EXPECT_GT(window_count({"HK", "FOSSA"}), 3u);    // 3 sats, several passes
+  EXPECT_GT(window_count({"HK", "Tianqi"}), 30u);  // 22 sats
+  EXPECT_EQ(res.theoretical.count({"HK", "Nonexistent"}), 0u);
 }
 
 TEST(PassiveCampaign, TianqiSeesFartherThanFossa) {

@@ -32,16 +32,6 @@ TEST(Table, EmptyHeadersThrow) {
   EXPECT_THROW(Table{std::vector<std::string>{}}, std::invalid_argument);
 }
 
-TEST(Table, MarkdownRendering) {
-  Table t({"Name", "Val"});
-  t.add_row({"pipe|cell", "1"});
-  const std::string md = t.render_markdown();
-  EXPECT_NE(md.find("| Name | Val |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("pipe\\|cell"), std::string::npos);
-  EXPECT_EQ(std::count(md.begin(), md.end(), '\n'), 3);
-}
-
 TEST(Fmt, NumbersAndPercent) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(10.0, 0), "10");

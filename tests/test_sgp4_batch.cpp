@@ -231,8 +231,10 @@ TEST(Sgp4TimeBatch, MatchesScalarAtPerLaneTimes) {
       lanes.propagate_ecef(jd, x, y, z, status);
       for (int l = 0; l < 4; ++l) {
         ASSERT_EQ(status[l], LaneStatus::kOk) << tle.name << " at " << jd[l];
+        const orbit::TemeState st = prop.at_jd(jd[l]);
         const Vec3 want =
-            orbit::teme_to_ecef_position(prop.at_jd(jd[l]).position_km, jd[l]);
+            orbit::teme_to_ecef_state(st.position_km, st.velocity_km_s, jd[l])
+                .position_km;
         EXPECT_NEAR(x[l], want.x, kPosTolKm) << tle.name << " lane " << l;
         EXPECT_NEAR(y[l], want.y, kPosTolKm) << tle.name << " lane " << l;
         EXPECT_NEAR(z[l], want.z, kPosTolKm) << tle.name << " lane " << l;

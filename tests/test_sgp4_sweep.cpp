@@ -69,7 +69,9 @@ TEST(Sgp4Sweep, DragOrderingAfterAMonth) {
     const Tle tle = build(420.0, 0.0005, 51.6, bstar);
     const Sgp4 prop(tle);
     const double r = prop.at(days).position_km.norm();
-    if (!first) EXPECT_LE(r, prev_radius + 0.5) << "bstar " << bstar;
+    if (!first) {
+      EXPECT_LE(r, prev_radius + 0.5) << "bstar " << bstar;
+    }
     prev_radius = r;
     first = false;
   }
@@ -147,7 +149,7 @@ TEST(Sgp4Sweep, SunSynchronousPrecessionNearOneDegPerDay) {
     return std::atan2(n.y, n.x);
   };
   double drift = raan_of(10.0 * 1440.0) - raan_of(0.0);
-  drift = wrap_pi(drift) * kRadToDeg / 10.0;  // deg per day
+  drift = std::remainder(drift, kTwoPi) * kRadToDeg / 10.0;  // deg per day
   EXPECT_NEAR(drift, 0.9856, 0.08);
 }
 

@@ -68,13 +68,6 @@ TEST(Rng, ExponentialMeanAndErrors) {
   EXPECT_THROW((void)rng.exponential(std::nan("")), std::invalid_argument);
 }
 
-TEST(Rng, RayleighRejectsNonPositiveAndNaN) {
-  Rng rng(19);
-  EXPECT_GE(rng.rayleigh(2.0), 0.0);
-  EXPECT_THROW((void)rng.rayleigh(0.0), std::invalid_argument);
-  EXPECT_THROW((void)rng.rayleigh(std::nan("")), std::invalid_argument);
-}
-
 TEST(Rng, ChanceExtremes) {
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {

@@ -55,8 +55,14 @@ TEST(Sun, LeoEclipseFractionIsPhysical) {
   kep.inclination_deg = 49.97;
   const Tle tle = make_tle("ECL", 94000, kep, julian_from_civil(2025, 3, 20));
   const Sgp4 prop(tle);
+  std::size_t total = 0, shadowed = 0;
+  for (JulianDate jd = tle.epoch_jd; jd <= tle.epoch_jd + 0.5;
+       jd += 30.0 / kSecondsPerDay) {
+    ++total;
+    if (in_earth_shadow(prop.at_jd(jd).position_km, jd)) ++shadowed;
+  }
   const double frac =
-      eclipse_fraction(prop, tle.epoch_jd, tle.epoch_jd + 0.5, 30.0);
+      static_cast<double>(shadowed) / static_cast<double>(total);
   EXPECT_GT(frac, 0.25);
   EXPECT_LT(frac, 0.45);
 }
@@ -71,17 +77,6 @@ TEST(Sun, EclipseGatingReducesBeaconsInCampaign) {
   const auto gated = sinet::core::run_passive_campaign(cfg);
   EXPECT_LT(gated.beacons_transmitted, open.beacons_transmitted);
   EXPECT_GT(gated.beacons_transmitted, 0u);
-}
-
-TEST(Sun, EclipseFractionValidation) {
-  KeplerianElements kep;
-  const Tle tle = make_tle("E", 94001, kep, julian_from_civil(2025, 3, 20));
-  const Sgp4 prop(tle);
-  EXPECT_THROW(eclipse_fraction(prop, tle.epoch_jd, tle.epoch_jd, 30.0),
-               std::invalid_argument);
-  EXPECT_THROW(
-      eclipse_fraction(prop, tle.epoch_jd, tle.epoch_jd + 1.0, 0.0),
-      std::invalid_argument);
 }
 
 }  // namespace

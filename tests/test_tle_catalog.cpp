@@ -1,32 +1,13 @@
-// TLE catalog file I/O tests.
+// TLE catalog file reader tests.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "orbit/constellation.h"
 #include "orbit/tle_catalog.h"
-#include "orbit/time.h"
 
 namespace {
 
 using namespace sinet::orbit;
-
-TEST(TleCatalog, RoundTripSyntheticCatalog) {
-  const auto spec = paper_constellation("Tianqi");
-  const auto original = generate_tles(spec, julian_from_civil(2025, 3, 1));
-  std::ostringstream os;
-  write_tle_catalog(os, original);
-  std::istringstream is(os.str());
-  const auto back = read_tle_catalog(is);
-  ASSERT_EQ(back.size(), original.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].name, original[i].name);
-    EXPECT_EQ(back[i].catalog_number, original[i].catalog_number);
-    EXPECT_NEAR(back[i].inclination_deg, original[i].inclination_deg, 1e-4);
-    EXPECT_NEAR(back[i].mean_motion_rev_day,
-                original[i].mean_motion_rev_day, 1e-7);
-  }
-}
 
 TEST(TleCatalog, ReadsBareTwoLineEntries) {
   const std::string iss1 =
@@ -89,17 +70,23 @@ TEST(TleCatalog, MalformedStructuresThrow) {
 }
 
 TEST(TleCatalog, MultipleEntriesMixedFormat) {
-  const auto spec = paper_constellation("FOSSA");
-  auto tles = generate_tles(spec, julian_from_civil(2025, 3, 1));
-  tles[1].name.clear();  // middle entry becomes a bare 2-line TLE
-  std::ostringstream os;
-  write_tle_catalog(os, tles);
-  std::istringstream is(os.str());
+  const std::string iss1 =
+      "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927";
+  const std::string iss2 =
+      "2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537";
+  // Named, bare 2-line (middle) and named entries in one stream.
+  std::istringstream is("FOSSA-01\n" + iss1 + "\n" + iss2 + "\n" + iss1 +
+                        "\n" + iss2 + "\nFOSSA-03\n" + iss1 + "\n" + iss2 +
+                        "\n");
   const auto back = read_tle_catalog(is);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[0].name, "FOSSA-01");
   EXPECT_TRUE(back[1].name.empty());
   EXPECT_EQ(back[2].name, "FOSSA-03");
+  for (const Tle& t : back) {
+    EXPECT_EQ(t.catalog_number, 25544);
+    EXPECT_NEAR(t.inclination_deg, 51.6416, 1e-12);
+  }
 }
 
 }  // namespace

@@ -22,17 +22,23 @@ BeaconRecord make_beacon(const std::string& station,
   return r;
 }
 
-TEST(BeaconTraceSet, AddAndFilter) {
+/// The one data row write_uplink_csv writes for `r`, split into fields.
+std::vector<std::string> uplink_row(const UplinkRecord& r) {
+  std::ostringstream os;
+  write_uplink_csv(os, {r});
+  std::istringstream is(os.str());
+  std::string header, row;
+  std::getline(is, header);
+  std::getline(is, row);
+  return csv_split(row);
+}
+
+TEST(BeaconTraceSet, AddAndClear) {
   BeaconTraceSet set;
   set.add(make_beacon("HK-1", "Tianqi", 1.0));
   set.add(make_beacon("HK-2", "FOSSA", 2.0));
   set.add(make_beacon("SYD-1", "Tianqi", 3.0));
   EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.filter("HK-1", "").size(), 1u);
-  EXPECT_EQ(set.filter("", "Tianqi").size(), 2u);
-  EXPECT_EQ(set.filter("HK-2", "FOSSA").size(), 1u);
-  EXPECT_EQ(set.filter("HK-2", "Tianqi").size(), 0u);
-  EXPECT_EQ(set.filter("", "").size(), 3u);
   set.clear();
   EXPECT_TRUE(set.empty());
 }
@@ -125,7 +131,7 @@ TEST(CsvReader, BeaconRoundTrip) {
   EXPECT_EQ(out[0].satellite, "Tianqi-01");
 }
 
-TEST(CsvReader, UplinkRoundTrip) {
+TEST(CsvWriter, UplinkRow) {
   UplinkRecord r;
   r.sequence = 42;
   r.node = "TQ-node-2";
@@ -137,16 +143,16 @@ TEST(CsvReader, UplinkRoundTrip) {
   r.dts_attempts = 3;
   r.delivered = true;
   r.via_satellite = "Tianqi-09";
-  std::ostringstream os;
-  write_uplink_csv(os, {r});
-  std::istringstream is(os.str());
-  const auto out = read_uplink_csv(is);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].sequence, 42u);
-  EXPECT_EQ(out[0].payload_bytes, 60);
-  EXPECT_TRUE(out[0].delivered);
-  EXPECT_NEAR(out[0].end_to_end_s(), r.end_to_end_s(), 1e-2);
-  EXPECT_EQ(out[0].via_satellite, "Tianqi-09");
+  const auto f = uplink_row(r);
+  ASSERT_EQ(f.size(), 10u);
+  EXPECT_EQ(f[0], "42");
+  EXPECT_EQ(f[1], "TQ-node-2");
+  EXPECT_EQ(f[2], "60");
+  EXPECT_EQ(f[3], "1000.000");
+  EXPECT_EQ(f[6], "4000.500");
+  EXPECT_EQ(f[7], "3");
+  EXPECT_EQ(f[8], "1");
+  EXPECT_EQ(f[9], "Tianqi-09");
 }
 
 TEST(CsvReader, RejectsMalformedInput) {
@@ -159,11 +165,6 @@ TEST(CsvReader, RejectsMalformedInput) {
       "elevation_deg,azimuth_deg,range_km,doppler_hz,sat_altitude_km,"
       "weather\n1.0,HK-1,Tianqi\n");
   EXPECT_THROW(read_beacon_csv(short_row), std::invalid_argument);
-  std::istringstream bad_number(
-      "sequence,node,payload_bytes,generated_unix_s,first_tx_unix_s,"
-      "satellite_rx_unix_s,server_rx_unix_s,dts_attempts,delivered,"
-      "via_satellite\nabc,n,20,1,1,1,1,1,1,sat\n");
-  EXPECT_THROW(read_uplink_csv(bad_number), std::invalid_argument);
 }
 
 // Regression: the writers used to snprintf whole rows into char[256], so
@@ -210,16 +211,13 @@ TEST(CsvWriter, RowsLongerThan256BytesRoundTrip) {
   u.dts_attempts = 2;
   u.delivered = true;
   u.via_satellite = "Tianqi-\"05\"";
-  std::ostringstream uos;
-  write_uplink_csv(uos, {u});
-  std::istringstream uis(uos.str());
-  const auto uplinks = read_uplink_csv(uis);
-  ASSERT_EQ(uplinks.size(), 1u);
-  EXPECT_EQ(uplinks[0].node, u.node);
-  EXPECT_EQ(uplinks[0].via_satellite, "Tianqi-\"05\"");
-  EXPECT_EQ(uplinks[0].sequence, u.sequence);
-  EXPECT_NEAR(uplinks[0].server_rx_unix_s, 1700000500.75, 1e-2);
-  EXPECT_TRUE(uplinks[0].delivered);
+  const auto f = uplink_row(u);
+  ASSERT_EQ(f.size(), 10u);
+  EXPECT_EQ(f[0], "900719925474099");
+  EXPECT_EQ(f[1], u.node);
+  EXPECT_EQ(f[6], "1700000500.750");
+  EXPECT_EQ(f[8], "1");
+  EXPECT_EQ(f[9], "Tianqi-\"05\"");
 }
 
 TEST(CsvWriter, EmptyVectorsProduceHeaderOnly) {

@@ -1,13 +1,11 @@
 // Tests for the cross-simulator validation harness (src/val) and the
 // divergence metrics it gates on (stats/divergence.h): golden-value K-S
-// and Wasserstein distances, bit-exact sinet.validation.v1 round-trips,
-// analytic-baseline sanity against hand-derived geometry, the gate
+// and Wasserstein distances, analytic-baseline sanity against hand-derived geometry, the gate
 // semantics, and an end-to-end "quick" scenario run checked against the
 // committed baseline thresholds.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <string>
@@ -28,39 +26,48 @@ using sinet::stats::EmpiricalCdf;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+EmpiricalCdf cdf_of(std::vector<double> samples) {
+  return EmpiricalCdf(samples);
+}
+
 // ---------------------------------------------------------------------
 // Divergence metrics
 
 TEST(Divergence, KsGoldenValues) {
   // F_a and F_b differ by exactly 1/3 on [1,2) and [3,4).
-  EXPECT_DOUBLE_EQ(stats::ks_distance({1, 2, 3}, {2, 3, 4}), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(stats::ks_distance(cdf_of({1, 2, 3}), cdf_of({2, 3, 4})),
+                   1.0 / 3.0);
   // Half the mass moved from 0 to 1: sup gap is 3/4 - 1/4 at x = 0.
-  EXPECT_DOUBLE_EQ(stats::ks_distance({0, 0, 0, 1}, {0, 1, 1, 1}), 0.5);
+  EXPECT_DOUBLE_EQ(
+      stats::ks_distance(cdf_of({0, 0, 0, 1}), cdf_of({0, 1, 1, 1})), 0.5);
   // Disjoint supports saturate at 1.
-  EXPECT_DOUBLE_EQ(stats::ks_distance({0}, {10}), 1.0);
+  EXPECT_DOUBLE_EQ(stats::ks_distance(cdf_of({0}), cdf_of({10})), 1.0);
   // Different sample counts, same distribution.
-  EXPECT_DOUBLE_EQ(stats::ks_distance({5, 5, 5}, {5}), 0.0);
+  EXPECT_DOUBLE_EQ(stats::ks_distance(cdf_of({5, 5, 5}), cdf_of({5})), 0.0);
 }
 
 TEST(Divergence, WassersteinGoldenValues) {
   // Shift by 1: W1 equals the shift.
-  EXPECT_DOUBLE_EQ(stats::wasserstein_distance({1, 2, 3}, {2, 3, 4}), 1.0);
+  EXPECT_DOUBLE_EQ(
+      stats::wasserstein_distance(cdf_of({1, 2, 3}), cdf_of({2, 3, 4})), 1.0);
   // Half the mass moves distance 1: W1 = 0.5.
-  EXPECT_DOUBLE_EQ(stats::wasserstein_distance({0, 0, 0, 1}, {0, 1, 1, 1}),
+  EXPECT_DOUBLE_EQ(stats::wasserstein_distance(cdf_of({0, 0, 0, 1}),
+                                               cdf_of({0, 1, 1, 1})),
                    0.5);
   // Point masses 10 apart.
-  EXPECT_DOUBLE_EQ(stats::wasserstein_distance({0}, {10}), 10.0);
+  EXPECT_DOUBLE_EQ(stats::wasserstein_distance(cdf_of({0}), cdf_of({10})),
+                   10.0);
 }
 
 TEST(Divergence, IdenticalSamplesGiveExactZero) {
-  const EmpiricalCdf a{3.25, 901.0, 17.5, 42.0};
+  const EmpiricalCdf a = cdf_of({3.25, 901.0, 17.5, 42.0});
   EXPECT_EQ(stats::ks_distance(a, a), 0.0);
   EXPECT_EQ(stats::wasserstein_distance(a, a), 0.0);
 }
 
 TEST(Divergence, SymmetricInArguments) {
-  const EmpiricalCdf a{1, 2, 2, 8};
-  const EmpiricalCdf b{0.5, 2, 9, 9, 12};
+  const EmpiricalCdf a = cdf_of({1, 2, 2, 8});
+  const EmpiricalCdf b = cdf_of({0.5, 2, 9, 9, 12});
   EXPECT_DOUBLE_EQ(stats::ks_distance(a, b), stats::ks_distance(b, a));
   EXPECT_DOUBLE_EQ(stats::wasserstein_distance(a, b),
                    stats::wasserstein_distance(b, a));
@@ -68,75 +75,11 @@ TEST(Divergence, SymmetricInArguments) {
 
 TEST(Divergence, EmptyInputThrows) {
   const EmpiricalCdf empty;
-  const EmpiricalCdf one{1.0};
+  const EmpiricalCdf one = cdf_of({1.0});
   EXPECT_THROW(stats::ks_distance(empty, one), std::invalid_argument);
   EXPECT_THROW(stats::ks_distance(one, empty), std::invalid_argument);
   EXPECT_THROW(stats::wasserstein_distance(empty, one),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
-// Schema round-trip
-
-TEST(ValidationSchema, RoundTripIsBitExact) {
-  val::ValidationReport r;
-  r.scenario = "unit \"quoted\" \\ scenario";
-  r.propagation_mode = "fast";
-  r.start_jd = 2460735.5000000005;
-  r.duration_days = 0.30000000000000004;
-  r.windows.push_back(
-      {"TQ-7", "HK", 2460735.512345678901, 2460735.5192837465,
-       2460735.5150000001, 89.99999999999999});
-  r.link_records.push_back({"TQ-node-1", 1740787200.5, -1.0, -1.0, 0, false});
-  r.link_records.push_back(
-      {"TQ-node-2", 1740787260.25, 1740790000.125, 1740790321.0625, 3, true});
-  r.distributions.push_back({"contact_duration_s.reference",
-                             {0.1, 602.5000000000001, 1e-300, 1.5e9}});
-  r.distributions.push_back({"empty", {}});
-  r.scores.push_back({"windows.fast_vs_reference.ks", 1.0 / 3.0});
-  r.scalars.push_back({"availability.daily_hours.measured", 20.401951923966408});
-
-  const std::string json = val::to_json(r);
-  const val::ValidationReport back = val::parse_json(json);
-  // Bit-exact: re-serialization reproduces the same bytes.
-  EXPECT_EQ(json, val::to_json(back));
-  ASSERT_EQ(back.windows.size(), 1u);
-  EXPECT_EQ(back.windows[0].aos_jd, r.windows[0].aos_jd);
-  EXPECT_EQ(back.windows[0].max_elevation_deg,
-            r.windows[0].max_elevation_deg);
-  ASSERT_EQ(back.link_records.size(), 2u);
-  EXPECT_FALSE(back.link_records[0].delivered);
-  EXPECT_EQ(back.link_records[1].attempts, 3u);
-  ASSERT_EQ(back.distributions.size(), 2u);
-  EXPECT_EQ(back.distributions[0].samples, r.distributions[0].samples);
-  EXPECT_EQ(back.scenario, r.scenario);
-}
-
-TEST(ValidationSchema, NanScalarsRoundTrip) {
-  val::ValidationReport r;
-  r.scenario = "s";
-  r.scalars.push_back({"undefined", kNaN});
-  const val::ValidationReport back = val::parse_json(val::to_json(r));
-  EXPECT_TRUE(std::isnan(back.scalar_or_nan("undefined")));
-  EXPECT_EQ(val::to_json(r), val::to_json(back));
-}
-
-TEST(ValidationSchema, RejectsWrongSchemaAndUnknownKeys) {
-  EXPECT_THROW(val::parse_json("{\"schema\": \"sinet.other.v1\"}"),
-               std::exception);
-  EXPECT_THROW(val::parse_json("{\"bogus\": 1}"), std::exception);
-  EXPECT_THROW(val::parse_json("not json"), std::exception);
-}
-
-TEST(ValidationSchema, FileRoundTrip) {
-  val::ValidationReport r;
-  r.scenario = "file";
-  r.scores.push_back({"a", 0.5});
-  const std::string path = ::testing::TempDir() + "val_report_rt.json";
-  ASSERT_TRUE(val::write_json_file(path, r));
-  const val::ValidationReport back = val::read_json_file(path);
-  EXPECT_EQ(val::to_json(r), val::to_json(back));
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -177,21 +120,19 @@ TEST(Baseline, MaxPassDurationIsPhysicallyPlausible) {
 }
 
 TEST(Baseline, PassDurationCdfIsARandomChordLaw) {
-  const double t_max = 600.0;
-  EXPECT_EQ(val::pass_duration_cdf(-5.0, t_max), 0.0);
-  EXPECT_EQ(val::pass_duration_cdf(0.0, t_max), 0.0);
-  EXPECT_EQ(val::pass_duration_cdf(t_max, t_max), 1.0);
-  // F(T/2) = 1 - sqrt(3)/2.
-  EXPECT_NEAR(val::pass_duration_cdf(300.0, t_max),
-              1.0 - std::sqrt(3.0) / 2.0, 1e-12);
-
-  // The materialized CDF has mean (pi/4) T_max per shell.
   const auto cdf =
       val::analytic_pass_duration_cdf({{8, 600.0, 97.5}}, 0.0, 4096);
   ASSERT_EQ(cdf.size(), 4096u);
+  const double t_shell = val::max_pass_duration_s(600.0, 0.0, 97.5);
+  // F(t) = 1 - sqrt(1 - (t/T)^2): no pass is longer than T, and
+  // F(T/2) = 1 - sqrt(3)/2, to within the 1/4096 quantile grid.
+  EXPECT_EQ(cdf.fraction_at_or_below(t_shell), 1.0);
+  EXPECT_NEAR(cdf.fraction_at_or_below(t_shell / 2.0),
+              1.0 - std::sqrt(3.0) / 2.0, 1.0 / 4096.0);
+
+  // The materialized CDF has mean (pi/4) T_max per shell.
   double sum = 0.0;
   for (const double x : cdf.sorted_samples()) sum += x;
-  const double t_shell = val::max_pass_duration_s(600.0, 0.0, 97.5);
   EXPECT_NEAR(sum / 4096.0, (3.14159265358979 / 4.0) * t_shell,
               0.002 * t_shell);
 }
@@ -264,14 +205,19 @@ TEST(Gate, UnknownScenarioFails) {
   EXPECT_FALSE(val::gate(report_with("reference", "x.ks", 0.0), b).passed);
 }
 
-TEST(Gate, BaselineJsonRoundTripsAndRejectsGarbage) {
-  val::BaselineSet b;
-  b.scenarios.push_back({"quick", {{"a.ks", 0.25}, {"b.w", 10.0}}});
-  b.scenarios.push_back({"reference", {}});
-  const val::BaselineSet back = val::parse_baselines_json(val::to_json(b));
-  EXPECT_EQ(val::to_json(b), val::to_json(back));
+TEST(Gate, BaselineJsonParsesAndRejectsGarbage) {
+  const val::BaselineSet back = val::parse_baselines_json(
+      std::string("{\"schema\": \"") + val::kBaselineSchema +
+      "\", \"scenarios\": [{\"name\": \"quick\", \"thresholds\": ["
+      "{\"score\": \"a.ks\", \"max\": 0.25}, "
+      "{\"score\": \"b.w\", \"max\": 10}]}, "
+      "{\"name\": \"reference\", \"thresholds\": []}]}");
   ASSERT_NE(back.find_scenario("quick"), nullptr);
-  EXPECT_EQ(back.find_scenario("quick")->thresholds.size(), 2u);
+  ASSERT_EQ(back.find_scenario("quick")->thresholds.size(), 2u);
+  EXPECT_EQ(back.find_scenario("quick")->thresholds[0].score, "a.ks");
+  EXPECT_EQ(back.find_scenario("quick")->thresholds[0].max, 0.25);
+  ASSERT_NE(back.find_scenario("reference"), nullptr);
+  EXPECT_TRUE(back.find_scenario("reference")->thresholds.empty());
   EXPECT_EQ(back.find_scenario("missing"), nullptr);
   EXPECT_THROW(val::parse_baselines_json("{\"schema\": \"wrong\"}"),
                std::exception);
@@ -304,13 +250,13 @@ TEST(RunValidation, QuickScenarioPassesCommittedGate) {
   // Report carries the data the scores were computed from.
   EXPECT_FALSE(report.windows.empty());
   EXPECT_FALSE(report.link_records.empty());
-  ASSERT_NE(report.find_distribution("contact_duration_s.reference"),
-            nullptr);
-  ASSERT_NE(report.find_distribution("dts.wait_s"), nullptr);
-
-  // Round-trips bit-exactly through the schema.
-  EXPECT_EQ(val::to_json(report),
-            val::to_json(val::parse_json(val::to_json(report))));
+  const auto has_distribution = [&](const std::string& name) {
+    for (const val::NamedDistribution& d : report.distributions)
+      if (d.name == name) return true;
+    return false;
+  };
+  EXPECT_TRUE(has_distribution("contact_duration_s.reference"));
+  EXPECT_TRUE(has_distribution("dts.wait_s"));
 
   // And the committed baseline thresholds gate it green.
   const val::BaselineSet baselines = val::read_baselines_file(
@@ -361,9 +307,14 @@ TEST(RunValidation, MiniScaleScenarioScoresAggregates) {
   // Aggregate mode: no per-packet exports, streaming scalars instead.
   EXPECT_TRUE(report.windows.empty());
   EXPECT_TRUE(report.link_records.empty());
-  EXPECT_GT(report.scalar_or_nan("dts.reports.generated"), 0.0);
-  EXPECT_GE(report.scalar_or_nan("dts.reports.eligible"), 1.0);
-  EXPECT_GT(report.scalar_or_nan("dts.reliability.measured"), 0.0);
+  const auto scalar = [&](const std::string& name) {
+    for (const val::NamedValue& v : report.scalars)
+      if (v.name == name) return v.value;
+    return kNaN;
+  };
+  EXPECT_GT(scalar("dts.reports.generated"), 0.0);
+  EXPECT_GE(scalar("dts.reports.eligible"), 1.0);
+  EXPECT_GT(scalar("dts.reliability.measured"), 0.0);
 
   const double abs_err = report.score_or_nan("dts.delivery.abs_err");
   EXPECT_TRUE(std::isfinite(abs_err));

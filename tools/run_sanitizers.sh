@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Build and run the full ctest suite under TSan and the combined
-# ASan + LSan + fatal-UBSan + libstdc++-assertions preset, or under any
-# of the single-sanitizer presets.
+# ASan + LSan + fatal-UBSan + libstdc++-assertions preset.
 #
 # Usage:
 #   tools/run_sanitizers.sh [preset ...]
 #
-#   preset   zero or more of: asan ubsan tsan asan-ubsan
-#            (default: tsan asan-ubsan; asan-ubsan runs every check of
-#            asan and ubsan, which remain for narrowing a report down)
+#   preset   zero or more of: tsan asan-ubsan (default: both)
 #
 # Each preset configures into build-<preset>/ via CMakePresets.json, which
 # sets SINET_SANITIZE so the whole tree (library, tests, benches, examples)
@@ -26,9 +23,8 @@ if [[ ${#presets[@]} -eq 0 ]]; then
 fi
 for p in "${presets[@]}"; do
   case "$p" in
-    asan|ubsan|tsan|asan-ubsan) ;;
-    *) echo "error: unknown preset '$p' (expected asan, ubsan, tsan," \
-            "asan-ubsan)" >&2
+    tsan|asan-ubsan) ;;
+    *) echo "error: unknown preset '$p' (expected tsan or asan-ubsan)" >&2
        exit 2 ;;
   esac
 done
