@@ -5,7 +5,7 @@
 // DtsAggregates, so the trace sink and the aggregates count the same
 // packets. The rest are single-engine consistency checks (a fleet equals
 // its explicit node list; tiny-buffer ARQ interleaving), the scale-bug
-// sweep regressions (64-bit index widths, CSV sequence parsing) and the
+// sweep regressions (64-bit index widths, CSV sequence formatting) and the
 // untraced mode above kTraceNodeLimit: determinism with bounded memory
 // gauges.
 #include <gtest/gtest.h>
@@ -168,6 +168,22 @@ TEST(DtsScaleBugs, PacketIndexFieldsAreSixtyFourBit) {
                 "node_index must be 64-bit for population-scale fleets");
   static_assert(sizeof(sp.satellite_index) == 8,
                 "satellite_index must be 64-bit");
+}
+
+TEST(DtsScaleBugs, CsvSequenceSurvivesBeyondDoublePrecision) {
+  // Sequences above 2^53 collide when formatted through a double; the CSV
+  // writer must print them exactly (through a double, 2^53 + 3 prints as
+  // ...996).
+  trace::UplinkRecord rec;
+  rec.sequence = (1ull << 53) + 3;
+  rec.node = "n";
+  rec.via_satellite = "s";
+  std::stringstream ss;
+  trace::write_uplink_csv(ss, {rec});
+  std::string header, row;
+  std::getline(ss, header);
+  std::getline(ss, row);
+  EXPECT_EQ(trace::csv_split(row).at(0), "9007199254740995");
 }
 
 TEST(DtsScaleBugs, TinyBufferArqInterleavingStaysConsistent) {

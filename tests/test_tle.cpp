@@ -129,12 +129,18 @@ TEST(MakeTle, AltitudeMapsToMeanMotion) {
   KeplerianElements kep;
   kep.altitude_km = 550.0;
   kep.eccentricity = 0.0;
+  kep.inclination_deg = 49.97;
+  kep.raan_deg = -36.6;           // wraps to 323.4
+  kep.mean_anomaly_deg = 631.5;   // wraps to 271.5
   const Tle t = make_tle("TEST", 99001,
                          kep, julian_from_civil(2025, 3, 1));
   // Circular 550 km orbit: period ~95.6 min.
   EXPECT_NEAR(t.period_minutes(), 95.6, 0.5);
   EXPECT_NEAR(sinet::testing::oracle_mean_altitude_km(t), 550.0, 1.0);
   EXPECT_FALSE(t.is_deep_space());
+  EXPECT_EQ(t.inclination_deg, 49.97);
+  EXPECT_NEAR(t.raan_deg, 323.4, 1e-9);
+  EXPECT_NEAR(t.mean_anomaly_deg, 271.5, 1e-9);
 }
 
 TEST(MakeTle, RejectsInvalidElements) {
