@@ -21,13 +21,7 @@ net::DtsNetworkConfig config_with_nodes(int node_count, bool scheduled) {
   knobs.duration_days = sinet::bench::days_or(3.0);
   knobs.seed = sinet::bench::flags().seed;
   net::DtsNetworkConfig cfg = make_active_config(knobs);
-  const net::IotNodeConfig prototype = cfg.nodes.front();
-  cfg.nodes.clear();
-  for (int i = 0; i < node_count; ++i) {
-    net::IotNodeConfig nc = prototype;
-    nc.name = "TQ-node-" + std::to_string(i + 1);
-    cfg.nodes.push_back(nc);
-  }
+  cfg.fleet.count = static_cast<std::size_t>(node_count);
   if (scheduled) cfg.uplink_access = net::UplinkAccess::kScheduled;
   return cfg;
 }

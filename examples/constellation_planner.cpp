@@ -7,8 +7,9 @@
 // and store-and-forward buffer needs scale with constellation size,
 // altitude and inclination for a target service latitude.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "args.h"
 #include "core/availability.h"
 #include "core/report.h"
 #include "core/scenario.h"
@@ -35,10 +36,11 @@ double worst_gap_hours(const std::vector<orbit::ContactWindow>& windows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   MeasurementSite site = paper_site("HK");
   if (argc >= 2) {
-    site.location.latitude_deg = std::atof(argv[1]);
+    site.location.latitude_deg =
+        examples::parse_double_arg(argv[1], "latitude");
     site.code = "custom";
   }
   std::printf("Planning coverage for latitude %.1f deg\n",
@@ -98,4 +100,6 @@ int main(int argc, char** argv) {
       "orbits widen footprints but cost link margin — the Tianqi fleet "
       "(815-898 km) trades a few dB for 2.5x FOSSA's footprint.\n");
   return 0;
+} catch (const std::exception& e) {
+  return examples::report_error(e, "constellation_planner [latitude]");
 }

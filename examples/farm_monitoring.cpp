@@ -9,8 +9,9 @@
 // pipeline) or by three LoRaWAN gateways with LTE backhaul — then prints
 // the reliability / latency / energy / cost decision table.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "args.h"
 #include "core/active_experiment.h"
 #include "core/report.h"
 #include "cost/cost_model.h"
@@ -22,8 +23,9 @@
 using namespace sinet;
 using namespace sinet::core;
 
-int main(int argc, char** argv) {
-  const double days = argc >= 2 ? std::atof(argv[1]) : 7.0;
+int main(int argc, char** argv) try {
+  const double days =
+      argc >= 2 ? examples::parse_double_arg(argv[1], "days") : 7.0;
   std::printf("Simulating %.0f days of the coffee-plantation deployment...\n",
               days);
 
@@ -97,4 +99,6 @@ int main(int argc, char** argv) {
   std::printf("Wrote %zu uplink records to farm_uplinks.csv\n",
               cmp.satellite.uplinks.size());
   return 0;
+} catch (const std::exception& e) {
+  return examples::report_error(e, "farm_monitoring [days]");
 }

@@ -8,9 +8,10 @@
 // traces per constellation, RSSI/SNR distributions, contact statistics,
 // and a CSV export compatible with the paper's dataset schema.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 
+#include "args.h"
 #include "core/contact_analysis.h"
 #include "core/passive_campaign.h"
 #include "core/report.h"
@@ -20,7 +21,7 @@
 using namespace sinet;
 using namespace sinet::core;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   MeasurementSite site = paper_site("HK");
   double days = 2.0;
   if (argc == 2) {
@@ -28,9 +29,10 @@ int main(int argc, char** argv) {
   } else if (argc >= 3) {
     site.code = "custom";
     site.city = "Custom site";
-    site.location = {std::atof(argv[1]), std::atof(argv[2]), 0.0};
+    site.location = {examples::parse_double_arg(argv[1], "latitude"),
+                     examples::parse_double_arg(argv[2], "longitude"), 0.0};
     site.station_count = 1;
-    if (argc >= 4) days = std::atof(argv[3]);
+    if (argc >= 4) days = examples::parse_double_arg(argv[3], "days");
   }
   std::printf("Virtual TinyGS station at %s (%.2f, %.2f), %.0f days\n",
               site.city.c_str(), site.location.latitude_deg,
@@ -85,4 +87,8 @@ int main(int argc, char** argv) {
   std::printf("Wrote the trace dataset to %s (paper Table 1 schema)\n",
               filename.c_str());
   return 0;
+} catch (const std::exception& e) {
+  return examples::report_error(e,
+                                "ground_station_survey [site-code|lat lon] "
+                                "[days]");
 }

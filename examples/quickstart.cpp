@@ -8,8 +8,9 @@
 //   2. generate its orbit catalog and predict contact windows,
 //   3. evaluate the LoRa link budget along the best pass.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "args.h"
 #include "orbit/constellation.h"
 #include "orbit/passes.h"
 #include "orbit/sgp4.h"
@@ -18,11 +19,11 @@
 
 using namespace sinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   orbit::Geodetic where{22.32, 114.17, 0.05};  // default: Hong Kong
   if (argc >= 3) {
-    where.latitude_deg = std::atof(argv[1]);
-    where.longitude_deg = std::atof(argv[2]);
+    where.latitude_deg = examples::parse_double_arg(argv[1], "latitude");
+    where.longitude_deg = examples::parse_double_arg(argv[2], "longitude");
   }
   std::printf("Observer: %.2f deg N, %.2f deg E\n", where.latitude_deg,
               where.longitude_deg);
@@ -94,4 +95,6 @@ int main(int argc, char** argv) {
       "\nNote the shape: the window edges (low elevation, long range) are "
       "lossy — the paper's central finding.\n");
   return 0;
+} catch (const std::exception& e) {
+  return examples::report_error(e, "quickstart [latitude longitude]");
 }

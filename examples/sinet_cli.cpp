@@ -49,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "core/active_experiment.h"
 #include "core/availability.h"
 #include "core/contact_analysis.h"
@@ -141,27 +142,11 @@ void signal_watcher(sigset_t set) {
   }
 }
 
-/// A numeric argument that did not parse. main() prints the message and
-/// the usage text and exits 2 — never runs an experiment on garbage.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-// std::atoi / std::atof silently map unparsable text to 0, which turns a
-// typo like `sinet active 3O` (letter O) into a zero-day run that
-// "succeeds" with bogus numbers. These helpers accept a full numeric
-// token (leading/trailing whitespace allowed, nothing else) or throw.
-double parse_double_arg(const char* text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  while (end != nullptr && std::isspace(static_cast<unsigned char>(*end)))
-    ++end;
-  if (end == text || end == nullptr || *end != '\0' || errno == ERANGE)
-    throw UsageError(std::string(what) + ": expected a number, got '" +
-                     text + "'");
-  return value;
-}
+// A numeric argument that did not parse throws UsageError; main() prints
+// the message and the usage text and exits 2 — never runs an experiment
+// on garbage (see args.h).
+using examples::parse_double_arg;
+using examples::UsageError;
 
 int parse_int_arg(const char* text, const char* what) {
   errno = 0;

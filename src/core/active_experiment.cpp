@@ -119,11 +119,10 @@ net::DtsNetworkConfig make_active_config(const ActiveExperimentKnobs& knobs) {
   cfg.seed = knobs.seed;
   cfg.daily_weather = knobs.daily_weather;
   cfg.metrics = knobs.metrics;
-  for (net::IotNodeConfig& node : cfg.nodes) {
-    node.max_retransmissions = knobs.max_retransmissions;
-    node.antenna = knobs.antenna;
-    node.report_payload_bytes = knobs.payload_bytes;
-  }
+  net::IotNodeConfig& node = cfg.fleet.prototype;
+  node.max_retransmissions = knobs.max_retransmissions;
+  node.antenna = knobs.antenna;
+  node.report_payload_bytes = knobs.payload_bytes;
   return cfg;
 }
 
@@ -135,9 +134,9 @@ ActiveComparison run_active_comparison(const ActiveExperimentKnobs& knobs) {
       orbit::julian_to_unix(cfg.start_jd) + cfg.duration_days * 86400.0;
 
   net::LorawanConfig terr;
-  terr.node_count = static_cast<int>(cfg.nodes.size());
+  terr.node_count = static_cast<int>(cfg.fleet.count);
   terr.report_payload_bytes = knobs.payload_bytes;
-  terr.report_interval_s = cfg.nodes.front().report_interval_s;
+  terr.report_interval_s = cfg.fleet.prototype.report_interval_s;
   terr.duration_days = knobs.duration_days;
   terr.max_retransmissions = knobs.max_retransmissions;
   terr.seed = knobs.seed + 1;

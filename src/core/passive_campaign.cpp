@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "orbit/look_angles.h"
-#include "orbit/sun.h"
 #include "phy/lora.h"
 #include "sim/rng.h"
 #include "sim/thread_pool.h"
@@ -127,9 +126,6 @@ void observe_site(const PassiveCampaignConfig& cfg,
     for (double t = 0.0;; t += cfg.beacon.period_s) {
       const orbit::JulianDate jd = obs.aos_jd + t / orbit::kSecondsPerDay;
       if (jd > obs.los_jd) break;
-      if (cfg.eclipse_gates_beacons &&
-          orbit::in_earth_shadow(sat.propagator.at_jd(jd).position_km, jd))
-        continue;  // payload muted in eclipse: nothing transmitted
       ++run.transmitted;
 
       const orbit::LookAngles look = sampler.look(jd);
@@ -273,8 +269,7 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
   // Schedule: per site, record the theoretical windows, list the
   // observation requests in (constellation, satellite, window) order and
   // assign them to the site's stations — the customized scheduler (paper
-  // Sec 2.2). Without it, an idealized site observes every window on a
-  // round-robin station.
+  // Sec 2.2).
   phases.phase("schedule");
   std::vector<SiteRun> runs(cfg.sites.size());
   for (std::size_t site_index = 0; site_index < cfg.sites.size();
@@ -315,18 +310,9 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
                                  std::move(cell));
     }
 
-    std::vector<ScheduledObservation> observations;
-    if (cfg.use_scheduler) {
-      observations = schedule_observations(std::move(requests),
-                                           site.station_count,
-                                           cfg.station_retune_gap_s);
-    } else {
-      observations.reserve(requests.size());
-      int rr = 0;
-      for (ObservationRequest& r : requests)
-        observations.push_back(
-            ScheduledObservation{std::move(r), rr++ % site.station_count});
-    }
+    const std::vector<ScheduledObservation> observations =
+        schedule_observations(std::move(requests), site.station_count,
+                              cfg.station_retune_gap_s);
     result.windows_requested_observed[site.code] = {window_count,
                                                     observations.size()};
 

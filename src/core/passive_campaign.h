@@ -35,15 +35,10 @@ struct PassiveCampaignConfig {
   phy::LinkConfig beacon_link;
   phy::ErrorModelConfig error_model;
   double pass_scan_step_s = 60.0;
-  /// Assign windows to the site's finite stations with the customized
-  /// scheduler (paper Sec 2.2). When false, every window is observed —
-  /// an idealized infinite-station site.
-  bool use_scheduler = true;
+  /// Windows are assigned to each site's finite stations by the
+  /// customized scheduler (paper Sec 2.2), which leaves this gap between
+  /// two windows on one station.
   double station_retune_gap_s = 15.0;
-  /// Power-starved nanosats often mute their payload in eclipse; when
-  /// set, beacons are only transmitted in sunlight (one of the paper's
-  /// suspected loss causes, Appendix C "resource constraints").
-  bool eclipse_gates_beacons = false;
   /// Worker threads: 0 = all hardware threads (the shared pool), 1 =
   /// everything serial on the calling thread, N = N workers. Window
   /// prediction fans out over (satellite, site) pairs and the

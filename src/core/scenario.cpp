@@ -5,18 +5,18 @@
 namespace sinet::core {
 
 std::vector<MeasurementSite> paper_measurement_sites() {
-  // Station counts and start months from paper Table 1; coordinates are
-  // the cities' canonical locations; rainy fractions approximate each
-  // city's climate (drives the sunny/rainy trace mix).
+  // Station counts from paper Table 1; coordinates are the cities'
+  // canonical locations; rainy fractions approximate each city's climate
+  // (drives the sunny/rainy trace mix).
   return {
-      {"PGH", "Pittsburgh", {40.44, -79.99, 0.24}, 3, 2025, 2, 0.35, 7.5},
-      {"LDN", "London", {51.51, -0.13, 0.02}, 5, 2025, 2, 0.40, 9.0},
-      {"SH", "Shanghai", {31.23, 121.47, 0.01}, 2, 2024, 10, 0.33, 9.0},
-      {"GZ", "Guangzhou", {23.13, 113.26, 0.02}, 2, 2024, 9, 0.38, 8.5},
-      {"SYD", "Sydney", {-33.87, 151.21, 0.02}, 4, 2025, 1, 0.28, 8.0},
-      {"HK", "Hong Kong", {22.32, 114.17, 0.05}, 6, 2024, 9, 0.35, 8.0},
-      {"NC", "Nanchang", {28.68, 115.89, 0.03}, 1, 2024, 11, 0.38, 8.5},
-      {"YC", "Yinchuan", {38.49, 106.23, 1.1}, 4, 2024, 9, 0.12, 4.0},
+      {"PGH", "Pittsburgh", {40.44, -79.99, 0.24}, 3, 0.35, 7.5},
+      {"LDN", "London", {51.51, -0.13, 0.02}, 5, 0.40, 9.0},
+      {"SH", "Shanghai", {31.23, 121.47, 0.01}, 2, 0.33, 9.0},
+      {"GZ", "Guangzhou", {23.13, 113.26, 0.02}, 2, 0.38, 8.5},
+      {"SYD", "Sydney", {-33.87, 151.21, 0.02}, 4, 0.28, 8.0},
+      {"HK", "Hong Kong", {22.32, 114.17, 0.05}, 6, 0.35, 8.0},
+      {"NC", "Nanchang", {28.68, 115.89, 0.03}, 1, 0.38, 8.5},
+      {"YC", "Yinchuan", {38.49, 106.23, 1.1}, 4, 0.12, 4.0},
   };
 }
 

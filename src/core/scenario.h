@@ -1,6 +1,6 @@
 // Measurement scenario catalog: the study's 8 deployment cities with
-// their ground-station counts and campaign start months (paper Table 1 /
-// Figure 2), plus campaign epoch helpers.
+// their ground-station counts (paper Table 1 / Figure 2), plus campaign
+// epoch helpers.
 #pragma once
 
 #include <string>
@@ -15,9 +15,7 @@ struct MeasurementSite {
   std::string code;  ///< paper's abbreviation, e.g. "HK"
   std::string city;
   orbit::Geodetic location;
-  int station_count = 1;    ///< TinyGS ground stations deployed there
-  int start_year = 2024;    ///< campaign start (paper Table 1)
-  int start_month = 9;
+  int station_count = 1;  ///< TinyGS ground stations deployed there
   /// Long-run fraction of rainy days at the site (drives the weather
   /// draw in the passive campaign).
   double rainy_fraction = 0.25;

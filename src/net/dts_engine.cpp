@@ -40,7 +40,6 @@
 // value (tests/test_dts_parallel.cpp asserts each field for threads in
 // {1, 2, 4, hw}).
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -71,14 +70,6 @@ namespace sinet::net {
 
 namespace detail {
 
-IotNodeConfig dts_node_config(const DtsNetworkConfig& cfg, std::size_t i) {
-  if (cfg.fleet.count == 0) return cfg.nodes.at(i);
-  IotNodeConfig nc = cfg.fleet.prototype;
-  nc.name = cfg.fleet.prototype.name + "-" + std::to_string(i);
-  nc.location = cfg.fleet.sites[i % cfg.fleet.sites.size()];
-  return nc;
-}
-
 double effective_tail_exclusion_s(const DtsNetworkConfig& cfg) {
   // A probe run shorter than twice the configured exclusion would
   // otherwise classify every report as ineligible (eligible_generated
@@ -95,21 +86,12 @@ namespace {
 using orbit::ContactWindow;
 using orbit::JulianDate;
 
-/// Node population size across both config styles (nodes / fleet).
-std::size_t dts_node_count(const DtsNetworkConfig& cfg) {
-  return cfg.fleet.count > 0 ? cfg.fleet.count : cfg.nodes.size();
-}
-
 /// Throws std::invalid_argument on a nonsensical configuration.
 void validate_dts_config(const DtsNetworkConfig& cfg) {
-  const bool fleet = cfg.fleet.count > 0;
-  if (fleet && !cfg.nodes.empty())
-    throw std::invalid_argument(
-        "DtsNetwork: both nodes and fleet configured; pick one");
-  if (fleet && cfg.fleet.sites.empty())
-    throw std::invalid_argument("DtsNetwork: fleet without sites");
-  if (!fleet && cfg.nodes.empty())
+  if (cfg.fleet.count == 0)
     throw std::invalid_argument("DtsNetwork: no IoT nodes configured");
+  if (cfg.fleet.sites.empty())
+    throw std::invalid_argument("DtsNetwork: fleet without sites");
   if (cfg.duration_days <= 0.0)
     throw std::invalid_argument("DtsNetwork: nonpositive duration");
   if (cfg.beacon.period_s <= 0.5)
@@ -118,14 +100,8 @@ void validate_dts_config(const DtsNetworkConfig& cfg) {
     throw std::invalid_argument("DtsNetwork: empty constellation");
   if (cfg.ground_stations.empty())
     throw std::invalid_argument("DtsNetwork: no ground stations");
-  if (fleet) {
-    if (cfg.fleet.prototype.report_interval_s <= 0.0)
-      throw std::invalid_argument("DtsNetwork: bad report interval");
-  } else {
-    for (const IotNodeConfig& nc : cfg.nodes)
-      if (nc.report_interval_s <= 0.0)
-        throw std::invalid_argument("DtsNetwork: bad report interval");
-  }
+  if (cfg.fleet.prototype.report_interval_s <= 0.0)
+    throw std::invalid_argument("DtsNetwork: bad report interval");
 }
 
 /// Key for grouping nodes that share a deployment location; locations
@@ -143,15 +119,10 @@ LocationKey key_of(const orbit::Geodetic& g) {
 
 constexpr std::uint32_t kNoActive = std::numeric_limits<std::uint32_t>::max();
 
-/// Number of channel::AntennaType values (kIsotropic is kept last).
-constexpr std::size_t kAntennaTypes =
-    static_cast<std::size_t>(channel::AntennaType::kIsotropic) + 1;
-
 /// Footprint geometry of one location for one beacon slot, shared by
 /// every node at the location: one SGP4 look per slot instead of one per
-/// node, and the beacon link budget prepared once per receiving antenna
-/// type instead of once per node, so a node's beacon costs only its fade
-/// draw and its decode.
+/// node, and the beacon link budget prepared once instead of once per
+/// node, so a node's beacon costs only its fade draw and its decode.
 struct LocGeo {
   std::uint64_t stamp = 0;
   bool in_footprint = false;
@@ -160,8 +131,8 @@ struct LocGeo {
   double doppler_rate = 0.0;
   channel::Weather weather = channel::Weather::kSunny;
   phy::PreparedReception beacon_rx;
-  std::uint32_t beacon_ready = 0;  ///< bit a set: beacon[a] is this slot's
-  std::array<phy::PreparedLink, kAntennaTypes> beacon;
+  bool beacon_ready = false;  ///< `beacon` is this slot's
+  phy::PreparedLink beacon;
 
   /// Bring the row to beacon slot `slot` of satellite `sat` at `jd`
   /// (no-op when it already holds that slot). The window cursor replaces
@@ -175,7 +146,7 @@ struct LocGeo {
                std::uint32_t& cursor, JulianDate jd, channel::Weather wx) {
     if (stamp == slot) return;
     stamp = slot;
-    beacon_ready = 0;
+    beacon_ready = false;
     weather = wx;
     while (cursor < windows.size() && jd > windows[cursor].los_jd) ++cursor;
     in_footprint = cursor < windows.size() && jd >= windows[cursor].aos_jd &&
@@ -194,25 +165,23 @@ struct LocGeo {
     const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
                                               cfg.downlink.carrier_hz);
     doppler_rate = f1 - f0;
-    // The beacon's Doppler profile, as every prepared beacon link below
-    // carries it, whatever the receiving antenna.
+    // The beacon's Doppler profile, as the prepared beacon link below
+    // carries it.
     beacon_rx = error_model.prepare(phy::DopplerProfile{f0, doppler_rate},
                                     cfg.downlink.lora,
                                     cfg.beacon.payload_bytes);
   }
 
-  /// This slot's beacon link to a node with receive antenna `a`,
-  /// prepared on first use.
-  const phy::PreparedLink& beacon_link(const DtsNetworkConfig& cfg,
-                                       channel::AntennaType a) {
-    const auto i = static_cast<std::size_t>(a);
-    if ((beacon_ready >> i & 1u) == 0) {
+  /// This slot's beacon link to the fleet's receive antenna, prepared on
+  /// first use: a slot no node answers prepares nothing.
+  const phy::PreparedLink& beacon_link(const DtsNetworkConfig& cfg) {
+    if (!beacon_ready) {
       phy::LinkConfig link = cfg.downlink;
-      link.rx_antenna = a;
-      beacon[i] = phy::prepare_link(link, look, weather, doppler_rate);
-      beacon_ready |= 1u << i;
+      link.rx_antenna = cfg.fleet.prototype.antenna;
+      beacon = phy::prepare_link(link, look, weather, doppler_rate);
+      beacon_ready = true;
     }
-    return beacon[i];
+    return beacon;
   }
 };
 
@@ -298,14 +267,16 @@ struct BufferRuns {
 struct NodeStore {
   std::size_t count = 0;
 
+  // The fleet prototype's configuration, shared by every node.
+  double interval_s = 0.0;
+  int payload_bytes = 0;
+  int max_retx = 0;
+  std::uint32_t capacity = 0;
+  channel::AntennaType antenna = channel::AntennaType::kQuarterWaveMonopole;
+
   // Static per-node configuration.
   std::vector<std::uint32_t> loc;  ///< index into locations_
-  std::vector<double> interval_s;
   std::vector<double> phase_s;
-  std::vector<int> payload_bytes;
-  std::vector<int> max_retx;
-  std::vector<std::uint32_t> capacity;
-  std::vector<channel::AntennaType> antenna;
 
   // Dynamic state.
   /// Next report time, accumulated (phase, then += interval): the one
@@ -327,31 +298,22 @@ struct NodeStore {
   std::vector<double> busy_until;
   std::vector<double> tx_seconds;
 
-  void init(const DtsNetworkConfig& cfg,
+  void init(const NodeFleet& fleet,
             const std::vector<std::uint32_t>& node_loc) {
-    count = dts_node_count(cfg);
+    const IotNodeConfig& proto = fleet.prototype;
+    count = fleet.count;
+    interval_s = proto.report_interval_s;
+    payload_bytes = proto.report_payload_bytes;
+    max_retx = proto.max_retransmissions;
+    capacity = static_cast<std::uint32_t>(std::min<std::size_t>(
+        proto.buffer_capacity, std::numeric_limits<std::uint32_t>::max()));
+    antenna = proto.antenna;
     loc = node_loc;
-    interval_s.resize(count);
     phase_s.resize(count);
-    payload_bytes.resize(count);
-    max_retx.resize(count);
-    capacity.resize(count);
-    antenna.resize(count);
-    const bool fleet = cfg.fleet.count > 0;
-    const IotNodeConfig& proto = cfg.fleet.prototype;
-    for (std::size_t n = 0; n < count; ++n) {
-      const IotNodeConfig& nc = fleet ? proto : cfg.nodes[n];
-      interval_s[n] = nc.report_interval_s;
-      // Small per-node phase so reports are not artificially
-      // synchronized, wrapped so every node gets the same report count.
-      phase_s[n] = std::fmod(60.0 * static_cast<double>(n),
-                             nc.report_interval_s);
-      payload_bytes[n] = nc.report_payload_bytes;
-      max_retx[n] = nc.max_retransmissions;
-      capacity[n] = static_cast<std::uint32_t>(std::min<std::size_t>(
-          nc.buffer_capacity, std::numeric_limits<std::uint32_t>::max()));
-      antenna[n] = nc.antenna;
-    }
+    // Small per-node phase so reports are not artificially synchronized,
+    // wrapped so every node gets the same report count.
+    for (std::size_t n = 0; n < count; ++n)
+      phase_s[n] = std::fmod(60.0 * static_cast<double>(n), interval_s);
     next_report_s = phase_s;
     next_seq.assign(count, 0);
     buf_size.assign(count, 0);
@@ -378,7 +340,7 @@ struct NodeStore {
   /// ever reachable behind the `r.e1 > r.b1` branch, so the map mutex is
   /// taken only on the rare >2-disjoint-runs path, never per push.
   bool push_seq(std::size_t n, std::uint64_t seq) {
-    if (buf_size[n] >= capacity[n]) return false;
+    if (buf_size[n] >= capacity) return false;
     BufferRuns& r = runs[n];
     if (r.e1 > r.b1) {
       std::lock_guard<std::mutex> lock(overflow_mutex);
@@ -432,12 +394,7 @@ struct NodeStore {
   [[nodiscard]] std::size_t approx_bytes() const {
     std::size_t b = 0;
     b += loc.capacity() * sizeof(std::uint32_t);
-    b += interval_s.capacity() * sizeof(double);
     b += phase_s.capacity() * sizeof(double);
-    b += payload_bytes.capacity() * sizeof(int);
-    b += max_retx.capacity() * sizeof(int);
-    b += capacity.capacity() * sizeof(std::uint32_t);
-    b += antenna.capacity() * sizeof(channel::AntennaType);
     b += next_report_s.capacity() * sizeof(double);
     b += next_seq.capacity() * sizeof(std::uint64_t);
     b += buf_size.capacity() * sizeof(std::uint32_t);
@@ -504,8 +461,7 @@ class ShardSimulator {
     return cfg_.daily_weather[day % cfg_.daily_weather.size()];
   }
   [[nodiscard]] double gen_time_s(std::size_t n, std::uint64_t seq) const {
-    return nodes_.phase_s[n] +
-           static_cast<double>(seq) * nodes_.interval_s[n];
+    return nodes_.phase_s[n] + static_cast<double>(seq) * nodes_.interval_s;
   }
 
   void resolve_pool() {
@@ -523,40 +479,26 @@ class ShardSimulator {
   void build_satellites() {
     tles_ = orbit::generate_tles(cfg_.constellation, cfg_.start_jd);
     satellites_.reserve(tles_.size());
-    for (const orbit::Tle& tle : tles_) {
+    for (const orbit::Tle& tle : tles_)
       satellites_.emplace_back(tle.name, cfg_.constellation.name, tle,
                                cfg_.satellite_buffer_capacity);
-      satellites_.back().buffer = StoreAndForwardBuffer(
-          cfg_.satellite_buffer_capacity, cfg_.satellite_drop_policy);
-    }
   }
 
   void build_nodes() {
-    const std::size_t count = dts_node_count(cfg_);
+    const NodeFleet& fleet = cfg_.fleet;
+    const std::size_t count = fleet.count;
     std::map<LocationKey, std::size_t> loc_index;
+    for (const orbit::Geodetic& site : fleet.sites) {
+      const LocationKey k = key_of(site);
+      if (loc_index.emplace(k, locations_.size()).second)
+        locations_.push_back(site);
+    }
     std::vector<std::uint32_t> node_loc;
     node_loc.reserve(count);
-    if (cfg_.fleet.count > 0) {
-      for (const orbit::Geodetic& site : cfg_.fleet.sites) {
-        const LocationKey k = key_of(site);
-        if (loc_index.emplace(k, locations_.size()).second)
-          locations_.push_back(site);
-      }
-      const std::size_t sites = cfg_.fleet.sites.size();
-      for (std::size_t n = 0; n < count; ++n)
-        node_loc.push_back(static_cast<std::uint32_t>(
-            loc_index.at(key_of(cfg_.fleet.sites[n % sites]))));
-    } else {
-      for (const IotNodeConfig& nc : cfg_.nodes) {
-        const LocationKey k = key_of(nc.location);
-        if (loc_index.emplace(k, locations_.size()).second)
-          locations_.push_back(nc.location);
-      }
-      for (const IotNodeConfig& nc : cfg_.nodes)
-        node_loc.push_back(static_cast<std::uint32_t>(
-            loc_index.at(key_of(nc.location))));
-    }
-    nodes_.init(cfg_, node_loc);
+    for (std::size_t n = 0; n < count; ++n)
+      node_loc.push_back(static_cast<std::uint32_t>(
+          loc_index.at(key_of(fleet.sites[n % fleet.sites.size()]))));
+    nodes_.init(fleet, node_loc);
     active_.resize(locations_.size());
     active_pos_.assign(count, kNoActive);
 
@@ -579,18 +521,19 @@ class ShardSimulator {
     for (std::size_t n = 0; n < nodes_.count; ++n) {
       std::size_t reports = 0;
       for (double t = nodes_.next_report_s[n]; t < duration_s_;
-           t += nodes_.interval_s[n])
+           t += nodes_.interval_s)
         ++reports;
       record_base_[n + 1] = record_base_[n] + reports;
     }
     records_.resize(record_base_.back());
     for (std::size_t n = 0; n < nodes_.count; ++n) {
-      const std::string name = detail::dts_node_config(cfg_, n).name;
+      const std::string name =
+          cfg_.fleet.prototype.name + "-" + std::to_string(n + 1);
       for (std::size_t i = record_base_[n]; i < record_base_[n + 1]; ++i) {
         trace::UplinkRecord& rec = records_[i];
         rec.sequence = i - record_base_[n];
         rec.node = name;
-        rec.payload_bytes = nodes_.payload_bytes[n];
+        rec.payload_bytes = nodes_.payload_bytes;
         rec.generated_unix_s = epoch_unix_s_ + gen_time_s(n, rec.sequence);
       }
     }
@@ -852,7 +795,7 @@ class ShardSimulator {
       const std::uint64_t n = heap.top().second;
       heap.pop();
       generate_report(static_cast<std::size_t>(n), agg);
-      nodes_.next_report_s[n] += nodes_.interval_s[n];
+      nodes_.next_report_s[n] += nodes_.interval_s;
       if (nodes_.next_report_s[n] < duration_s_)
         heap.emplace(nodes_.next_report_s[n], n);
     }
@@ -867,14 +810,14 @@ class ShardSimulator {
                      DtsCounters& ctr,
                      std::vector<SlotResponder>& responders) {
     const phy::LinkState beacon_state =
-        phy::draw_link_state(g.beacon_link(cfg_, nodes_.antenna[n]), rng);
+        phy::draw_link_state(g.beacon_link(cfg_), rng);
     if (!error_model_.receive(beacon_state.snr_db, g.beacon_rx, rng)) return;
     ++ctr.beacons_heard;
     if (nodes_.empty(n)) return;
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
 
     phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna[n];
+    up_cfg.tx_antenna = nodes_.antenna;
     if (cfg_.adaptive_sf) {
       // ADR: estimate the uplink SNR from the decoded beacon and pick the
       // fastest safe spreading factor. The beacon SNR includes the fade
@@ -892,7 +835,7 @@ class ShardSimulator {
     responders.push_back(SlotResponder{
         n, Transmission{}, up_state,
         error_model_.prepare(up_state.doppler, up_cfg.lora,
-                             nodes_.payload_bytes[n]),
+                             nodes_.payload_bytes),
         g.look, g.doppler_rate});
   }
 
@@ -992,7 +935,7 @@ class ShardSimulator {
     bool survived = survives_collisions(r.tx, all_txs, cfg_.mac);
     if (!survived) ++ctr.uplinks_collided;
 
-    if (survived && cfg_.congestion.enabled) {
+    if (survived) {
       double loss = background_loss_probability(s, r.tx.start);
       if (cfg_.uplink_access == UplinkAccess::kScheduled)
         loss *= cfg_.scheduled_background_factor;
@@ -1016,7 +959,7 @@ class ShardSimulator {
         StoredPacket sp;
         sp.packet.sequence = seq;
         sp.packet.node_index = static_cast<std::int64_t>(n);
-        sp.packet.payload_bytes = nodes_.payload_bytes[n];
+        sp.packet.payload_bytes = nodes_.payload_bytes;
         sp.packet.generated_at = gen_time_s(n, seq);
         sp.satellite_rx_at = r.tx.end;
         sp.satellite_index = static_cast<std::int64_t>(s);
@@ -1038,7 +981,7 @@ class ShardSimulator {
         ++ctr.acks_sent;
         phy::LinkConfig ack_cfg = cfg_.downlink;
         ack_cfg.tx_power_dbm += cfg_.ack_power_boost_db;
-        ack_cfg.rx_antenna = nodes_.antenna[n];
+        ack_cfg.rx_antenna = nodes_.antenna;
         const phy::LinkState ack_state = phy::draw_link_state(
             ack_cfg, r.look, wx, r.doppler_rate, rng);
         acked = error_model_.receive(ack_state, ack_cfg.lora,
@@ -1051,7 +994,7 @@ class ShardSimulator {
       pop_head(n, agg);
       return;
     }
-    if (nodes_.head_attempts[n] > nodes_.max_retx[n]) {
+    if (nodes_.head_attempts[n] > nodes_.max_retx) {
       ++agg.packets_abandoned;
       pop_head(n, agg);
     }
@@ -1078,6 +1021,8 @@ class ShardSimulator {
     cached_block = block;
     if (field.chance(cg.congested_probability))
       cached_loss = cg.congested_loss;
+    else if (cg.nominal_load_mean == 0.0)
+      cached_loss = 0.0;  // an unloaded footprint
     else
       cached_loss = std::min(field.exponential(cg.nominal_load_mean), 1.0);
     return cached_loss;
@@ -1092,12 +1037,7 @@ class ShardSimulator {
     // unique across satellites, so draw values are independent of shard
     // scheduling and of every other satellite's flush activity.
     sim::Rng rng(sim::derive_stream(flush_root_, gid));
-    const std::vector<StoredPacket> drained =
-        cfg_.downlink_packets_per_contact == 0
-            ? satellites_[s].buffer.flush()
-            : satellites_[s].buffer.flush_up_to(
-                  cfg_.downlink_packets_per_contact);
-    for (const StoredPacket& sp : drained) {
+    for (const StoredPacket& sp : satellites_[s].buffer.flush()) {
       if (rng.chance(cfg_.delivery_loss_probability)) continue;
       const double arrival = t + backhaul_.draw_delay_s(rng);
       // A stored packet is drained at most once (head_stored guarantees
@@ -1167,7 +1107,7 @@ class ShardSimulator {
       const std::size_t hi = std::min(lo + kNodeBlock, nodes_.count);
       for (std::size_t n = lo; n < hi; ++n) {
         for (double t = nodes_.next_report_s[n]; t < duration_s_;
-             t += nodes_.interval_s[n]) {
+             t += nodes_.interval_s) {
           const std::uint64_t seq = nodes_.next_seq[n]++;
           ++acc.generated;
           if (gen_time_s(n, seq) <= eligible_before_) ++acc.eligible;

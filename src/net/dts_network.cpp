@@ -102,16 +102,12 @@ DtsNetworkConfig tianqi_agriculture_config(orbit::JulianDate start_jd,
   cfg.uplink.lora = phy::default_dts_params();
 
   // Three nodes at a coffee plantation in Yunnan (paper Appendix B).
-  const orbit::Geodetic farm{22.78, 100.98, 1.3};
-  for (int i = 0; i < 3; ++i) {
-    IotNodeConfig nc;
-    nc.name = "TQ-node-" + std::to_string(i + 1);
-    nc.location = farm;
-    nc.report_payload_bytes = 20;
-    nc.report_interval_s = 1800.0;
-    nc.max_retransmissions = 5;
-    cfg.nodes.push_back(nc);
-  }
+  cfg.fleet.count = 3;
+  cfg.fleet.sites = {orbit::Geodetic{22.78, 100.98, 1.3}};
+  cfg.fleet.prototype.name = "TQ-node";
+  cfg.fleet.prototype.report_payload_bytes = 20;
+  cfg.fleet.prototype.report_interval_s = 1800.0;
+  cfg.fleet.prototype.max_retransmissions = 5;
 
   cfg.ground_stations = tianqi_ground_stations();
   cfg.delivery_backhaul = tianqi_delivery_backhaul();
@@ -138,7 +134,6 @@ DtsNetworkConfig scale_fleet_config(std::size_t node_count,
         "scale_fleet_config: zero nodes/satellites/sites");
   // Start from the paper-calibrated link budgets and ground segment.
   DtsNetworkConfig cfg = tianqi_agriculture_config(start_jd, duration_days);
-  cfg.nodes.clear();
 
   // Synthetic Tianqi-like shell scaled to the requested count.
   orbit::ConstellationSpec spec;
@@ -156,6 +151,7 @@ DtsNetworkConfig scale_fleet_config(std::size_t node_count,
   // 53 deg shell's coverage), golden-angle longitudes so sites do not
   // cluster along a meridian.
   cfg.fleet.count = node_count;
+  cfg.fleet.sites.clear();
   cfg.fleet.sites.reserve(site_count);
   constexpr double kGoldenAngleDeg = 137.50776405003785;
   constexpr double kPi = 3.14159265358979323846;

@@ -49,14 +49,14 @@ namespace sinet::net {
 /// O(reports).
 inline constexpr std::size_t kTraceNodeLimit = 4096;
 
-/// Compact description of a uniform mega-fleet: `count` nodes cloned from
-/// `prototype`, deployed round-robin across `sites` (node i lives at
-/// sites[i % sites.size()] and is named "<prototype.name>-<i>" where a
-/// name is needed). Avoids materializing one IotNodeConfig — with its
-/// heap-allocated name — per node when count is in the millions; the
-/// engine reads the prototype straight into its SoA arrays.
+/// The node population: `count` nodes cloned from `prototype`, deployed
+/// round-robin across `sites` (node i lives at sites[i % sites.size()]
+/// and is named "<prototype.name>-<i + 1>" where a name is needed). No
+/// IotNodeConfig — with its heap-allocated name — is materialized per
+/// node, so count can run into the millions; the engine reads the
+/// prototype once.
 struct NodeFleet {
-  std::size_t count = 0;  ///< 0 = use DtsNetworkConfig::nodes instead
+  std::size_t count = 0;
   std::vector<orbit::Geodetic> sites;
   IotNodeConfig prototype;
 };
@@ -76,7 +76,6 @@ struct DtsNetworkConfig {
   phy::LinkConfig uplink;
   phy::ErrorModelConfig error_model;
   int ack_payload_bytes = 12;
-  double ack_turnaround_s = 0.3;  ///< satellite rx-to-ack gap
   /// ACKs are short bursts the satellite can afford to send above its
   /// beacon power; even so, a large share is lost, which the paper
   /// identifies as the cause of unnecessary retransmissions (Fig 5b).
@@ -89,11 +88,11 @@ struct DtsNetworkConfig {
   /// congested pass stays congested — which is what defeats ARQ and
   /// produces the paper's residual 4% loss even with 5 retransmissions.
   struct Congestion {
-    bool enabled = true;
     double block_duration_s = 600.0;      ///< load coherence time
     double congested_probability = 0.02;  ///< share of congested blocks
     double congested_loss = 0.9;   ///< per-attempt loss when congested
-    double nominal_load_mean = 0.02;  ///< mean per-attempt background loss
+    /// Mean per-attempt background loss; 0 = an unloaded footprint.
+    double nominal_load_mean = 0.02;
   };
   Congestion congestion;
 
@@ -120,16 +119,7 @@ struct DtsNetworkConfig {
   /// Assumed uplink-over-downlink SNR advantage used by the ADR
   /// estimator (node Tx power + gateway receiver, dB).
   double adr_uplink_advantage_db = 9.0;
-  /// Store-and-forward overflow policy on the satellites.
-  DropPolicy satellite_drop_policy = DropPolicy::kDropNewest;
-  /// Packets one ground-station contact can drain from a satellite
-  /// (L2D2-style rate-limited downlink). 0 = unlimited.
-  std::size_t downlink_packets_per_contact = 0;
 
-  std::vector<IotNodeConfig> nodes;
-  /// Population-scale alternative to `nodes`: when fleet.count > 0 the
-  /// node list must be empty and the fleet prototype/sites describe the
-  /// population instead.
   NodeFleet fleet;
   std::vector<GroundStationSite> ground_stations;
   BackhaulConfig delivery_backhaul;
@@ -174,8 +164,9 @@ struct DtsNetworkConfig {
 };
 
 /// A sensible default configuration matching the paper's active setup:
-/// Tianqi constellation, three nodes at a Yunnan coffee plantation,
-/// 20-byte reports every 30 minutes, the 12 operator ground stations.
+/// Tianqi constellation, three nodes (TQ-node-1..3) at a Yunnan coffee
+/// plantation, 20-byte reports every 30 minutes, the 12 operator ground
+/// stations.
 [[nodiscard]] DtsNetworkConfig tianqi_agriculture_config(
     orbit::JulianDate start_jd, double duration_days = 30.0);
 
@@ -280,11 +271,6 @@ struct DtsNetworkResult {
 [[nodiscard]] DtsNetworkResult run_dts_network(const DtsNetworkConfig& cfg);
 
 namespace detail {
-
-/// Materialize the config of node `i` (fleet prototype + site for fleet
-/// configs). Only used on small-N paths — never called per node at scale.
-[[nodiscard]] IotNodeConfig dts_node_config(const DtsNetworkConfig& cfg,
-                                            std::size_t i);
 
 /// Tail exclusion actually applied to eligible-packet accounting:
 /// cfg.aggregate_tail_exclusion_s clamped to half the run duration, so a

@@ -6,13 +6,11 @@
 #include <string>
 
 #include "channel/antenna.h"
-#include "orbit/geodetic.h"
 
 namespace sinet::net {
 
 struct IotNodeConfig {
   std::string name = "node";
-  orbit::Geodetic location;
   channel::AntennaType antenna =
       channel::AntennaType::kQuarterWaveMonopole;
   int report_payload_bytes = 20;    ///< paper: 20-byte agriculture reading

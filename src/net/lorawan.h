@@ -19,7 +19,6 @@ namespace sinet::net {
 
 struct LorawanConfig {
   int node_count = 3;
-  int gateway_count = 3;
   int report_payload_bytes = 20;
   double report_interval_s = 1800.0;
   double duration_days = 30.0;

@@ -4,9 +4,8 @@
 
 namespace sinet::net {
 
-StoreAndForwardBuffer::StoreAndForwardBuffer(std::size_t capacity_packets,
-                                             DropPolicy policy)
-    : capacity_(capacity_packets), policy_(policy) {
+StoreAndForwardBuffer::StoreAndForwardBuffer(std::size_t capacity_packets)
+    : capacity_(capacity_packets) {
   if (capacity_packets == 0)
     throw std::invalid_argument("StoreAndForwardBuffer: zero capacity");
 }
@@ -14,8 +13,7 @@ StoreAndForwardBuffer::StoreAndForwardBuffer(std::size_t capacity_packets,
 bool StoreAndForwardBuffer::store(StoredPacket p) {
   if (full()) {
     ++drops_;
-    if (policy_ == DropPolicy::kDropNewest) return false;
-    buffer_.pop_front();  // kDropOldest: evict stalest, admit fresh
+    return false;
   }
   buffer_.push_back(std::move(p));
   if (buffer_.size() > peak_) peak_ = buffer_.size();
@@ -25,14 +23,6 @@ bool StoreAndForwardBuffer::store(StoredPacket p) {
 std::vector<StoredPacket> StoreAndForwardBuffer::flush() {
   std::vector<StoredPacket> out(buffer_.begin(), buffer_.end());
   buffer_.clear();
-  return out;
-}
-
-std::vector<StoredPacket> StoreAndForwardBuffer::flush_up_to(
-    std::size_t max_packets) {
-  const std::size_t n = std::min(max_packets, buffer_.size());
-  std::vector<StoredPacket> out(buffer_.begin(), buffer_.begin() + n);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + n);
   return out;
 }
 

@@ -13,31 +13,18 @@
 
 namespace sinet::net {
 
-/// What a full store-and-forward buffer sacrifices.
-enum class DropPolicy {
-  kDropNewest,  ///< reject the incoming packet (classic tail drop)
-  kDropOldest,  ///< evict the stalest packet to admit fresh data
-};
-
 /// Bounded FIFO store-and-forward buffer (paper Sec 3.1: buffer sizing
 /// must follow the contact duration/interval statistics; overflow drops).
 class StoreAndForwardBuffer {
  public:
-  explicit StoreAndForwardBuffer(std::size_t capacity_packets = 4096,
-                                 DropPolicy policy = DropPolicy::kDropNewest);
+  explicit StoreAndForwardBuffer(std::size_t capacity_packets = 4096);
 
-  /// Store a packet. Returns false (and counts a drop) when the incoming
-  /// packet was rejected; under kDropOldest the incoming packet is always
-  /// admitted but the eviction still counts as a drop.
+  /// Store a packet. Returns false (and counts a drop) when the buffer is
+  /// full: the incoming packet is rejected (tail drop).
   bool store(StoredPacket p);
 
   /// Remove and return everything currently buffered.
   [[nodiscard]] std::vector<StoredPacket> flush();
-
-  /// Remove and return at most `max_packets` (FIFO order) — models a
-  /// rate-limited downlink contact that cannot drain the whole backlog.
-  [[nodiscard]] std::vector<StoredPacket> flush_up_to(
-      std::size_t max_packets);
 
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -46,11 +33,9 @@ class StoreAndForwardBuffer {
   }
   [[nodiscard]] std::size_t drop_count() const noexcept { return drops_; }
   [[nodiscard]] std::size_t peak_occupancy() const noexcept { return peak_; }
-  [[nodiscard]] DropPolicy policy() const noexcept { return policy_; }
 
  private:
   std::size_t capacity_;
-  DropPolicy policy_;
   std::deque<StoredPacket> buffer_;
   std::size_t drops_ = 0;
   std::size_t peak_ = 0;

@@ -385,7 +385,7 @@ ValidationReport run_validation(const ValidationScenario& sc,
       cfg.congestion.congested_probability;
   delivery_model.congested_loss = cfg.congestion.congested_loss;
   delivery_model.max_retransmissions =
-      cfg.nodes.front().max_retransmissions;
+      cfg.fleet.prototype.max_retransmissions;
   delivery_model.delivery_loss = cfg.delivery_loss_probability;
   const double analytic_delivery = expected_delivery_rate(delivery_model);
   report.scores.push_back(
@@ -399,7 +399,7 @@ ValidationReport run_validation(const ValidationScenario& sc,
   const std::vector<orbit::Tle> dts_tles =
       orbit::generate_tles(cfg.constellation, cfg.start_jd);
   const auto node_windows = orbit::predict_passes_grid_cached(
-      dts_tles, {orbit::GridObserver{cfg.nodes.front().location}},
+      dts_tles, {orbit::GridObserver{cfg.fleet.sites.front()}},
       cfg.start_jd, cfg.start_jd + sc.dts_days, dts_pass_opts, opts.threads,
       &orbit::ContactWindowCache::global(), opts.metrics);
   std::vector<orbit::ContactWindow> node_all;

@@ -9,8 +9,8 @@
 // Driven from the public API only: the site's stream is
 // RngFactory(seed).make("passive-" + code), the weather is drawn first,
 // and the observations are rebuilt from result.theoretical in
-// cfg.constellations order, on round-robin stations or through
-// schedule_observations, as the campaign plans them.
+// cfg.constellations order through schedule_observations, as the
+// campaign plans them.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "orbit/constellation.h"
 #include "orbit/look_angles.h"
 #include "orbit/passes.h"
-#include "orbit/sun.h"
 #include "phy/error_model.h"
 #include "phy/link_budget.h"
 #include "sim/rng.h"
@@ -93,16 +92,9 @@ inline OracleObserve oracle_observe(const core::PassiveCampaignConfig& cfg,
         ++sat_index;
       }
     }
-    std::vector<core::ScheduledObservation> observations;
-    if (cfg.use_scheduler) {
-      observations = core::schedule_observations(
-          std::move(requests), site.station_count, cfg.station_retune_gap_s);
-    } else {
-      int rr = 0;
-      for (core::ObservationRequest& r : requests)
-        observations.push_back(core::ScheduledObservation{
-            std::move(r), rr++ % site.station_count});
-    }
+    const std::vector<core::ScheduledObservation> observations =
+        core::schedule_observations(std::move(requests), site.station_count,
+                                    cfg.station_retune_gap_s);
 
     for (const core::ScheduledObservation& o : observations) {
       const Satellite& sat = satellites[o.request.id];
@@ -112,9 +104,6 @@ inline OracleObserve oracle_observe(const core::PassiveCampaignConfig& cfg,
       for (double t = 0.0;; t += cfg.beacon.period_s) {
         const orbit::JulianDate jd = w.aos_jd + t / orbit::kSecondsPerDay;
         if (jd > w.los_jd) break;
-        if (cfg.eclipse_gates_beacons &&
-            orbit::in_earth_shadow(sat.propagator.at_jd(jd).position_km, jd))
-          continue;
         ++out.transmitted;
 
         const orbit::LookAngles look = sampler.look(jd);

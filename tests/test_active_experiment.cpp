@@ -107,13 +107,11 @@ TEST(Knobs, MakeActiveConfigAppliesOverrides) {
   knobs.payload_bytes = 60;
   const auto cfg = make_active_config(knobs);
   EXPECT_DOUBLE_EQ(cfg.duration_days, 3.0);
-  ASSERT_EQ(cfg.nodes.size(), 3u);
-  for (const auto& n : cfg.nodes) {
-    EXPECT_EQ(n.max_retransmissions, 2);
-    EXPECT_EQ(n.antenna,
-              sinet::channel::AntennaType::kFiveEighthsWaveMonopole);
-    EXPECT_EQ(n.report_payload_bytes, 60);
-  }
+  EXPECT_EQ(cfg.fleet.count, 3u);
+  const auto& n = cfg.fleet.prototype;
+  EXPECT_EQ(n.max_retransmissions, 2);
+  EXPECT_EQ(n.antenna, sinet::channel::AntennaType::kFiveEighthsWaveMonopole);
+  EXPECT_EQ(n.report_payload_bytes, 60);
 }
 
 TEST(Integration, RunActiveComparisonEndToEnd) {

@@ -135,15 +135,19 @@ TEST(DtsNetwork, SeedChangesOutcomes) {
 
 TEST(DtsNetwork, NoRetxLowersAttemptCount) {
   DtsNetworkConfig cfg = small_config(1.0);
-  for (auto& n : cfg.nodes) n.max_retransmissions = 0;
+  cfg.fleet.prototype.max_retransmissions = 0;
   const auto res = run_dts_network(cfg);
   for (const auto& u : res.uplinks) EXPECT_LE(u.dts_attempts, 1);
 }
 
 TEST(DtsNetwork, ConfigValidation) {
   DtsNetworkConfig cfg = small_config();
-  cfg.nodes.clear();
+  cfg.fleet.count = 0;
   EXPECT_THROW(run_dts_network(cfg), std::invalid_argument);
+
+  DtsNetworkConfig cfg1 = small_config();
+  cfg1.fleet.sites.clear();
+  EXPECT_THROW(run_dts_network(cfg1), std::invalid_argument);
 
   DtsNetworkConfig cfg2 = small_config();
   cfg2.duration_days = 0.0;
@@ -166,10 +170,13 @@ TEST(DtsNetwork, CongestionCausesBackgroundLosses) {
             res.counters.uplinks_collided);
 }
 
+// Footprint load is what causes background loss: with no nominal load and
+// no congested blocks, no uplink is lost to it.
 TEST(DtsNetwork, DisablingCongestionImprovesUplink) {
   DtsNetworkConfig with = small_config(1.5);
   DtsNetworkConfig without = small_config(1.5);
-  without.congestion.enabled = false;
+  without.congestion.nominal_load_mean = 0.0;
+  without.congestion.congested_probability = 0.0;
   const auto a = run_dts_network(with);
   const auto b = run_dts_network(without);
   EXPECT_EQ(b.counters.background_losses, 0u);
@@ -180,6 +187,17 @@ TEST(DtsNetwork, DisablingCongestionImprovesUplink) {
       1.0 - static_cast<double>(b.counters.uplinks_received) /
                 static_cast<double>(b.counters.uplink_attempts);
   EXPECT_GT(loss_a, loss_b);
+}
+
+// A full satellite buffer rejects the incoming packet (tail drop) and
+// sends no ACK for it, so the node keeps the report for another attempt.
+TEST(DtsNetwork, FullSatelliteBufferDropsWithoutAck) {
+  DtsNetworkConfig cfg = small_config(1.0);
+  cfg.satellite_buffer_capacity = 2;
+  const auto res = run_dts_network(cfg);
+  const DtsCounters& c = res.counters;
+  EXPECT_GT(c.satellite_buffer_drops, 0u);
+  EXPECT_EQ(c.acks_sent + c.satellite_buffer_drops, c.uplinks_received);
 }
 
 TEST(DtsNetwork, DeliveryLossIsUnrecoverable) {
@@ -239,14 +257,9 @@ TEST(GsFlushTimes, InvertedWindowYieldsNothing) {
 // modulo the interval, every node now reports equally often.
 TEST(DtsNetwork, ManyNodesGenerateEqualReportCounts) {
   DtsNetworkConfig cfg = small_config(0.25);
-  const IotNodeConfig proto = cfg.nodes.front();
-  cfg.nodes.clear();
-  for (int i = 0; i < 12; ++i) {
-    IotNodeConfig nc = proto;
-    nc.name = "node-" + std::to_string(i);
-    nc.report_interval_s = 600.0;  // 60 s * 11 > 600: old phase overflowed
-    cfg.nodes.push_back(nc);
-  }
+  cfg.fleet.count = 12;
+  // 60 s * 11 > 600: the old phase overflowed.
+  cfg.fleet.prototype.report_interval_s = 600.0;
   const auto res = run_dts_network(cfg);
   std::map<std::string, std::size_t> per_node;
   for (const auto& u : res.uplinks) ++per_node[u.node];

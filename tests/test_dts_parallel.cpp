@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -41,32 +40,12 @@ DtsNetworkConfig parallel_config(std::size_t nodes, double duration_days) {
   return cfg;
 }
 
-/// The fleet of `cfg` as an explicit node list whose receive antennas
-/// cycle through every ground antenna type, so the nodes at each site
-/// draw their beacons from several prepared links per slot.
-DtsNetworkConfig mixed_antenna_config(const DtsNetworkConfig& cfg) {
-  constexpr channel::AntennaType kAntennas[] = {
-      channel::AntennaType::kQuarterWaveMonopole,
-      channel::AntennaType::kFiveEighthsWaveMonopole,
-      channel::AntennaType::kDipole,
-      channel::AntennaType::kSatelliteTurnstile,
-      channel::AntennaType::kIsotropic,
-  };
-  DtsNetworkConfig mixed = cfg;
-  mixed.fleet = NodeFleet{};
-  for (std::size_t n = 0; n < cfg.fleet.count; ++n) {
-    IotNodeConfig nc = detail::dts_node_config(cfg, n);
-    nc.antenna = kAntennas[(n / cfg.fleet.sites.size()) % std::size(kAntennas)];
-    mixed.nodes.push_back(nc);
-  }
-  return mixed;
-}
-
 TEST(DtsParallel, ThreadCountInvariance) {
-  // Three scenario shapes (ALOHA w/ congestion, scheduled w/ ADR, mixed
-  // node antennas) so the invariance covers both access schemes' draw
-  // sequences and several prepared beacon links per location. 2,000
-  // nodes are traced, so every record and node residency is compared.
+  // Three scenario shapes (ALOHA w/ congestion, scheduled w/ ADR, and a
+  // fleet on the 5/8-wave monopole Fig 5b sets) so the invariance covers
+  // both access schemes' draw sequences and two different beacon links.
+  // 2,000 nodes are traced, so every record and node residency is
+  // compared.
   for (int variant = 0; variant < 3; ++variant) {
     SCOPED_TRACE("variant " + std::to_string(variant));
     DtsNetworkConfig cfg = parallel_config(2000, 0.1);
@@ -75,7 +54,9 @@ TEST(DtsParallel, ThreadCountInvariance) {
       cfg.uplink_access = UplinkAccess::kScheduled;
       cfg.adaptive_sf = true;
     }
-    if (variant == 2) cfg = mixed_antenna_config(cfg);
+    if (variant == 2)
+      cfg.fleet.prototype.antenna =
+          channel::AntennaType::kFiveEighthsWaveMonopole;
     cfg.sim_threads = 1;
     const DtsNetworkResult reference = run_dts_network(cfg);
     ASSERT_GT(reference.agg.reports_generated, 0u);

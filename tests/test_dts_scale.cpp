@@ -3,16 +3,16 @@
 // The centerpiece is the trace oracle: on a traced fleet, aggregates
 // recomputed from the per-packet records must equal the streamed
 // DtsAggregates, so the trace sink and the aggregates count the same
-// packets. The rest are single-engine consistency checks (a fleet equals
-// its explicit node list; tiny-buffer ARQ interleaving), the scale-bug
-// sweep regressions (64-bit index widths, CSV sequence formatting) and the
-// untraced mode above kTraceNodeLimit: determinism with bounded memory
-// gauges.
+// packets. The rest are single-engine consistency checks (fleet node
+// names; tiny-buffer ARQ interleaving), the scale-bug sweep regressions
+// (64-bit index widths, CSV sequence formatting) and the untraced mode
+// above kTraceNodeLimit: determinism with bounded memory gauges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -130,27 +130,28 @@ TEST(DtsTraceOracle, StreamedAggregatesMatchTheTrace) {
 
 // --- single-engine consistency ----------------------------------------
 
-TEST(DtsFleet, MatchesExplicitNodeList) {
-  // A fleet prototype must behave exactly like the equivalent explicit
-  // node list.
-  DtsNetworkConfig base =
-      tianqi_agriculture_config(core::campaign_epoch_jd(), 0.2);
-  base.nodes.clear();
-  base.fleet.count = 10;
-  base.fleet.sites = {orbit::Geodetic{22.78, 100.98, 1.3},
-                      orbit::Geodetic{23.41, 101.52, 1.9}};
-  base.fleet.prototype.name = "fleet";
-  base.fleet.prototype.report_interval_s = 900.0;
-  base.fleet.prototype.max_retransmissions = 3;
+TEST(DtsFleet, NodeNamesCountFromOne) {
+  // Fleet node i is "<prototype.name>-<i + 1>": the paper's three farm
+  // nodes are TQ-node-1..3, as the validation report's link records and
+  // farm_monitoring's CSV print them.
+  const DtsNetworkResult farm = run_dts_network(
+      tianqi_agriculture_config(core::campaign_epoch_jd(), 0.2));
+  std::set<std::string> farm_names;
+  for (const trace::UplinkRecord& u : farm.uplinks) farm_names.insert(u.node);
+  EXPECT_EQ(farm_names,
+            (std::set<std::string>{"TQ-node-1", "TQ-node-2", "TQ-node-3"}));
 
-  DtsNetworkConfig listed = base;
-  listed.fleet = NodeFleet{};
-  for (std::size_t n = 0; n < 10; ++n)
-    listed.nodes.push_back(detail::dts_node_config(base, n));
-
-  const DtsNetworkResult fleet = run_dts_network(base);
-  ASSERT_FALSE(fleet.uplinks.empty());
-  expect_results_identical(fleet, run_dts_network(listed));
+  // A traced scale fleet: records are node-major and by sequence, so the
+  // sequence-0 records come in node order; node i's carries scale-<i + 1>.
+  const DtsNetworkConfig cfg =
+      scale_fleet_config(40, 22, 4, core::campaign_epoch_jd(), 0.2);
+  const DtsNetworkResult scale = run_dts_network(cfg);
+  std::vector<std::string> names;
+  for (const trace::UplinkRecord& u : scale.uplinks)
+    if (u.sequence == 0) names.push_back(u.node);
+  ASSERT_EQ(names.size(), cfg.fleet.count);
+  for (std::size_t i = 0; i < names.size(); ++i)
+    EXPECT_EQ(names[i], "scale-" + std::to_string(i + 1)) << "node " << i;
 }
 
 // --- scale-bug sweep regressions -------------------------------------
@@ -196,11 +197,9 @@ TEST(DtsScaleBugs, TinyBufferArqInterleavingStaysConsistent) {
       tianqi_agriculture_config(core::campaign_epoch_jd(), 0.3);
   cfg.seed = 77;
   constexpr int kMaxRetx = 3;
-  for (auto& nc : cfg.nodes) {
-    nc.buffer_capacity = 1;
-    nc.report_interval_s = 300.0;
-    nc.max_retransmissions = kMaxRetx;
-  }
+  cfg.fleet.prototype.buffer_capacity = 1;
+  cfg.fleet.prototype.report_interval_s = 300.0;
+  cfg.fleet.prototype.max_retransmissions = kMaxRetx;
   cfg.sim_threads = 1;
   const DtsNetworkResult serial = run_dts_network(cfg);
   for (const unsigned threads : {4u, 0u}) {

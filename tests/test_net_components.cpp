@@ -40,21 +40,6 @@ TEST(SfBuffer, OverflowDropsAndCounts) {
   EXPECT_EQ(buf.size(), 2u);
 }
 
-TEST(SfBuffer, FlushUpToDrainsFifoPrefix) {
-  StoreAndForwardBuffer buf(8);
-  for (std::uint64_t i = 0; i < 5; ++i) buf.store(pkt(i));
-  const auto first = buf.flush_up_to(2);
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(first[0].packet.sequence, 0u);
-  EXPECT_EQ(first[1].packet.sequence, 1u);
-  EXPECT_EQ(buf.size(), 3u);
-  // Asking for more than available drains what's there.
-  const auto rest = buf.flush_up_to(99);
-  ASSERT_EQ(rest.size(), 3u);
-  EXPECT_EQ(rest[0].packet.sequence, 2u);
-  EXPECT_TRUE(buf.flush_up_to(4).empty());
-}
-
 TEST(SfBuffer, PeakOccupancyTracksHighWater) {
   StoreAndForwardBuffer buf(10);
   buf.store(pkt(1));

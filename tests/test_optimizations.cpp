@@ -1,13 +1,10 @@
 // DtS optimization features the paper's conclusion calls for:
-// scheduled MAC (CosMAC-style), Doppler pre-compensation, adaptive SF,
-// and satellite buffer drop policies.
+// scheduled MAC (CosMAC-style), Doppler pre-compensation and adaptive SF.
 #include <gtest/gtest.h>
 
-#include "core/active_experiment.h"
 #include "core/scenario.h"
 #include "net/dts_network.h"
 #include "net/mac.h"
-#include "net/satellite.h"
 #include "phy/lora.h"
 
 namespace {
@@ -111,42 +108,6 @@ TEST(AdaptiveSf, CutsAirtimeWithoutLosingPackets) {
     tx_adr += r.seconds_in(energy::Mode::kTx);
   EXPECT_LT(tx_adr, tx_fixed);
   EXPECT_GE(a.delivered_fraction(), f.delivered_fraction() - 0.08);
-}
-
-TEST(DropPolicy, OldestEvictionAdmitsFreshPackets) {
-  StoreAndForwardBuffer buf(2, DropPolicy::kDropOldest);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    StoredPacket p;
-    p.packet.sequence = i;
-    EXPECT_TRUE(buf.store(std::move(p)));
-  }
-  EXPECT_EQ(buf.drop_count(), 2u);
-  const auto out = buf.flush();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].packet.sequence, 2u);  // oldest two were evicted
-  EXPECT_EQ(out[1].packet.sequence, 3u);
-}
-
-TEST(DropPolicy, ConfigurableOnSatellites) {
-  DtsNetworkConfig cfg = base_config();
-  cfg.satellite_drop_policy = DropPolicy::kDropOldest;
-  cfg.satellite_buffer_capacity = 4;  // force pressure
-  const auto res = run_dts_network(cfg);
-  // Run completes; drops may occur but the sim stays consistent.
-  EXPECT_GT(res.uplinks.size(), 0u);
-}
-
-TEST(DownlinkCapacity, RateLimitDelaysDelivery) {
-  DtsNetworkConfig unlimited = base_config();
-  DtsNetworkConfig limited = base_config();
-  limited.downlink_packets_per_contact = 1;  // drip-feed downlink
-  const auto u = run_dts_network(unlimited);
-  const auto l = run_dts_network(limited);
-  // Packets still (mostly) arrive, but the drained backlog takes more
-  // ground-station contacts: mean delivery segment grows.
-  const auto bu = core::summarize_latency(u).mean_breakdown;
-  const auto bl = core::summarize_latency(l).mean_breakdown;
-  EXPECT_GT(bl.delivery_s, bu.delivery_s);
 }
 
 TEST(AllOptimizationsTogether, ImproveOrMatchBaseline) {

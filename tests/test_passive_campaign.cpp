@@ -238,12 +238,6 @@ TEST(PassiveCampaign, ConfigValidation) {
     spoil(bad);
     EXPECT_THROW(run_passive_campaign(bad), std::invalid_argument);
   };
-  // No station: SIGFPE in the round-robin assignment without the
-  // scheduler, so it is rejected with the scheduler on as well.
-  rejects([](PassiveCampaignConfig& c) {
-    c.use_scheduler = false;
-    c.sites[0].station_count = 0;
-  });
   rejects([](PassiveCampaignConfig& c) { c.sites[0].station_count = 0; });
   rejects([](PassiveCampaignConfig& c) { c.sites[0].station_count = -1; });
   rejects([](PassiveCampaignConfig& c) { c.sites[0].rainy_fraction = kNaN; });
@@ -292,31 +286,16 @@ TEST(PassiveCampaign, ConfigValidation) {
 // alone. The eager loop it replaced is the oracle: every record, the
 // draws behind it and the counts must be its, bit for bit.
 TEST(PassiveCampaign, ObserveMatchesEagerTwinOracle) {
-  // Seeds 1 and 7, scheduler on and off, each at threads 1 and 0 against
-  // the oracle of the 1-thread run; then the eclipse gate on.
-  struct Case {
-    std::uint64_t seed;
-    bool scheduler;
-    bool eclipse;
-    std::vector<unsigned> threads;
-  };
-  const std::vector<Case> cases = {{1, true, false, {1, 0}},
-                                   {1, false, false, {1, 0}},
-                                   {7, true, false, {1, 0}},
-                                   {7, false, false, {1, 0}},
-                                   {1, true, true, {0}}};
+  // Seeds 1 and 7, each at threads 1 and 0 against the oracle of the
+  // 1-thread run.
   std::size_t records = 0;
-  for (const Case& c : cases) {
+  for (const std::uint64_t seed : {1u, 7u}) {
     PassiveCampaignConfig cfg = default_campaign(2.0);
     ASSERT_EQ(cfg.sites.size(), 8u);
-    cfg.seed = c.seed;
-    cfg.use_scheduler = c.scheduler;
-    cfg.eclipse_gates_beacons = c.eclipse;
+    cfg.seed = seed;
     std::optional<sinet::testing::OracleObserve> want;
-    for (const unsigned threads : c.threads) {
-      SCOPED_TRACE("seed " + std::to_string(c.seed) + ", scheduler " +
-                   std::to_string(c.scheduler) + ", eclipse " +
-                   std::to_string(c.eclipse) + ", threads " +
+    for (const unsigned threads : {1u, 0u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
                    std::to_string(threads));
       cfg.threads = threads;
       const PassiveCampaignResult got = run_passive_campaign(cfg);
