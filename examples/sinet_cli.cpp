@@ -60,7 +60,7 @@
 #include "net/dts_network.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "orbit/ephemeris.h"
+#include "orbit/passes.h"
 #include "orbit/tle_catalog.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
@@ -176,8 +176,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  sinet [--metrics <out.json>] [--propagation-mode <mode>]\n"
-      "        <subcommand> ...\n"
+      "  sinet [--metrics <out.json>] <subcommand> ...\n"
       "  sinet passes <lat> <lon> [constellation=Tianqi] [hours=24]\n"
       "  sinet availability <lat>\n"
       "  sinet campaign <site-code|all> <days> <out.csv>\n"
@@ -205,13 +204,6 @@ int usage() {
       "  --metrics <out.json>  write a structured run report (thread-pool,\n"
       "                        pass-cache, DtS and campaign counters)\n"
       "                        after the subcommand finishes\n"
-      "  --propagation-mode <reference|fast>\n"
-      "                        orbit propagation kernels: 'reference' is\n"
-      "                        the bit-exact scalar SGP4 path (default),\n"
-      "                        'fast' enables the SoA/SIMD batch kernels\n"
-      "                        (window edges within one coarse step; see\n"
-      "                        docs/PERFORMANCE.md). Also settable via\n"
-      "                        SINET_PROPAGATION_MODE.\n"
       "\n"
       "  sweep runs the Monte-Carlo campaign described by <spec.json>\n"
       "  (see docs/SWEEPS.md), checkpointing each completed point to\n"
@@ -460,9 +452,9 @@ int cmd_validate(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", argv[3]);
     return 1;
   }
-  std::printf("validation '%s' (%s mode): %zu windows, %zu uplinks -> %s\n",
-              report.scenario.c_str(), report.propagation_mode.c_str(),
-              report.windows.size(), report.link_records.size(), argv[3]);
+  std::printf("validation '%s': %zu windows, %zu uplinks -> %s\n",
+              report.scenario.c_str(), report.windows.size(),
+              report.link_records.size(), argv[3]);
   Table scores({"score", "value"});
   for (const auto& s : report.scores)
     scores.add_row({s.name, fmt(s.value, 6)});
@@ -650,7 +642,6 @@ int cmd_serve(int argc, char** argv) {
       throw UsageError(std::string("serve: unknown argument '") + argv[i] +
                        "'");
   }
-  sopts.mode = orbit::propagation_mode();
 
   obs::MetricsRegistry local;
   obs::MetricsRegistry& reg = g_metrics != nullptr ? *g_metrics : local;
@@ -786,28 +777,13 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
   std::thread(signal_watcher, sigs).detach();
 
-  // Strip the global flags (--metrics, --propagation-mode) before
-  // subcommand dispatch so every subcommand keeps its positional
-  // argument layout.
+  // Strip the global --metrics flag before subcommand dispatch so every
+  // subcommand keeps its positional argument layout.
   std::vector<char*> args(argv, argv + argc);
   std::string metrics_path;
   for (std::size_t i = 1; i + 1 < args.size(); ++i) {
     if (std::strcmp(args[i], "--metrics") == 0) {
       metrics_path = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      break;
-    }
-  }
-  for (std::size_t i = 1; i + 1 < args.size(); ++i) {
-    if (std::strcmp(args[i], "--propagation-mode") == 0) {
-      try {
-        orbit::set_propagation_mode(
-            orbit::parse_propagation_mode(args[i + 1]));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                  args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
       break;

@@ -92,6 +92,8 @@ void validate_dts_config(const DtsNetworkConfig& cfg) {
     throw std::invalid_argument("DtsNetwork: no IoT nodes configured");
   if (cfg.fleet.sites.empty())
     throw std::invalid_argument("DtsNetwork: fleet without sites");
+  if (!std::isfinite(cfg.duration_days))
+    throw std::invalid_argument("DtsNetwork: non-finite duration");
   if (cfg.duration_days <= 0.0)
     throw std::invalid_argument("DtsNetwork: nonpositive duration");
   if (cfg.beacon.period_s <= 0.5)
@@ -100,8 +102,17 @@ void validate_dts_config(const DtsNetworkConfig& cfg) {
     throw std::invalid_argument("DtsNetwork: empty constellation");
   if (cfg.ground_stations.empty())
     throw std::invalid_argument("DtsNetwork: no ground stations");
-  if (cfg.fleet.prototype.report_interval_s <= 0.0)
+  const double interval = cfg.fleet.prototype.report_interval_s;
+  if (!(interval > 0.0))
     throw std::invalid_argument("DtsNetwork: bad report interval");
+  // Every report loop runs `t += interval` up to the duration; below one
+  // ulp of the duration that can stop moving t, and the loop never ends.
+  const double duration_s = cfg.duration_days * 86400.0;
+  if (interval <
+      std::nextafter(duration_s, std::numeric_limits<double>::infinity()) -
+          duration_s)
+    throw std::invalid_argument(
+        "DtsNetwork: report interval too small to advance the report clock");
 }
 
 /// Key for grouping nodes that share a deployment location; locations

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -24,20 +23,8 @@ namespace sinet::orbit {
 
 namespace {
 
-PropagationMode mode_from_env() {
-  const char* env = std::getenv("SINET_PROPAGATION_MODE");
-  if (env == nullptr) return PropagationMode::kReference;
-  try {
-    return parse_propagation_mode(env);
-  } catch (const std::invalid_argument&) {
-    // Env misconfiguration must not crash static init; the safe default
-    // is the bit-identical reference path.
-    return PropagationMode::kReference;
-  }
-}
-
 std::atomic<PropagationMode>& global_mode() {
-  static std::atomic<PropagationMode> mode{mode_from_env()};
+  static std::atomic<PropagationMode> mode{PropagationMode::kFast};
   return mode;
 }
 
@@ -51,19 +38,6 @@ void set_propagation_mode(PropagationMode mode) noexcept {
   global_mode().store(mode, std::memory_order_relaxed);
 }
 
-PropagationMode parse_propagation_mode(std::string_view name) {
-  if (name == "reference" || name == "scalar")
-    return PropagationMode::kReference;
-  if (name == "fast" || name == "simd") return PropagationMode::kFast;
-  throw std::invalid_argument("parse_propagation_mode: unknown mode '" +
-                              std::string(name) +
-                              "' (expected 'reference' or 'fast')");
-}
-
-const char* propagation_mode_name(PropagationMode mode) noexcept {
-  return mode == PropagationMode::kFast ? "fast" : "reference";
-}
-
 void check_scan_span(const char* caller, JulianDate jd_start,
                      JulianDate jd_end, double coarse_step_s) {
   const auto fail = [&](const char* what) {
@@ -74,6 +48,13 @@ void check_scan_span(const char* caller, JulianDate jd_start,
   if (jd_end < jd_start) fail("jd_end < jd_start");
   if (!std::isfinite(coarse_step_s)) fail("non-finite step");
   if (coarse_step_s <= 0.0) fail("nonpositive step");
+  // At or above one ulp of the largest |jd| the grid reaches, every
+  // jd += step_days moves jd; below half of one, none does.
+  const double reach = std::max(std::abs(jd_start), std::abs(jd_end));
+  const double ulp =
+      std::nextafter(reach, std::numeric_limits<double>::infinity()) - reach;
+  if (coarse_step_s / kSecondsPerDay < ulp)
+    fail("step too small to advance the grid");
 }
 
 ScanGrid::ScanGrid(JulianDate jd_start, JulianDate jd_end,
@@ -106,8 +87,8 @@ ScanGrid::ScanGrid(std::vector<JulianDate> times, double coarse_step_s)
 
 EphemerisTable::EphemerisTable(const std::vector<const Sgp4*>& satellites,
                                const ScanGrid& grid, PropagationMode mode)
-    : satellites_(&satellites), grid_(&grid), mode_(mode) {
-  if (mode_ == PropagationMode::kFast && !satellites.empty())
+    : satellites_(&satellites), grid_(&grid) {
+  if (mode == PropagationMode::kFast && !satellites.empty())
     batch_ = std::make_unique<Sgp4Batch>(satellites);
 }
 
@@ -189,7 +170,7 @@ void EphemerisTable::build(std::size_t first, std::size_t count,
     }
   };
 
-  const bool fast = mode_ == PropagationMode::kFast && batch_ != nullptr;
+  const bool fast = batch_ != nullptr;
   const std::size_t work_items = fast ? batch_->groups() : n;
   if (fast) {
     if (pool != nullptr && work_items > 1) {
@@ -280,39 +261,19 @@ double horizon_cone_half_angle_rad(const ObserverCullGeometry& observer,
 
 namespace {
 
-/// Scan state of one (satellite, observer) pair — shared with the
-/// rolling-horizon engine via orbit/pair_scan.h so both walk the grid
-/// with literally the same code.
-using PairScan = PairScanState;
-
-/// Adapts one {grid, table} chunk pair to the PairScanState view
-/// concept. Indices are absolute grid samples in both members, so the
-/// adapter is a pure pass-through.
-struct GridTableView {
-  const ScanGrid* grid;
-  const EphemerisTable* table;
-  [[nodiscard]] JulianDate time(std::size_t k) const { return grid->time(k); }
-  [[nodiscard]] const Vec3& position(std::size_t s, std::size_t k) const {
-    return table->position_ecef_km(s, k);
-  }
-  [[nodiscard]] double distance(std::size_t s, std::size_t k) const {
-    return table->distance_km(s, k);
-  }
-};
-
-/// kFast scan unit: up to simd::kLanes pairs sharing one satellite, all
+/// Scan unit: up to simd::kLanes pairs sharing one satellite, all
 /// observer-side constants transposed into lane arrays. The lanes scan
 /// in lockstep (one next_k for the block) so one table lookup + one
 /// fused kernel evaluation serves every observer; per-lane window state
-/// and statistics stay in the lanes' PairScan entries, which keeps the
-/// finalize/metrics plumbing identical to the reference path. Pad lanes
+/// and statistics stay in the lanes' PairScanState entries. Pad lanes
 /// replicate lane 0 and are never read back.
-struct FastBlock {
+struct LaneBlock {
   std::size_t sat = 0;
   std::size_t lanes = 0;
   std::array<std::size_t, simd::kLanes> pair{};
+  JulianDate epoch_jd = 0.0;  // the satellite's, for lane_span_covers
   TopocentricFrameSoA frames;
-  simd::Vd sin_mask;        // sin(elevation mask)
+  simd::Vd sin_mask;        // lane_sin_mask(elevation mask)
   simd::Vd ux, uy, uz;      // observer geocentric unit vectors
   simd::Vd cos_vis;         // cos(gamma_vis); -1 = lane never culls
   simd::Vd inv_omega_step;  // 1 / (omega_max * coarse_step_s)
@@ -362,19 +323,22 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     bounds[s] = satellite_cull_bounds(*satellites[s]);
 
   std::vector<ObserverCullGeometry> geometry(observers.size());
+  std::vector<TopocentricFrame> frames;
+  frames.reserve(observers.size());
   std::vector<double> masks(observers.size());
   for (std::size_t o = 0; o < observers.size(); ++o) {
     masks[o] = std::isnan(observers[o].min_elevation_deg)
                    ? opts.min_elevation_deg
                    : observers[o].min_elevation_deg;
     geometry[o] = observer_cull_geometry(observers[o].location);
+    frames.emplace_back(observers[o].location);
   }
 
-  std::vector<PairScan> scans;
+  std::vector<PairScanState> scans;
   scans.reserve(pairs.size());
   for (const PairTask& p : pairs)
-    scans.emplace_back(*satellites[p.satellite],
-                       observers[p.observer].location, masks[p.observer],
+    scans.emplace_back(*satellites[p.satellite], frames[p.observer],
+                       masks[p.observer],
                        pair_cull(bounds[p.satellite], geometry[p.observer],
                                  masks[p.observer]),
                        p.satellite);
@@ -391,90 +355,91 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     }
   }
 
-  const PropagationMode mode = scan_opts.mode;
-  EphemerisTable table(satellites, grid, mode);
+  EphemerisTable table(satellites, grid);
 
-  // kFast: fuse each satellite's pairs into observer lane blocks.
-  std::vector<FastBlock> blocks;
-  if (mode == PropagationMode::kFast) {
-    std::vector<std::vector<std::size_t>> by_sat(satellites.size());
-    for (std::size_t i = 0; i < scans.size(); ++i)
-      by_sat[scans[i].sat].push_back(i);
-    for (std::size_t s = 0; s < by_sat.size(); ++s) {
-      const std::vector<std::size_t>& members = by_sat[s];
-      for (std::size_t b0 = 0; b0 < members.size(); b0 += simd::kLanes) {
-        FastBlock b;
-        b.sat = s;
-        b.lanes = std::min(simd::kLanes, members.size() - b0);
-        std::array<const TopocentricFrame*, simd::kLanes> frames{};
-        for (std::size_t l = 0; l < simd::kLanes; ++l) {
-          const std::size_t i = members[b0 + (l < b.lanes ? l : 0)];
-          const PairScan& p = scans[i];
-          b.pair[l] = i;
-          frames[l] = &p.sampler.frame();
-          b.sin_mask[l] = std::sin(p.mask_deg * kDegToRad);
-          const PairCull& cull = p.cull_test;
-          b.ux[l] = cull.geometry->unit_ecef.x;
-          b.uy[l] = cull.geometry->unit_ecef.y;
-          b.uz[l] = cull.geometry->unit_ecef.z;
-          b.cos_vis[l] = cull.enabled ? std::cos(cull.gamma_vis_rad) : -1.0;
-          b.inv_omega_step[l] =
-              cull.enabled ? 1.0 / (cull.omega_max_rad_s * step_s) : 0.0;
-        }
-        b.frames = pack_topocentric_frames(frames.data(), b.lanes);
-        blocks.push_back(b);
+  // Fuse each satellite's pairs into observer lane blocks.
+  std::vector<LaneBlock> blocks;
+  std::vector<std::vector<std::size_t>> by_sat(satellites.size());
+  for (std::size_t i = 0; i < scans.size(); ++i)
+    by_sat[scans[i].sat].push_back(i);
+  for (std::size_t s = 0; s < by_sat.size(); ++s) {
+    const std::vector<std::size_t>& members = by_sat[s];
+    for (std::size_t b0 = 0; b0 < members.size(); b0 += simd::kLanes) {
+      LaneBlock b;
+      b.sat = s;
+      b.lanes = std::min(simd::kLanes, members.size() - b0);
+      b.epoch_jd = satellites[s]->epoch_jd();
+      std::array<const TopocentricFrame*, simd::kLanes> lane_frames{};
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        const std::size_t i = members[b0 + (l < b.lanes ? l : 0)];
+        const PairScanState& p = scans[i];
+        b.pair[l] = i;
+        lane_frames[l] = &p.sampler.frame();
+        b.sin_mask[l] = p.sin_mask;
+        const PairCull& cull = p.cull_test;
+        b.ux[l] = cull.geometry->unit_ecef.x;
+        b.uy[l] = cull.geometry->unit_ecef.y;
+        b.uz[l] = cull.geometry->unit_ecef.z;
+        b.cos_vis[l] = cull.enabled ? std::cos(cull.gamma_vis_rad) : -1.0;
+        b.inv_omega_step[l] =
+            cull.enabled ? 1.0 / (cull.omega_max_rad_s * step_s) : 0.0;
       }
+      b.frames = pack_topocentric_frames(lane_frames.data(), b.lanes);
+      blocks.push_back(b);
     }
   }
+
+  // The lanes' verdicts at grid sample k for the lanes `culled` leaves
+  // open: the fused kernel's where it certifies them, the pair's sampler
+  // where it does not or where the sample lies outside the certified
+  // span.
+  const auto lane_visibility = [&](LaneBlock& b, std::size_t k,
+                                   const simd::Vi& culled) {
+    simd::Vi vis, uncertain;
+    fused_visibility(b.frames, table.position_ecef_km(b.sat, k), b.sin_mask,
+                     &vis, &uncertain);
+    const JulianDate t = grid.time(k);
+    const bool in_span = lane_span_covers(b.epoch_jd, t);
+    for (std::size_t l = 0; l < b.lanes; ++l)
+      if (culled[l] == 0 && (uncertain[l] != 0 || !in_span))
+        vis[l] = scans[b.pair[l]].scalar_visible(t) ? -1 : 0;
+    return vis & ~culled;
+  };
 
   constexpr std::size_t kUnused = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> row_start(satellites.size());
   std::vector<std::size_t> active;
-  active.reserve(mode == PropagationMode::kFast ? blocks.size()
-                                                : scans.size());
+  active.reserve(blocks.size());
 
   for (std::size_t first = 0; first < total;
        first += scan_opts.chunk_samples) {
     const std::size_t count = std::min(scan_opts.chunk_samples, total - first);
     const std::size_t chunk_end = first + count;
 
+    // Every block visits sample 0 (init) in the first chunk; afterwards
+    // a block is active only if its next sample lands in this chunk —
+    // culling can have jumped it clean past it.
     active.clear();
     std::fill(row_start.begin(), row_start.end(), kUnused);
-    if (mode == PropagationMode::kFast) {
-      for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const FastBlock& b = blocks[i];
-        const std::size_t from = b.init_done ? b.next_k : first;
-        if (from >= chunk_end) continue;
-        active.push_back(i);
-        row_start[b.sat] = std::min(row_start[b.sat], from);
-      }
-    } else {
-      for (std::size_t i = 0; i < scans.size(); ++i) {
-        const PairScan& p = scans[i];
-        // Every pair visits sample 0 (init) in the first chunk;
-        // afterwards a pair is active only if its next sample lands in
-        // this chunk — culling can have jumped it clean past it.
-        const std::size_t from = p.init_done ? p.next_k : first;
-        if (from >= chunk_end) continue;
-        active.push_back(i);
-        row_start[p.sat] = std::min(row_start[p.sat], from);
-      }
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const LaneBlock& b = blocks[i];
+      const std::size_t from = b.init_done ? b.next_k : first;
+      if (from >= chunk_end) continue;
+      active.push_back(i);
+      row_start[b.sat] = std::min(row_start[b.sat], from);
     }
     if (active.empty()) continue;
 
     table.build(first, count, pool, &row_start);
-    const GridTableView view{&grid, &table};
 
-    // kFast: one table lookup + one fused kernel per block sample; the
-    // cull compare and skip margin live in the cosine domain (acos is
+    // One table lookup + one fused kernel per block sample; the cull
+    // compare and skip margin live in the cosine domain (acos is
     // 1-Lipschitz-inverse, so gamma - gamma_vis >= cos(gamma_vis) -
     // cos(gamma) — a conservative lower bound needing no arccosine).
     const auto scan_block = [&](std::size_t a) {
-      FastBlock& b = blocks[active[a]];
+      LaneBlock& b = blocks[active[a]];
       if (!b.init_done) {
-        simd::Vi vis0{0, 0, 0, 0};
-        fused_visibility(b.frames, table.position_ecef_km(b.sat, 0),
-                         b.sin_mask, &vis0);
+        const simd::Vi vis0 = lane_visibility(b, 0, simd::Vi{0, 0, 0, 0});
         for (std::size_t l = 0; l < b.lanes; ++l)
           scans[b.pair[l]].record_init(vis0[l] != 0, grid.time(0));
         b.init_done = true;
@@ -504,12 +469,11 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
             advance = std::min(static_cast<std::size_t>(min_steps),
                                total - k);
         } else {
-          fused_visibility(b.frames, pos, b.sin_mask, &vis_mask);
-          vis_mask &= ~culled;
+          vis_mask = lane_visibility(b, k, culled);
         }
 
         for (std::size_t l = 0; l < b.lanes; ++l) {
-          PairScan& p = scans[b.pair[l]];
+          PairScanState& p = scans[b.pair[l]];
           ++p.visited;
           p.culled += advance - 1;
           if (culled[l] != 0)
@@ -522,26 +486,10 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
         b.next_k = k + advance;
       }
     };
-
-    const auto scan_one = [&](std::size_t a) {
-      PairScan& p = scans[active[a]];
-      // Sample 0 (init), then the shared grid walk from pair_scan.h.
-      if (!p.init_done) p.init(view, 0);
-      p.scan(view, chunk_end, total, step_days, step_s,
-             opts.refine_tolerance_s);
-    };
-    if (mode == PropagationMode::kFast) {
-      if (pool != nullptr && active.size() > 1) {
-        pool->parallel_for(active.size(), scan_block);
-      } else {
-        for (std::size_t a = 0; a < active.size(); ++a) scan_block(a);
-      }
+    if (pool != nullptr && active.size() > 1) {
+      pool->parallel_for(active.size(), scan_block);
     } else {
-      if (pool != nullptr && active.size() > 1) {
-        pool->parallel_for(active.size(), scan_one);
-      } else {
-        for (std::size_t a = 0; a < active.size(); ++a) scan_one(a);
-      }
+      for (std::size_t a = 0; a < active.size(); ++a) scan_block(a);
     }
   }
 
@@ -555,11 +503,13 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
 
   if (metrics != nullptr) {
     std::uint64_t visited = 0, culled = 0, cull_decisions = 0, exact = 0;
-    for (const PairScan& p : scans) {
+    std::uint64_t scalar = 0;
+    for (const PairScanState& p : scans) {
       visited += p.visited;
       culled += p.culled;
       cull_decisions += p.cull_decisions;
       exact += p.exact_evals;
+      scalar += p.scalar_decisions;
     }
     const std::uint64_t done = table.propagations();
     const std::uint64_t naive =
@@ -571,14 +521,11 @@ std::vector<std::vector<ContactWindow>> scan_pass_pairs(
     metrics->counter("orbit.ephemeris.samples_culled").add(culled);
     metrics->counter("orbit.ephemeris.cull_decisions").add(cull_decisions);
     metrics->counter("orbit.ephemeris.exact_elevations").add(exact);
-    metrics->gauge("orbit.simd.mode")
-        .set(mode == PropagationMode::kFast ? 1.0 : 0.0);
-    if (mode == PropagationMode::kFast) {
-      metrics->counter("orbit.simd.lanes_filled")
-          .add(table.simd_lanes_filled());
-      metrics->counter("orbit.simd.scalar_fallbacks")
-          .add(table.simd_scalar_fallbacks());
-    }
+    metrics->counter("orbit.ephemeris.scalar_decisions").add(scalar);
+    metrics->counter("orbit.simd.lanes_filled")
+        .add(table.simd_lanes_filled());
+    metrics->counter("orbit.simd.scalar_fallbacks")
+        .add(table.simd_scalar_fallbacks());
   }
 
   for (std::size_t i = 0; i < scans.size(); ++i)
@@ -673,9 +620,11 @@ void RollingEphemeris::append_chunk(sim::ThreadPool* pool,
 
 RollingEphemeris::AdvanceStats RollingEphemeris::advance(
     JulianDate retire_before, JulianDate cover_until, sim::ThreadPool* pool) {
-  // An infinite leading edge would append chunks until memory runs out.
-  if (!std::isfinite(cover_until))
-    throw std::invalid_argument("RollingEphemeris: non-finite cover_until");
+  // An infinite leading edge, or one where the step no longer moves the
+  // grid, would append chunks until memory runs out. (The constructor
+  // checked the step at the anchor.)
+  check_scan_span("RollingEphemeris", cover_until, cover_until,
+                  opts_.coarse_step_s);
   AdvanceStats stats;
   while (chunks_.empty() || last_time_ < cover_until)
     append_chunk(pool, &stats);
@@ -771,8 +720,9 @@ std::vector<ContactWindow> RollingEphemeris::scan_satellite(
                           : observer.min_elevation_deg;
   const ObserverCullGeometry geometry =
       observer_cull_geometry(observer.location);
-  PairScanState p(*satellites_[satellite], observer.location, mask,
-                  pair_cull(bounds_[satellite], geometry, mask), satellite);
+  PairScanState p(*satellites_[satellite], TopocentricFrame(observer.location),
+                  mask, pair_cull(bounds_[satellite], geometry, mask),
+                  satellite);
   const RollingView view{this};
   const std::size_t end = next_index_;
   p.init(view, base_index());
@@ -847,10 +797,10 @@ RollingEphemeris::NextPass RollingEphemeris::next_pass(
   std::vector<Candidate> candidates;
   JulianDate best_aos_hi = std::numeric_limits<JulianDate>::infinity();
   for (std::size_t s = 0; s < satellites_.size(); ++s) {
-    const PairCull cull = pair_cull(bounds_[s], geometry, mask);
+    PairScanState pair(*satellites_[s], frame, mask,
+                       pair_cull(bounds_[s], geometry, mask), s);
     const auto classify = [&](std::size_t k) {
-      return classify_sample(view, s, k, end, opts_.coarse_step_s, frame,
-                             mask, cull);
+      return pair.classify(view, k, end, opts_.coarse_step_s);
     };
     SampleVerdict v = classify(first);
     bool in_run = v.visible;

@@ -17,10 +17,12 @@
 //     (refine_mask_crossing / refine_max_elevation), on the same coarse
 //     grid times a per-pair scan steps through.
 //
-// The result: in kReference mode every emitted ContactWindow is
-// bit-identical to the per-pair scan on the same (satellite, observer,
-// span, options) — the culling decides only "provably not visible",
-// never "visible", and any sample it cannot prove is evaluated exactly.
+// The result: every emitted ContactWindow is bit-identical to the
+// per-pair scalar scan on the same (satellite, observer, span, options),
+// whichever kernel filled the table — the culling decides only "provably
+// not visible", never "visible", and every other sample takes the table's
+// verdict only under the lane certificate (orbit/sgp4_batch.h), the
+// scalar ElevationSampler's otherwise.
 //
 // Culling math (all angles geocentric, at the Earth's center):
 // let gamma be the angle between the observer's geocentric direction and
@@ -44,7 +46,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "orbit/geodetic.h"
@@ -64,33 +65,21 @@ class ThreadPool;
 
 namespace sinet::orbit {
 
-/// How the engine evaluates satellite ephemerides and per-sample
-/// elevation classification.
+/// The kernel that fills the shared ephemeris table. No output depends on
+/// it: every visibility verdict is certified against, or taken from, the
+/// scalar sampler (see the header comment).
 enum class PropagationMode : int {
-  /// Scalar SGP4 + exact per-pair elevation tests. Windows are
-  /// bit-identical to the per-pair scalar scan — the seed contract.
+  /// Scalar SGP4, one satellite and one time per call.
   kReference = 0,
-  /// SoA/SIMD batched SGP4 (orbit/sgp4_batch.h) + fused multi-observer
-  /// visibility in the sine domain + cos-domain culling. AOS/LOS/TCA are
-  /// still refined with the exact scalar primitives, so windows agree
-  /// with kReference within the tolerance documented in
-  /// docs/PERFORMANCE.md (equal counts; edges within one coarse step;
-  /// in practice bit-identical unless a coarse sample sits within
-  /// ~1e-9 deg of the mask).
+  /// SoA/SIMD batched SGP4 (orbit/sgp4_batch.h), four satellites per
+  /// call; the default.
   kFast = 1,
 };
 
-/// Process-wide default mode. Initialized once from the
-/// SINET_PROPAGATION_MODE environment variable ("fast" or "reference";
-/// unset/unknown = reference), then adjustable via set_propagation_mode
-/// (e.g. from the CLI's --propagation-mode flag).
+/// Process-wide default fill kernel: kFast unless set_propagation_mode
+/// says otherwise.
 [[nodiscard]] PropagationMode propagation_mode() noexcept;
 void set_propagation_mode(PropagationMode mode) noexcept;
-
-/// Parse "reference" / "fast" (also accepts "scalar" / "simd").
-/// Throws std::invalid_argument on anything else.
-[[nodiscard]] PropagationMode parse_propagation_mode(std::string_view name);
-[[nodiscard]] const char* propagation_mode_name(PropagationMode mode) noexcept;
 
 /// Apogee/perigee slack (km) applied to the SGP4 epoch elements when
 /// bounding the satellite's geocentric distance and speed; absorbs
@@ -110,9 +99,11 @@ inline constexpr double kCullAngularPadRad = 1e-5;
 
 /// Throws std::invalid_argument, its message prefixed by `caller`,
 /// unless jd_start and jd_end are finite with jd_start <= jd_end and
-/// coarse_step_s is finite and positive. Every scan entry point checks
-/// this before any work: a NaN or infinite bound would never end the
-/// grid's accumulation loop.
+/// coarse_step_s is finite, positive and large enough that
+/// `jd += step_days` moves every jd up to the larger of |jd_start| and
+/// |jd_end|. Every scan entry point checks this before any work: a NaN or
+/// infinite bound, or a step below the grid's resolution, would never end
+/// the grid's accumulation loop.
 void check_scan_span(const char* caller, JulianDate jd_start,
                      JulianDate jd_end, double coarse_step_s);
 
@@ -156,16 +147,17 @@ class ScanGrid {
 /// the full table (~100+ MB) at once.
 class EphemerisTable {
  public:
-  /// `satellites` and `grid` must outlive the table. In kFast mode the
+  /// `satellites` and `grid` must outlive the table. With kFast the
   /// table transposes the propagators into an Sgp4Batch and fills rows
   /// four satellites per lane group; lanes the batch flags as
   /// non-physical are re-run through the scalar propagator, which either
-  /// surfaces the same typed PropagationError the reference path would
-  /// have thrown or (near-threshold disagreement) supplies the scalar
-  /// result and counts a fallback.
+  /// surfaces the same typed PropagationError the scalar fill would have
+  /// thrown or (near-threshold disagreement) supplies the scalar result
+  /// and counts a fallback. With kReference every position is the bits
+  /// ElevationSampler computes at the same time.
   EphemerisTable(const std::vector<const Sgp4*>& satellites,
                  const ScanGrid& grid,
-                 PropagationMode mode = PropagationMode::kReference);
+                 PropagationMode mode = propagation_mode());
 
   /// (Re)fill the table for grid samples [first, first + count).
   /// `row_start`, when non-null, gives per-satellite first needed sample
@@ -191,14 +183,13 @@ class EphemerisTable {
     return propagations_;
   }
 
-  [[nodiscard]] PropagationMode mode() const noexcept { return mode_; }
   /// Real (non-pad) satellite-samples produced by the SIMD batch kernel
-  /// across all build() calls. Zero in kReference mode.
+  /// across all build() calls. Zero with the scalar kernel.
   [[nodiscard]] std::uint64_t simd_lanes_filled() const noexcept {
     return simd_lanes_filled_;
   }
-  /// kFast lanes that were re-evaluated by the scalar propagator because
-  /// the batch kernel flagged them non-physical.
+  /// Batch lanes that were re-evaluated by the scalar propagator because
+  /// the kernel flagged them non-physical.
   [[nodiscard]] std::uint64_t simd_scalar_fallbacks() const noexcept {
     return simd_scalar_fallbacks_.load(std::memory_order_relaxed);
   }
@@ -206,7 +197,6 @@ class EphemerisTable {
  private:
   const std::vector<const Sgp4*>* satellites_;
   const ScanGrid* grid_;
-  PropagationMode mode_;
   std::unique_ptr<Sgp4Batch> batch_;  // kFast only
   std::vector<double> gmst_;        // per chunk sample
   std::vector<Vec3> positions_;     // [sat][chunk sample]
@@ -258,16 +248,13 @@ struct PairTask {
 
 struct EphemerisScanOptions {
   std::size_t chunk_samples = 4096;  ///< grid samples per table chunk
-  /// Evaluation mode; the default member initializer reads the
-  /// process-wide propagation_mode() at the moment the options object is
-  /// constructed (so `{}` call sites follow the CLI/env selection).
-  PropagationMode mode = propagation_mode();
 };
 
 /// Run the shared-ephemeris scan for every pair; windows come back in
-/// pair order. In PropagationMode::kReference (the default) they are
-/// bit-identical to the per-pair scalar scan; kFast trades that for speed
-/// within the documented tolerance. Observers with a NaN mask use
+/// pair order, bit-identical to the per-pair scalar scan. Same-satellite
+/// pairs walk the grid four observers at a time (one fused, certified
+/// visibility test per sample); the table is filled by the
+/// propagation_mode() kernel. Observers with a NaN mask use
 /// opts.min_elevation_deg (see GridObserver). `threads` follows
 /// predict_passes_grid semantics. Validates every argument (the span and
 /// step as check_scan_span does) before returning early on no pairs.
@@ -288,8 +275,8 @@ struct EphemerisScanOptions {
 /// accumulation from the last retained sample, so the retained grid
 /// times are bitwise what a fresh ScanGrid over the same span would
 /// produce, and scan_satellite windows are bit-identical to
-/// scan_pass_pairs over [start_time(), end_time()] in kReference mode
-/// (parity test: test_ephemeris.cpp). Not internally synchronized: the service layer
+/// scan_pass_pairs over [start_time(), end_time()] (parity test:
+/// test_ephemeris.cpp). Not internally synchronized: the service layer
 /// serializes advance() against queries (svc::PassService uses a
 /// shared_mutex — many concurrent scans, exclusive advance).
 class RollingEphemeris {
@@ -297,7 +284,7 @@ class RollingEphemeris {
   struct Options {
     double coarse_step_s = 30.0;       ///< grid step; queries must match
     std::size_t chunk_samples = 2048;  ///< grid samples per appended chunk
-    /// Evaluation mode (same contract as EphemerisScanOptions::mode).
+    /// Table fill kernel; no output depends on it.
     PropagationMode mode = propagation_mode();
   };
   struct AdvanceStats {
@@ -321,7 +308,8 @@ class RollingEphemeris {
   /// `retire_before` (the chunk containing retire_before is always kept,
   /// so queries at "now" stay answerable). `pool` non-null fans the
   /// per-satellite fills out across it. Throws std::invalid_argument on a
-  /// non-finite `cover_until`.
+  /// non-finite `cover_until`, or on one where the step no longer moves
+  /// the grid (check_scan_span at cover_until).
   AdvanceStats advance(JulianDate retire_before, JulianDate cover_until,
                        sim::ThreadPool* pool = nullptr);
 
@@ -369,7 +357,7 @@ class RollingEphemeris {
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   /// Scan one satellite against one observer over the whole retained
-  /// horizon. kReference windows are bit-identical to scan_pass_pairs over
+  /// horizon. Windows are bit-identical to scan_pass_pairs over
   /// [start_time(), end_time()]. A NaN observer mask falls back to
   /// opts.min_elevation_deg. Throws std::invalid_argument when
   /// opts.coarse_step_s differs from the rolling grid step (a silently

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "orbit/sgp4_batch.h"
 #include "orbit/time.h"
 
 namespace sinet::orbit {
@@ -63,13 +64,21 @@ TopocentricFrameSoA pack_topocentric_frames(
 SINET_SIMD_TARGET_CLONES
 void fused_visibility(const TopocentricFrameSoA& frames,
                       const Vec3& sat_ecef_km, const simd::Vd& sin_mask,
-                      simd::Vi* visible_out) noexcept {
+                      simd::Vi* visible_out,
+                      simd::Vi* uncertain_out) noexcept {
   const simd::Vd rx = simd::broadcast(sat_ecef_km.x) - frames.obs_x;
   const simd::Vd ry = simd::broadcast(sat_ecef_km.y) - frames.obs_y;
   const simd::Vd rz = simd::broadcast(sat_ecef_km.z) - frames.obs_z;
   const simd::Vd up = frames.up_x * rx + frames.up_y * ry + frames.up_z * rz;
   const simd::Vd range = simd::vsqrt(rx * rx + ry * ry + rz * rz);
-  *visible_out = up >= sin_mask * range;
+  // sin(el) - sin(mask) against +-kLaneMargin, both sides times range.
+  const simd::Vd excess = up - sin_mask * range;
+  const simd::Vd band = simd::broadcast(kLaneMargin) * range;
+  const simd::Vi near = range >= simd::broadcast(kLaneMinRangeKm);
+  const simd::Vi above = (excess > band) & near;
+  const simd::Vi below = (excess < -band) & near;
+  *visible_out = above;
+  *uncertain_out = ~(above | below);
 }
 
 double doppler_shift_hz(double range_rate_km_s, double carrier_hz) noexcept {

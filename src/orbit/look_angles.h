@@ -55,10 +55,10 @@ struct Enu {
 }
 
 /// Up to simd::kLanes observer frames transposed into lane arrays for the
-/// fast-scan fused elevation test (PropagationMode::kFast): one satellite
-/// position evaluated against every observer lane at once. Unused lanes
-/// are padded with copies of the first frame; callers mask results by
-/// their own active-lane count.
+/// span scan's fused elevation test: one satellite position evaluated
+/// against every observer lane at once. Unused lanes are padded with
+/// copies of the first frame; callers mask results by their own
+/// active-lane count.
 struct TopocentricFrameSoA {
   simd::Vd obs_x, obs_y, obs_z;  ///< observer ECEF positions, km
   simd::Vd up_x, up_y, up_z;     ///< geodetic "up" rows of the ENU bases
@@ -68,18 +68,20 @@ struct TopocentricFrameSoA {
 [[nodiscard]] TopocentricFrameSoA pack_topocentric_frames(
     const TopocentricFrame* const* frames, std::size_t n);
 
-/// Fused multi-observer visibility: lane l of *visible_out is all-ones
-/// iff the satellite's elevation over observer l is >= the lane's mask,
-/// tested in the sine domain (up >= sin(mask) * slant_range — asin is
-/// monotone, so no arcsine per sample). Numerically equivalent to
-/// elevation_from_ecef(frame_l, sat) >= mask_l but not bit-identical to
-/// it; only PropagationMode::kFast classification uses this (see the
-/// fast-mode tolerance notes in docs/PERFORMANCE.md). Vector operands
-/// pass by reference/pointer so the signature stays ABI-stable between
-/// the function-multiversioned clones.
+/// Fused multi-observer visibility of a kernel-propagated position,
+/// tested in the sine domain (up against sin(mask) * slant range, so no
+/// arcsine per sample) under the lane certificate of orbit/sgp4_batch.h.
+/// Lane l of *visible_out is all-ones when the elevation over observer l
+/// clears the lane's mask by more than kLaneMargin; lane l of
+/// *uncertain_out is all-ones when it clears it in neither direction, or
+/// the slant range is below kLaneMinRangeKm, or `sin_mask` is NaN. The
+/// caller decides uncertain lanes with the scalar ElevationSampler.
+/// Vector operands pass by reference/pointer so the signature stays
+/// ABI-stable between the function-multiversioned clones.
 void fused_visibility(const TopocentricFrameSoA& frames,
                       const Vec3& sat_ecef_km, const simd::Vd& sin_mask,
-                      simd::Vi* visible_out) noexcept;
+                      simd::Vi* visible_out,
+                      simd::Vi* uncertain_out) noexcept;
 
 /// Compute look angles from an observer frame to a satellite given both
 /// ECEF position (km) and ECEF velocity (km/s).

@@ -44,22 +44,9 @@ PassSample ElevationSampler::sample(JulianDate jd) const {
 
 namespace {
 
-// A comparison is taken from the SIMD lanes only when it clears this
-// margin, in units of sin(elevation). Derivation: the kernel's positions
-// are within 1e-6 km of the scalar propagator over 30 days, at one time
-// per group and at a time per lane (tests/test_sgp4_batch.cpp). A
-// position error d moves up/range by at most 2 * d / range, which is
-// 5e-9 at a 400 km slant range (2.9e-7 deg: a sine error is at most the
-// elevation error in radians). The margin, 1e-6 deg = 1.75e-8, exceeds
-// twice that, so it covers a lane against a constant and two lanes
-// against each other. Measured over the 2.58 M points refinement
-// evaluates in the 39 x 8 x 30-day contact plan, the largest
-// |lane - scalar| elevation is 7.0e-9 deg.
-constexpr double kLaneMargin = 1e-6 * kDegToRad;
-
 // One point of a refinement search: its time, the lane value of
-// sin(elevation) (NaN until evaluated, or when the lane is flagged or
-// not finite), and its scalar elevation once a decision needed it.
+// sin(elevation) (NaN until evaluated, or when the lane falls outside the
+// lane certificate), and its scalar elevation once a decision needed it.
 struct SearchPoint {
   JulianDate jd = 0.0;
   double sin_el = std::numeric_limits<double>::quiet_NaN();
@@ -68,10 +55,11 @@ struct SearchPoint {
 };
 
 // Evaluates search points four at a time in SIMD lanes and decides the
-// searches' comparisons: from the lanes when they clear kLaneMargin,
-// otherwise from ElevationSampler::elevation_deg, computed at most once
-// per point. A search calls the scalar sampler only at points the scalar
-// search evaluates, in the same order, so it throws the same
+// searches' comparisons: from the lanes when they carry the lane
+// certificate (orbit/sgp4_batch.h), otherwise from
+// ElevationSampler::elevation_deg, computed at most once per point. A
+// search calls the scalar sampler only at points the scalar search
+// evaluates, in the same order, so it throws the same
 // PropagationError at the same point: a lane the kernel did not flag
 // certifies that the scalar call does not throw there.
 class LaneSearch {
@@ -89,17 +77,20 @@ class LaneSearch {
     double x[kLanes], y[kLanes], z[kLanes];
     LaneStatus status[kLanes];
     lanes_.propagate_ecef(jd, x, y, z, status);
+    const JulianDate epoch = sampler_.propagator().epoch_jd();
     std::size_t l = 0;
     for (SearchPoint* p : points) {
       const Vec3 rel = Vec3{x[l], y[l], z[l]} - sampler_.frame().obs_ecef_km;
-      const double s = ecef_to_enu(sampler_.frame(), rel).up / rel.norm();
-      if (status[l] == LaneStatus::kOk && std::isfinite(s)) p->sin_el = s;
+      const double range = rel.norm();
+      const double s = ecef_to_enu(sampler_.frame(), rel).up / range;
+      if (status[l] == LaneStatus::kOk && std::isfinite(s) &&
+          range >= kLaneMinRangeKm && lane_span_covers(epoch, p->jd))
+        p->sin_el = s;
       ++l;
     }
   }
 
-  // elevation_deg(p.jd) >= mask_deg, where sin_mask = sin(mask) for a
-  // mask in [-90, 90] deg and NaN otherwise (sine is monotone only there).
+  // elevation_deg(p.jd) >= mask_deg, where sin_mask = lane_sin_mask(mask).
   bool at_or_above(SearchPoint& p, double mask_deg, double sin_mask) {
     if (p.sin_el - sin_mask > kLaneMargin) return true;
     if (sin_mask - p.sin_el > kLaneMargin) return false;
@@ -153,9 +144,7 @@ JulianDate refine_mask_crossing(const ElevationSampler& sampler,
     static_cast<void>(sampler.elevation_deg(jd_lo));
     return 0.5 * (jd_lo + jd_hi);
   }
-  const double sin_mask = std::abs(mask_deg) <= 90.0
-                              ? std::sin(mask_deg * kDegToRad)
-                              : std::numeric_limits<double>::quiet_NaN();
+  const double sin_mask = lane_sin_mask(mask_deg);
   LaneSearch search(sampler);
   SearchPoint lo{jd_lo};
   SearchPoint mid{0.5 * (jd_lo + jd_hi)};
@@ -274,7 +263,7 @@ std::vector<std::vector<std::vector<ContactWindow>>> predict_passes_grid(
 
 ContactWindowCache::Key ContactWindowCache::make_key(
     const Tle& tle, const Geodetic& observer, JulianDate jd_start,
-    JulianDate jd_end, const PassPredictionOptions& opts, double mode_slot) {
+    JulianDate jd_end, const PassPredictionOptions& opts) {
   return Key{tle.epoch_jd,
              tle.inclination_deg,
              tle.raan_deg,
@@ -290,18 +279,14 @@ ContactWindowCache::Key ContactWindowCache::make_key(
              jd_end,
              opts.min_elevation_deg,
              opts.coarse_step_s,
-             opts.refine_tolerance_s,
-             mode_slot};
+             opts.refine_tolerance_s};
 }
 
 std::vector<ContactWindow> ContactWindowCache::get_or_compute(
     const Tle& tle, const Geodetic& observer, JulianDate jd_start,
     JulianDate jd_end, const PassPredictionOptions& opts,
-    PropagationMode mode_slot,
     const std::function<std::vector<ContactWindow>()>& compute) {
-  const Key key =
-      make_key(tle, observer, jd_start, jd_end, opts,
-               static_cast<double>(static_cast<int>(mode_slot)));
+  const Key key = make_key(tle, observer, jd_start, jd_end, opts);
   std::shared_ptr<InFlight> flight;
   bool owner = false;
   {
@@ -427,13 +412,6 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
   std::vector<std::vector<std::vector<ContactWindow>>> out(tles.size());
   for (auto& per_sat : out) per_sat.resize(observers.size());
 
-  // Resolve the propagation mode once so the probe keys, the engine scan,
-  // and the insert keys all agree even if another thread flips the global
-  // mid-call. Fast-mode results never alias reference-mode entries.
-  EphemerisScanOptions scan_opts;
-  const double mode_slot =
-      static_cast<double>(static_cast<int>(scan_opts.mode));
-
   // Cache keys carry the observer's *effective* mask, so an observer
   // whose mask is the options' fallback shares entries with one that
   // names the same mask.
@@ -454,7 +432,7 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
       for (std::size_t o = 0; o < observers.size(); ++o) {
         const auto key = ContactWindowCache::make_key(
             tles[s], observers[o].location, jd_start, jd_end,
-            effective_opts(o), mode_slot);
+            effective_opts(o));
         const auto it = cache->entries_.find(key);
         if (it != cache->entries_.end()) {
           ++cache->hits_;
@@ -495,14 +473,13 @@ predict_passes_grid_cached(const std::vector<Tle>& tles,
       scan_pairs.push_back(PairTask{sat_row[p.satellite], p.observer});
 
     auto computed = scan_pass_pairs(satellites, observers, scan_pairs,
-                                    jd_start, jd_end, opts, scan_opts,
-                                    threads, metrics);
+                                    jd_start, jd_end, opts, {}, threads,
+                                    metrics);
     for (std::size_t m = 0; m < miss_pairs.size(); ++m) {
       const PairTask& p = miss_pairs[m];
       cache->insert(ContactWindowCache::make_key(
                         tles[p.satellite], observers[p.observer].location,
-                        jd_start, jd_end, effective_opts(p.observer),
-                        mode_slot),
+                        jd_start, jd_end, effective_opts(p.observer)),
                     computed[m]);
       out[p.satellite][p.observer] = std::move(computed[m]);
     }

@@ -28,11 +28,6 @@ class MetricsRegistry;
 
 namespace sinet::orbit {
 
-// Defined in orbit/ephemeris.h; forward-declared here (fixed underlying
-// type) so the cache API can carry the mode slot without a circular
-// include — ephemeris.h includes this header.
-enum class PropagationMode : int;
-
 /// One predicted contact window.
 struct ContactWindow {
   JulianDate aos_jd = 0.0;  ///< acquisition of signal (rise above mask)
@@ -99,9 +94,9 @@ class ElevationSampler {
 /// (orbit/ephemeris.h, orbit/pair_scan.h) refines AOS/LOS with this one
 /// primitive — bit-identical windows depend on it. The search evaluates
 /// its points four at a time in SIMD lanes and falls back to
-/// `sampler.elevation_deg` for any comparison the lanes cannot certify;
-/// it returns (and throws) exactly what the one-point-at-a-time scalar
-/// bisection does, in every propagation mode.
+/// `sampler.elevation_deg` for any comparison outside the lane
+/// certificate (orbit/sgp4_batch.h); it returns (and throws) exactly what
+/// the one-point-at-a-time scalar bisection does.
 [[nodiscard]] JulianDate refine_mask_crossing(const ElevationSampler& sampler,
                                               JulianDate jd_lo,
                                               JulianDate jd_hi,
@@ -135,9 +130,9 @@ struct GridObserver {
 /// is evaluated once per step across all satellites, and
 /// provably-below-mask samples are skipped. Windows already in progress
 /// at jd_start are truncated to jd_start; windows still open at jd_end
-/// are truncated to jd_end. Result is indexed [satellite][observer]; in
-/// PropagationMode::kReference every window is bit-identical to the
-/// one-pair scalar scan that tests/pass_scan_oracle.h keeps.
+/// are truncated to jd_end. Result is indexed [satellite][observer];
+/// every window is bit-identical to the one-pair scalar scan that
+/// tests/pass_scan_oracle.h keeps.
 ///
 /// `threads`: 0 = all hardware threads (the process-wide shared pool),
 /// 1 = serial on the calling thread (no pool), N > 1 = N workers; pairs
@@ -177,20 +172,17 @@ class ContactWindowCache {
                               std::size_t max_bytes = 0)
       : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
-  /// Return the cached windows for (tle, observer, span, opts, mode_slot),
-  /// running `compute` and inserting its windows on a miss. Waiting on
-  /// another caller's in-flight computation of the same key counts as a
-  /// hit (only the first caller records the miss and runs `compute`); if
-  /// that computation throws, the exception is rethrown to every waiter.
-  /// The pass-prediction service (src/svc) serves misses this way from
-  /// its warm rolling-horizon ephemeris while sharing one cache (and one
-  /// set of keys) with predict_passes_grid_cached: `mode_slot` must say
-  /// which propagation mode produced the windows so fast/reference
-  /// results never alias.
+  /// Return the cached windows for (tle, observer, span, opts), running
+  /// `compute` and inserting its windows on a miss. Waiting on another
+  /// caller's in-flight computation of the same key counts as a hit (only
+  /// the first caller records the miss and runs `compute`); if that
+  /// computation throws, the exception is rethrown to every waiter. The
+  /// pass-prediction service (src/svc) serves misses this way from its
+  /// warm rolling-horizon ephemeris while sharing one cache (and one set
+  /// of keys) with predict_passes_grid_cached.
   [[nodiscard]] std::vector<ContactWindow> get_or_compute(
       const Tle& tle, const Geodetic& observer, JulianDate jd_start,
       JulianDate jd_end, const PassPredictionOptions& opts,
-      PropagationMode mode_slot,
       const std::function<std::vector<ContactWindow>()>& compute);
 
   struct Stats {
@@ -206,7 +198,7 @@ class ContactWindowCache {
   void clear();
 
   /// Fixed bookkeeping charged per entry on top of the window payload:
-  /// two 17-double keys (map node + recency list node), red-black node
+  /// two 16-double keys (map node + recency list node), red-black node
   /// and list pointers, and the Entry struct itself, rounded up. Exact
   /// malloc geometry is allocator-specific; what matters for the budget
   /// is that empty-window entries still have nonzero accounted cost.
@@ -216,14 +208,11 @@ class ContactWindowCache {
   [[nodiscard]] static ContactWindowCache& global();
 
  private:
-  // Epoch + elements + observer + span + options + propagation mode,
-  // compared exactly. The mode slot keeps kReference and kFast results
-  // from ever aliasing: fast-mode windows are only tolerance-equal, so a
-  // cache filled under one mode must miss under the other.
-  using Key = std::array<double, 17>;
+  // Epoch + elements + observer + span + options, compared exactly.
+  using Key = std::array<double, 16>;
   static Key make_key(const Tle& tle, const Geodetic& observer,
                       JulianDate jd_start, JulianDate jd_end,
-                      const PassPredictionOptions& opts, double mode_slot);
+                      const PassPredictionOptions& opts);
 
   struct Entry {
     std::vector<ContactWindow> windows;

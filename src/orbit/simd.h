@@ -9,17 +9,16 @@
 // SINET_SIMD_TARGET_CLONES so the loader picks an AVX2/AVX-512 build of
 // the same source when the host supports it.
 //
-// Accuracy contract (the "fast mode" tolerance documented in
-// docs/PERFORMANCE.md): vsincos uses a 2-term Cody-Waite pi/2 reduction
-// and the fdlibm kernel polynomials, giving ~1 ulp on the reduced
-// argument and absolute error < 1e-12 rad for |x| < 1e5 — the angles
-// SGP4 feeds it over a 30-day campaign stay below ~3e3 rad. Window
-// refinement (refine_mask_crossing / refine_max_elevation) runs these
-// helpers in every propagation mode, kReference included. Reference-mode
-// bits survive because a lane value decides a comparison only when it
-// clears kLaneMargin (orbit/passes.cpp); every other comparison, and
-// every returned value, comes from the scalar code. tests/test_refine.cpp
-// checks those bits against the scalar searches.
+// Accuracy: vsincos uses a 2-term Cody-Waite pi/2 reduction and the
+// fdlibm kernel polynomials, giving ~1 ulp on the reduced argument and
+// absolute error < 1e-12 rad for |x| < 1e5 — the angles SGP4 feeds it
+// within 60 days of the epoch stay below ~6e3 rad. Every scan runs these
+// helpers: the ephemeris table fill, the coarse visibility test and
+// window refinement. Outputs keep the scalar code's bits because a lane
+// value decides a comparison only under the lane certificate
+// (orbit/sgp4_batch.h); every other comparison, and every returned
+// value, comes from the scalar code. tests/test_refine.cpp and
+// tests/test_ephemeris.cpp check those bits against scalar oracles.
 #pragma once
 
 #include <cmath>

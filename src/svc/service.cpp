@@ -198,7 +198,7 @@ std::vector<orbit::ContactWindow> PassService::windows_for(
   popts.min_elevation_deg = mask_deg;
   popts.coarse_step_s = opts_.step_s;
   return cache_.get_or_compute(
-      tles_[sat], observer, h_start, h_end, popts, opts_.mode, [&] {
+      tles_[sat], observer, h_start, h_end, popts, [&] {
         orbit::GridObserver grid_observer;
         grid_observer.location = observer;
         return rolling_->scan_satellite(sat, grid_observer, popts);

@@ -58,6 +58,7 @@ struct ServiceOptions {
   /// generated at this epoch, so the horizon is immediately busy.
   double epoch_unix_s = std::numeric_limits<double>::quiet_NaN();
   double time_scale = 1.0;  ///< virtual seconds per real second
+  /// Ephemeris fill kernel; no response depends on it.
   orbit::PropagationMode mode = orbit::propagation_mode();
 };
 

@@ -43,8 +43,6 @@ std::string to_json(const ValidationReport& r) {
   std::string out = "{\n  \"schema\": \"";
   out += kValidationSchema;
   out += "\",\n  \"scenario\": \"" + json_escape(r.scenario) + "\",\n";
-  out += "  \"propagation_mode\": \"" + json_escape(r.propagation_mode) +
-         "\",\n";
   out += "  \"start_jd\": " + json_double(r.start_jd) + ",\n";
   out += "  \"duration_days\": " + json_double(r.duration_days) + ",\n";
 

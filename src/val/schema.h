@@ -57,8 +57,7 @@ struct NamedValue {
 };
 
 struct ValidationReport {
-  std::string scenario;          ///< validation_scenario() name
-  std::string propagation_mode;  ///< ambient mode during the run
+  std::string scenario;  ///< validation_scenario() name
   double start_jd = 0.0;
   double duration_days = 0.0;
 

@@ -40,13 +40,6 @@ std::vector<double> cdf_samples(const stats::EmpiricalCdf& cdf) {
   return {view.begin(), view.end()};
 }
 
-std::size_t window_count(
-    const std::vector<std::vector<orbit::ContactWindow>>& per_pair) {
-  std::size_t n = 0;
-  for (const auto& windows : per_pair) n += windows.size();
-  return n;
-}
-
 /// Shell view of a constellation spec for the analytic baselines.
 std::vector<ShellSpec> shells_of(const orbit::ConstellationSpec& spec) {
   std::vector<ShellSpec> shells;
@@ -58,25 +51,6 @@ std::vector<ShellSpec> shells_of(const orbit::ConstellationSpec& spec) {
   return shells;
 }
 
-void add_mode_scores(ValidationReport& report,
-                     const stats::EmpiricalCdf& reference,
-                     std::size_t reference_count,
-                     const stats::EmpiricalCdf& candidate,
-                     std::size_t candidate_count) {
-  const std::string prefix = "windows.fast_vs_reference.";
-  report.scores.push_back(
-      {prefix + "ks", stats::ks_distance(reference, candidate)});
-  report.scores.push_back(
-      {prefix + "wasserstein_s",
-       stats::wasserstein_distance(reference, candidate)});
-  const double ref_n = static_cast<double>(reference_count);
-  report.scores.push_back(
-      {prefix + "count_rel_err",
-       ref_n == 0.0 ? std::numeric_limits<double>::quiet_NaN()
-                    : std::abs(static_cast<double>(candidate_count) - ref_n) /
-                          ref_n});
-}
-
 /// Population-scale DtS arm: no orbit-scan arms (the window kernels are
 /// validated by "reference"/"quick"; at 1k satellites x 256 sites a
 /// second full scan would dominate the run for no new signal), just the
@@ -85,8 +59,6 @@ ValidationReport run_scale_validation(const ValidationScenario& sc,
                                       const ValidationOptions& opts) {
   ValidationReport report;
   report.scenario = sc.name;
-  report.propagation_mode =
-      orbit::propagation_mode_name(orbit::propagation_mode());
   const orbit::JulianDate start = core::campaign_epoch_jd();
   report.start_jd = start;
   report.duration_days = sc.dts_days;
@@ -229,8 +201,6 @@ ValidationReport run_validation(const ValidationScenario& sc,
 
   ValidationReport report;
   report.scenario = sc.name;
-  report.propagation_mode =
-      orbit::propagation_mode_name(orbit::propagation_mode());
 
   const orbit::ConstellationSpec spec =
       orbit::paper_constellation(sc.constellation);
@@ -253,24 +223,16 @@ ValidationReport run_validation(const ValidationScenario& sc,
   pass_opts.min_elevation_deg = sc.mask_deg;
   pass_opts.coarse_step_s = sc.coarse_step_s;
 
-  // --- The two scan arms: kReference (bit-identical to the per-pair
-  // scalar scan, which ctest checks on these scenarios' pairs) and kFast.
+  // --- The scan, bit-identical to the per-pair scalar scan (ctest
+  // checks it on these scenarios' pairs).
   const std::vector<orbit::GridObserver> observers{{site.location}};
   std::vector<orbit::PairTask> pairs;
   pairs.reserve(sats.size());
   for (std::size_t s = 0; s < sats.size(); ++s) pairs.push_back({s, 0});
-  const auto scan = [&](orbit::PropagationMode mode) {
-    orbit::EphemerisScanOptions scan_opts;
-    scan_opts.mode = mode;
-    return orbit::scan_pass_pairs(sats, observers, pairs, start, end,
-                                  pass_opts, scan_opts, opts.threads,
-                                  opts.metrics);
-  };
-  const auto reference = scan(orbit::PropagationMode::kReference);
-  const auto fast = scan(orbit::PropagationMode::kFast);
+  const auto reference =
+      orbit::scan_pass_pairs(sats, observers, pairs, start, end, pass_opts,
+                             {}, opts.threads, opts.metrics);
 
-  // Canonical window export: the reference arm (the contract the fast
-  // arm is scored against).
   for (std::size_t s = 0; s < tles.size(); ++s) {
     const std::string sat_name = tles[s].name.empty()
                                      ? std::to_string(tles[s].catalog_number)
@@ -281,18 +243,12 @@ ValidationReport run_validation(const ValidationScenario& sc,
   }
 
   const stats::EmpiricalCdf reference_durations = duration_cdf(reference);
-  const stats::EmpiricalCdf fast_durations = duration_cdf(fast);
   if (reference_durations.empty())
     throw std::runtime_error(
         "run_validation: reference scan produced no contact windows");
 
   report.distributions.push_back(
       {"contact_duration_s.reference", cdf_samples(reference_durations)});
-  report.distributions.push_back(
-      {"contact_duration_s.fast", cdf_samples(fast_durations)});
-
-  add_mode_scores(report, reference_durations, window_count(reference),
-                  fast_durations, window_count(fast));
 
   // --- Analytic geometry baselines ------------------------------------
   const std::vector<ShellSpec> shells = shells_of(spec);
@@ -329,9 +285,7 @@ ValidationReport run_validation(const ValidationScenario& sc,
   report.distributions.push_back({"contact_gap_s.reference", gaps});
 
   report.scalars.push_back({"windows.reference.count",
-                            static_cast<double>(window_count(reference))});
-  report.scalars.push_back(
-      {"windows.fast.count", static_cast<double>(window_count(fast))});
+                            static_cast<double>(all_reference.size())});
   report.scalars.push_back({"availability.daily_hours.measured",
                             presence_hours});
   report.scalars.push_back({"availability.daily_hours.analytic",

@@ -3,15 +3,13 @@
 // run_validation() executes one named scenario:
 //
 //   1. predicts the scenario constellation's contact windows over the
-//      reference site with the scan engine in both propagation modes —
-//      kReference (bit-identical to the per-pair scalar scan that
-//      tests/pass_scan_oracle.h keeps, which ctest checks) and the
-//      SoA/SIMD kFast — and scores the fast arm's contact-duration
-//      distribution against the reference arm's with K-S / Wasserstein
-//      distances (stats/divergence.h);
+//      reference site with the scan engine (bit-identical to the
+//      per-pair scalar scan that tests/pass_scan_oracle.h keeps, which
+//      ctest checks);
 //   2. scores the measured geometry against the closed-form
-//      stochastic-geometry baselines (val/baseline.h): contact-duration
-//      law, daily presence hours;
+//      stochastic-geometry baselines (val/baseline.h) with K-S /
+//      Wasserstein distances (stats/divergence.h): contact-duration law,
+//      daily presence hours;
 //   3. runs the DtS network and scores delivery rate against the
 //      analytic ARQ/congestion model and the mean wait-for-pass against
 //      the renewal formula over the merged node windows.
@@ -80,7 +78,7 @@ struct ValidationOptions {
 };
 
 /// Run the scenario and assemble the report. Deterministic for a fixed
-/// (scenario, ambient propagation mode): no wall clock, fixed seeds.
+/// scenario: no wall clock, fixed seeds.
 [[nodiscard]] ValidationReport run_validation(
     const ValidationScenario& scenario, const ValidationOptions& opts = {});
 

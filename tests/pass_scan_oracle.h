@@ -6,9 +6,9 @@
 // loop is that function verbatim; AOS/LOS and TCA are refined with the
 // scalar searches of refine_oracle.h, which test_refine proves bit-equal
 // to the library's primitives, so the oracle shares no scan or
-// refinement code with the engine. In PropagationMode::kReference the
-// engine must return these windows bit for bit: that is the property
-// every parity suite checks.
+// refinement code with the engine. With either table kernel the engine
+// must return these windows bit for bit: that is the property every
+// parity suite checks.
 #pragma once
 
 #include <algorithm>

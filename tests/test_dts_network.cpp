@@ -4,6 +4,7 @@
 // so the suite stays fast; the benches run the full-scale configurations.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 
@@ -160,6 +161,18 @@ TEST(DtsNetwork, ConfigValidation) {
   DtsNetworkConfig cfg4 = small_config();
   cfg4.beacon.period_s = 0.1;
   EXPECT_THROW(run_dts_network(cfg4), std::invalid_argument);
+
+  // Report loops that would never end: an unbounded (or NaN) duration,
+  // and an interval too small to move the report clock at its end.
+  for (const double days : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    DtsNetworkConfig unbounded = small_config();
+    unbounded.duration_days = days;
+    EXPECT_THROW(run_dts_network(unbounded), std::invalid_argument);
+  }
+  DtsNetworkConfig stuck = small_config();
+  stuck.fleet.prototype.report_interval_s = 1e-300;
+  EXPECT_THROW(run_dts_network(stuck), std::invalid_argument);
 }
 
 TEST(DtsNetwork, CongestionCausesBackgroundLosses) {

@@ -2,13 +2,15 @@
 // engine (orbit/ephemeris.h) and the ContactWindowCache.
 //
 // The engine's contract is *bit-identical* windows: every ContactWindow
-// it emits in kReference mode must compare EXPECT_EQ — raw double
-// equality, no tolerance — against the per-pair scalar scan of
-// pass_scan_oracle.h. The randomized sweep below exercises that contract
-// across the paper's Table 3 altitude and inclination bands, all eight
-// measurement sites, heterogeneous masks and varied spans, including
-// truncated-at-span-edge and zero-pass geometries; a second case checks
-// it on the exact pairs `sinet validate` scans.
+// it emits, whichever kernel filled its ephemeris table, must compare
+// EXPECT_EQ — raw double equality, no tolerance — against the per-pair
+// scalar scan of pass_scan_oracle.h. The randomized sweep below exercises
+// that contract across the paper's Table 3 altitude and inclination
+// bands, all eight measurement sites, heterogeneous masks and varied
+// spans, including truncated-at-span-edge and zero-pass geometries; other
+// cases check it on the exact pairs `sinet validate` scans, on lane
+// remainders, on mixed SGP4 branches, with each table kernel, and with
+// masks pinned so that samples fall inside the lane certificate's margin.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,6 +146,44 @@ TEST(ScanGrid, RejectsNonFiniteSpanAndStep) {
   }
 }
 
+// A positive step below the grid's resolution at its far end cannot
+// move `jd += step_days`, so the grid would grow without end: every entry
+// point refuses it, and the rolling engine checks it again at each
+// leading edge it is asked to cover.
+TEST(ScanGrid, RejectsStepsThatCannotAdvanceTheGrid) {
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  // One ulp of jd0 (~2.5e6) is 2^-31 days, about 40 us.
+  const double ulp_s = (std::nextafter(jd0 + 1.0, 1e300) - (jd0 + 1.0)) *
+                       orbit::kSecondsPerDay;
+  for (const double bad : {1e-300, 1e-9, 0.5 * ulp_s}) {
+    EXPECT_THROW(orbit::ScanGrid(jd0, jd0 + 1.0, bad), std::invalid_argument);
+    EXPECT_THROW(orbit::check_scan_span("test", jd0, jd0, bad),
+                 std::invalid_argument);
+  }
+  const orbit::ScanGrid tight(jd0, jd0 + 1e-6, ulp_s);
+  EXPECT_GT(tight.size(), 2u);
+
+  std::mt19937_64 rng(3);
+  const Sgp4 prop(random_tle(rng, 0));
+  PassPredictionOptions tiny;
+  tiny.coarse_step_s = 1e-300;
+  EXPECT_THROW((void)orbit::scan_pass_pairs({&prop}, {GridObserver{}},
+                                            {orbit::PairTask{0, 0}}, jd0,
+                                            jd0 + 1.0, tiny),
+               std::invalid_argument);
+  orbit::RollingEphemeris::Options tiny_rolling;
+  tiny_rolling.coarse_step_s = 1e-300;
+  EXPECT_THROW(orbit::RollingEphemeris({&prop}, jd0, tiny_rolling),
+               std::invalid_argument);
+  // A step fine enough at the anchor but not at the leading edge.
+  orbit::RollingEphemeris::Options fine;
+  fine.coarse_step_s = 1e-6;
+  orbit::RollingEphemeris near_zero({&prop}, 0.5, fine);
+  EXPECT_THROW((void)near_zero.advance(0.5, 1e6), std::invalid_argument);
+  EXPECT_TRUE(near_zero.empty());
+}
+
+// The scalar kernel's positions are the sampler's bits.
 TEST(EphemerisTable, PositionsMatchElevationSampler) {
   std::mt19937_64 rng(7);
   const Tle tle = random_tle(rng, 5);
@@ -153,7 +193,7 @@ TEST(EphemerisTable, PositionsMatchElevationSampler) {
   const orbit::ScanGrid grid(jd0, jd0 + 0.2, 60.0);
 
   const std::vector<const Sgp4*> sats{&prop};
-  orbit::EphemerisTable table(sats, grid);
+  orbit::EphemerisTable table(sats, grid, orbit::PropagationMode::kReference);
   table.build(0, grid.size(), nullptr);
   EXPECT_EQ(table.propagations(), grid.size());
 
@@ -474,8 +514,8 @@ TEST(EphemerisParity, ParallelScanMatchesSerial) {
 
 // The pairs `sinet validate` scans for its "quick" and "reference"
 // scenarios (one constellation over one site, 1 and 3 days), through the
-// kReference engine, against the oracle: the windows the validation
-// report exports and scores must be the per-pair scan's, bit for bit.
+// engine, against the oracle: the windows the validation report exports
+// and scores must be the per-pair scan's, bit for bit.
 TEST(EphemerisParity, ValidationScenarioPairsMatchOracle) {
   for (const char* name : {"quick", "reference"}) {
     const val::ValidationScenario sc = val::validation_scenario(name);
@@ -492,11 +532,9 @@ TEST(EphemerisParity, ValidationScenarioPairsMatchOracle) {
     PassPredictionOptions opts;
     opts.min_elevation_deg = sc.mask_deg;
     opts.coarse_step_s = sc.coarse_step_s;
-    orbit::EphemerisScanOptions reference;
-    reference.mode = orbit::PropagationMode::kReference;
 
-    const auto got = orbit::scan_pass_pairs(sat_ptrs, {site}, pairs, jd0, jd1,
-                                            opts, reference);
+    const auto got =
+        orbit::scan_pass_pairs(sat_ptrs, {site}, pairs, jd0, jd1, opts);
     ASSERT_EQ(got.size(), props.size());
     std::size_t windows = 0;
     for (std::size_t s = 0; s < props.size(); ++s) {
@@ -610,15 +648,12 @@ TEST(GridCached, RepeatedSatellitesAndObserversMatchOracle) {
   EXPECT_EQ(cache.stats().entries, 4u);  // {a, b} x {hk, syd}
 }
 
-// The production kReference scan of one (TLE, site) pair.
+// The production scan of one (TLE, site) pair.
 std::vector<ContactWindow> reference_scan(const Tle& tle, const Geodetic& site,
                                           JulianDate jd0, JulianDate jd1) {
   const Sgp4 prop(tle);
-  orbit::EphemerisScanOptions reference;
-  reference.mode = orbit::PropagationMode::kReference;
   return orbit::scan_pass_pairs({&prop}, {GridObserver{site}},
-                                {orbit::PairTask{0, 0}}, jd0, jd1, {},
-                                reference)[0];
+                                {orbit::PairTask{0, 0}}, jd0, jd1)[0];
 }
 
 // Serves (tle, site, [jd0, jd1]) through get_or_compute with
@@ -631,11 +666,10 @@ struct CountingLookup {
   std::atomic<int> runs{0};
 
   std::vector<ContactWindow> operator()(const Tle& tle) {
-    return cache.get_or_compute(tle, site, jd0, jd1, {},
-                                orbit::PropagationMode::kReference, [&] {
-                                  runs.fetch_add(1);
-                                  return reference_scan(tle, site, jd0, jd1);
-                                });
+    return cache.get_or_compute(tle, site, jd0, jd1, {}, [&] {
+      runs.fetch_add(1);
+      return reference_scan(tle, site, jd0, jd1);
+    });
   }
 };
 
@@ -682,14 +716,13 @@ TEST(ContactWindowCache, SingleFlightDedupsConcurrentMisses) {
   orbit::ContactWindowCache cache;
   std::atomic<int> runs{0};
   const auto lookup = [&] {
-    return cache.get_or_compute(
-        tle, site, jd0, jd1, {}, orbit::PropagationMode::kReference, [&] {
-          runs.fetch_add(1);
-          // Hold the computation open so the other thread usually
-          // arrives while it is in flight.
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          return oracle_predict_passes(Sgp4(tle), site, jd0, jd1);
-        });
+    return cache.get_or_compute(tle, site, jd0, jd1, {}, [&] {
+      runs.fetch_add(1);
+      // Hold the computation open so the other thread usually arrives
+      // while it is in flight.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return oracle_predict_passes(Sgp4(tle), site, jd0, jd1);
+    });
   };
   std::vector<ContactWindow> r1, r2;
   std::thread t1([&] { r1 = lookup(); });
@@ -710,106 +743,52 @@ TEST(ContactWindowCache, SingleFlightDedupsConcurrentMisses) {
 }
 
 // ---------------------------------------------------------------------
-// PropagationMode::kFast — the SoA/SIMD batch kernels. kFast windows are
-// NOT bit-identical to kReference: the fused visibility test classifies
-// coarse samples in the sine domain, so a sample graze within ~1 ulp of
-// the mask can shift a refinement bracket by one coarse step. The
-// contract (docs/PERFORMANCE.md) is: same window count, AOS/LOS/TCA
-// within one coarse step, max elevation within 1e-6 deg.
+// The lane walk and the lane certificate. scan_pass_pairs classifies
+// same-satellite pairs four observers at a time from a SIMD-filled
+// table and takes a lane's verdict only when its sine elevation clears
+// the mask by kLaneMargin (orbit/sgp4_batch.h); the pair's scalar sampler
+// decides the rest. These cases hold the walk to the oracle's bits where
+// the lanes are ragged, where SGP4 branches mix, with either table
+// kernel, and where samples sit inside the margin on purpose.
 // ---------------------------------------------------------------------
 
-void expect_within_fast_tolerance(const std::vector<ContactWindow>& fast,
-                                  const std::vector<ContactWindow>& ref,
-                                  double coarse_step_s,
-                                  const std::string& label) {
-  ASSERT_EQ(fast.size(), ref.size()) << label;
-  const double edge_tol_days = coarse_step_s / orbit::kSecondsPerDay;
-  for (std::size_t w = 0; w < fast.size(); ++w) {
-    EXPECT_NEAR(fast[w].aos_jd, ref[w].aos_jd, edge_tol_days)
-        << label << " window " << w;
-    EXPECT_NEAR(fast[w].los_jd, ref[w].los_jd, edge_tol_days)
-        << label << " window " << w;
-    EXPECT_NEAR(fast[w].tca_jd, ref[w].tca_jd, edge_tol_days)
-        << label << " window " << w;
-    EXPECT_NEAR(fast[w].max_elevation_deg, ref[w].max_elevation_deg, 1e-6)
-        << label << " window " << w;
-  }
-}
-
-// Run the same pair set through both modes and compare under tolerance.
-void expect_modes_agree(const std::vector<const Sgp4*>& sats,
-                        const std::vector<GridObserver>& observers,
-                        JulianDate jd0, JulianDate jd1,
-                        const PassPredictionOptions& opts,
-                        const std::string& label) {
+// Every pair of `sats` x `observers`, scanned with `scan_opts` on
+// `threads`, against the oracle.
+void expect_pairs_match_oracle(const std::vector<const Sgp4*>& sats,
+                               const std::vector<GridObserver>& observers,
+                               JulianDate jd0, JulianDate jd1,
+                               const PassPredictionOptions& opts,
+                               const std::string& label,
+                               const orbit::EphemerisScanOptions& scan_opts = {},
+                               unsigned threads = 1) {
   std::vector<orbit::PairTask> pairs;
   for (std::size_t s = 0; s < sats.size(); ++s)
     for (std::size_t o = 0; o < observers.size(); ++o)
       pairs.push_back(orbit::PairTask{s, o});
-
-  orbit::EphemerisScanOptions ref_opts;
-  ref_opts.mode = orbit::PropagationMode::kReference;
-  orbit::EphemerisScanOptions fast_opts;
-  fast_opts.mode = orbit::PropagationMode::kFast;
-
-  const auto ref = orbit::scan_pass_pairs(sats, observers, pairs, jd0, jd1,
-                                          opts, ref_opts, /*threads=*/1);
-  const auto fast = orbit::scan_pass_pairs(sats, observers, pairs, jd0, jd1,
-                                           opts, fast_opts, /*threads=*/1);
-  ASSERT_EQ(fast.size(), ref.size()) << label;
-  for (std::size_t p = 0; p < pairs.size(); ++p)
-    expect_within_fast_tolerance(fast[p], ref[p], opts.coarse_step_s,
-                                 label + " pair " + std::to_string(p));
-}
-
-// The fast-mode acceptance sweep: the same 200-TLE x 8-site corpus the
-// bit-identical reference sweep uses, scanned in both modes.
-TEST(FastModeParity, WindowsWithinToleranceAcrossBandsAndSites) {
-  const auto sites = core::paper_measurement_sites();
-  ASSERT_EQ(sites.size(), 8u);
-  static constexpr double kMasks[] = {0.0, 5.0, 10.0, 25.0};
-
-  std::mt19937_64 rng(20260805u);  // same corpus as the reference sweep
-  std::uniform_real_distribution<double> start_offset(0.0, 1.0);
-  std::uniform_real_distribution<double> span_days(0.35, 0.75);
-
-  constexpr int kGroups = 8;
-  constexpr int kTlesPerGroup = 25;  // 200 TLEs total
-  for (int g = 0; g < kGroups; ++g) {
-    std::vector<Tle> tles;
-    std::vector<Sgp4> props;
-    for (int i = 0; i < kTlesPerGroup; ++i) {
-      tles.push_back(random_tle(rng, g * kTlesPerGroup + i));
-      props.emplace_back(tles.back());
-    }
-    std::vector<const Sgp4*> sat_ptrs;
-    for (const Sgp4& p : props) sat_ptrs.push_back(&p);
-
-    std::vector<GridObserver> observers;
-    for (std::size_t o = 0; o < sites.size(); ++o)
-      observers.push_back(GridObserver{sites[o].location, kMasks[o % 4]});
-
-    const JulianDate jd0 = core::campaign_epoch_jd() + start_offset(rng);
-    const JulianDate jd1 = jd0 + span_days(rng);
-    PassPredictionOptions opts;
-    opts.coarse_step_s = 60.0;
-    expect_modes_agree(sat_ptrs, observers, jd0, jd1, opts,
-                       "group " + std::to_string(g));
+  const auto got = orbit::scan_pass_pairs(sats, observers, pairs, jd0, jd1,
+                                          opts, scan_opts, threads);
+  ASSERT_EQ(got.size(), pairs.size()) << label;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const GridObserver& o = observers[pairs[p].observer];
+    PassPredictionOptions lopts = opts;
+    if (!std::isnan(o.min_elevation_deg))
+      lopts.min_elevation_deg = o.min_elevation_deg;
+    expect_bit_identical(got[p],
+                         oracle_predict_passes(*sats[pairs[p].satellite],
+                                               o.location, jd0, jd1, lopts),
+                         label + " pair " + std::to_string(p));
   }
 }
 
 // Satellite counts that leave partial lane groups in the batch
 // propagator, and observer counts that leave partial lanes in the fused
-// visibility blocks, must all agree with the reference scan.
-TEST(FastModeParity, LaneRemaindersAcrossSatelliteAndObserverCounts) {
+// visibility blocks.
+TEST(EphemerisParity, LaneRemaindersAcrossSatelliteAndObserverCounts) {
   const auto sites = core::paper_measurement_sites();
   std::mt19937_64 rng(77);
-  std::vector<Tle> tles;
   std::vector<Sgp4> props;
-  for (int i = 0; i < 7; ++i) {  // 7 = one full lane group + 3 remainder
-    tles.push_back(random_tle(rng, i * 13 + 1));
-    props.emplace_back(tles.back());
-  }
+  for (int i = 0; i < 7; ++i)  // 7 = one full lane group + 3 remainder
+    props.emplace_back(random_tle(rng, i * 13 + 1));
   const JulianDate jd0 = core::campaign_epoch_jd();
   const JulianDate jd1 = jd0 + 0.4;
   PassPredictionOptions opts;
@@ -823,32 +802,28 @@ TEST(FastModeParity, LaneRemaindersAcrossSatelliteAndObserverCounts) {
       for (std::size_t o = 0; o < n_obs; ++o)
         observers.push_back(
             GridObserver{sites[o % sites.size()].location, 5.0});
-      expect_modes_agree(sat_ptrs, observers, jd0, jd1, opts,
-                         "sats " + std::to_string(n_sats) + " obs " +
-                             std::to_string(n_obs));
+      expect_pairs_match_oracle(sat_ptrs, observers, jd0, jd1, opts,
+                                "sats " + std::to_string(n_sats) + " obs " +
+                                    std::to_string(n_obs));
     }
   }
 }
 
 // A very low perigee activates SGP4's `simple` drag truncation; mixing
 // such a satellite into a lane group with normal satellites exercises
-// the lane-masked branch of the batch propagator inside a real scan.
-TEST(FastModeParity, MixedSimpleAndNormalBranchesInOneScan) {
+// the lane-masked branch of the batch propagator inside a real scan. Its
+// slant ranges dip below kLaneMinRangeKm, where the sampler decides.
+TEST(EphemerisParity, MixedSimpleAndNormalBranchesInOneScan) {
   std::mt19937_64 rng(123);
-  std::vector<Tle> tles;
   std::vector<Sgp4> props;
-  for (int i = 0; i < 3; ++i) {
-    tles.push_back(random_tle(rng, i * 29 + 2));
-    props.emplace_back(tles.back());
-  }
+  for (int i = 0; i < 3; ++i) props.emplace_back(random_tle(rng, i * 29 + 2));
   orbit::KeplerianElements low;  // perigee < 220 km -> simple branch
   low.altitude_km = 200.0;
   low.eccentricity = 0.0005;
   low.inclination_deg = 53.0;
   low.bstar = 1e-5;
-  tles.push_back(
+  props.emplace_back(
       orbit::make_tle("SIMPLE", 90044, low, core::campaign_epoch_jd()));
-  props.emplace_back(tles.back());
   ASSERT_TRUE(props.back().coefficients().simple);
   ASSERT_FALSE(props.front().coefficients().simple);
 
@@ -860,138 +835,218 @@ TEST(FastModeParity, MixedSimpleAndNormalBranchesInOneScan) {
   PassPredictionOptions opts;
   opts.coarse_step_s = 30.0;
   const JulianDate jd0 = core::campaign_epoch_jd();
-  expect_modes_agree(sat_ptrs, observers, jd0, jd0 + 0.3, opts, "mixed");
+  expect_pairs_match_oracle(sat_ptrs, observers, jd0, jd0 + 0.3, opts,
+                            "mixed");
 }
 
-// Chunked fast scans must agree with unchunked ones (block skip state
-// crosses chunk boundaries), and sample conservation must hold lane by
-// lane: every pair visits-or-culls every grid sample exactly once.
-TEST(FastModeParity, ChunkingAndSampleConservation) {
+// Block skip state crosses chunk boundaries and blocks fan out across a
+// pool: chunked, unchunked and pooled scans all give the oracle's bits,
+// and every pair visits-or-culls every grid sample exactly once.
+TEST(EphemerisParity, ChunkedAndPooledLaneWalksMatchOracle) {
   std::mt19937_64 rng(55);
-  std::vector<Tle> tles;
   std::vector<Sgp4> props;
-  for (int i = 0; i < 5; ++i) {
-    tles.push_back(random_tle(rng, i * 17 + 4));
-    props.emplace_back(tles.back());
-  }
+  for (int i = 0; i < 5; ++i) props.emplace_back(random_tle(rng, i * 17 + 4));
   std::vector<const Sgp4*> sat_ptrs;
   for (const Sgp4& p : props) sat_ptrs.push_back(&p);
   const std::vector<GridObserver> observers{
       GridObserver{Geodetic{22.3, 114.2, 0.05}},
       GridObserver{Geodetic{-33.87, 151.2, 0.02}, 10.0},
       GridObserver{Geodetic{60.17, 24.94, 0.0}, 5.0}};
-  std::vector<orbit::PairTask> pairs;
-  for (std::size_t s = 0; s < props.size(); ++s)
-    for (std::size_t o = 0; o < observers.size(); ++o)
-      pairs.push_back(orbit::PairTask{s, o});
   const JulianDate jd0 = core::campaign_epoch_jd();
   const JulianDate jd1 = jd0 + 1.0;
   PassPredictionOptions opts;
   opts.coarse_step_s = 30.0;
 
-  orbit::EphemerisScanOptions fast_small;
-  fast_small.mode = orbit::PropagationMode::kFast;
-  fast_small.chunk_samples = 64;
+  orbit::EphemerisScanOptions small_chunks;
+  small_chunks.chunk_samples = 64;
   obs::MetricsRegistry metrics;
-  const auto chunked =
-      orbit::scan_pass_pairs(sat_ptrs, observers, pairs, jd0, jd1, opts,
-                             fast_small, /*threads=*/1, &metrics);
-
+  std::vector<orbit::PairTask> pairs;
+  for (std::size_t s = 0; s < props.size(); ++s)
+    for (std::size_t o = 0; o < observers.size(); ++o)
+      pairs.push_back(orbit::PairTask{s, o});
+  (void)orbit::scan_pass_pairs(sat_ptrs, observers, pairs, jd0, jd1, opts,
+                               small_chunks, /*threads=*/1, &metrics);
   const orbit::ScanGrid grid(jd0, jd1, opts.coarse_step_s);
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("orbit.ephemeris.samples_visited") +
                 snap.counters.at("orbit.ephemeris.samples_culled"),
             pairs.size() * grid.size());
 
-  orbit::EphemerisScanOptions fast_default;
-  fast_default.mode = orbit::PropagationMode::kFast;
-  const auto unchunked = orbit::scan_pass_pairs(
-      sat_ptrs, observers, pairs, jd0, jd1, opts, fast_default,
-      /*threads=*/1);
-  ASSERT_EQ(chunked.size(), unchunked.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p)
-    expect_bit_identical(chunked[p], unchunked[p],
-                         "chunked pair " + std::to_string(p));
-
-  // Multi-threaded fast scan: blocks are disjoint over pairs, so the
-  // pooled scan is bit-identical to the serial fast scan.
-  const auto pooled = orbit::scan_pass_pairs(sat_ptrs, observers, pairs,
-                                             jd0, jd1, opts, fast_default,
-                                             /*threads=*/4);
-  for (std::size_t p = 0; p < pairs.size(); ++p)
-    expect_bit_identical(pooled[p], unchunked[p],
-                         "pooled pair " + std::to_string(p));
+  expect_pairs_match_oracle(sat_ptrs, observers, jd0, jd1, opts, "chunked",
+                            small_chunks);
+  expect_pairs_match_oracle(sat_ptrs, observers, jd0, jd1, opts, "pooled", {},
+                            /*threads=*/4);
 }
 
-TEST(FastModeParity, SimdCountersAndModeGauge) {
+// The table kernel is a process-wide setting (the SIMD fill unless set
+// otherwise) that no output depends on: a grid scan with each kernel,
+// set through set_propagation_mode, returns the same bits — the
+// oracle's. Healthy TLEs never fall back to the scalar propagator.
+TEST(EphemerisParity, EitherTableKernelGivesTheOracleBits) {
+  EXPECT_EQ(orbit::propagation_mode(), orbit::PropagationMode::kFast);
   std::mt19937_64 rng(61);
-  std::vector<Tle> tles;
   std::vector<Sgp4> props;
-  for (int i = 0; i < 6; ++i) {
-    tles.push_back(random_tle(rng, i * 3));
-    props.emplace_back(tles.back());
+  for (int i = 0; i < 6; ++i) props.emplace_back(random_tle(rng, i * 3));
+  std::vector<const Sgp4*> sat_ptrs;
+  for (const Sgp4& p : props) sat_ptrs.push_back(&p);
+  const auto sites = core::paper_measurement_sites();
+  std::vector<GridObserver> observers;
+  for (std::size_t o = 0; o < sites.size(); ++o)
+    observers.push_back(GridObserver{sites[o].location, 5.0 * (o % 3)});
+  const JulianDate jd0 = core::campaign_epoch_jd() + 0.25;
+  const JulianDate jd1 = jd0 + 1.0;
+  PassPredictionOptions opts;
+  opts.coarse_step_s = 30.0;
+
+  const orbit::PropagationMode before = orbit::propagation_mode();
+  std::vector<std::vector<std::vector<std::vector<ContactWindow>>>> runs;
+  for (const orbit::PropagationMode kernel :
+       {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
+    orbit::set_propagation_mode(kernel);
+    obs::MetricsRegistry metrics;
+    runs.push_back(orbit::predict_passes_grid(sat_ptrs, observers, jd0, jd1,
+                                              opts, /*threads=*/1, &metrics));
+    orbit::set_propagation_mode(before);
+    const auto snap = metrics.snapshot();
+    const std::uint64_t lanes = snap.counters.at("orbit.simd.lanes_filled");
+    if (kernel == orbit::PropagationMode::kFast)
+      EXPECT_GT(lanes, 0u);
+    else
+      EXPECT_EQ(lanes, 0u);
+    EXPECT_EQ(snap.counters.at("orbit.simd.scalar_fallbacks"), 0u);
   }
+  std::size_t windows = 0;
+  for (std::size_t s = 0; s < props.size(); ++s)
+    for (std::size_t o = 0; o < observers.size(); ++o) {
+      const std::string label =
+          "sat " + std::to_string(s) + " obs " + std::to_string(o);
+      expect_bit_identical(runs[1][s][o], runs[0][s][o], label);
+      PassPredictionOptions lopts = opts;
+      lopts.min_elevation_deg = observers[o].min_elevation_deg;
+      expect_bit_identical(runs[0][s][o],
+                           oracle_predict_passes(props[s],
+                                                 observers[o].location, jd0,
+                                                 jd1, lopts),
+                           "oracle " + label);
+      windows += runs[0][s][o].size();
+    }
+  EXPECT_GT(windows, 50u);
+}
+
+// A heavily dragged element set that decays within the span: with either
+// table kernel, every scan entry point throws the typed PropagationError
+// the oracle scan throws, serially and on a pool.
+TEST(EphemerisParity, DecayingElementSetThrowsFromEveryEntryPoint) {
+  orbit::KeplerianElements decay;
+  decay.altitude_km = 200.0;
+  decay.eccentricity = 0.0005;
+  decay.bstar = 0.1;
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  std::mt19937_64 rng(93);
+  const std::vector<Tle> tles{random_tle(rng, 3),
+                              orbit::make_tle("DOOMED", 93000, decay, jd0)};
+  std::vector<Sgp4> props(tles.begin(), tles.end());
   std::vector<const Sgp4*> sat_ptrs;
   for (const Sgp4& p : props) sat_ptrs.push_back(&p);
   const std::vector<GridObserver> observers{
-      GridObserver{Geodetic{22.3, 114.2, 0.05}}};
-  std::vector<orbit::PairTask> pairs;
-  for (std::size_t s = 0; s < props.size(); ++s)
-    pairs.push_back(orbit::PairTask{s, 0});
-  const JulianDate jd0 = core::campaign_epoch_jd();
-  const JulianDate jd1 = jd0 + 0.3;
+      GridObserver{Geodetic{22.3, 114.2, 0.05}},
+      GridObserver{Geodetic{51.5, -0.13, 0.035}}};
+  const JulianDate jd1 = jd0 + 30.0;
   PassPredictionOptions opts;
   opts.coarse_step_s = 60.0;
+  EXPECT_THROW((void)oracle_predict_passes(props[1], observers[0].location,
+                                           jd0, jd1, opts),
+               orbit::PropagationError);
 
-  orbit::EphemerisScanOptions fast_opts;
-  fast_opts.mode = orbit::PropagationMode::kFast;
-  obs::MetricsRegistry fast_metrics;
-  (void)orbit::scan_pass_pairs(sat_ptrs, observers, pairs, jd0, jd1, opts,
-                               fast_opts, /*threads=*/1, &fast_metrics);
-  const auto fast_snap = fast_metrics.snapshot();
-  EXPECT_EQ(fast_snap.gauges.at("orbit.simd.mode").value, 1.0);
-  EXPECT_GT(fast_snap.counters.at("orbit.simd.lanes_filled"),
-            static_cast<std::uint64_t>(0));
-  // Healthy TLEs never fall back to the scalar propagator.
-  EXPECT_EQ(fast_snap.counters.at("orbit.simd.scalar_fallbacks"),
-            static_cast<std::uint64_t>(0));
-
-  // Pin the mode instead of passing {}: the default tracks the global,
-  // and this suite must pass under SINET_PROPAGATION_MODE=fast too.
-  orbit::EphemerisScanOptions ref_opts;
-  ref_opts.mode = orbit::PropagationMode::kReference;
-  obs::MetricsRegistry ref_metrics;
-  (void)orbit::scan_pass_pairs(sat_ptrs, observers, pairs, jd0, jd1, opts,
-                               ref_opts, /*threads=*/1, &ref_metrics);
-  const auto ref_snap = ref_metrics.snapshot();
-  EXPECT_EQ(ref_snap.gauges.at("orbit.simd.mode").value, 0.0);
-  EXPECT_EQ(ref_snap.counters.count("orbit.simd.lanes_filled"), 0u);
+  const orbit::PropagationMode before = orbit::propagation_mode();
+  for (const orbit::PropagationMode kernel :
+       {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
+    orbit::set_propagation_mode(kernel);
+    for (const unsigned threads : {1u, 4u}) {
+      EXPECT_THROW((void)orbit::predict_passes_grid(sat_ptrs, observers, jd0,
+                                                    jd1, opts, threads),
+                   orbit::PropagationError);
+      orbit::ContactWindowCache cache;
+      EXPECT_THROW((void)orbit::predict_passes_grid_cached(
+                       tles, observers, jd0, jd1, opts, threads, &cache),
+                   orbit::PropagationError);
+    }
+    orbit::RollingEphemeris::Options ropts;
+    ropts.mode = kernel;
+    orbit::RollingEphemeris rolling(sat_ptrs, jd0, ropts);
+    EXPECT_THROW((void)rolling.advance(jd0, jd1), orbit::PropagationError);
+  }
+  orbit::set_propagation_mode(before);
 }
 
-TEST(PropagationMode, ParseSetAndDefaultPlumbing) {
-  using orbit::PropagationMode;
-  EXPECT_EQ(orbit::parse_propagation_mode("reference"),
-            PropagationMode::kReference);
-  EXPECT_EQ(orbit::parse_propagation_mode("scalar"),
-            PropagationMode::kReference);
-  EXPECT_EQ(orbit::parse_propagation_mode("fast"), PropagationMode::kFast);
-  EXPECT_EQ(orbit::parse_propagation_mode("simd"), PropagationMode::kFast);
-  EXPECT_THROW((void)orbit::parse_propagation_mode("turbo"),
-               std::invalid_argument);
+// The certificate's fixture: masks pinned to the scalar elevation at grid
+// samples, as test_refine pins bisection points. At a pinned sample the
+// scalar verdict is "visible" with no room to spare (elevation == mask),
+// while the table's sine differs from the scalar one by ~1e-11, far
+// inside kLaneMargin: only the sampler can decide. Both walks — the span
+// engine's lane walk and the rolling engine's per-pair walk — must give
+// the oracle's bits, and must have asked the sampler. With the margin set
+// to 0 the lanes decide instead, and about half the pins flip.
+TEST(CertifiedScan, MasksPinnedToSampleElevationsMatchOracle) {
+  std::mt19937_64 rng(2718);
+  std::vector<Sgp4> props;
+  for (int i = 0; i < 3; ++i) props.emplace_back(random_tle(rng, i * 11 + 5));
+  std::vector<const Sgp4*> sat_ptrs;
+  for (const Sgp4& p : props) sat_ptrs.push_back(&p);
+  const JulianDate anchor = core::campaign_epoch_jd() + 0.5;
+  orbit::RollingEphemeris::Options ropts;
+  ropts.chunk_samples = 512;
+  orbit::RollingEphemeris rolling(sat_ptrs, anchor, ropts);
+  (void)rolling.advance(anchor, anchor + 1.0);
+  // The rolling grid is a fresh ScanGrid over its own span, so the span
+  // engine scans the same sample times.
+  const JulianDate jd0 = rolling.start_time();
+  const JulianDate jd1 = rolling.end_time();
+  PassPredictionOptions opts;
+  opts.coarse_step_s = ropts.coarse_step_s;
 
-  EXPECT_STREQ(orbit::propagation_mode_name(PropagationMode::kReference),
-               "reference");
-  EXPECT_STREQ(orbit::propagation_mode_name(PropagationMode::kFast), "fast");
+  // Per satellite and site, masks pinned at the first sample (the walks'
+  // init step) and at samples spread over the span, some above the
+  // horizon and some below.
+  const std::vector<Geodetic> sites{Geodetic{51.5, -0.13, 0.035},
+                                    Geodetic{22.3, 114.2, 0.05}};
+  std::vector<GridObserver> observers;
+  std::vector<std::size_t> pinned_sat;
+  const std::size_t n = rolling.sample_count();
+  for (std::size_t s = 0; s < props.size(); ++s)
+    for (const Geodetic& site : sites) {
+      const orbit::ElevationSampler sampler(props[s], site);
+      for (std::size_t i = 0; i < 10; ++i) {
+        const std::size_t k = rolling.base_index() + i * (n / 10) + 7 * s;
+        observers.push_back(
+            GridObserver{site, sampler.elevation_deg(rolling.sample_time(k))});
+        pinned_sat.push_back(s);
+      }
+    }
 
-  // The global default threads into freshly constructed scan options.
-  const PropagationMode before = orbit::propagation_mode();
-  orbit::set_propagation_mode(PropagationMode::kFast);
-  EXPECT_EQ(orbit::propagation_mode(), PropagationMode::kFast);
-  EXPECT_EQ(orbit::EphemerisScanOptions{}.mode, PropagationMode::kFast);
-  orbit::set_propagation_mode(PropagationMode::kReference);
-  EXPECT_EQ(orbit::EphemerisScanOptions{}.mode,
-            PropagationMode::kReference);
-  orbit::set_propagation_mode(before);
+  obs::MetricsRegistry metrics;
+  std::vector<orbit::PairTask> pairs;
+  for (std::size_t o = 0; o < observers.size(); ++o)
+    pairs.push_back(orbit::PairTask{pinned_sat[o], o});
+  const auto lane_walk = orbit::scan_pass_pairs(
+      sat_ptrs, observers, pairs, jd0, jd1, opts, {}, /*threads=*/1, &metrics);
+  EXPECT_GE(metrics.snapshot().counters.at("orbit.ephemeris.scalar_decisions"),
+            observers.size());
+
+  std::size_t windows = 0;
+  for (std::size_t o = 0; o < observers.size(); ++o) {
+    const std::size_t s = pinned_sat[o];
+    PassPredictionOptions lopts = opts;
+    lopts.min_elevation_deg = observers[o].min_elevation_deg;
+    const auto want =
+        oracle_predict_passes(props[s], observers[o].location, jd0, jd1, lopts);
+    const std::string label = "pin " + std::to_string(o);
+    expect_bit_identical(lane_walk[o], want, "lane walk " + label);
+    expect_bit_identical(rolling.scan_satellite(s, observers[o], opts), want,
+                         "rolling walk " + label);
+    windows += want.size();
+  }
+  EXPECT_GT(windows, 20u);
 }
 
 // ---------------------------------------------------------------------
@@ -1186,12 +1241,12 @@ TEST(RollingEphemeris, NextPassMatchesFullScanOracle) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
   std::size_t queries = 0, found = 0, ties = 0, in_progress = 0;
-  for (const orbit::PropagationMode mode :
+  for (const orbit::PropagationMode kernel :
        {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
     for (const bool retired : {false, true}) {
       orbit::RollingEphemeris::Options ropts;
       ropts.chunk_samples = 128;
-      ropts.mode = mode;
+      ropts.mode = kernel;
       orbit::RollingEphemeris rolling(sat_ptrs, anchor, ropts);
       JulianDate now = anchor;
       if (retired) {
@@ -1217,19 +1272,14 @@ TEST(RollingEphemeris, NextPassMatchesFullScanOracle) {
             popts.min_elevation_deg = mask;
           else
             observer.min_elevation_deg = mask;
-          // kReference: the unculled oracle scan over the retained
-          // horizon. kFast: the fast engine's own full scan, whose sample
-          // positions next_pass walks.
+          // The unculled oracle scan over the retained horizon, with
+          // either table kernel.
+          PassPredictionOptions lopts = popts;
+          lopts.min_elevation_deg = mask;
           std::vector<std::vector<ContactWindow>> windows;
-          if (mode == orbit::PropagationMode::kReference) {
-            PassPredictionOptions lopts = popts;
-            lopts.min_elevation_deg = mask;
-            for (const Sgp4& prop : props)
-              windows.push_back(
-                  oracle_predict_passes(prop, site, h_start, h_end, lopts));
-          } else {
-            windows = rolling.scan_observer(observer, popts);
-          }
+          for (const Sgp4& prop : props)
+            windows.push_back(
+                oracle_predict_passes(prop, site, h_start, h_end, lopts));
 
           std::vector<JulianDate> after{h_start, h_end, now, h_start - 0.1,
                                         h_end + 0.1};
@@ -1252,7 +1302,7 @@ TEST(RollingEphemeris, NextPassMatchesFullScanOracle) {
             const auto got = rolling.next_pass(observer, popts, a);
             testing::expect_same_next_pass(
                 got, want,
-                std::string(orbit::propagation_mode_name(mode)) +
+                "kernel " + std::to_string(static_cast<int>(kernel)) +
                     (retired ? " retired" : " fresh") + " site " +
                     std::to_string(o) + " mask " + std::to_string(mask) +
                     " after " + std::to_string(a));
@@ -1338,12 +1388,11 @@ TEST(ContactWindowCache, PropagatesComputationErrors) {
   // key computes again (and then caches) afterwards.
   std::atomic<int> runs{0};
   const auto lookup = [&] {
-    return cache.get_or_compute(
-        tle, site, jd0, jd1, {}, orbit::PropagationMode::kReference, [&] {
-          if (runs.fetch_add(1) == 0)
-            throw std::invalid_argument("first computation fails");
-          return reference_scan(tle, site, jd0, jd1);
-        });
+    return cache.get_or_compute(tle, site, jd0, jd1, {}, [&] {
+      if (runs.fetch_add(1) == 0)
+        throw std::invalid_argument("first computation fails");
+      return reference_scan(tle, site, jd0, jd1);
+    });
   };
   EXPECT_THROW((void)lookup(), std::invalid_argument);
   EXPECT_EQ(runs.load(), 1);

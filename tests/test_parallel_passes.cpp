@@ -198,7 +198,7 @@ std::vector<ContactWindow> counted_lookup(ContactWindowCache& cache,
                                           const PassPredictionOptions& opts =
                                               {}) {
   return cache.get_or_compute(
-      tle, site, start, end, opts, PropagationMode::kReference, [&] {
+      tle, site, start, end, opts, [&] {
         runs.fetch_add(1);
         const Sgp4 prop(tle);
         return predict_passes_grid({&prop}, {GridObserver{site}}, start, end,

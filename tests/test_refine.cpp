@@ -120,11 +120,11 @@ bool peak_matches(const ElevationSampler& s, JulianDate a, JulianDate b,
   return got == want;
 }
 
-// Every window both engines emit, in both propagation modes, is the
-// oracle's refinement of its grid brackets; the primitives agree with the
-// oracle on each of those brackets too. In kReference the whole window
-// list is the pass-scan oracle's.
-TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
+// Every window the engine emits, with either table kernel, is the
+// pass-scan oracle's, and each is the oracle's refinement of its grid
+// brackets; the primitives agree with the oracle on each of those
+// brackets too.
+TEST(RefinePrimitives, ScanWindowsMatchOracleWithEitherKernel) {
   std::mt19937_64 rng(20261017u);
   std::vector<Sgp4> props;
   for (int i = 0; i < 16; ++i) props.emplace_back(band_tle(rng, i * 3 + 1));
@@ -146,33 +146,32 @@ TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
   opts.coarse_step_s = 30.0;
   const orbit::ScanGrid grid(jd0, jd1, opts.coarse_step_s);
 
-  for (const orbit::PropagationMode mode :
+  const orbit::PropagationMode before = orbit::propagation_mode();
+  for (const orbit::PropagationMode kernel :
        {orbit::PropagationMode::kReference, orbit::PropagationMode::kFast}) {
-    orbit::EphemerisScanOptions scan_opts;
-    scan_opts.mode = mode;
-    const auto windows = orbit::scan_pass_pairs(
-        sats, observers, pairs, jd0, jd1, opts, scan_opts, 1);
+    orbit::set_propagation_mode(kernel);
+    const auto windows =
+        orbit::scan_pass_pairs(sats, observers, pairs, jd0, jd1, opts, {}, 1);
+    orbit::set_propagation_mode(before);
     std::size_t checked = 0;
     for (std::size_t p = 0; p < pairs.size(); ++p) {
       const auto& obs = observers[pairs[p].observer];
       const ElevationSampler sampler(*sats[pairs[p].satellite], obs.location);
       const std::string label =
-          std::string(orbit::propagation_mode_name(mode)) + " pair " +
+          "kernel " + std::to_string(static_cast<int>(kernel)) + " pair " +
           std::to_string(p);
-      if (mode == orbit::PropagationMode::kReference) {
-        orbit::PassPredictionOptions pair_opts = opts;
-        pair_opts.min_elevation_deg = obs.min_elevation_deg;
-        const auto want = testing::oracle_predict_passes(
-            *sats[pairs[p].satellite], obs.location, jd0, jd1, pair_opts);
-        ASSERT_EQ(windows[p].size(), want.size()) << label;
-        for (std::size_t w = 0; w < want.size(); ++w) {
-          EXPECT_EQ(bits(windows[p][w].aos_jd), bits(want[w].aos_jd)) << label;
-          EXPECT_EQ(bits(windows[p][w].los_jd), bits(want[w].los_jd)) << label;
-          EXPECT_EQ(bits(windows[p][w].tca_jd), bits(want[w].tca_jd)) << label;
-          EXPECT_EQ(bits(windows[p][w].max_elevation_deg),
-                    bits(want[w].max_elevation_deg))
-              << label;
-        }
+      orbit::PassPredictionOptions pair_opts = opts;
+      pair_opts.min_elevation_deg = obs.min_elevation_deg;
+      const auto want = testing::oracle_predict_passes(
+          *sats[pairs[p].satellite], obs.location, jd0, jd1, pair_opts);
+      ASSERT_EQ(windows[p].size(), want.size()) << label;
+      for (std::size_t w = 0; w < want.size(); ++w) {
+        EXPECT_EQ(bits(windows[p][w].aos_jd), bits(want[w].aos_jd)) << label;
+        EXPECT_EQ(bits(windows[p][w].los_jd), bits(want[w].los_jd)) << label;
+        EXPECT_EQ(bits(windows[p][w].tca_jd), bits(want[w].tca_jd)) << label;
+        EXPECT_EQ(bits(windows[p][w].max_elevation_deg),
+                  bits(want[w].max_elevation_deg))
+            << label;
       }
       for (const ContactWindow& w : windows[p]) {
         for (const JulianDate edge : {w.aos_jd, w.los_jd}) {
@@ -200,8 +199,8 @@ TEST(RefinePrimitives, ScanWindowsMatchOracleInBothModes) {
 }
 
 // A scalar walk (like pass_scan_oracle.h's) at every mask, at steps of
-// 10-120 s, starting up to a year after the epoch — beyond the 30 days
-// over which the batch kernel's accuracy is tested. Each transition's
+// 10-120 s, starting up to a year after the epoch — beyond the 60 days
+// over which the lane certificate trusts the batch kernel. Each transition's
 // bracket and each closed window go through both primitives and the
 // oracle, at the default and at a finer and a coarser tolerance.
 TEST(RefinePrimitives, MatchOracleAcrossMasksStepsAndSpans) {

@@ -1,10 +1,13 @@
 // Accuracy and lane-handling tests for the SoA batch propagators
-// (orbit/sgp4_batch.h): batch positions vs. the scalar Sgp4 reference,
-// remainder groups, mixed simple_/normal element sets in one lane group,
-// per-lane error reporting where the scalar propagator throws, and the
-// one-satellite, time-per-lane form that refinement runs.
+// (orbit/sgp4_batch.h): batch positions vs. the scalar Sgp4 reference
+// out to the lane certificate's span, the sine-elevation error the
+// certificate's margin must cover, remainder groups, mixed simple_/normal
+// element sets in one lane group, per-lane error reporting where the
+// scalar propagator throws, and the one-satellite, time-per-lane form
+// that refinement runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
@@ -12,7 +15,9 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "orbit/constellation.h"
 #include "orbit/frames.h"
+#include "orbit/look_angles.h"
 #include "orbit/sgp4.h"
 #include "orbit/sgp4_batch.h"
 #include "orbit/tle.h"
@@ -27,9 +32,10 @@ using orbit::Sgp4Batch;
 using orbit::Tle;
 using orbit::Vec3;
 
-// Max |batch - scalar| position component tolerated, km. The batch path
+// Max |batch - scalar| position component tolerated, km: the position
+// error the lane certificate assumes (orbit/sgp4_batch.h). The batch path
 // swaps libm trig for the polynomial kernels and atan2 for a
-// normalization; observed deviation is ~1e-9 km over 30 days (sub-mm).
+// normalization; observed deviation is ~1e-8 km out to 60 days (sub-mm).
 constexpr double kPosTolKm = 1e-6;
 
 Tle band_tle(std::mt19937_64& rng, int index) {
@@ -105,12 +111,99 @@ TEST(Sgp4Batch, MatchesScalarAcrossBandsAndSpan) {
   std::vector<const Sgp4*> sats;
   for (const Sgp4& p : props) sats.push_back(&p);
 
-  // Epoch, mid-campaign, and the far end of a 30-day span.
+  // Epoch, mid-campaign, and out to the end of the certified span: a
+  // 30-day contact plan started 30 days after the TLE epoch ends there.
   const JulianDate jd0 = core::campaign_epoch_jd();
-  for (const double offset_days : {0.0, 0.37, 3.14159, 15.5, 29.999}) {
+  for (const double offset_days :
+       {0.0, 0.37, 3.14159, 15.5, 29.999, 44.5, 59.999,
+        orbit::kLaneMaxEpochDays}) {
     expect_batch_matches_scalar(sats, jd0 + offset_days,
                                 "offset " + std::to_string(offset_days));
   }
+}
+
+// What the lane certificate's margin must cover: the sine of the
+// elevation from a kernel position against the scalar one, over the 39
+// paper satellites and 32 band TLEs, the 8 paper sites, and times out to
+// kLaneMaxEpochDays, wherever the slant range is at least
+// kLaneMinRangeKm. Both kernels stay below half the margin (measured:
+// ~1e-11, against 8.7e-9).
+TEST(Sgp4Batch, ElevationErrorStaysBelowHalfTheLaneMargin) {
+  const JulianDate jd0 = core::campaign_epoch_jd();
+  std::vector<Tle> tles;
+  for (const orbit::ConstellationSpec& spec : orbit::paper_constellations())
+    for (const Tle& t : orbit::generate_tles(spec, jd0)) tles.push_back(t);
+  ASSERT_EQ(tles.size(), 39u);
+  std::mt19937_64 rng(60);
+  for (int i = 0; i < 32; ++i) tles.push_back(band_tle(rng, i));
+  std::vector<Sgp4> props(tles.begin(), tles.end());
+  std::vector<const Sgp4*> sats;
+  for (const Sgp4& p : props) sats.push_back(&p);
+  std::vector<orbit::TopocentricFrame> frames;
+  for (const core::MeasurementSite& site : core::paper_measurement_sites())
+    frames.emplace_back(site.location);
+
+  // Worst |sin(el) kernel - sin(el) scalar| over the sites, for one
+  // kernel position and the scalar one of the same satellite and time.
+  double worst = 0.0;
+  std::size_t compared = 0;
+  const auto compare = [&](const Vec3& got, const Vec3& want) {
+    for (const orbit::TopocentricFrame& f : frames) {
+      const Vec3 rw = want - f.obs_ecef_km;
+      if (rw.norm() < orbit::kLaneMinRangeKm) continue;
+      const Vec3 rg = got - f.obs_ecef_km;
+      const double sw = orbit::ecef_to_enu(f, rw).up / rw.norm();
+      const double sg = orbit::ecef_to_enu(f, rg).up / rg.norm();
+      worst = std::max(worst, std::abs(sg - sw));
+      ++compared;
+    }
+  };
+
+  // The table kernel: every satellite at one time per call.
+  const Sgp4Batch batch(sats);
+  std::uniform_real_distribution<double> offset_days(
+      0.0, orbit::kLaneMaxEpochDays);
+  double x[Sgp4Batch::kLaneWidth], y[Sgp4Batch::kLaneWidth];
+  double z[Sgp4Batch::kLaneWidth], d[Sgp4Batch::kLaneWidth];
+  LaneStatus status[Sgp4Batch::kLaneWidth];
+  for (int call = 0; call < 400; ++call) {
+    const JulianDate jd =
+        jd0 + (call == 0 ? orbit::kLaneMaxEpochDays : offset_days(rng));
+    const double gmst = orbit::gmst_rad(jd);
+    for (std::size_t g = 0; g < batch.groups(); ++g) {
+      ASSERT_TRUE(batch.propagate_group_ecef(g, jd, gmst, x, y, z, d, status));
+      for (std::size_t l = 0; l < batch.group_members(g); ++l)
+        compare(Vec3{x[l], y[l], z[l]},
+                orbit::teme_to_ecef_position_gmst(
+                    sats[g * Sgp4Batch::kLaneWidth + l]->at_jd(jd).position_km,
+                    gmst));
+    }
+  }
+  const double table_worst = worst;
+
+  // The refinement kernel: one satellite, a time per lane.
+  worst = 0.0;
+  for (const Sgp4& prop : props) {
+    const orbit::Sgp4TimeBatch lanes(prop);
+    for (int call = 0; call < 16; ++call) {
+      JulianDate jd[4];
+      for (JulianDate& t : jd) t = jd0 + offset_days(rng);
+      lanes.propagate_ecef(jd, x, y, z, status);
+      for (int l = 0; l < 4; ++l) {
+        ASSERT_EQ(status[l], LaneStatus::kOk);
+        const orbit::TemeState st = prop.at_jd(jd[l]);
+        compare(Vec3{x[l], y[l], z[l]},
+                orbit::teme_to_ecef_state(st.position_km, st.velocity_km_s,
+                                          jd[l])
+                    .position_km);
+      }
+    }
+  }
+  EXPECT_GT(compared, 200000u);
+  EXPECT_LT(table_worst, 0.5 * orbit::kLaneMargin)
+      << "table kernel sine-elevation error";
+  EXPECT_LT(worst, 0.5 * orbit::kLaneMargin)
+      << "refinement kernel sine-elevation error";
 }
 
 TEST(Sgp4Batch, RemainderGroupsCoverEveryCount) {
@@ -215,7 +308,8 @@ TEST(Sgp4Batch, ErrorLanesAreFlaggedWithoutPoisoningNeighbors) {
 // gmst_rad(jd) — the position ElevationSampler uses.
 TEST(Sgp4TimeBatch, MatchesScalarAtPerLaneTimes) {
   std::mt19937_64 rng(20261017u);
-  std::uniform_real_distribution<double> offset_days(0.0, 30.0);
+  std::uniform_real_distribution<double> offset_days(
+      0.0, orbit::kLaneMaxEpochDays);
   const JulianDate jd0 = core::campaign_epoch_jd();
   std::vector<Tle> tles;
   for (int i = 0; i < 16; ++i) tles.push_back(band_tle(rng, i * 3 + 2));

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "orbit/ephemeris.h"
 #include "orbit/time.h"
 #include "stats/cdf.h"
 #include "stats/divergence.h"
@@ -235,11 +234,6 @@ TEST(RunValidation, QuickScenarioPassesCommittedGate) {
   const val::ValidationScenario sc = val::validation_scenario("quick");
   const val::ValidationReport report = val::run_validation(sc);
 
-  // The SIMD fast arm is tolerance-bounded, not bit-exact by contract.
-  // (The reference arm's bit parity with the per-pair scan is ctest's
-  // EphemerisParity.ValidationScenarioPairsMatchOracle.)
-  EXPECT_LE(report.score_or_nan("windows.fast_vs_reference.ks"), 0.02);
-
   // Analytic agreement is coarse but bounded.
   EXPECT_LT(report.score_or_nan("contact_duration.reference_vs_analytic.ks"),
             0.15);
@@ -329,30 +323,6 @@ TEST(RunValidation, MiniScaleScenarioScoresAggregates) {
        {{"dts.delivery.abs_err", 0.5},
         {"dts.wait.renewal_bound_ratio", 1.0}}});
   EXPECT_TRUE(val::gate(report, b).passed);
-}
-
-TEST(RunValidation, FastModeQuickScenarioPassesSameGate) {
-  // Acceptance criterion: the SIMD fast path passes the same gate as the
-  // reference mode. The DtS arm follows the ambient mode; the two scan
-  // arms pin their own modes, so the cross-arm scores stay comparable.
-  const orbit::PropagationMode prev = orbit::propagation_mode();
-  orbit::set_propagation_mode(orbit::PropagationMode::kFast);
-  val::ValidationReport report;
-  try {
-    report = val::run_validation(val::validation_scenario("quick"));
-  } catch (...) {
-    orbit::set_propagation_mode(prev);
-    throw;
-  }
-  orbit::set_propagation_mode(prev);
-
-  EXPECT_EQ(report.propagation_mode, "fast");
-  const val::BaselineSet baselines = val::read_baselines_file(
-      std::string(SINET_TEST_DATA_DIR) + "/validation_baselines.json");
-  const val::GateResult gated = val::gate(report, baselines);
-  for (const val::GateCheck& c : gated.checks)
-    EXPECT_TRUE(c.ok) << c.score << " = " << c.value << " > " << c.max;
-  EXPECT_TRUE(gated.passed);
 }
 
 }  // namespace
