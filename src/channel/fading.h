@@ -24,6 +24,15 @@ struct FadeParams {
   sinet::sim::RicianParams rician;
 };
 
+/// The three uniforms of one fading realization, in draw order: the
+/// shadowing normal's, then the Rician x and y normals'
+/// (sim::Rng::normal_uniform each).
+struct FadeUniforms {
+  double shadowing = 0.5;
+  double x = 0.5;
+  double y = 0.5;
+};
+
 /// Draws per-packet fading realizations. The object holds configuration
 /// only; the RNG stream is passed per call so that callers control
 /// reproducibility.
@@ -44,7 +53,29 @@ class FadingModel {
   /// One realization from prepared parameters: three normals, a sqrt
   /// and a log10. Same draws and value as draw_db(rng, elevation, w).
   [[nodiscard]] static double draw_db(const FadeParams& p,
-                                      sinet::sim::Rng& rng);
+                                      sinet::sim::Rng& rng) {
+    return fade_db(p, draw_uniforms(rng));
+  }
+
+  /// The uniforms of one realization, drawn as draw_db draws them.
+  [[nodiscard]] static FadeUniforms draw_uniforms(sinet::sim::Rng& rng) {
+    return {rng.normal_uniform(), rng.normal_uniform(),
+            rng.normal_uniform()};
+  }
+
+  /// The realization of uniforms `u` (dB): shadowing plus small-scale
+  /// fade, from the three normal quantiles.
+  [[nodiscard]] static double fade_db(const FadeParams& p,
+                                      const FadeUniforms& u);
+
+  /// An upper bound on fade_db(p, u) from the quantile brackets of u's
+  /// buckets (sim::normal_quantile_brackets) instead of the quantiles:
+  /// one log10, no quantile. For 0 <= shadowing_sigma_db <= 100,
+  /// fade_db(p, u) exceeds it by less than 1e-12 dB, the rounding of the
+  /// sqrt and the log10s (docs/PERFORMANCE.md, "The decode
+  /// certificate"); NaN parameters give NaN.
+  [[nodiscard]] static double fade_bound_db(const FadeParams& p,
+                                            const FadeUniforms& u);
 
   /// Effective Rician K-factor (dB) at an elevation.
   [[nodiscard]] double k_factor_db(double elevation_deg) const noexcept;

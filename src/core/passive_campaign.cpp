@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -90,6 +91,8 @@ struct SiteRun {
   std::uint64_t transmitted = 0;
   /// Beacons whose +1 s look was computed for their Doppler rate.
   std::uint64_t doppler_twins = 0;
+  /// Beacons the fade bound settled as lost without the fade's quantiles.
+  std::uint64_t certified_lost = 0;
 };
 
 /// Observe every scheduled window of one site: draw the site's daily
@@ -102,7 +105,10 @@ struct SiteRun {
 /// the shift's, so the decode is first tested on the shift alone: when
 /// that is already saturated (the PER curve exactly 1), the full penalty
 /// is too, and the decode takes its one draw and fails either way. Only
-/// the other beacons pay for the second look.
+/// the other beacons pay for the second look. The fade feeds nothing but
+/// the decode and the log of a received beacon, so a beacon whose fade
+/// bound already saturates the shift-only decode skips the fade's
+/// quantiles too (ErrorModel::draw_unless_lost).
 void observe_site(const PassiveCampaignConfig& cfg,
                   const MeasurementSite& site,
                   const std::vector<CampaignSatellite>& satellites,
@@ -136,10 +142,18 @@ void observe_site(const PassiveCampaignConfig& cfg,
           weather[std::min<std::size_t>(day, weather.size() - 1)];
 
       // The fade draw reads no Doppler rate: draw it with the rate unset.
-      phy::LinkState st = phy::draw_link_state(link, look, wx, 0.0, rng);
+      const phy::PreparedLink prepared = phy::prepare_link(link, look, wx, 0.0);
       phy::PreparedReception rx = no_doppler;
-      rx.doppler_penalty_db =
-          phy::doppler_snr_penalty_db(st.doppler, link.lora, rx.time_on_air_s);
+      rx.doppler_penalty_db = phy::doppler_snr_penalty_db(
+          prepared.mean.doppler, link.lora, rx.time_on_air_s);
+      const std::optional<phy::LinkState> drawn =
+          phy::ErrorModel::draw_unless_lost(
+              prepared, error_model.certain_loss_below_db(prepared, rx), rng);
+      if (!drawn) {
+        ++run.certified_lost;
+        continue;
+      }
+      phy::LinkState st = *drawn;
       if (!error_model.saturated(st.snr_db, rx)) {
         // Doppler rate by 1-s finite difference.
         ++run.doppler_twins;
@@ -357,10 +371,12 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
   }
 
   std::uint64_t doppler_twins = 0;
+  std::uint64_t certified_lost = 0;
   for (const SiteRun& run : runs) {
     result.beacons_transmitted += run.transmitted;
     result.beacons_received += run.receptions.size();
     doppler_twins += run.doppler_twins;
+    certified_lost += run.certified_lost;
   }
   result.traces.reserve(result.beacons_received);
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -375,6 +391,7 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
         .add(result.beacons_transmitted);
     m.counter("core.passive.beacons_received").add(result.beacons_received);
     m.counter("core.passive.doppler_twins").add(doppler_twins);
+    m.counter("core.passive.beacons_certified_lost").add(certified_lost);
     m.counter("core.passive.sites").add(cfg.sites.size());
     std::uint64_t requested = 0;
     std::uint64_t observed = 0;

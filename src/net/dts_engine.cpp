@@ -43,11 +43,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -113,6 +115,14 @@ void validate_dts_config(const DtsNetworkConfig& cfg) {
           duration_s)
     throw std::invalid_argument(
         "DtsNetwork: report interval too small to advance the report clock");
+  if (duration_s / interval > kMaxReportsPerNode) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "DtsNetwork: report interval %g s gives %.3g reports per "
+                  "node, above the bound of %.0f",
+                  interval, duration_s / interval, kMaxReportsPerNode);
+    throw std::invalid_argument(msg);
+  }
 }
 
 /// Key for grouping nodes that share a deployment location; locations
@@ -144,6 +154,8 @@ struct LocGeo {
   phy::PreparedReception beacon_rx;
   bool beacon_ready = false;  ///< `beacon` is this slot's
   phy::PreparedLink beacon;
+  /// ErrorModel::certain_loss_below_db of `beacon` and `beacon_rx`.
+  double beacon_loss_below_db = 0.0;
 
   /// Bring the row to beacon slot `slot` of satellite `sat` at `jd`
   /// (no-op when it already holds that slot). The window cursor replaces
@@ -185,11 +197,14 @@ struct LocGeo {
 
   /// This slot's beacon link to the fleet's receive antenna, prepared on
   /// first use: a slot no node answers prepares nothing.
-  const phy::PreparedLink& beacon_link(const DtsNetworkConfig& cfg) {
+  const phy::PreparedLink& beacon_link(const DtsNetworkConfig& cfg,
+                                       const phy::ErrorModel& error_model) {
     if (!beacon_ready) {
       phy::LinkConfig link = cfg.downlink;
       link.rx_antenna = cfg.fleet.prototype.antenna;
       beacon = phy::prepare_link(link, look, weather, doppler_rate);
+      beacon_loss_below_db =
+          error_model.certain_loss_below_db(beacon, beacon_rx);
       beacon_ready = true;
     }
     return beacon;
@@ -820,9 +835,16 @@ class ShardSimulator {
   void consider_node(std::size_t n, double now, LocGeo& g, sim::Rng& rng,
                      DtsCounters& ctr,
                      std::vector<SlotResponder>& responders) {
-    const phy::LinkState beacon_state =
-        phy::draw_link_state(g.beacon_link(cfg_), rng);
-    if (!error_model_.receive(beacon_state.snr_db, g.beacon_rx, rng)) return;
+    ++ctr.beacon_decodes;
+    const phy::PreparedLink& beacon = g.beacon_link(cfg_, error_model_);
+    const std::optional<phy::LinkState> beacon_state =
+        phy::ErrorModel::draw_unless_lost(beacon, g.beacon_loss_below_db,
+                                          rng);
+    if (!beacon_state) {
+      ++ctr.beacon_decodes_certified;
+      return;
+    }
+    if (!error_model_.receive(beacon_state->snr_db, g.beacon_rx, rng)) return;
     ++ctr.beacons_heard;
     if (nodes_.empty(n)) return;
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
@@ -835,7 +857,7 @@ class ShardSimulator {
       // that let it through, so a generous 6 dB safety margin keeps the
       // estimator honest about fading variance.
       up_cfg.lora.sf = phy::choose_spreading_factor(
-          beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
+          beacon_state->snr_db + cfg_.adr_uplink_advantage_db, 6.0);
     }
     phy::LinkState up_state =
         phy::draw_link_state(up_cfg, g.look, g.weather, g.doppler_rate, rng);
@@ -993,10 +1015,16 @@ class ShardSimulator {
         phy::LinkConfig ack_cfg = cfg_.downlink;
         ack_cfg.tx_power_dbm += cfg_.ack_power_boost_db;
         ack_cfg.rx_antenna = nodes_.antenna;
-        const phy::LinkState ack_state = phy::draw_link_state(
-            ack_cfg, r.look, wx, r.doppler_rate, rng);
-        acked = error_model_.receive(ack_state, ack_cfg.lora,
-                                     cfg_.ack_payload_bytes, rng);
+        const phy::PreparedLink ack =
+            phy::prepare_link(ack_cfg, r.look, wx, r.doppler_rate);
+        const phy::PreparedReception ack_rx = error_model_.prepare(
+            ack.mean.doppler, ack_cfg.lora, cfg_.ack_payload_bytes);
+        const std::optional<phy::LinkState> ack_state =
+            phy::ErrorModel::draw_unless_lost(
+                ack, error_model_.certain_loss_below_db(ack, ack_rx), rng);
+        if (!ack_state) ++ctr.ack_decodes_certified;
+        acked = ack_state &&
+                error_model_.receive(ack_state->snr_db, ack_rx, rng);
       }
     }
 
@@ -1175,6 +1203,9 @@ class ShardSimulator {
     into.duplicate_uplinks += from.duplicate_uplinks;
     into.satellite_buffer_drops += from.satellite_buffer_drops;
     into.background_losses += from.background_losses;
+    into.beacon_decodes += from.beacon_decodes;
+    into.beacon_decodes_certified += from.beacon_decodes_certified;
+    into.ack_decodes_certified += from.ack_decodes_certified;
   }
 
   [[nodiscard]] std::size_t timeline_bytes() const {
@@ -1200,6 +1231,10 @@ class ShardSimulator {
     m.counter("net.dts.satellite_buffer_drops")
         .add(c.satellite_buffer_drops);
     m.counter("net.dts.background_losses").add(c.background_losses);
+    m.counter("net.dts.beacon_decodes").add(c.beacon_decodes);
+    m.counter("net.dts.beacon_decodes_certified")
+        .add(c.beacon_decodes_certified);
+    m.counter("net.dts.ack_decodes_certified").add(c.ack_decodes_certified);
     m.counter("net.dts.reports_generated")
         .add(result.agg.reports_generated);
     m.gauge("net.dts.delivered_fraction").set(result.delivered_fraction());

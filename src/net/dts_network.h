@@ -49,6 +49,12 @@ namespace sinet::net {
 /// O(reports).
 inline constexpr std::size_t kTraceNodeLimit = 4096;
 
+/// A run refuses a report interval that gives a node more reports than
+/// this (duration / interval): one a minute for 69 days, against 1,440
+/// over the paper's 30-day campaign. Every report is a trace record (up
+/// to kTraceNodeLimit nodes) and a step of its node's report loop.
+inline constexpr double kMaxReportsPerNode = 100'000.0;
+
 /// The node population: `count` nodes cloned from `prototype`, deployed
 /// round-robin across `sites` (node i lives at sites[i % sites.size()]
 /// and is named "<prototype.name>-<i + 1>" where a name is needed). No
@@ -183,6 +189,13 @@ struct DtsCounters {
   std::uint64_t duplicate_uplinks = 0;  ///< retx after lost ACK
   std::uint64_t satellite_buffer_drops = 0;
   std::uint64_t background_losses = 0;  ///< footprint congestion losses
+  /// Beacon decodes drawn: one per node answering a slot's beacon.
+  std::uint64_t beacon_decodes = 0;
+  /// Beacon decodes, and ACK decodes (of acks_sent), that the fade bound
+  /// settled as lost without the fade's quantiles
+  /// (ErrorModel::draw_unless_lost).
+  std::uint64_t beacon_decodes_certified = 0;
+  std::uint64_t ack_decodes_certified = 0;
 };
 
 /// Streaming aggregates of a DtS run, over the same packets the trace

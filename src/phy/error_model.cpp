@@ -87,6 +87,36 @@ double ErrorModel::per_curve(double margin_db, CodingRate cr,
   return std::clamp(per, cfg_.residual_per, 1.0);
 }
 
+double ErrorModel::certain_loss_below_db(
+    const PreparedLink& link, const PreparedReception& rx) const noexcept {
+  // The fade bound is within 1e-12 dB of the computed fade, and every sum
+  // here and in saturated() stays under ~6,000 dB in magnitude, so each
+  // of their dozen roundings is under 1e-12 dB: 1e-6 dB dwarfs them all.
+  constexpr double kMarginDb = 1e-6;
+  constexpr double kRangeDb = 1000.0;
+  const double sigma = link.fade.shadowing_sigma_db;
+  const double margin = saturation_margin_db(rx.cr, rx.symbols);
+  const bool covered =
+      sigma >= 0.0 && sigma <= 100.0 && std::abs(margin) <= kRangeDb &&
+      std::abs(rx.threshold_db) <= kRangeDb &&
+      std::abs(rx.doppler_penalty_db) <= kRangeDb &&
+      std::abs(link.mean.snr_db) <= kRangeDb;
+  if (!covered) return -std::numeric_limits<double>::infinity();
+  return margin + rx.threshold_db + rx.doppler_penalty_db -
+         link.mean.snr_db - kMarginDb;
+}
+
+std::optional<LinkState> ErrorModel::draw_unless_lost(
+    const PreparedLink& link, double loss_below_db, sinet::sim::Rng& rng) {
+  using sinet::channel::FadingModel;
+  const sinet::channel::FadeUniforms u = FadingModel::draw_uniforms(rng);
+  if (FadingModel::fade_bound_db(link.fade, u) < loss_below_db) {
+    rng.next_u64();  // receive()'s chance(1.0)
+    return std::nullopt;
+  }
+  return faded_state(link, FadingModel::fade_db(link.fade, u));
+}
+
 PreparedReception ErrorModel::prepare(const DopplerProfile& doppler,
                                       const LoraParams& params,
                                       int payload_bytes) const {

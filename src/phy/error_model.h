@@ -10,6 +10,7 @@
 #pragma once
 
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "phy/doppler.h"
@@ -110,6 +111,27 @@ class ErrorModel {
       return -std::numeric_limits<double>::infinity();
     return saturation_db_[row * kTabulatedSymbols + symbols];
   }
+
+  /// The fade (dB) below which a decode at `rx` on `link` is lost for
+  /// certain: saturation margin + threshold + Doppler penalty - mean SNR,
+  /// less a 1e-6 dB margin. -infinity, so that no decode is certified,
+  /// unless the link's shadowing sigma lies in [0, 100] dB and the four
+  /// terms within +-1000 dB, where the rounding of the fade and of these
+  /// sums stays far below the margin; NaN fails both.
+  [[nodiscard]] double certain_loss_below_db(
+      const PreparedLink& link, const PreparedReception& rx) const noexcept;
+
+  /// Draws the fade of a decode whose fade feeds nothing but its own
+  /// outcome. When the bound on the fade (FadingModel::fade_bound_db of
+  /// its uniforms) lies below `loss_below_db`, from
+  /// certain_loss_below_db(link, rx), the decode is saturated whatever
+  /// the quantiles: this consumes the one uniform receive() draws for it
+  /// and returns nullopt, a lost decode. Otherwise it returns
+  /// draw_link_state(link, rng)'s state, bit for bit, for the caller's
+  /// receive(). Either way the stream advances as draw_link_state and
+  /// receive advance it.
+  [[nodiscard]] static std::optional<LinkState> draw_unless_lost(
+      const PreparedLink& link, double loss_below_db, sinet::sim::Rng& rng);
 
   /// True when a prepared reception at pre-Doppler SNR `snr_db` is lost
   /// for certain: its margin after the Doppler penalty, (snr_db -

@@ -57,11 +57,8 @@ PreparedLink prepare_link(const LinkConfig& cfg,
 }
 
 LinkState draw_link_state(const PreparedLink& link, sinet::sim::Rng& rng) {
-  LinkState st = link.mean;
-  const double fade_db = sinet::channel::FadingModel::draw_db(link.fade, rng);
-  st.rssi_dbm += fade_db;
-  st.snr_db += fade_db;
-  return st;
+  return faded_state(link,
+                     sinet::channel::FadingModel::draw_db(link.fade, rng));
 }
 
 }  // namespace sinet::phy

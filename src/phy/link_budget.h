@@ -61,8 +61,18 @@ struct PreparedLink {
                                         sinet::channel::Weather weather,
                                         double doppler_rate_hz_s);
 
-/// One fading realization on a prepared link: the mean state with the
-/// fade (shadowing plus small-scale, summed first) added to RSSI and SNR.
+/// The mean state of `link` with fade `fade_db` (shadowing plus
+/// small-scale, summed first) added to RSSI and SNR.
+[[nodiscard]] inline LinkState faded_state(const PreparedLink& link,
+                                           double fade_db) {
+  LinkState st = link.mean;
+  st.rssi_dbm += fade_db;
+  st.snr_db += fade_db;
+  return st;
+}
+
+/// One fading realization on a prepared link:
+/// faded_state(link, FadingModel::draw_db(link.fade, rng)).
 [[nodiscard]] LinkState draw_link_state(const PreparedLink& link,
                                         sinet::sim::Rng& rng);
 

@@ -1,19 +1,13 @@
 #include "sim/rng.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 namespace sinet::sim {
 
-namespace {
-
-// Inverse of the standard normal CDF: Wichura's algorithm AS241,
-// routine PPND16 (Applied Statistics 37, 1988). Absolute error below
-// ~1e-15 over (0, 1); an explicit rational approximation, so the draw
-// sequence does not depend on which standard library implements
-// std::normal_distribution.
-double inverse_normal_cdf(double p) {
+double normal_quantile(double p) {
   const double q = p - 0.5;
   if (std::abs(q) <= 0.425) {
     const double r = 0.180625 - q * q;
@@ -58,7 +52,27 @@ double inverse_normal_cdf(double p) {
   return q < 0.0 ? -v : v;
 }
 
-}  // namespace
+std::span<const QuantileBracket, kQuantileBuckets> normal_quantile_brackets() {
+  // Bucket b's drawable uniforms are k * 2^-53 for k from max(b * 2^43, 1)
+  // to (b + 1) * 2^43 - 1. The quantile rises with u, so those two ends
+  // bound it; the padding covers AS241's departures from monotonicity
+  // (rounding and the steps between its branches, a few ulps of
+  // |z| <= 8.3).
+  static const std::array<QuantileBracket, kQuantileBuckets> table = [] {
+    constexpr double kPad = 1e-9;
+    constexpr std::uint64_t kPerBucket = (std::uint64_t{1} << 53) /
+                                         kQuantileBuckets;
+    std::array<QuantileBracket, kQuantileBuckets> t;
+    for (std::size_t b = 0; b < kQuantileBuckets; ++b) {
+      const std::uint64_t first = std::max<std::uint64_t>(b * kPerBucket, 1);
+      const std::uint64_t last = (b + 1) * kPerBucket - 1;
+      t[b] = {normal_quantile(static_cast<double>(first) * 0x1.0p-53) - kPad,
+              normal_quantile(static_cast<double>(last) * 0x1.0p-53) + kPad};
+    }
+    return t;
+  }();
+  return table;
+}
 
 Mt19937_64::Mt19937_64(std::uint64_t seed) {
   state_[0] = seed;
@@ -89,11 +103,6 @@ void Mt19937_64::refill() {
   next_ = 0;
 }
 
-double Rng::uniform() {
-  // 53-bit mantissa from the top bits of one fully-specified raw draw.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   if (!(hi >= lo) || !std::isfinite(lo) || !std::isfinite(hi))
     throw std::invalid_argument("Rng::uniform: need finite lo <= hi");
@@ -116,16 +125,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
                                    raw % span);
 }
 
-double Rng::normal() {
-  // Inverse-transform sampling; reject u == 0 (probability 2^-53) so the
-  // inverse CDF stays finite.
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return inverse_normal_cdf(u);
-}
-
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
@@ -146,12 +145,6 @@ RicianParams rician_params(double k_factor_db) {
   // power K/(K+1) plus scattered complex Gaussian of power 1/(K+1).
   const double k = std::pow(10.0, k_factor_db / 10.0);
   return {std::sqrt(k / (k + 1.0)), std::sqrt(1.0 / (2.0 * (k + 1.0)))};
-}
-
-double Rng::rician_amplitude(const RicianParams& p) {
-  const double x = p.los + p.sigma * normal();
-  const double y = p.sigma * normal();
-  return std::sqrt(x * x + y * y);
 }
 
 std::uint64_t derive_seed(std::uint64_t root, std::string_view component) {

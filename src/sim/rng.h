@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace sinet::sim {
@@ -35,6 +36,35 @@ struct RicianParams {
 
 /// Rician parameters of K-factor `k_factor_db`.
 [[nodiscard]] RicianParams rician_params(double k_factor_db);
+
+/// Standard normal quantile at `p` in (0, 1): Wichura's algorithm AS241,
+/// routine PPND16 (Applied Statistics 37, 1988), an explicit rational
+/// approximation (absolute error below ~1e-15), so no draw depends on a
+/// standard library's normal distribution.
+[[nodiscard]] double normal_quantile(double p);
+
+/// Bounds on normal_quantile over one bucket of the uniforms
+/// Rng::normal_uniform() draws.
+struct QuantileBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// The uniform's range (0, 1) is cut into this many equal buckets.
+inline constexpr std::size_t kQuantileBuckets = 1024;
+
+/// The bucket of a uniform `u` in (0, 1).
+[[nodiscard]] inline std::size_t quantile_bucket(double u) {
+  return static_cast<std::size_t>(u * static_cast<double>(kQuantileBuckets));
+}
+
+/// Entry b holds lo <= normal_quantile(u) <= hi for every u in bucket b
+/// that normal_uniform() can return (a multiple of 2^-53 in [2^-53,
+/// 1 - 2^-53]): the quantile at the bucket's first and last such u,
+/// padded outward by 1e-9, far beyond AS241's rounding and the steps
+/// between its branches. Built once; 16 KiB.
+[[nodiscard]] std::span<const QuantileBracket, kQuantileBuckets>
+normal_quantile_brackets();
 
 /// MT19937-64 (Matsumoto and Nishimura): the sequence of
 /// std::mt19937_64 for every seed. The state is refilled 312 words at a
@@ -70,27 +100,31 @@ class Rng {
   /// Raw 64-bit engine draw (the primitive every helper is built on).
   std::uint64_t next_u64() { return engine_(); }
   /// Uniform in [0, 1), 53-bit resolution: (next_u64() >> 11) * 2^-53.
-  double uniform();
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   /// Uniform in [lo, hi). Requires finite bounds with hi >= lo.
   double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive (unbiased rejection sampling
   /// over raw draws).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Standard normal (mean 0, stddev 1) by inverse-transform sampling
-  /// (Wichura's AS241 PPND16 inverse CDF); one uniform per draw.
-  double normal();
+  /// The uniform of one normal() draw: uniform(), redrawn while it is 0
+  /// (probability 2^-53) so that the quantile stays finite.
+  double normal_uniform() {
+    double u = uniform();
+    while (u <= 0.0) u = uniform();
+    return u;
+  }
+  /// Standard normal (mean 0, stddev 1) by inverse-transform sampling:
+  /// normal_quantile(normal_uniform()). A caller may draw the uniforms of
+  /// several normals first and take their quantiles later.
+  double normal() { return normal_quantile(normal_uniform()); }
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
   /// Exponential with given mean (>0).
   double exponential(double mean);
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool chance(double p);
-  /// Rician fading amplitude with K-factor (dB) and mean power 1.
-  double rician_amplitude(double k_factor_db) {
-    return rician_amplitude(rician_params(k_factor_db));
-  }
-  /// Rician fading amplitude from prepared parameters: two normals.
-  double rician_amplitude(const RicianParams& p);
 
  private:
   Mt19937_64 engine_;

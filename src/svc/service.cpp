@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -77,6 +78,19 @@ PassService::PassService(const ServiceOptions& opts,
   ropts.mode = opts_.mode;
   rolling_ = std::make_unique<orbit::RollingEphemeris>(std::move(sats),
                                                        epoch_jd, ropts);
+  // After the rolling grid's own step check, before its first sample.
+  const double samples =
+      (opts_.horizon_hours + opts_.retention_hours) * 3600.0 / opts_.step_s;
+  if (!(samples <= kMaxHorizonSamples)) {
+    char msg[200];
+    std::snprintf(msg, sizeof msg,
+                  "PassService: step_s %g s gives %.3g samples per satellite "
+                  "over the %g h horizon, above the bound of %.0f",
+                  opts_.step_s, samples,
+                  opts_.horizon_hours + opts_.retention_hours,
+                  kMaxHorizonSamples);
+    throw std::invalid_argument(msg);
+  }
   advance_horizon();
 }
 

@@ -43,6 +43,12 @@ class MetricsRegistry;
 
 namespace sinet::svc {
 
+/// PassService refuses a horizon (horizon_hours + retention_hours) whose
+/// grid holds more samples per satellite than this at step_s: the default
+/// 30 s grid holds 2,910 over 24.25 h, and 100,000 samples of all 39
+/// satellites keep about 126 MB resident.
+inline constexpr double kMaxHorizonSamples = 100'000.0;
+
 struct ServiceOptions {
   /// Paper constellation to serve: "all" (39 satellites across Tianqi,
   /// FOSSA, PICO and CSTP) or one constellation name.

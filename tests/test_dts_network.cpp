@@ -173,6 +173,12 @@ TEST(DtsNetwork, ConfigValidation) {
   DtsNetworkConfig stuck = small_config();
   stuck.fleet.prototype.report_interval_s = 1e-300;
   EXPECT_THROW(run_dts_network(stuck), std::invalid_argument);
+  // An interval that moves the clock, but gives a node more reports than
+  // kMaxReportsPerNode.
+  DtsNetworkConfig runaway = small_config();
+  runaway.fleet.prototype.report_interval_s =
+      runaway.duration_days * 86400.0 / (kMaxReportsPerNode * 1.01);
+  EXPECT_THROW(run_dts_network(runaway), std::invalid_argument);
 }
 
 TEST(DtsNetwork, CongestionCausesBackgroundLosses) {
@@ -298,6 +304,20 @@ TEST(DtsNetwork, MetricsMatchResultCounters) {
   EXPECT_EQ(s.counters.at("net.dts.uplinks_received"),
             res.counters.uplinks_received);
   EXPECT_EQ(s.counters.at("net.dts.reports_generated"), res.uplinks.size());
+  EXPECT_EQ(s.counters.at("net.dts.beacon_decodes"),
+            res.counters.beacon_decodes);
+  EXPECT_EQ(s.counters.at("net.dts.beacon_decodes_certified"),
+            res.counters.beacon_decodes_certified);
+  EXPECT_EQ(s.counters.at("net.dts.ack_decodes_certified"),
+            res.counters.ack_decodes_certified);
+  // A settled decode is a lost one, and the bound settles most beacon
+  // decodes: 10,643 of 11,331 on this farm.
+  EXPECT_LE(res.counters.beacon_decodes_certified + res.counters.beacons_heard,
+            res.counters.beacon_decodes);
+  EXPECT_GT(static_cast<double>(res.counters.beacon_decodes_certified),
+            0.8 * static_cast<double>(res.counters.beacon_decodes));
+  EXPECT_LE(res.counters.ack_decodes_certified,
+            res.counters.acks_sent - res.counters.acks_received);
   EXPECT_DOUBLE_EQ(s.gauges.at("net.dts.delivered_fraction").value,
                    res.delivered_fraction());
   // The shard schedule, the thread pool and the contact-window cache all

@@ -81,11 +81,13 @@ TEST(Rng, ChanceExtremes) {
 
 TEST(Rng, RicianMeanPowerIsUnity) {
   Rng rng(13);
+  const sinet::sim::RicianParams p = sinet::sim::rician_params(10.0);
   double power = 0.0;
   const int n = 30000;
   for (int i = 0; i < n; ++i) {
-    const double a = rng.rician_amplitude(10.0);
-    power += a * a;
+    const double x = p.los + p.sigma * rng.normal();
+    const double y = p.sigma * rng.normal();
+    power += x * x + y * y;
   }
   EXPECT_NEAR(power / n, 1.0, 0.03);
 }
@@ -150,6 +152,87 @@ TEST(Rng, NormalInverseTransformIsMonotoneInUniform) {
     }
     if (p > 0.5) {
       EXPECT_GT(z, 0.0) << "p=" << p;
+    }
+  }
+}
+
+TEST(Rng, NormalIsTheQuantileOfItsUniform) {
+  // Drawing the uniforms of several normals first and taking their
+  // quantiles later gives normal()'s values, and each uniform is a
+  // nonzero multiple of 2^-53.
+  Rng a(2024), b(2024);
+  std::vector<double> uniforms(1000);
+  for (double& u : uniforms) u = b.normal_uniform();
+  for (const double u : uniforms) {
+    EXPECT_EQ(a.normal(), sinet::sim::normal_quantile(u));
+    EXPECT_GT(u, 0.0);
+    EXPECT_EQ(u * 0x1.0p53, std::floor(u * 0x1.0p53));
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// The fade certificate (docs/PERFORMANCE.md, "The decode certificate")
+// bounds each normal by its uniform's bucket; a bracket that misses the
+// quantile at any drawable uniform would let a decode be settled wrongly.
+TEST(NormalQuantileBrackets, ContainTheQuantileAtEveryProbedUniform) {
+  using sinet::sim::kQuantileBuckets;
+  using sinet::sim::normal_quantile;
+  using sinet::sim::quantile_bucket;
+  const auto brackets = sinet::sim::normal_quantile_brackets();
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;  // u = k / kTop
+  constexpr std::uint64_t kPerBucket = kTop / kQuantileBuckets;
+  std::uint64_t probed = 0, missed = 0;
+  double first_miss = 0.0;
+  const auto probe = [&](std::uint64_t k) {
+    if (k == 0 || k >= kTop) return;  // normal_uniform never draws these
+    const double u = static_cast<double>(k) * 0x1.0p-53;
+    const std::size_t bucket = quantile_bucket(u);
+    ASSERT_EQ(bucket, k / kPerBucket) << "u = " << u;
+    const double z = normal_quantile(u);
+    ++probed;
+    if (!(brackets[bucket].lo <= z && z <= brackets[bucket].hi) &&
+        missed++ == 0)
+      first_miss = u;
+  };
+  // Every bucket: 64 drawable uniforms on each side of each edge, and 256
+  // random ones inside.
+  Rng rng(20241019);
+  for (std::uint64_t b = 0; b <= kQuantileBuckets; ++b) {
+    for (std::uint64_t d = 0; d < 64; ++d) {
+      probe(b * kPerBucket + d);
+      if (b * kPerBucket > d) probe(b * kPerBucket - 1 - d);
+    }
+    if (b == kQuantileBuckets) break;
+    for (int i = 0; i < 256; ++i)
+      probe(b * kPerBucket + (rng.next_u64() >> 11) % kPerBucket);
+  }
+  // AS241 switches rational approximation at |u - 0.5| = 0.425 and, in
+  // the tails, where r = sqrt(-log(min(u, 1 - u))) passes 5 (u = e^-25):
+  // every drawable uniform within 2^20 of the first switch, and every one
+  // below 2^18 * 2^-53 (the second switch is near 125,000 * 2^-53) at
+  // each end.
+  for (const double edge : {0.075, 0.925}) {
+    const auto k0 = static_cast<std::uint64_t>(edge * 0x1.0p53);
+    for (std::uint64_t k = k0 - (1u << 20); k <= k0 + (1u << 20); ++k)
+      probe(k);
+  }
+  ASSERT_LT(std::exp(-25.0) * 0x1.0p53, 0x1.0p18);
+  for (std::uint64_t k = 1; k <= (1u << 18); ++k) {
+    probe(k);
+    probe(kTop - k);
+  }
+  EXPECT_EQ(missed, 0u) << "first at u = " << first_miss;
+  EXPECT_GT(probed, 3'000'000u);
+  // The extremes are finite, so every bucket's bracket is.
+  EXPECT_NEAR(brackets[0].lo, normal_quantile(0x1.0p-53), 2e-9);
+  EXPECT_NEAR(brackets[kQuantileBuckets - 1].hi,
+              normal_quantile(1.0 - 0x1.0p-53), 2e-9);
+  for (std::size_t b = 0; b < kQuantileBuckets; ++b) {
+    EXPECT_TRUE(std::isfinite(brackets[b].lo) &&
+                std::isfinite(brackets[b].hi))
+        << "bucket " << b;
+    if (b > 0) {
+      EXPECT_LE(brackets[b - 1].lo, brackets[b].lo) << b;
     }
   }
 }

@@ -276,6 +276,24 @@ TEST(SvcService, HandleLineNeverThrowsAndCountsErrors) {
   EXPECT_EQ(snap.counters.at("svc.errors.bad_request"), 2u);
 }
 
+TEST(SvcService, RefusesAHorizonOfTooManySamples) {
+  // 6.1 h at 0.2 s is 109,800 samples per satellite; at 0.25 s, 87,840.
+  ServiceOptions opts = small_service_options();
+  opts.step_s = 0.2;
+  try {
+    PassService service(opts);
+    ADD_FAILURE() << "a 0.2 s step over 6.1 h was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("step_s 0.2 s gives 1.1e+05 "
+                                         "samples per satellite"),
+              std::string::npos)
+        << e.what();
+  }
+  opts.horizon_hours = std::numeric_limits<double>::infinity();
+  opts.step_s = 30.0;
+  EXPECT_THROW(PassService{opts}, std::invalid_argument);
+}
+
 TEST(SvcService, VirtualClockAdvancesAndRetiresHorizon) {
   ServiceOptions opts = small_service_options();
   opts.horizon_hours = 2.0;
