@@ -1,7 +1,11 @@
 #include "channel/fading.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace sinet::channel {
@@ -38,13 +42,39 @@ double FadingModel::fade_db(const FadeParams& p, const FadeUniforms& u) {
   return shadowing + small_scale_db;
 }
 
+double power_db_upper_bound(double power) {
+  // power = 2^e (1 + f) with f in [0, 1); the bucket i = floor(1024 f)
+  // holds 1 + f below 1 + (i + 1) / 1024, so 10 log10(power) is below
+  // 10 e log10 2 + 10 log10(1 + (i + 1) / 1024). The rounding of the
+  // entries, of 10 log10 2 and of the product and the sum stays under
+  // 1e-12 dB for |e| <= 1023, far inside the 1e-9 dB padding.
+  constexpr int kBits = 10;
+  static const std::array<double, std::size_t{1} << kBits> bucket_top_db = [] {
+    std::array<double, std::size_t{1} << kBits> t;
+    for (std::size_t i = 0; i < t.size(); ++i)
+      t[i] = 10.0 * std::log10(1.0 + static_cast<double>(i + 1) /
+                                         static_cast<double>(t.size())) +
+             1e-9;
+    return t;
+  }();
+  constexpr double kTenLog10Two = 3.0102999566398119521;
+  const auto bits = std::bit_cast<std::uint64_t>(power);
+  const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+  if (biased == 0x7ff) return 10.0 * std::log10(power);  // +inf, NaN
+  return static_cast<double>(biased - 1023) * kTenLog10Two +
+         bucket_top_db[(bits >> (52 - kBits)) & (bucket_top_db.size() - 1)];
+}
+
 double FadingModel::fade_bound_db(const FadeParams& p, const FadeUniforms& u) {
   // Every step of fade_db up to the log10 rises with |z| or z, and
   // rounding preserves order, so the bracket ends bound each step's
   // computed value: sigma * z with sigma >= 0 at the top end, and |x|,
   // |y| at one end or the other. 10 log10(a^2) is 20 log10(a) but for
-  // the rounding of the sqrt and the log10s.
-  const auto brackets = sinet::sim::normal_quantile_brackets();
+  // the rounding of the sqrt and the log10s, and power_db_upper_bound
+  // lies above 10 log10(a^2).
+  static const std::span<const sinet::sim::QuantileBracket,
+                         sinet::sim::kQuantileBuckets>
+      brackets = sinet::sim::normal_quantile_brackets();
   const sinet::sim::QuantileBracket zs =
       brackets[sinet::sim::quantile_bucket(u.shadowing)];
   const sinet::sim::QuantileBracket zx =
@@ -56,7 +86,7 @@ double FadingModel::fade_bound_db(const FadeParams& p, const FadeUniforms& u) {
                                std::abs(p.rician.los + p.rician.sigma * zx.hi));
   const double y_hi = std::abs(p.rician.sigma) * std::max(-zy.lo, zy.hi);
   const double power_hi = x_hi * x_hi + y_hi * y_hi;
-  return shadowing_hi + 10.0 * std::log10(std::max(power_hi, 1e-12));
+  return shadowing_hi + power_db_upper_bound(std::max(power_hi, 1e-12));
 }
 
 }  // namespace sinet::channel

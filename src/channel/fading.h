@@ -69,11 +69,13 @@ class FadingModel {
                                       const FadeUniforms& u);
 
   /// An upper bound on fade_db(p, u) from the quantile brackets of u's
-  /// buckets (sim::normal_quantile_brackets) instead of the quantiles:
-  /// one log10, no quantile. For 0 <= shadowing_sigma_db <= 100,
-  /// fade_db(p, u) exceeds it by less than 1e-12 dB, the rounding of the
-  /// sqrt and the log10s (docs/PERFORMANCE.md, "The decode
-  /// certificate"); NaN parameters give NaN.
+  /// buckets (sim::normal_quantile_brackets) instead of the quantiles,
+  /// and from power_db_upper_bound instead of a log10: no libm call. For
+  /// 0 <= shadowing_sigma_db <= 100, fade_db(p, u) exceeds it by less
+  /// than 1e-12 dB, the rounding of the sqrt and the log10s, and it lies
+  /// at most 0.0043 dB above the bound a log10 would give
+  /// (docs/PERFORMANCE.md, "The decode certificate"); NaN parameters give
+  /// NaN.
   [[nodiscard]] static double fade_bound_db(const FadeParams& p,
                                             const FadeUniforms& u);
 
@@ -85,5 +87,15 @@ class FadingModel {
  private:
   FadingConfig cfg_;
 };
+
+/// An upper bound on 10 log10(power) for a normal (>= 2^-1022) finite
+/// `power`, from its bit pattern and no libm call: the binary exponent
+/// times 10 log10 2, plus 10 log10 of the top of the mantissa's bucket
+/// (1,024 buckets, the top 10 mantissa bits), padded up by 1e-9 dB. It
+/// lies above the exact value by at most 10 log10(1 + 2^-10) + 1e-9 dB
+/// (0.0043 dB), and above std::log10's rounding of it. +infinity and NaN
+/// give 10 log10(power). Zero, negative and subnormal powers are outside
+/// its domain.
+[[nodiscard]] double power_db_upper_bound(double power);
 
 }  // namespace sinet::channel

@@ -40,6 +40,7 @@
 // value (tests/test_dts_parallel.cpp asserts each field for threads in
 // {1, 2, 4, hw}).
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -98,8 +99,15 @@ void validate_dts_config(const DtsNetworkConfig& cfg) {
     throw std::invalid_argument("DtsNetwork: non-finite duration");
   if (cfg.duration_days <= 0.0)
     throw std::invalid_argument("DtsNetwork: nonpositive duration");
+  // A NaN or infinite period would send no beacon at all.
+  if (!std::isfinite(cfg.beacon.period_s))
+    throw std::invalid_argument("DtsNetwork: non-finite beacon period");
   if (cfg.beacon.period_s <= 0.5)
     throw std::invalid_argument("DtsNetwork: beacon period too small");
+  // The slot's uplink receptions are kept per factor, SF7..SF12.
+  const int sf = static_cast<int>(cfg.uplink.lora.sf);
+  if (sf < 7 || sf > 12)
+    throw std::invalid_argument("DtsNetwork: uplink SF outside SF7..SF12");
   if (cfg.constellation.total_satellites() <= 0)
     throw std::invalid_argument("DtsNetwork: empty constellation");
   if (cfg.ground_stations.empty())
@@ -140,10 +148,14 @@ LocationKey key_of(const orbit::Geodetic& g) {
 
 constexpr std::uint32_t kNoActive = std::numeric_limits<std::uint32_t>::max();
 
+/// Spreading factors ADR can pick (SF7..SF12), indexed from SF7.
+constexpr std::size_t kSpreadingFactors = 6;
+
 /// Footprint geometry of one location for one beacon slot, shared by
 /// every node at the location: one SGP4 look per slot instead of one per
-/// node, and the beacon link budget prepared once instead of once per
-/// node, so a node's beacon costs only its fade draw and its decode.
+/// node, and the beacon, uplink and ACK link budgets and receptions
+/// prepared once instead of once per node, so a node's beacon, uplink
+/// and ACK each cost only a fade draw and a decode.
 struct LocGeo {
   std::uint64_t stamp = 0;
   bool in_footprint = false;
@@ -153,9 +165,19 @@ struct LocGeo {
   channel::Weather weather = channel::Weather::kSunny;
   phy::PreparedReception beacon_rx;
   bool beacon_ready = false;  ///< `beacon` is this slot's
+  bool uplink_ready = false;  ///< `uplink` is this slot's
+  bool ack_ready = false;     ///< `ack`, `ack_rx` and its limit are
+  /// Bit sf - 7 set: uplink_rx[sf - 7] is this slot's.
+  std::uint8_t uplink_rx_ready = 0;
   phy::PreparedLink beacon;
   /// ErrorModel::certain_loss_below_db of `beacon` and `beacon_rx`.
   double beacon_loss_below_db = 0.0;
+  phy::PreparedLink uplink;
+  std::array<phy::PreparedReception, kSpreadingFactors> uplink_rx;
+  phy::PreparedLink ack;
+  phy::PreparedReception ack_rx;
+  /// ErrorModel::certain_loss_below_db of `ack` and `ack_rx`.
+  double ack_loss_below_db = 0.0;
 
   /// Bring the row to beacon slot `slot` of satellite `sat` at `jd`
   /// (no-op when it already holds that slot). The window cursor replaces
@@ -169,7 +191,8 @@ struct LocGeo {
                std::uint32_t& cursor, JulianDate jd, channel::Weather wx) {
     if (stamp == slot) return;
     stamp = slot;
-    beacon_ready = false;
+    beacon_ready = uplink_ready = ack_ready = false;
+    uplink_rx_ready = 0;
     weather = wx;
     while (cursor < windows.size() && jd > windows[cursor].los_jd) ++cursor;
     in_footprint = cursor < windows.size() && jd >= windows[cursor].aos_jd &&
@@ -209,17 +232,67 @@ struct LocGeo {
     }
     return beacon;
   }
+
+  /// This slot's uplink link from the fleet's transmit antenna, prepared
+  /// on first use. Its budget does not depend on the spreading factor.
+  const phy::PreparedLink& uplink_link(const DtsNetworkConfig& cfg) {
+    if (!uplink_ready) {
+      phy::LinkConfig link = cfg.uplink;
+      link.tx_antenna = cfg.fleet.prototype.antenna;
+      uplink = phy::prepare_link(link, look, weather, doppler_rate);
+      uplink_ready = true;
+    }
+    return uplink;
+  }
+
+  /// This slot's reception of a report sent at spreading factor `sf`,
+  /// prepared on first use per factor: the uplink's Doppler at the
+  /// satellite, scaled by the residual when the nodes precompensate.
+  const phy::PreparedReception& uplink_reception(
+      const DtsNetworkConfig& cfg, const phy::ErrorModel& error_model,
+      phy::SpreadingFactor sf) {
+    const auto i = static_cast<std::size_t>(static_cast<int>(sf) - 7);
+    if (((uplink_rx_ready >> i) & 1u) == 0) {
+      phy::DopplerProfile doppler = uplink_link(cfg).mean.doppler;
+      if (cfg.doppler_precompensation) {
+        doppler.shift_hz *= cfg.precompensation_residual;
+        doppler.rate_hz_per_s *= cfg.precompensation_residual;
+      }
+      phy::LoraParams lora = cfg.uplink.lora;
+      lora.sf = sf;
+      uplink_rx[i] = error_model.prepare(
+          doppler, lora, cfg.fleet.prototype.report_payload_bytes);
+      uplink_rx_ready |= static_cast<std::uint8_t>(1u << i);
+    }
+    return uplink_rx[i];
+  }
+
+  /// This slot's ACK link to the fleet's receive antenna, at the boosted
+  /// ACK power, prepared on first use with its reception and limit.
+  const phy::PreparedLink& ack_link(const DtsNetworkConfig& cfg,
+                                    const phy::ErrorModel& error_model) {
+    if (!ack_ready) {
+      phy::LinkConfig link = cfg.downlink;
+      link.tx_power_dbm += cfg.ack_power_boost_db;
+      link.rx_antenna = cfg.fleet.prototype.antenna;
+      ack = phy::prepare_link(link, look, weather, doppler_rate);
+      ack_rx = error_model.prepare(ack.mean.doppler, link.lora,
+                                   cfg.ack_payload_bytes);
+      ack_loss_below_db = error_model.certain_loss_below_db(ack, ack_rx);
+      ack_ready = true;
+    }
+    return ack;
+  }
 };
 
 /// A node answering a beacon: its uplink draw and prepared reception,
-/// and the slot geometry its ACK is drawn on.
+/// and its location, whose LocGeo row holds the slot's ACK link.
 struct SlotResponder {
   std::size_t node;
+  std::uint32_t loc;
   Transmission tx;
-  phy::LinkState uplink_state;
+  phy::LinkState uplink_state;  ///< its Doppler is in uplink_rx
   phy::PreparedReception uplink_rx;
-  orbit::LookAngles look;
-  double doppler_rate;
 };
 
 /// Satellite `s`'s timeline over [0, duration), sorted: its beacon ticks
@@ -298,7 +371,6 @@ struct NodeStore {
   int payload_bytes = 0;
   int max_retx = 0;
   std::uint32_t capacity = 0;
-  channel::AntennaType antenna = channel::AntennaType::kQuarterWaveMonopole;
 
   // Static per-node configuration.
   std::vector<std::uint32_t> loc;  ///< index into locations_
@@ -333,7 +405,6 @@ struct NodeStore {
     max_retx = proto.max_retransmissions;
     capacity = static_cast<std::uint32_t>(std::min<std::size_t>(
         proto.buffer_capacity, std::numeric_limits<std::uint32_t>::max()));
-    antenna = proto.antenna;
     loc = node_loc;
     phase_s.resize(count);
     // Small per-node phase so reports are not artificially synchronized,
@@ -831,9 +902,10 @@ class ShardSimulator {
 
   /// One node's answer to the slot's beacon: its beacon draw and decode
   /// on the location's prepared beacon link, then (only for a node with a
-  /// queued report and a free radio) its uplink draw.
-  void consider_node(std::size_t n, double now, LocGeo& g, sim::Rng& rng,
-                     DtsCounters& ctr,
+  /// queued report and a free radio) its uplink draw on the location's
+  /// prepared uplink link.
+  void consider_node(std::size_t n, double now, std::uint32_t loc,
+                     LocGeo& g, sim::Rng& rng, DtsCounters& ctr,
                      std::vector<SlotResponder>& responders) {
     ++ctr.beacon_decodes;
     const phy::PreparedLink& beacon = g.beacon_link(cfg_, error_model_);
@@ -849,27 +921,19 @@ class ShardSimulator {
     if (nodes_.empty(n)) return;
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
 
-    phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna;
+    phy::SpreadingFactor sf = cfg_.uplink.lora.sf;
     if (cfg_.adaptive_sf) {
       // ADR: estimate the uplink SNR from the decoded beacon and pick the
       // fastest safe spreading factor. The beacon SNR includes the fade
       // that let it through, so a generous 6 dB safety margin keeps the
       // estimator honest about fading variance.
-      up_cfg.lora.sf = phy::choose_spreading_factor(
+      sf = phy::choose_spreading_factor(
           beacon_state->snr_db + cfg_.adr_uplink_advantage_db, 6.0);
     }
-    phy::LinkState up_state =
-        phy::draw_link_state(up_cfg, g.look, g.weather, g.doppler_rate, rng);
-    if (cfg_.doppler_precompensation) {
-      up_state.doppler.shift_hz *= cfg_.precompensation_residual;
-      up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
-    }
+    const phy::PreparedLink& uplink = g.uplink_link(cfg_);
     responders.push_back(SlotResponder{
-        n, Transmission{}, up_state,
-        error_model_.prepare(up_state.doppler, up_cfg.lora,
-                             nodes_.payload_bytes),
-        g.look, g.doppler_rate});
+        n, loc, Transmission{}, phy::draw_link_state(uplink, rng),
+        g.uplink_reception(cfg_, error_model_, sf)});
   }
 
   void beacon_slot(std::uint32_t s, std::uint64_t gid, double t,
@@ -902,7 +966,7 @@ class ShardSimulator {
       if (!g.in_footprint || g.masked) continue;
       // Snapshot: consider_node never mutates active lists.
       for (const std::uint32_t n : active_[loc])
-        consider_node(n, t, g, rng, ctr, responders);
+        consider_node(n, t, loc, g, rng, ctr, responders);
     }
     if (responders.empty()) return;
 
@@ -932,13 +996,12 @@ class ShardSimulator {
     for (const SlotResponder& r : responders) txs.push_back(r.tx);
 
     for (SlotResponder& r : responders)
-      process_uplink(s, r, txs, wx, rng, ctr, agg);
+      process_uplink(s, r, txs, rng, ctr, agg);
   }
 
   void process_uplink(std::uint32_t s, SlotResponder& r,
                       const std::vector<Transmission>& all_txs,
-                      channel::Weather wx, sim::Rng& rng, DtsCounters& ctr,
-                      DtsAggregates& agg) {
+                      sim::Rng& rng, DtsCounters& ctr, DtsAggregates& agg) {
     const std::size_t n = r.node;
     if (nodes_.empty(n)) return;  // popped by an earlier event
     const std::uint64_t seq = nodes_.front(n);
@@ -1012,19 +1075,15 @@ class ShardSimulator {
       }
       if (stored) {
         ++ctr.acks_sent;
-        phy::LinkConfig ack_cfg = cfg_.downlink;
-        ack_cfg.tx_power_dbm += cfg_.ack_power_boost_db;
-        ack_cfg.rx_antenna = nodes_.antenna;
-        const phy::PreparedLink ack =
-            phy::prepare_link(ack_cfg, r.look, wx, r.doppler_rate);
-        const phy::PreparedReception ack_rx = error_model_.prepare(
-            ack.mean.doppler, ack_cfg.lora, cfg_.ack_payload_bytes);
+        // The location's row still holds this slot: every location of
+        // the slot is refreshed before the first uplink is resolved.
+        LocGeo& g = loc_geo_[r.loc];
+        const phy::PreparedLink& ack = g.ack_link(cfg_, error_model_);
         const std::optional<phy::LinkState> ack_state =
-            phy::ErrorModel::draw_unless_lost(
-                ack, error_model_.certain_loss_below_db(ack, ack_rx), rng);
+            phy::ErrorModel::draw_unless_lost(ack, g.ack_loss_below_db, rng);
         if (!ack_state) ++ctr.ack_decodes_certified;
         acked = ack_state &&
-                error_model_.receive(ack_state->snr_db, ack_rx, rng);
+                error_model_.receive(ack_state->snr_db, g.ack_rx, rng);
       }
     }
 

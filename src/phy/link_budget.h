@@ -49,8 +49,10 @@ struct LinkState {
 /// Everything of a stochastic link draw that is fixed by (link config,
 /// look angles, weather, Doppler rate): the mean state from path loss,
 /// antenna gains and noise floor, with the Doppler rate set, and the
-/// fading parameters. Every node at one location hearing one beacon with
-/// one antenna type shares it: prepare once, draw per node.
+/// fading parameters. Every node at one location in one DtS beacon slot
+/// shares its beacon, its uplink (whatever the spreading factor: only the
+/// bandwidth enters the noise floor) and its ACK link: prepare each once
+/// per slot and location, draw per node.
 struct PreparedLink {
   LinkState mean;
   sinet::channel::FadeParams fade;

@@ -3,6 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "channel/antenna.h"
 #include "channel/fading.h"
@@ -121,6 +125,66 @@ TEST(Fading, InvalidConfigThrows) {
   FadingConfig bad2;
   bad2.k_rolloff_elevation_deg = 0.0;
   EXPECT_THROW(FadingModel{bad2}, std::invalid_argument);
+}
+
+TEST(PowerDbUpperBound, AboveLog10AndWithinItsSlack) {
+  // The fade bound's log10 (FadingModel::fade_bound_db): it must never
+  // fall below 10 log10(p) as std::log10 computes it, or a decode could
+  // be settled that the exact path receives, and must stay within 0.005
+  // dB of it (the bucket's width, 0.0043 dB, plus the padding), or
+  // decodes near the limit would leave the settled path.
+  constexpr double kSlackDb = 0.005;
+  std::uint64_t probed = 0, below = 0, loose = 0;
+  double worst_slack = 0.0;
+  std::string first;
+  const auto probe = [&](double p) {
+    const double exact = 10.0 * std::log10(p);
+    const double bound = power_db_upper_bound(p);
+    ++probed;
+    worst_slack = std::max(worst_slack, bound - exact);
+    const bool low = !(bound >= exact);
+    const bool far = !(bound <= exact + kSlackDb);
+    if (low) ++below;
+    if (far) ++loose;
+    if ((low || far) && first.empty()) {
+      char buf[160];
+      std::snprintf(buf, sizeof buf, "p = %a: bound %.17g, 10 log10 %.17g",
+                    p, bound, exact);
+      first = buf;
+    }
+  };
+  // Every mantissa bucket's edges, 1 + i/1024 for i in 0..1024, and the 4
+  // doubles on each side, at every binary exponent over [1e-12, 1e6].
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int e = std::ilogb(1e-12); e <= std::ilogb(1e6); ++e) {
+    for (int i = 0; i <= 1024; ++i) {
+      const double edge = std::ldexp(1.0 + i / 1024.0, e);
+      double up = edge, down = edge;
+      probe(edge);
+      for (int k = 0; k < 4; ++k) {
+        up = std::nextafter(up, kInf);
+        down = std::nextafter(down, 0.0);
+        probe(up);
+        probe(down);
+      }
+    }
+  }
+  // 10^6 powers, log-uniform over [1e-12, 1e6], and the clamp's floor.
+  sinet::sim::Rng rng(20261019);
+  for (int i = 0; i < 1'000'000; ++i)
+    probe(std::pow(10.0, rng.uniform(-12.0, 6.0)));
+  probe(1e-12);
+  EXPECT_EQ(below, 0u) << "first: " << first;
+  EXPECT_EQ(loose, 0u) << "first: " << first;
+  EXPECT_GT(probed, 1'500'000u);
+  // The slack is the first bucket's width, 10 log10(1 + 2^-10): probes at
+  // a bucket's lower edge reach it.
+  EXPECT_GT(worst_slack, 0.0042);
+  // +infinity and NaN keep 10 log10 of themselves.
+  EXPECT_EQ(power_db_upper_bound(kInf), kInf);
+  EXPECT_TRUE(std::isnan(power_db_upper_bound(std::nan(""))));
+  EXPECT_TRUE(std::isnan(
+      power_db_upper_bound(-std::numeric_limits<double>::quiet_NaN())));
 }
 
 TEST(Antenna, IsotropicIsFlat) {

@@ -161,6 +161,20 @@ TEST(DtsNetwork, ConfigValidation) {
   DtsNetworkConfig cfg4 = small_config();
   cfg4.beacon.period_s = 0.1;
   EXPECT_THROW(run_dts_network(cfg4), std::invalid_argument);
+  // `period_s <= 0.5` is false for a NaN or infinite period, and either
+  // would send no beacon at all.
+  for (const double period : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    DtsNetworkConfig silent = small_config();
+    silent.beacon.period_s = period;
+    EXPECT_THROW(run_dts_network(silent), std::invalid_argument);
+  }
+  // An uplink spreading factor outside SF7..SF12.
+  for (const int sf : {6, 13}) {
+    DtsNetworkConfig bad_sf = small_config();
+    bad_sf.uplink.lora.sf = static_cast<sinet::phy::SpreadingFactor>(sf);
+    EXPECT_THROW(run_dts_network(bad_sf), std::invalid_argument);
+  }
 
   // Report loops that would never end: an unbounded (or NaN) duration,
   // and an interval too small to move the report clock at its end.

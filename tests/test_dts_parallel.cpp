@@ -41,11 +41,12 @@ DtsNetworkConfig parallel_config(std::size_t nodes, double duration_days) {
 }
 
 TEST(DtsParallel, ThreadCountInvariance) {
-  // Three scenario shapes (ALOHA w/ congestion, scheduled w/ ADR, and a
-  // fleet on the 5/8-wave monopole Fig 5b sets) so the invariance covers
-  // both access schemes' draw sequences and two different beacon links.
-  // 2,000 nodes are traced, so every record and node residency is
-  // compared.
+  // Three scenario shapes (ALOHA w/ congestion, scheduled w/ ADR and
+  // Doppler precompensation, and a fleet on the 5/8-wave monopole Fig 5b
+  // sets) so the invariance covers both access schemes' draw sequences,
+  // the per-SF uplink receptions on the precompensated Doppler, and two
+  // different beacon links. 2,000 nodes are traced, so every record and
+  // node residency is compared.
   for (int variant = 0; variant < 3; ++variant) {
     SCOPED_TRACE("variant " + std::to_string(variant));
     DtsNetworkConfig cfg = parallel_config(2000, 0.1);
@@ -53,6 +54,7 @@ TEST(DtsParallel, ThreadCountInvariance) {
     if (variant == 1) {
       cfg.uplink_access = UplinkAccess::kScheduled;
       cfg.adaptive_sf = true;
+      cfg.doppler_precompensation = true;
     }
     if (variant == 2)
       cfg.fleet.prototype.antenna =

@@ -14,6 +14,8 @@
 # Corpus (parity_dump arguments):
 #   dts 2000 1 {1,42} 0         the 2,000-node traced day
 #   dts 10000 1 {1,7} {1,4}     the 10,000-node aggregate day
+#   dts-adr 2000 1 {3,11} {1,4} the traced day on slotted ALOHA with ADR,
+#                               Doppler precompensation, 5/8-wave antenna
 #   campaign 3 1 {1,0}          the 3-day campaign, 1 thread and all
 #
 # Exits 0 when every dump matches, 1 when one differs (its first differing
@@ -22,7 +24,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 if [[ $# -lt 1 || $# -gt 2 ]]; then
-  sed -n '2,20p' "${BASH_SOURCE[0]}" >&2
+  sed -n '2,22p' "${BASH_SOURCE[0]}" >&2
   exit 2
 fi
 REV="$1"
@@ -77,6 +79,10 @@ CORPUS=(
   "dts 10000 1 1 4"
   "dts 10000 1 7 1"
   "dts 10000 1 7 4"
+  "dts-adr 2000 1 3 1"
+  "dts-adr 2000 1 3 4"
+  "dts-adr 2000 1 11 1"
+  "dts-adr 2000 1 11 4"
   "campaign 3 1 1"
   "campaign 3 1 0"
 )

@@ -3,6 +3,7 @@
 // printed with %a; the CLI's rounded tables would hide a last-bit change.
 //
 //   parity_dump dts <nodes> <days> <seed> <threads>
+//   parity_dump dts-adr <nodes> <days> <seed> <threads>
 //   parity_dump campaign <days> <seed> <threads>
 //
 // `dts` runs net::scale_fleet_config(nodes, 22 satellites, 16 sites) from
@@ -11,7 +12,11 @@
 // outcome counters, and every UplinkRecord and node residency (kept up to
 // net::kTraceNodeLimit nodes). The counters of how the engine reached its
 // outcomes (beacon_decodes and the certified decodes) are left out: they
-// may change while every outcome stays. `campaign` runs
+// may change while every outcome stays. `dts-adr` prints the same for
+// that fleet on slotted ALOHA with adaptive spreading factors, Doppler
+// precompensation and the 5/8-wave antenna, the branches the default
+// fleet (scheduled, fixed SF10, uncompensated, quarter-wave) never
+// takes. `campaign` runs
 // core::default_campaign(days) and prints every theoretical window, the
 // per-site window counts and every beacon record.
 //
@@ -26,6 +31,7 @@
 #include <exception>
 #include <string>
 
+#include "channel/antenna.h"
 #include "core/passive_campaign.h"
 #include "core/scenario.h"
 #include "energy/power_model.h"
@@ -40,6 +46,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: parity_dump dts <nodes> <days> <seed> <threads>\n"
+               "       parity_dump dts-adr <nodes> <days> <seed> <threads>\n"
                "       parity_dump campaign <days> <seed> <threads>\n");
   return 2;
 }
@@ -79,11 +86,18 @@ void print_residency(const char* name, std::size_t index,
 }
 
 void dump_dts(std::size_t nodes, double days, std::uint64_t seed,
-              unsigned threads) {
+              unsigned threads, bool adr) {
   net::DtsNetworkConfig cfg = net::scale_fleet_config(
       nodes, 22, 16, core::campaign_epoch_jd(), days);
   cfg.seed = seed;
   cfg.sim_threads = threads;
+  if (adr) {
+    cfg.uplink_access = net::UplinkAccess::kSlottedAloha;
+    cfg.adaptive_sf = true;
+    cfg.doppler_precompensation = true;
+    cfg.fleet.prototype.antenna =
+        channel::AntennaType::kFiveEighthsWaveMonopole;
+  }
   const net::DtsNetworkResult r = net::run_dts_network(cfg);
 
   const net::DtsCounters& c = r.counters;
@@ -152,7 +166,8 @@ void dump_campaign(double days, std::uint64_t seed, unsigned threads) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const bool dts = std::strcmp(argv[1], "dts") == 0;
+  const bool adr = std::strcmp(argv[1], "dts-adr") == 0;
+  const bool dts = adr || std::strcmp(argv[1], "dts") == 0;
   if (!dts && std::strcmp(argv[1], "campaign") != 0) return usage();
   if (argc != (dts ? 6 : 5)) return usage();
   std::uint64_t nodes = 0, seed = 0, threads = 0;
@@ -165,7 +180,7 @@ int main(int argc, char** argv) {
   try {
     if (dts)
       dump_dts(static_cast<std::size_t>(nodes), days, seed,
-               static_cast<unsigned>(threads));
+               static_cast<unsigned>(threads), adr);
     else
       dump_campaign(days, seed, static_cast<unsigned>(threads));
   } catch (const std::exception& e) {
