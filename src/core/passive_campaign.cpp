@@ -10,7 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "channel/fading.h"
 #include "channel/weather.h"
+#include "core/beacon_kernel.h"
 #include "core/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
@@ -49,6 +51,7 @@ namespace {
 /// One satellite of the campaign: propagated read-only by every site.
 struct CampaignSatellite {
   orbit::Sgp4 propagator;
+  orbit::Sgp4TimeBatch lanes;  ///< the propagator, four beacon times a call
   std::string name;
   std::size_t constellation;  ///< index into cfg.constellations
 };
@@ -93,12 +96,22 @@ struct SiteRun {
   std::uint64_t doppler_twins = 0;
   /// Beacons the fade bound settled as lost without the fade's quantiles.
   std::uint64_t certified_lost = 0;
+  /// Beacons whose geometry came from the scalar sampler's look.
+  std::uint64_t scalar_looks = 0;
 };
 
 /// Observe every scheduled window of one site: draw the site's daily
 /// weather, then sample each window's beacon grid, draw the channel and
 /// log the received beacons. `rng` is the site's own stream, consumed in
 /// exactly the serial order.
+///
+/// Each window's beacon positions come from the SIMD kernel first
+/// (core/beacon_kernel.h). A beacon it certifies below the horizon draws
+/// nothing, as the scalar look would have it; one it certifies above
+/// draws its fade's uniforms and is settled as lost when the fade bound
+/// at the kernel's geometry clears the limit by kKernelLossMarginDb, the
+/// decode the scalar path would settle from the same uniforms. Every
+/// other beacon takes the scalar look and the exact path below.
 ///
 /// A beacon's Doppler rate needs a second look one second later. Nothing
 /// before the decode reads the rate, and its drift penalty only adds to
@@ -112,8 +125,8 @@ struct SiteRun {
 void observe_site(const PassiveCampaignConfig& cfg,
                   const MeasurementSite& site,
                   const std::vector<CampaignSatellite>& satellites,
-                  const phy::ErrorModel& error_model, sim::Rng rng,
-                  SiteRun& run) {
+                  const phy::ErrorModel& error_model, double power_slack,
+                  sim::Rng rng, SiteRun& run) {
   std::vector<channel::Weather> weather;
   const int days = static_cast<int>(std::ceil(cfg.duration_days));
   weather.reserve(days);
@@ -122,6 +135,7 @@ void observe_site(const PassiveCampaignConfig& cfg,
                           ? channel::Weather::kRainy
                           : channel::Weather::kSunny);
 
+  std::vector<KernelBeacon> beacons;
   for (std::size_t k = 0; k < run.observations.size(); ++k) {
     const SiteObservation& obs = run.observations[k];
     const CampaignSatellite& sat = satellites[obs.satellite];
@@ -129,17 +143,33 @@ void observe_site(const PassiveCampaignConfig& cfg,
     const phy::PreparedReception& no_doppler =
         run.beacon_rx[sat.constellation];
     const orbit::ElevationSampler sampler(sat.propagator, site.location);
-    for (double t = 0.0;; t += cfg.beacon.period_s) {
-      const orbit::JulianDate jd = obs.aos_jd + t / orbit::kSecondsPerDay;
-      if (jd > obs.los_jd) break;
-      ++run.transmitted;
+    kernel_window_beacons(sat.lanes, sat.propagator.epoch_jd(),
+                          sampler.frame(), obs.aos_jd, obs.los_jd,
+                          cfg.beacon.period_s, beacons);
+    run.transmitted += beacons.size();
+    for (const KernelBeacon& b : beacons) {
+      if (b.verdict == KernelVerdict::kBelow) continue;
 
-      const orbit::LookAngles look = sampler.look(jd);
-      if (look.elevation_deg < 0.0) continue;
-
-      const auto day = static_cast<std::size_t>(jd - cfg.start_jd);
+      const auto day = static_cast<std::size_t>(b.jd - cfg.start_jd);
       const channel::Weather wx =
           weather[std::min<std::size_t>(day, weather.size() - 1)];
+
+      std::optional<channel::FadeUniforms> u;
+      if (b.verdict == KernelVerdict::kAbove) {
+        u = channel::FadingModel::draw_uniforms(rng);
+        if (kernel_settles_loss(error_model, link, no_doppler, power_slack,
+                                b, wx, *u)) {
+          rng.next_u64();  // receive()'s chance(1.0)
+          ++run.certified_lost;
+          continue;
+        }
+      }
+      ++run.scalar_looks;
+      const orbit::LookAngles look = sampler.look(b.jd);
+      if (!u) {
+        if (look.elevation_deg < 0.0) continue;
+        u = channel::FadingModel::draw_uniforms(rng);
+      }
 
       // The fade draw reads no Doppler rate: draw it with the rate unset.
       const phy::PreparedLink prepared = phy::prepare_link(link, look, wx, 0.0);
@@ -148,7 +178,8 @@ void observe_site(const PassiveCampaignConfig& cfg,
           prepared.mean.doppler, link.lora, rx.time_on_air_s);
       const std::optional<phy::LinkState> drawn =
           phy::ErrorModel::draw_unless_lost(
-              prepared, error_model.certain_loss_below_db(prepared, rx), rng);
+              prepared, error_model.certain_loss_below_db(prepared, rx), *u,
+              rng);
       if (!drawn) {
         ++run.certified_lost;
         continue;
@@ -158,7 +189,7 @@ void observe_site(const PassiveCampaignConfig& cfg,
         // Doppler rate by 1-s finite difference.
         ++run.doppler_twins;
         const orbit::LookAngles look1 =
-            sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+            sampler.look(b.jd + 1.0 / orbit::kSecondsPerDay);
         st.doppler.rate_hz_per_s =
             orbit::doppler_shift_hz(look1.range_rate_km_s, link.carrier_hz) -
             orbit::doppler_shift_hz(look.range_rate_km_s, link.carrier_hz);
@@ -167,7 +198,7 @@ void observe_site(const PassiveCampaignConfig& cfg,
       }
       if (!error_model.receive(st.snr_db, rx, rng)) continue;
       run.receptions.push_back(Reception{
-          jd, st.rssi_dbm, st.snr_db, static_cast<std::uint32_t>(k), wx});
+          b.jd, st.rssi_dbm, st.snr_db, static_cast<std::uint32_t>(k), wx});
     }
   }
 }
@@ -221,6 +252,17 @@ void validate(const PassiveCampaignConfig& cfg) {
         std::isfinite(link.external_noise_db) &&
         std::isfinite(link.implementation_loss_db)))
     reject("beacon link power, noise or loss not finite");
+  if (!(link.lora.bandwidth_hz > 0.0 && std::isfinite(link.lora.bandwidth_hz)))
+    reject("beacon bandwidth not finite and > 0");
+  // Throws std::invalid_argument on a NaN or out-of-range fading setting.
+  static_cast<void>(channel::FadingModel(link.fading));
+  // Each constellation's EIRP and carrier replace the beacon link's.
+  for (const orbit::ConstellationSpec& c : cfg.constellations) {
+    if (!std::isfinite(c.beacon_eirp_dbm))
+      reject("constellation " + c.name + " beacon EIRP not finite");
+    if (!(c.dts_frequency_hz > 0.0 && std::isfinite(c.dts_frequency_hz)))
+      reject("constellation " + c.name + " carrier not finite and > 0");
+  }
   for (const MeasurementSite& site : cfg.sites) {
     if (!(site.station_count >= 1))
       reject("site " + site.code + " has no station");
@@ -270,7 +312,9 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
   for (std::size_t c = 0; c < cfg.constellations.size(); ++c) {
     for (orbit::Tle& tle :
          orbit::generate_tles(cfg.constellations[c], cfg.start_jd)) {
-      satellites.push_back(CampaignSatellite{orbit::Sgp4(tle), tle.name, c});
+      const orbit::Sgp4 propagator(tle);
+      satellites.push_back(CampaignSatellite{
+          propagator, orbit::Sgp4TimeBatch(propagator), tle.name, c});
       tles.push_back(std::move(tle));
     }
   }
@@ -356,9 +400,10 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
                    [&](std::size_t a, std::size_t b) {
                      return runs[a].beacon_slots > runs[b].beacon_slots;
                    });
+  const double power_slack = kernel_fade_power_slack(cfg.beacon_link.fading);
   const auto observe = [&](std::size_t k) {
     const std::size_t i = order[k];
-    observe_site(cfg, cfg.sites[i], satellites, error_model,
+    observe_site(cfg, cfg.sites[i], satellites, error_model, power_slack,
                  rngs.make("passive-" + cfg.sites[i].code), runs[i]);
   };
   sim::ThreadPool& shared = sim::ThreadPool::shared();
@@ -372,11 +417,13 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
 
   std::uint64_t doppler_twins = 0;
   std::uint64_t certified_lost = 0;
+  std::uint64_t scalar_looks = 0;
   for (const SiteRun& run : runs) {
     result.beacons_transmitted += run.transmitted;
     result.beacons_received += run.receptions.size();
     doppler_twins += run.doppler_twins;
     certified_lost += run.certified_lost;
+    scalar_looks += run.scalar_looks;
   }
   result.traces.reserve(result.beacons_received);
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -392,6 +439,7 @@ PassiveCampaignResult run_passive_campaign(const PassiveCampaignConfig& cfg) {
     m.counter("core.passive.beacons_received").add(result.beacons_received);
     m.counter("core.passive.doppler_twins").add(doppler_twins);
     m.counter("core.passive.beacons_certified_lost").add(certified_lost);
+    m.counter("core.passive.scalar_looks").add(scalar_looks);
     m.counter("core.passive.sites").add(cfg.sites.size());
     std::uint64_t requested = 0;
     std::uint64_t observed = 0;

@@ -137,9 +137,10 @@ struct GridObserver {
 /// `threads`: 0 = all hardware threads (the process-wide shared pool),
 /// 1 = serial on the calling thread (no pool), N > 1 = N workers; pairs
 /// fan out across the pool. Throws std::invalid_argument on a
-/// non-finite or inverted span, a non-finite or nonpositive step, or a
-/// null propagator. When `metrics` is non-null the engine records
-/// orbit.ephemeris.* reuse/cull counters and a scan-latency histogram.
+/// non-finite or inverted span, a non-finite or nonpositive step, a step
+/// longer than a positive span, or a null propagator. When `metrics` is
+/// non-null the engine records orbit.ephemeris.* reuse/cull counters and
+/// a scan-latency histogram.
 [[nodiscard]] std::vector<std::vector<std::vector<ContactWindow>>>
 predict_passes_grid(const std::vector<const Sgp4*>& satellites,
                     const std::vector<GridObserver>& observers,

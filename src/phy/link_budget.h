@@ -78,15 +78,4 @@ struct PreparedLink {
 [[nodiscard]] LinkState draw_link_state(const PreparedLink& link,
                                         sinet::sim::Rng& rng);
 
-/// Stochastic link budget: mean state plus a fading realization drawn
-/// from `rng`. The Doppler rate is estimated by the caller (pass slope)
-/// and stored in `doppler_rate_hz_s`.
-[[nodiscard]] inline LinkState draw_link_state(
-    const LinkConfig& cfg, const sinet::orbit::LookAngles& look,
-    sinet::channel::Weather weather, double doppler_rate_hz_s,
-    sinet::sim::Rng& rng) {
-  return draw_link_state(prepare_link(cfg, look, weather, doppler_rate_hz_s),
-                         rng);
-}
-
 }  // namespace sinet::phy

@@ -34,8 +34,8 @@ int payload_symbol_count(const LoraParams& p, int payload_bytes) {
 }
 
 double time_on_air_s(const LoraParams& p, int payload_bytes) {
-  if (p.bandwidth_hz <= 0.0)
-    throw std::invalid_argument("time_on_air_s: bandwidth <= 0");
+  if (!(p.bandwidth_hz > 0.0))  // NaN fails it too
+    throw std::invalid_argument("time_on_air_s: bandwidth not > 0");
   if (p.preamble_symbols < 0)
     throw std::invalid_argument("time_on_air_s: negative preamble");
   const double t_sym = p.symbol_time_s();

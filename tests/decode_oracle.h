@@ -16,6 +16,7 @@ namespace sinet::phy::test {
 
 struct OracleDecode {
   LinkState state;  ///< the faded state the decode saw
+  double fade_db = 0.0;  ///< the fade added to the mean state
   bool received = false;
 };
 
@@ -33,7 +34,7 @@ inline OracleDecode oracle_decode(const ErrorModel& model,
   LinkState st = link.mean;
   st.rssi_dbm += fade_db;
   st.snr_db += fade_db;
-  return {st, model.receive(st.snr_db, rx, rng)};
+  return {st, fade_db, model.receive(st.snr_db, rx, rng)};
 }
 
 }  // namespace sinet::phy::test

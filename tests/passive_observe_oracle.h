@@ -2,9 +2,12 @@
 // (core::run_passive_campaign): the loop that computed every beacon's
 // Doppler rate eagerly. Each beacon at or above 0° takes a second look one
 // second later for its rate, draws the channel with that rate set and
-// decodes with the full Doppler penalty. The library skips that look when
-// the decode is saturated on the Doppler shift alone; it must log the same
-// receptions from the same draws, bit for bit.
+// decodes with the full Doppler penalty, every look from the scalar
+// ElevationSampler. The library skips that look when the decode is
+// saturated on the Doppler shift alone, and takes a beacon's geometry
+// from the SIMD kernel where the kernel can settle it
+// (core/beacon_kernel.h); it must log the same receptions from the same
+// draws, bit for bit.
 //
 // Driven from the public API only: the site's stream is
 // RngFactory(seed).make("passive-" + code), the weather is drawn first,
@@ -47,58 +50,87 @@ struct OracleObserve {
   std::uint64_t transmitted = 0;
 };
 
-/// Replay the observe phase of `result`, a run of `cfg`.
-inline OracleObserve oracle_observe(const core::PassiveCampaignConfig& cfg,
-                                    const core::PassiveCampaignResult& result) {
-  struct Satellite {
-    orbit::Sgp4 propagator;
-    std::string name;
-    std::size_t constellation;
-  };
-  std::vector<Satellite> satellites;
+/// One satellite of the campaign, in cfg.constellations order.
+struct OracleSatellite {
+  orbit::Sgp4 propagator;
+  std::string name;
+  std::size_t constellation;
+};
+
+inline std::vector<OracleSatellite> oracle_satellites(
+    const core::PassiveCampaignConfig& cfg) {
+  std::vector<OracleSatellite> satellites;
   for (std::size_t c = 0; c < cfg.constellations.size(); ++c)
     for (const orbit::Tle& tle :
          orbit::generate_tles(cfg.constellations[c], cfg.start_jd))
-      satellites.push_back(Satellite{orbit::Sgp4(tle), tle.name, c});
+      satellites.push_back(OracleSatellite{orbit::Sgp4(tle), tle.name, c});
+  return satellites;
+}
 
+/// What one site observes, planned as the campaign plans it: its daily
+/// weather (the first draws of its stream `rng`), its beacon link per
+/// constellation and its scheduled observations.
+struct OracleSitePlan {
+  std::vector<channel::Weather> weather;
+  std::vector<phy::LinkConfig> links;
+  std::vector<core::ScheduledObservation> observations;
+};
+
+inline OracleSitePlan oracle_site_plan(
+    const core::PassiveCampaignConfig& cfg,
+    const core::PassiveCampaignResult& result,
+    const core::MeasurementSite& site, sim::Rng& rng) {
+  OracleSitePlan plan;
+  const int days = static_cast<int>(std::ceil(cfg.duration_days));
+  for (int d = 0; d < days; ++d)
+    plan.weather.push_back(rng.chance(site.rainy_fraction)
+                               ? channel::Weather::kRainy
+                               : channel::Weather::kSunny);
+
+  std::vector<core::ObservationRequest> requests;
+  std::size_t sat_index = 0;
+  for (const orbit::ConstellationSpec& constellation : cfg.constellations) {
+    phy::LinkConfig link = cfg.beacon_link;
+    link.carrier_hz = constellation.dts_frequency_hz;
+    link.tx_power_dbm = constellation.beacon_eirp_dbm;
+    link.external_noise_db = site.external_noise_db;
+    link.lora.sf = static_cast<phy::SpreadingFactor>(
+        std::clamp(constellation.beacon_sf, 7, 12));
+    plan.links.push_back(link);
+    for (const core::SatelliteWindows& sw :
+         result.theoretical.at({site.code, constellation.name})) {
+      for (const orbit::ContactWindow& w : sw.windows)
+        requests.push_back(core::ObservationRequest{
+            sw.satellite, constellation.name, w, sat_index});
+      ++sat_index;
+    }
+  }
+  plan.observations = core::schedule_observations(
+      std::move(requests), site.station_count, cfg.station_retune_gap_s);
+  return plan;
+}
+
+/// The weather of the day `jd` falls in, as the campaign reads it.
+inline channel::Weather oracle_weather(const core::PassiveCampaignConfig& cfg,
+                                       const OracleSitePlan& plan,
+                                       orbit::JulianDate jd) {
+  const auto day = static_cast<std::size_t>(jd - cfg.start_jd);
+  return plan.weather[std::min<std::size_t>(day, plan.weather.size() - 1)];
+}
+
+/// Replay the observe phase of `result`, a run of `cfg`.
+inline OracleObserve oracle_observe(const core::PassiveCampaignConfig& cfg,
+                                    const core::PassiveCampaignResult& result) {
+  const std::vector<OracleSatellite> satellites = oracle_satellites(cfg);
   const phy::ErrorModel error_model(cfg.error_model);
   sim::RngFactory rngs(cfg.seed);
   OracleObserve out;
   for (const core::MeasurementSite& site : cfg.sites) {
     sim::Rng rng = rngs.make("passive-" + site.code);
-    std::vector<channel::Weather> weather;
-    const int days = static_cast<int>(std::ceil(cfg.duration_days));
-    for (int d = 0; d < days; ++d)
-      weather.push_back(rng.chance(site.rainy_fraction)
-                            ? channel::Weather::kRainy
-                            : channel::Weather::kSunny);
-
-    std::vector<phy::LinkConfig> links;
-    std::vector<core::ObservationRequest> requests;
-    std::size_t sat_index = 0;
-    for (const orbit::ConstellationSpec& constellation : cfg.constellations) {
-      phy::LinkConfig link = cfg.beacon_link;
-      link.carrier_hz = constellation.dts_frequency_hz;
-      link.tx_power_dbm = constellation.beacon_eirp_dbm;
-      link.external_noise_db = site.external_noise_db;
-      link.lora.sf = static_cast<phy::SpreadingFactor>(
-          std::clamp(constellation.beacon_sf, 7, 12));
-      links.push_back(link);
-      for (const core::SatelliteWindows& sw :
-           result.theoretical.at({site.code, constellation.name})) {
-        for (const orbit::ContactWindow& w : sw.windows)
-          requests.push_back(core::ObservationRequest{
-              sw.satellite, constellation.name, w, sat_index});
-        ++sat_index;
-      }
-    }
-    const std::vector<core::ScheduledObservation> observations =
-        core::schedule_observations(std::move(requests), site.station_count,
-                                    cfg.station_retune_gap_s);
-
-    for (const core::ScheduledObservation& o : observations) {
-      const Satellite& sat = satellites[o.request.id];
-      const phy::LinkConfig& link = links[sat.constellation];
+    const OracleSitePlan plan = oracle_site_plan(cfg, result, site, rng);
+    for (const core::ScheduledObservation& o : plan.observations) {
+      const OracleSatellite& sat = satellites[o.request.id];
+      const phy::LinkConfig& link = plan.links[sat.constellation];
       const orbit::ElevationSampler sampler(sat.propagator, site.location);
       const orbit::ContactWindow& w = o.request.window;
       for (double t = 0.0;; t += cfg.beacon.period_s) {
@@ -109,9 +141,7 @@ inline OracleObserve oracle_observe(const core::PassiveCampaignConfig& cfg,
         const orbit::LookAngles look = sampler.look(jd);
         if (look.elevation_deg < 0.0) continue;
 
-        const auto day = static_cast<std::size_t>(jd - cfg.start_jd);
-        const channel::Weather wx =
-            weather[std::min<std::size_t>(day, weather.size() - 1)];
+        const channel::Weather wx = oracle_weather(cfg, plan, jd);
 
         const orbit::LookAngles look1 =
             sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
@@ -120,9 +150,12 @@ inline OracleObserve oracle_observe(const core::PassiveCampaignConfig& cfg,
             orbit::doppler_shift_hz(look.range_rate_km_s, link.carrier_hz);
 
         const phy::LinkState st =
-            phy::draw_link_state(link, look, wx, rate, rng);
-        if (!error_model.receive(st, link.lora, cfg.beacon.payload_bytes,
-                                 rng))
+            phy::draw_link_state(phy::prepare_link(link, look, wx, rate), rng);
+        if (!error_model.receive(
+                st.snr_db,
+                error_model.prepare(st.doppler, link.lora,
+                                    cfg.beacon.payload_bytes),
+                rng))
           continue;
         out.received.push_back(OracleReception{
             jd, st.rssi_dbm, st.snr_db,

@@ -125,6 +125,19 @@ TEST(Fading, InvalidConfigThrows) {
   FadingConfig bad2;
   bad2.k_rolloff_elevation_deg = 0.0;
   EXPECT_THROW(FadingModel{bad2}, std::invalid_argument);
+  // NaN fails every check; so does an infinite setting.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {kNaN, kInf, -kInf}) {
+    for (double FadingConfig::*field :
+         {&FadingConfig::shadowing_sigma_db, &FadingConfig::rician_k_db,
+          &FadingConfig::k_rolloff_elevation_deg,
+          &FadingConfig::low_elevation_k_db}) {
+      FadingConfig spoiled;
+      spoiled.*field = v;
+      EXPECT_THROW(FadingModel{spoiled}, std::invalid_argument) << v;
+    }
+  }
 }
 
 TEST(PowerDbUpperBound, AboveLog10AndWithinItsSlack) {

@@ -185,9 +185,31 @@ TEST(Passes, RejectsNonFiniteSpan) {
   EXPECT_THROW(predict_passes_grid_cached({tle}, site, jd0, jd0 + 1.0,
                                           nan_step, 0, &cache),
                std::invalid_argument);
+  // A step longer than a positive span puts the refinement bracket of the
+  // first sample before the span's start: a window refined there would
+  // close thousands of days before it opens. A zero span has no bracket.
+  PassPredictionOptions long_step;
+  long_step.coarse_step_s = 1e9;
+  const JulianDate jd1 = jd0 + 0.2;
+  EXPECT_THROW(predict_passes_grid({&prop}, site, jd0, jd1, long_step),
+               std::invalid_argument);
+  EXPECT_THROW(predict_passes_grid({}, {}, jd0, jd1, long_step),
+               std::invalid_argument);
+  EXPECT_THROW(predict_passes_grid_cached({tle}, site, jd0, jd1, long_step,
+                                          0, &cache),
+               std::invalid_argument);
+  const double span_s = (jd1 - jd0) * kSecondsPerDay;
+  PassPredictionOptions just_over;
+  just_over.coarse_step_s = span_s * (1.0 + 1e-9);
+  EXPECT_THROW(predict_passes_grid({&prop}, site, jd0, jd1, just_over),
+               std::invalid_argument);
   const ContactWindowCache::Stats st = cache.stats();
   EXPECT_EQ(st.hits + st.misses, 0u);
   EXPECT_EQ(st.entries, 0u);
+  EXPECT_NO_THROW(predict_passes_grid({&prop}, site, jd0, jd0, long_step));
+  PassPredictionOptions just_under;
+  just_under.coarse_step_s = span_s * (1.0 - 1e-9);
+  EXPECT_NO_THROW(predict_passes_grid({&prop}, site, jd0, jd1, just_under));
 }
 
 TEST(Passes, SamplePassCoversWindow) {

@@ -17,6 +17,11 @@
 #   dts-adr 2000 1 {3,11} {1,4} the traced day on slotted ALOHA with ADR,
 #                               Doppler precompensation, 5/8-wave antenna
 #   campaign 3 1 {1,0}          the 3-day campaign, 1 thread and all
+#   campaign 30 1 0             the 30-day campaign of bench/e2e's
+#                               campaign-30d
+#   campaign 61 1 0             61 days: beacons after day 60 fall outside
+#                               the lane certificate and take the scalar
+#                               look
 #
 # Exits 0 when every dump matches, 1 when one differs (its first differing
 # lines are printed), 2 on a usage, checkout or build error.
@@ -24,7 +29,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 if [[ $# -lt 1 || $# -gt 2 ]]; then
-  sed -n '2,22p' "${BASH_SOURCE[0]}" >&2
+  sed -n '2,27p' "${BASH_SOURCE[0]}" >&2
   exit 2
 fi
 REV="$1"
@@ -85,6 +90,8 @@ CORPUS=(
   "dts-adr 2000 1 11 4"
   "campaign 3 1 1"
   "campaign 3 1 0"
+  "campaign 30 1 0"
+  "campaign 61 1 0"
 )
 
 status=0
