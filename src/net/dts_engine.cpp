@@ -909,9 +909,11 @@ class ShardSimulator {
                      std::vector<SlotResponder>& responders) {
     ++ctr.beacon_decodes;
     const phy::PreparedLink& beacon = g.beacon_link(cfg_, error_model_);
+    const channel::FadeUniforms beacon_u =
+        channel::FadingModel::draw_uniforms(rng);
     const std::optional<phy::LinkState> beacon_state =
         phy::ErrorModel::draw_unless_lost(beacon, g.beacon_loss_below_db,
-                                          rng);
+                                          beacon_u, rng);
     if (!beacon_state) {
       ++ctr.beacon_decodes_certified;
       return;
@@ -1079,8 +1081,11 @@ class ShardSimulator {
         // the slot is refreshed before the first uplink is resolved.
         LocGeo& g = loc_geo_[r.loc];
         const phy::PreparedLink& ack = g.ack_link(cfg_, error_model_);
+        const channel::FadeUniforms ack_u =
+            channel::FadingModel::draw_uniforms(rng);
         const std::optional<phy::LinkState> ack_state =
-            phy::ErrorModel::draw_unless_lost(ack, g.ack_loss_below_db, rng);
+            phy::ErrorModel::draw_unless_lost(ack, g.ack_loss_below_db, ack_u,
+                                              rng);
         if (!ack_state) ++ctr.ack_decodes_certified;
         acked = ack_state &&
                 error_model_.receive(ack_state->snr_db, g.ack_rx, rng);

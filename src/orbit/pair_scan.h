@@ -117,16 +117,12 @@ struct PairScanState {
   template <typename View>
   [[nodiscard]] bool visible(const View& view, std::size_t k) {
     const JulianDate t = view.time(k);
-    if (lane_span_covers(sampler.propagator().epoch_jd(), t)) {
-      const Vec3 rel = view.position(sat, k) - sampler.frame().obs_ecef_km;
-      const double range = rel.norm();
-      if (range >= kLaneMinRangeKm) {
-        const double excess =
-            ecef_to_enu(sampler.frame(), rel).up / range - sin_mask;
-        if (excess > kLaneMargin) return true;
-        if (excess < -kLaneMargin) return false;
-      }
-    }
+    const double excess =
+        certified_lane_sine(sampler.frame(), sampler.propagator().epoch_jd(),
+                            t, view.position(sat, k), LaneStatus::kOk) -
+        sin_mask;
+    if (excess > kLaneMargin) return true;
+    if (excess < -kLaneMargin) return false;
     return scalar_visible(t);
   }
 

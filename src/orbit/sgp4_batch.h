@@ -37,9 +37,11 @@
 #include <limits>
 #include <vector>
 
+#include "orbit/look_angles.h"
 #include "orbit/sgp4.h"
 #include "orbit/simd.h"
 #include "orbit/time.h"
+#include "orbit/vec3.h"
 
 namespace sinet::orbit {
 
@@ -88,6 +90,27 @@ enum class LaneStatus : std::uint8_t {
   kError = 1,  ///< scalar Sgp4::at() throws PropagationError here, or
                ///< comes within the kernel's guard band of throwing
 };
+
+/// sin(elevation) from `frame` of the kernel position `ecef_km` at `jd`
+/// of a satellite with TLE epoch `epoch_jd`, whose lane reported
+/// `status`, under the lane certificate: NaN, which clears no
+/// kLaneMargin comparison, unless the status is kOk, `jd` lies within
+/// kLaneMaxEpochDays of the epoch and the slant range is at least
+/// kLaneMinRangeKm. Callers compare it against a threshold's sine with
+/// kLaneMargin to spare and hand everything else to the scalar sampler.
+[[nodiscard]] inline double certified_lane_sine(const TopocentricFrame& frame,
+                                                JulianDate epoch_jd,
+                                                JulianDate jd,
+                                                const Vec3& ecef_km,
+                                                LaneStatus status) noexcept {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (status != LaneStatus::kOk || !lane_span_covers(epoch_jd, jd))
+    return kNaN;
+  const Vec3 rel = ecef_km - frame.obs_ecef_km;
+  const double range = rel.norm();
+  if (!(range >= kLaneMinRangeKm)) return kNaN;
+  return ecef_to_enu(frame, rel).up / range;
+}
 
 namespace detail {
 /// Init-stage constants (Sgp4Coefficients) of kLaneWidth lanes, one
