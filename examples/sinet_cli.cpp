@@ -44,6 +44,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -485,7 +486,7 @@ int cmd_dts(int argc, char** argv) {
   long sites = 256;
   double days = 1.0;
   long seed = 42;
-  double interval_s = 0.0;
+  std::optional<double> interval_s;  // unset: the fleet's default
   long threads = 0;  // 0 = all hardware threads
   std::string access;
   for (int i = 2; i < argc; ++i) {
@@ -521,7 +522,9 @@ int cmd_dts(int argc, char** argv) {
       static_cast<std::size_t>(nodes), static_cast<std::size_t>(sats),
       static_cast<std::size_t>(sites), campaign_epoch_jd(), days);
   cfg.seed = static_cast<std::uint64_t>(seed);
-  if (interval_s > 0.0) cfg.fleet.prototype.report_interval_s = interval_s;
+  // Any given value goes to the config, whose validation refuses one that
+  // is not positive.
+  if (interval_s) cfg.fleet.prototype.report_interval_s = *interval_s;
   cfg.sim_threads = static_cast<unsigned>(threads);
   if (access == "aloha")
     cfg.uplink_access = net::UplinkAccess::kSlottedAloha;

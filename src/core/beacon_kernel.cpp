@@ -24,6 +24,13 @@ void kernel_window_beacons(const orbit::Sgp4TimeBatch& lanes,
   for (std::size_t first = 0; first < out.size(); first += kLanes) {
     // Spare lanes of the last call repeat its first beacon.
     const std::size_t n = std::min(kLanes, out.size() - first);
+    // A group wholly outside the certificate's span keeps kOpen, as
+    // certified_lane_sine would leave it, without the propagation.
+    if (std::none_of(out.begin() + first, out.begin() + first + n,
+                     [epoch_jd](const KernelBeacon& b) {
+                       return orbit::lane_span_covers(epoch_jd, b.jd);
+                     }))
+      continue;
     orbit::JulianDate jd[kLanes];
     for (std::size_t l = 0; l < kLanes; ++l)
       jd[l] = out[first + (l < n ? l : 0)].jd;

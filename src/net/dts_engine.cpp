@@ -12,10 +12,16 @@
 //   * the run is cut into fixed kSliceSeconds time slices; inside each
 //     slice, satellites whose footprints overlap a common ground
 //     location (transitively) form one shard (sim::ConflictScheduler).
-//     Shards of a slice share no mutable node state — node SoA rows,
-//     active lists, per-location report heaps, window cursors and
-//     satellite buffers are all owned by exactly one shard — so they run
-//     concurrently on sim::ThreadPool with a barrier between slices;
+//     Every piece of mutable engine state belongs to one satellite or to
+//     one location (or a node at it) — node SoA rows, active lists,
+//     per-location report heaps, LocGeo rows, window cursors, satellite
+//     buffers, background caches and per-satellite partials — so shards
+//     of a slice share none of it, and the shards of the whole run form
+//     a dependency graph: a shard waits only for the latest earlier
+//     shard holding each of its satellites and each of its footprint
+//     locations. sim::ThreadPool::run_graph starts each shard as soon as
+//     those have finished, with no barrier between slices, and every
+//     piece of state still sees its shards one at a time in slice order;
 //   * inside a shard, the member satellites' timeline entries are k-way
 //     merged by (time, satellite index), so the per-location event
 //     order is a pure function of the config;
@@ -45,6 +51,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -535,14 +542,15 @@ class ShardSimulator {
 
  private:
   /// Conflict-schedule granularity. Shorter slices split footprints
-  /// more finely (more parallelism) at the cost of more barriers and a
-  /// longer schedule. Set by measurement (docs/PERFORMANCE.md, "Parallel
-  /// population scale"): on the 10k-node / 22-satellite day, 600 s
-  /// slices leave 2.2x of available parallelism (shard work over the
-  /// sum of each slice's slowest shard) and 240 s slices 5.2x, with the
-  /// fastest 4-core wall time; shorter slices add little parallelism
-  /// and ran slower. On 200 satellites every length tried ran within
-  /// noise.
+  /// more finely (more shards, a deeper but narrower graph) at the cost
+  /// of a longer schedule; there is no barrier between slices. Set by
+  /// measurement (docs/PERFORMANCE.md, "Parallel population scale"): on
+  /// the 10k-node / 22-satellite day under the shard graph, 240 s
+  /// slices leave 6.3x of available parallelism (shard work over the
+  /// graph's longest chain), 120 s slices 7.3x with no faster 4-core
+  /// wall time and more memory, and 480 s slices 3.2x with a 40% slower
+  /// one. On 200 satellites every slice is one shard whatever its
+  /// length (available parallelism 1.00).
   static constexpr double kSliceSeconds = 240.0;
   /// End-of-run reductions run over fixed node blocks (never
   /// thread-count-derived ranges) so double sums merge identically for
@@ -599,8 +607,8 @@ class ShardSimulator {
     active_.resize(locations_.size());
     active_pos_.assign(count, kNoActive);
 
-    // Per-location report heaps: a location is owned by one shard per
-    // slice, so its heap needs no lock.
+    // Per-location report heaps: a location is held by one shard at a
+    // time, in slice order, so its heap needs no lock.
     loc_heap_.resize(locations_.size());
     for (std::size_t n = 0; n < count; ++n)
       if (nodes_.next_report_s[n] < duration_s_)
@@ -769,45 +777,57 @@ class ShardSimulator {
     schedule_ = sched.build();
   }
 
-  /// Runs every slice's shards, a barrier between slices. With a metrics
-  /// registry each shard is timed: the sum of shard times is the run's
-  /// one-thread work, the sum of each slice's slowest shard its critical
-  /// path, and their ratio the parallelism the schedule makes available.
+  /// Runs the shard graph (sim/shard.h) on the pool: a shard starts as
+  /// soon as the latest earlier shard of each of its satellites and of
+  /// each of its footprint locations has finished. Inline (one thread)
+  /// the shards run in index order. With a metrics registry each shard
+  /// is timed: the sum of shard times is the run's one-thread work, the
+  /// longest chain of shard times through the graph its critical path,
+  /// and their ratio the parallelism the schedule makes available.
   /// Without one no clock is read.
   void execute() {
     sat_counters_.assign(satellites_.size(), DtsCounters{});
     sat_agg_.assign(satellites_.size(), DtsAggregates{});
+    const std::uint32_t shards = schedule_.total_shards();
+    total_shards_ = shards;
+    for (std::uint32_t k = 0; k < schedule_.slice_count(); ++k)
+      max_slice_shards_ = std::max<std::size_t>(max_slice_shards_,
+                                                schedule_.shard_count(k));
+    for (std::uint32_t j = 0; j < shards; ++j)
+      max_shard_members_ =
+          std::max(max_shard_members_, schedule_.members_of(j).size());
+
     const bool timed = cfg_.metrics != nullptr;
-    std::vector<double> shard_s;
-    for (std::uint32_t k = 0; k < schedule_.slice_count(); ++k) {
-      const std::uint32_t shards = schedule_.shard_count(k);
-      if (shards == 0) continue;
-      total_shards_ += shards;
-      max_slice_shards_ = std::max<std::size_t>(max_slice_shards_, shards);
-      for (std::uint32_t j = 0; j < shards; ++j)
-        max_shard_members_ =
-            std::max(max_shard_members_, schedule_.shard(k, j).size());
-      shard_s.assign(shards, 0.0);
-      const auto run = [&](std::size_t j) {
-        const auto members = schedule_.shard(k, static_cast<std::uint32_t>(j));
-        if (!timed) {
-          run_shard(k, members);
-          return;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        run_shard(k, members);
-        shard_s[j] = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-      };
-      if (pool_ != nullptr && shards > 1) {
-        pool_->parallel_for(shards, run);
-      } else {
-        for (std::uint32_t j = 0; j < shards; ++j) run(j);
+    std::vector<double> shard_s(timed ? shards : 0, 0.0);
+    const std::function<void(std::size_t)> run = [&](std::size_t j) {
+      const auto g = static_cast<std::uint32_t>(j);
+      if (!timed) {
+        run_shard(schedule_.slice_of(g), schedule_.members_of(g));
+        return;
       }
-      if (!timed) continue;
-      for (const double x : shard_s) work_s_ += x;
-      critical_s_ += *std::max_element(shard_s.begin(), shard_s.end());
+      const auto t0 = std::chrono::steady_clock::now();
+      run_shard(schedule_.slice_of(g), schedule_.members_of(g));
+      shard_s[j] = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    };
+    if (pool_ != nullptr) {
+      pool_->run_graph(sim::TaskGraph{schedule_.pred_count,
+                                      schedule_.succ_begin, schedule_.succ},
+                       run);
+    } else {
+      for (std::uint32_t j = 0; j < shards; ++j) run(j);
+    }
+    if (!timed) return;
+    // Every edge points up, so index order visits each shard after all of
+    // its predecessors.
+    std::vector<double> ready_s(shards, 0.0);
+    for (std::uint32_t j = 0; j < shards; ++j) {
+      const double finish_s = ready_s[j] + shard_s[j];
+      work_s_ += shard_s[j];
+      critical_s_ = std::max(critical_s_, finish_s);
+      for (const std::uint32_t next : schedule_.successors(j))
+        ready_s[next] = std::max(ready_s[next], finish_s);
     }
   }
 
@@ -960,8 +980,7 @@ class ShardSimulator {
       materialize_loc(loc, t, agg);
       if (active_[loc].empty()) continue;
       // Stamped with the global entry id; a location is only ever
-      // touched by its owning shard within a slice, so the row is
-      // race-free.
+      // touched by the one shard holding it, so the row is race-free.
       LocGeo& g = loc_geo_[loc];
       g.refresh(gid + 1, cfg_, error_model_, satellites_[s], locations_[loc],
                 node_windows_[s][loc], window_cursor_[s][loc], jd, wx);
@@ -1327,6 +1346,8 @@ class ShardSimulator {
         .set(static_cast<double>(slice_count_));
     m.gauge("net.dts.parallel.shards")
         .set(static_cast<double>(total_shards_));
+    m.gauge("net.dts.parallel.edges")
+        .set(static_cast<double>(schedule_.succ.size()));
     m.gauge("net.dts.parallel.max_shard_members")
         .set(static_cast<double>(max_shard_members_));
     m.gauge("net.dts.parallel.max_slice_shards")
@@ -1378,9 +1399,9 @@ class ShardSimulator {
   std::size_t max_slice_shards_ = 0;
   std::size_t max_shard_members_ = 0;
   double work_s_ = 0.0;      ///< sum of shard times (metrics only)
-  double critical_s_ = 0.0;  ///< sum of each slice's slowest shard
+  double critical_s_ = 0.0;  ///< longest chain of shard times (metrics only)
 
-  // Per-location state (owned by one shard per slice).
+  // Per-location state (held by one shard at a time, in slice order).
   std::vector<std::vector<std::uint32_t>> active_;
   std::vector<std::uint32_t> active_pos_;
   using LocHeap =
@@ -1402,9 +1423,9 @@ class ShardSimulator {
   /// satellite-rx time and via_satellite; flush_satellite runs in the
   /// shard owning the satellite and writes server_rx_unix_s and
   /// delivered. A flush may fill the record of a node whose location
-  /// another shard owns in the same slice (a duplicate uplink of a stored
-  /// packet updating its attempts meanwhile), which is race-free only
-  /// because the two writers touch disjoint fields.
+  /// another shard holds meanwhile, of the same slice or a later one (a
+  /// duplicate uplink of a stored packet updating its attempts), which
+  /// is race-free only because the two writers touch disjoint fields.
   std::vector<std::size_t> record_base_;
   std::vector<trace::UplinkRecord> records_;
 };

@@ -238,9 +238,9 @@ struct DtsAggregates {
 
   /// Fold a shard-local partial into this aggregate: counter addition,
   /// double-sum addition, stats::Histogram::merge on each histogram and
-  /// per-mode residency addition. The parallel engine calls this in a
-  /// fixed shard order after its barrier, which is what keeps the merged
-  /// double sums bit-identical across thread counts.
+  /// per-mode residency addition. The parallel engine calls this in
+  /// satellite order once every shard has finished, which is what keeps
+  /// the merged double sums bit-identical across thread counts.
   void merge_from(const DtsAggregates& other);
 };
 

@@ -8,6 +8,8 @@ namespace sinet::sim {
 
 namespace {
 
+constexpr std::uint32_t kNoShard = static_cast<std::uint32_t>(-1);
+
 /// Union-find over member indices with path halving; no rank (member
 /// counts per slice are small and the find chain is already short).
 class UnionFind {
@@ -41,7 +43,15 @@ class UnionFind {
 }  // namespace
 
 ConflictScheduler::ConflictScheduler(std::uint32_t member_count)
-    : member_count_(member_count) {}
+    : member_count_(member_count), last_of_member_(member_count, kNoShard) {}
+
+std::uint32_t ShardSchedule::slice_of(std::uint32_t j) const {
+  // The last slice starting at or before j; an empty slice starts where
+  // the next one does, so it is skipped.
+  const auto it =
+      std::upper_bound(slice_begin.begin(), slice_begin.end(), j);
+  return static_cast<std::uint32_t>(it - slice_begin.begin() - 1);
+}
 
 void ConflictScheduler::advance_to(std::uint32_t slice) {
   if (slice < closed_)
@@ -97,11 +107,38 @@ void ConflictScheduler::close_slice() {
     }
     shards[static_cast<std::size_t>(shard_of[root])].push_back(m);
   }
-  for (const auto& shard : shards) {
-    schedule_.members.insert(schedule_.members.end(), shard.begin(),
-                             shard.end());
+  // Dependencies: the latest earlier shard of each member and of each
+  // resource. A member or resource belongs to one shard of the slice, so
+  // its latest shard can be read and moved on in one pass.
+  const std::uint32_t base = schedule_.total_shards();
+  std::vector<std::vector<std::uint32_t>> preds(shards.size());
+  for (std::size_t j = 0; j < shards.size(); ++j) {
+    for (const std::uint32_t m : shards[j]) {
+      if (last_of_member_[m] != kNoShard)
+        preds[j].push_back(last_of_member_[m]);
+      last_of_member_[m] = base + static_cast<std::uint32_t>(j);
+    }
+  }
+  for (std::size_t i = 0; i < touches_.size(); ++i) {
+    if (i > 0 && touches_[i].first == touches_[i - 1].first) continue;
+    const auto j = static_cast<std::uint32_t>(
+        shard_of[uf.find(touches_[i].second)]);
+    const auto [it, first] =
+        last_of_resource_.try_emplace(touches_[i].first, base + j);
+    if (first) continue;
+    preds[j].push_back(it->second);
+    it->second = base + j;
+  }
+  for (std::size_t j = 0; j < shards.size(); ++j) {
+    schedule_.members.insert(schedule_.members.end(), shards[j].begin(),
+                             shards[j].end());
     schedule_.shard_begin.push_back(
         static_cast<std::uint32_t>(schedule_.members.size()));
+    std::sort(preds[j].begin(), preds[j].end());
+    preds[j].erase(std::unique(preds[j].begin(), preds[j].end()),
+                   preds[j].end());
+    for (const std::uint32_t p : preds[j])
+      edges_.emplace_back(p, base + static_cast<std::uint32_t>(j));
   }
   schedule_.slice_begin.push_back(
       static_cast<std::uint32_t>(schedule_.shard_begin.size() - 1));
@@ -112,9 +149,28 @@ void ConflictScheduler::close_slice() {
 
 ShardSchedule ConflictScheduler::build() {
   while (closed_ < slice_count_) close_slice();
+  // Successor rows by counting sort on the predecessor. edges_ ascends in
+  // its successor, so each row comes out ascending.
+  const std::uint32_t n = schedule_.total_shards();
+  schedule_.pred_count.assign(n, 0);
+  schedule_.succ_begin.assign(std::size_t{n} + 1, 0);
+  for (const auto& [p, s] : edges_) {
+    ++schedule_.pred_count[s];
+    ++schedule_.succ_begin[p + 1];
+  }
+  std::partial_sum(schedule_.succ_begin.begin(), schedule_.succ_begin.end(),
+                   schedule_.succ_begin.begin());
+  schedule_.succ.resize(edges_.size());
+  std::vector<std::uint32_t> next(schedule_.succ_begin.begin(),
+                                  schedule_.succ_begin.end() - 1);
+  for (const auto& [p, s] : edges_) schedule_.succ[next[p]++] = s;
+
   ShardSchedule out = std::move(schedule_);
   schedule_ = ShardSchedule{};
   slice_count_ = closed_ = 0;
+  last_of_member_.assign(member_count_, kNoShard);
+  last_of_resource_.clear();
+  edges_.clear();
   return out;
 }
 

@@ -2,33 +2,52 @@
 //
 // The DtS engine (net/dts_engine.cpp) divides a run into fixed
 // time slices and, inside each slice, groups satellites whose footprints
-// touch a common ground location into one shard: shards never share a
-// mutable resource, so they can run concurrently on sim::ThreadPool with
-// no locks, and the schedule itself is a pure function of the input —
-// identical for every thread count. This header is the generic piece:
-// members (e.g. satellites) declare which resources (e.g. location
-// indices) they touch in which slice, and build() returns, per slice,
-// the connected components of the member/resource sharing graph as
-// sorted member lists in a canonical order.
+// touch a common ground location into one shard: shards of a slice never
+// share a mutable resource, so they can run concurrently on
+// sim::ThreadPool with no locks, and the schedule itself is a pure
+// function of the input — identical for every thread count. This header
+// is the generic piece: members (e.g. satellites) declare which
+// resources (e.g. location indices) they touch in which slice, and
+// build() returns, per slice, the connected components of the
+// member/resource sharing graph as sorted member lists in a canonical
+// order, plus the dependencies between shards of different slices: a
+// shard waits for the latest earlier shard holding each of its members
+// and each of its resources, and for nothing else. Run as a task graph
+// (sim::ThreadPool::run_graph), every member and every resource still
+// sees its shards one at a time in slice order, with no barrier between
+// slices.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace sinet::sim {
 
 /// Connected-component batches of every time slice, in flat offset
-/// arrays: slice k owns shards [slice_begin[k], slice_begin[k + 1]), and
-/// shard j's members are members[shard_begin[j] .. shard_begin[j + 1]).
-/// Each shard's members ascend; a slice's shards are ordered by their
-/// smallest member. Members of different shards of one slice share no
-/// resource within the slice and may execute concurrently.
+/// arrays: slice k owns shards [slice_begin[k], slice_begin[k + 1]) of
+/// the global shard index, and shard j's members are
+/// members[shard_begin[j] .. shard_begin[j + 1]). Each shard's members
+/// ascend; a slice's shards are ordered by their smallest member. Members
+/// of different shards of one slice share no resource within the slice
+/// and may execute concurrently.
+///
+/// Dependencies, in the shape of sim::TaskGraph: shard j may start once
+/// pred_count[j] shards have finished, and its successors are
+/// succ[succ_begin[j] .. succ_begin[j + 1]), ascending. Shard j's
+/// predecessors are, deduplicated, the latest earlier shard holding each
+/// of its members and the latest earlier shard touching each of its
+/// resources, so every edge points to a higher shard index and index
+/// order is a valid serial order.
 struct ShardSchedule {
   std::vector<std::uint32_t> slice_begin{0};
   std::vector<std::uint32_t> shard_begin{0};
   std::vector<std::uint32_t> members;
+  std::vector<std::uint32_t> pred_count;
+  std::vector<std::uint32_t> succ_begin{0};
+  std::vector<std::uint32_t> succ;
 
   [[nodiscard]] std::uint32_t slice_count() const noexcept {
     return static_cast<std::uint32_t>(slice_begin.size() - 1);
@@ -36,12 +55,22 @@ struct ShardSchedule {
   [[nodiscard]] std::uint32_t shard_count(std::uint32_t slice) const {
     return slice_begin[slice + 1] - slice_begin[slice];
   }
-  /// Members of shard `index` (0-based within the slice) of `slice`.
-  [[nodiscard]] std::span<const std::uint32_t> shard(
-      std::uint32_t slice, std::uint32_t index) const {
-    const std::uint32_t j = slice_begin[slice] + index;
+  /// Shards of every slice.
+  [[nodiscard]] std::uint32_t total_shards() const noexcept {
+    return static_cast<std::uint32_t>(shard_begin.size() - 1);
+  }
+  /// Members of global shard `j`.
+  [[nodiscard]] std::span<const std::uint32_t> members_of(
+      std::uint32_t j) const {
     return {members.data() + shard_begin[j],
             members.data() + shard_begin[j + 1]};
+  }
+  /// The slice global shard `j` belongs to.
+  [[nodiscard]] std::uint32_t slice_of(std::uint32_t j) const;
+  /// Successors of global shard `j`.
+  [[nodiscard]] std::span<const std::uint32_t> successors(
+      std::uint32_t j) const {
+    return {succ.data() + succ_begin[j], succ.data() + succ_begin[j + 1]};
   }
 };
 
@@ -74,8 +103,8 @@ class ConflictScheduler {
   }
 
   /// Closes the last slice and returns the shards of every slice, in
-  /// slice order; slices with no active member have no shards. The
-  /// scheduler then starts over, empty.
+  /// slice order, with their dependencies; slices with no active member
+  /// have no shards. The scheduler then starts over, empty.
   [[nodiscard]] ShardSchedule build();
 
  private:
@@ -90,6 +119,11 @@ class ConflictScheduler {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> touches_;
   std::vector<std::uint32_t> active_;
   ShardSchedule schedule_;
+  /// Latest closed shard holding each member / touching each resource.
+  std::vector<std::uint32_t> last_of_member_;
+  std::unordered_map<std::uint64_t, std::uint32_t> last_of_resource_;
+  /// (predecessor, successor) edges, in ascending successor order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
 };
 
 }  // namespace sinet::sim

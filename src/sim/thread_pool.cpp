@@ -1,7 +1,9 @@
 #include "sim/thread_pool.h"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -10,7 +12,7 @@
 namespace sinet::sim {
 
 namespace {
-// Which pool (if any) owns the current thread. Lets parallel_for detect a
+// Which pool (if any) owns the current thread. Lets run_batch detect a
 // nested call from one of its own workers and switch from blocking on the
 // completion latch (which would deadlock a fully-busy pool) to helping
 // drain the queue.
@@ -54,10 +56,10 @@ bool ThreadPool::on_worker_thread() const noexcept {
 
 void ThreadPool::run_task(std::function<void()>& task,
                           std::size_t worker_index) {
-  // Count before running: a parallel_for task's completion latch fires
-  // inside task(), so counting afterwards would let the caller (and a
-  // MetricsScope publishing on exit) observe fewer tasks than have
-  // visibly completed.
+  // Count before running: a parallel_for or run_graph task's completion
+  // latch fires inside task(), so counting afterwards would let the
+  // caller (and a MetricsScope publishing on exit) observe fewer tasks
+  // than have visibly completed.
   tasks_run_.fetch_add(1, std::memory_order_relaxed);
   if (timing_enabled_.load(std::memory_order_relaxed)) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -96,81 +98,166 @@ bool ThreadPool::try_run_one_task() {
     task = std::move(queue_.front());
     queue_.pop();
   }
-  // Only ever called from parallel_for's helping branch, which requires
+  // Only ever called from run_batch's helping branch, which requires
   // on_worker_thread(), so t_worker_index is valid here.
   run_task(task, t_worker_index);
   return true;
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
+// The shared state of one parallel_for or run_graph call. The body is
+// copied in so queued tasks never dangle if the caller's reference dies
+// first; the graph's successor rows are the caller's, read only by tasks
+// that have not yet counted themselves down, which the caller waits for.
+struct ThreadPool::Batch {
+  Batch(std::size_t n, const std::function<void(std::size_t)>& fn,
+        const TaskGraph* graph)
+      : body(fn), errors(n), remaining(n) {
+    if (graph == nullptr) return;
+    succ_begin = graph->succ_begin;
+    succ = graph->succ;
+    pending = std::make_unique<std::atomic<std::uint32_t>[]>(n);
+    skipped = std::make_unique<std::atomic<bool>[]>(n);
+    for (std::size_t i = 0; i < n; ++i)
+      pending[i].store(graph->pred_count[i], std::memory_order_relaxed);
+  }
+
+  std::function<void(std::size_t)> body;
+  std::span<const std::uint32_t> succ_begin;
+  std::span<const std::uint32_t> succ;
+  /// Per task: predecessors not yet finished, and whether one failed.
+  /// Null for parallel_for, whose tasks are all ready at once.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> pending;
+  std::unique_ptr<std::atomic<bool>[]> skipped;
+  /// Slot i is written only by task i, before it counts itself down.
+  std::vector<std::exception_ptr> errors;
+  /// The completion latch: tasks not yet finished or skipped. The task
+  /// that takes it to zero notifies done_cv under m.
+  std::atomic<std::size_t> remaining;
+  std::mutex m;
+  std::condition_variable done_cv;
+};
+
+void ThreadPool::submit_task(const std::shared_ptr<Batch>& batch,
+                             std::size_t i) {
+  submit([this, batch, i] { run_chain(batch, i); });
+}
+
+void ThreadPool::run_chain(const std::shared_ptr<Batch>& batch,
+                           std::size_t i) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  Batch& b = *batch;
+  for (;;) {
+    bool failed =
+        b.skipped != nullptr && b.skipped[i].load(std::memory_order_relaxed);
+    if (!failed) {
+      try {
+        b.body(i);
+      } catch (...) {
+        b.errors[i] = std::current_exception();
+        failed = true;
+      }
+    }
+    // Release the successors. The acq_rel count-down makes the thread
+    // that takes a count to zero see every predecessor's writes, skip
+    // marks included; it keeps the first task it made ready and queues
+    // the rest.
+    std::size_t next = kNone;
+    if (b.pending != nullptr) {
+      for (std::uint32_t e = b.succ_begin[i]; e < b.succ_begin[i + 1]; ++e) {
+        const std::uint32_t s = b.succ[e];
+        if (failed) b.skipped[s].store(true, std::memory_order_relaxed);
+        if (b.pending[s].fetch_sub(1, std::memory_order_acq_rel) != 1)
+          continue;
+        if (next == kNone)
+          next = s;
+        else
+          submit_task(batch, s);
+      }
+    }
+    if (b.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(b.m);
+      b.done_cv.notify_all();
+    }
+    if (next == kNone) return;
+    // A task run in this loop counts as a task of its own (before it
+    // runs, as run_task counts).
+    tasks_run_.fetch_add(1, std::memory_order_relaxed);
+    i = next;
+  }
+}
+
+void ThreadPool::run_batch(std::size_t n,
+                           const std::function<void(std::size_t)>& body,
+                           const TaskGraph* graph) {
   if (n == 0) return;
   if (n == 1) {  // nothing to fan out; avoid the queue round trip
     body(0);
     return;
   }
 
-  // Completion latch + per-index exception slots (rethrow lowest index so
-  // failures are reproducible regardless of worker interleaving). The body
-  // is copied into the shared state so queued tasks never dangle if the
-  // caller's reference dies first.
-  struct State {
-    std::mutex m;
-    std::condition_variable done_cv;
-    std::size_t remaining;
-    std::vector<std::exception_ptr> errors;
-    std::function<void(std::size_t)> body;
+  auto batch = std::make_shared<Batch>(n, body, graph);
+  for (std::size_t i = 0; i < n; ++i)
+    if (graph == nullptr || graph->pred_count[i] == 0) submit_task(batch, i);
+
+  const auto done = [&batch] {
+    return batch->remaining.load(std::memory_order_acquire) == 0;
   };
-  auto state = std::make_shared<State>();
-  state->remaining = n;
-  state->errors.assign(n, nullptr);
-  state->body = body;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([state, i] {
-      try {
-        state->body(i);
-      } catch (...) {
-        state->errors[i] = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->m);
-      if (--state->remaining == 0) state->done_cv.notify_all();
-    });
-  }
-
   if (on_worker_thread()) {
     // Nested call: this worker is the thread that would run the queued
     // tasks, so blocking on done_cv could wait forever (it always does on
     // a 1-thread pool). Help drain the queue instead; once it is empty,
-    // every task of ours is either done or in flight on another worker,
-    // and waiting on the latch is safe.
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(state->m);
-        if (state->remaining == 0) break;
-      }
-      if (try_run_one_task()) continue;
-      std::unique_lock<std::mutex> lock(state->m);
-      state->done_cv.wait(lock, [&] { return state->remaining == 0; });
-      break;
+    // every task of ours is done, in flight on another worker or waiting
+    // for one in flight (whose worker queues or runs it), and waiting on
+    // the latch is safe.
+    while (!done() && try_run_one_task()) {
     }
-  } else {
-    std::unique_lock<std::mutex> lock(state->m);
-    state->done_cv.wait(lock, [&] { return state->remaining == 0; });
+  }
+  {
+    std::unique_lock<std::mutex> lock(batch->m);
+    batch->done_cv.wait(lock, done);
   }
 
   // Move the exceptions out of the shared state before rethrowing. A
-  // worker may still hold the last reference to `state`; left inside it,
+  // worker may still hold the last reference to `batch`; left inside it,
   // the rethrown exception would be freed on that worker while the caller
   // still reads it, ordered only by exception_ptr's reference count in the
   // uninstrumented runtime, which ThreadSanitizer cannot see.
   std::vector<std::exception_ptr> errors;
-  {
-    std::lock_guard<std::mutex> lock(state->m);
-    errors.swap(state->errors);
-  }
+  errors.swap(batch->errors);
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
+}
+
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& body) {
+  run_batch(n, body, nullptr);
+}
+
+void ThreadPool::run_graph(const TaskGraph& graph,
+                           const std::function<void(std::size_t)>& body) {
+  // A graph that breaks the shape could leave a task never ready and the
+  // caller waiting forever, so check it before anything runs.
+  const std::size_t n = graph.pred_count.size();
+  if (graph.succ_begin.size() != n + 1 || graph.succ_begin[0] != 0 ||
+      graph.succ_begin[n] != graph.succ.size())
+    throw std::invalid_argument("ThreadPool::run_graph: bad successor rows");
+  std::vector<std::uint32_t> preds(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (graph.succ_begin[i] > graph.succ_begin[i + 1])
+      throw std::invalid_argument("ThreadPool::run_graph: bad successor rows");
+    for (std::uint32_t e = graph.succ_begin[i]; e < graph.succ_begin[i + 1];
+         ++e) {
+      const std::uint32_t s = graph.succ[e];
+      if (s <= i || s >= n)
+        throw std::invalid_argument(
+            "ThreadPool::run_graph: a successor not above its task");
+      ++preds[s];
+    }
+  }
+  if (!std::equal(preds.begin(), preds.end(), graph.pred_count.begin()))
+    throw std::invalid_argument(
+        "ThreadPool::run_graph: predecessor counts disagree with the rows");
+  run_batch(n, body, &graph);
 }
 
 unsigned ThreadPool::hardware_threads() noexcept {

@@ -1,4 +1,4 @@
-// Fixed-size thread pool for embarrassingly parallel fan-out.
+// Fixed-size thread pool for parallel fan-out and task graphs.
 //
 // The hot loops of the reproduction (pass prediction over a full
 // (site x constellation x satellite) campaign) are independent per task,
@@ -7,9 +7,10 @@
 // caller's job — tasks write into pre-sized slots indexed by input
 // position, so results never depend on scheduling order.
 //
-// parallel_for is nesting-safe: a worker thread that calls parallel_for
-// on its own pool helps drain the task queue instead of blocking, so
-// nested fan-outs complete even on a 1-thread pool.
+// parallel_for and run_graph are one executor: parallel_for is a graph
+// without edges. Both are nesting-safe: a worker thread that calls
+// either on its own pool helps drain the task queue instead of blocking,
+// so nested fan-outs complete even on a 1-thread pool.
 #pragma once
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,19 @@ class MetricsRegistry;
 }  // namespace sinet::obs
 
 namespace sinet::sim {
+
+/// A dependency graph over tasks 0..n-1 (n = pred_count.size()), in
+/// compressed rows: task i may start once pred_count[i] tasks have
+/// finished, and its successors are succ[succ_begin[i] ..
+/// succ_begin[i + 1]). Every successor index lies above its task's, so
+/// index order is a valid serial order, and each task appears among the
+/// successors exactly pred_count[i] times. The spans are views, read
+/// only during the run_graph call.
+struct TaskGraph {
+  std::span<const std::uint32_t> pred_count;
+  std::span<const std::uint32_t> succ_begin;
+  std::span<const std::uint32_t> succ;
+};
 
 class ThreadPool {
  public:
@@ -56,6 +71,18 @@ class ThreadPool {
   /// the calling worker executes queued tasks while it waits.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
+
+  /// Run body(i) for every task of `graph` and block until all have
+  /// finished: a task starts as soon as each of its predecessors has
+  /// finished, and a worker finishing a task runs one of the tasks it
+  /// made ready itself and queues the others. A task runs only if none
+  /// of its predecessors failed (threw or was skipped); the others still
+  /// run. The lowest-indexed exception is rethrown on the calling thread
+  /// once every task has finished or been skipped, as parallel_for does,
+  /// and nesting is safe in the same way. Throws std::invalid_argument,
+  /// running nothing, when `graph` breaks TaskGraph's shape.
+  void run_graph(const TaskGraph& graph,
+                 const std::function<void(std::size_t)>& body);
 
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const noexcept;
@@ -110,6 +137,17 @@ class ThreadPool {
   };
 
  private:
+  struct Batch;
+
+  /// The one executor behind parallel_for (graph == nullptr: every task
+  /// ready at once) and run_graph: a completion latch, the per-task
+  /// exception slots and the helping wait.
+  void run_batch(std::size_t n, const std::function<void(std::size_t)>& body,
+                 const TaskGraph* graph);
+  /// Run task `i` of `batch`, release its successors and count it down;
+  /// then go on with one successor it made ready, if any.
+  void run_chain(const std::shared_ptr<Batch>& batch, std::size_t i);
+  void submit_task(const std::shared_ptr<Batch>& batch, std::size_t i);
   void worker_loop(std::size_t worker_index);
   /// Pop one task if available and run it outside the lock.
   bool try_run_one_task();

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/rng.h"
@@ -368,7 +370,7 @@ TEST(Rng, DeriveStreamDistinctAcrossBaseAndCounter) {
 /// Members of one shard as a vector, for EXPECT_EQ.
 std::vector<std::uint32_t> members(const sinet::sim::ShardSchedule& s,
                                    std::uint32_t slice, std::uint32_t shard) {
-  const auto span = s.shard(slice, shard);
+  const auto span = s.members_of(s.slice_begin[slice] + shard);
   return {span.begin(), span.end()};
 }
 
@@ -438,6 +440,101 @@ TEST(ConflictScheduler, DeterministicShardOrder) {
   EXPECT_EQ(members(slices, 0, 0), (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(members(slices, 0, 1), (std::vector<std::uint32_t>{2, 4}));
   EXPECT_EQ(members(slices, 0, 2), (std::vector<std::uint32_t>{3}));
+}
+
+TEST(ConflictScheduler, DependenciesOrderEveryConflictAcrossSlices) {
+  // Random touches over 40 slices (some left empty): every two shards of
+  // different slices that share a member or a resource must be joined by
+  // a path of edges, and each shard's predecessors must be exactly the
+  // latest earlier shard of each of its members and resources.
+  constexpr std::uint32_t kMembers = 9, kResources = 7, kSlices = 40;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sinet::sim::ConflictScheduler sched(kMembers);
+    // resources_of[k][m]: what member m touches in slice k.
+    std::vector<std::vector<std::set<std::uint64_t>>> resources_of(
+        kSlices, std::vector<std::set<std::uint64_t>>(kMembers));
+    for (std::uint32_t k = 0; k < kSlices; ++k) {
+      if (k % 13 == 5) continue;  // an empty slice
+      for (std::uint32_t m = 0; m < kMembers; ++m) {
+        if (rng.chance(0.3)) {
+          const auto r = static_cast<std::uint64_t>(
+              1000 + rng.uniform_int(0, kResources - 1));
+          sched.touch(k, m, r);
+          resources_of[k][m].insert(r);
+        } else if (rng.chance(0.2)) {
+          sched.activate(k, m);
+        }
+      }
+    }
+    const sinet::sim::ShardSchedule s = sched.build();
+    const std::uint32_t n = s.total_shards();
+    ASSERT_GT(n, 60u);
+    ASSERT_EQ(s.pred_count.size(), n);
+    ASSERT_EQ(s.succ_begin.size(), std::size_t{n} + 1);
+
+    // Each shard's slice, members and resources.
+    std::vector<std::set<std::uint64_t>> members(n), resources(n);
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const std::uint32_t k = s.slice_of(j);
+      ASSERT_GE(j, s.slice_begin[k]);
+      ASSERT_LT(j, s.slice_begin[k + 1]);
+      for (const std::uint32_t m : s.members_of(j)) {
+        members[j].insert(m);
+        resources[j].insert(resources_of[k][m].begin(),
+                            resources_of[k][m].end());
+      }
+    }
+    const auto conflict = [&](std::uint32_t i, std::uint32_t j) {
+      for (const std::uint64_t m : members[i])
+        if (members[j].count(m)) return true;
+      for (const std::uint64_t r : resources[i])
+        if (resources[j].count(r)) return true;
+      return false;
+    };
+
+    // Predecessors computed independently: the latest earlier holder of
+    // each member and of each resource.
+    std::size_t edges = 0;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      std::set<std::uint32_t> expect;
+      const auto latest = [&](auto holds) {
+        for (std::uint32_t i = s.slice_begin[s.slice_of(j)]; i-- > 0;) {
+          if (holds(i)) {
+            expect.insert(i);
+            return;
+          }
+        }
+      };
+      for (const std::uint64_t m : members[j])
+        latest([&](std::uint32_t i) { return members[i].count(m) > 0; });
+      for (const std::uint64_t r : resources[j])
+        latest([&](std::uint32_t i) { return resources[i].count(r) > 0; });
+      EXPECT_EQ(s.pred_count[j], expect.size()) << "shard " << j;
+      edges += expect.size();
+      for (const std::uint32_t next : s.successors(j)) {
+        EXPECT_GT(next, j);
+        EXPECT_TRUE(conflict(j, next)) << j << " -> " << next;
+      }
+    }
+    EXPECT_EQ(s.succ.size(), edges);
+
+    // Reachability, highest shard first: every edge points up.
+    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+    for (std::uint32_t i = n; i-- > 0;)
+      for (const std::uint32_t next : s.successors(i)) {
+        reach[i][next] = true;
+        for (std::uint32_t x = next + 1; x < n; ++x)
+          if (reach[next][x]) reach[i][x] = true;
+      }
+    for (std::uint32_t j = 0; j < n; ++j)
+      for (std::uint32_t i = 0; i < s.slice_begin[s.slice_of(j)]; ++i) {
+        if (conflict(i, j)) {
+          EXPECT_TRUE(reach[i][j]) << i << " ~> " << j;
+        }
+      }
+  }
 }
 
 TEST(ConflictScheduler, OutOfRangeMemberThrows) {

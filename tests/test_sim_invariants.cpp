@@ -3,16 +3,20 @@
 // The ThreadPool is stressed under nesting (a worker calling
 // parallel_for on its own pool must help drain the queue, not deadlock —
 // a 1-thread pool is the worst case), exception propagation, and
-// shared-pool reuse; EmpiricalCdf is queried concurrently from pool
-// workers. The concurrency tests are the TSan targets wired through
-// tools/run_sanitizers.sh.
+// shared-pool reuse; its task-graph executor (run_graph) is checked for
+// order, failure handling and nesting; EmpiricalCdf is queried
+// concurrently from pool workers. The concurrency tests are the TSan
+// targets wired through tools/run_sanitizers.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +28,7 @@
 namespace {
 
 using sinet::sim::Rng;
+using sinet::sim::TaskGraph;
 using sinet::sim::ThreadPool;
 using sinet::stats::EmpiricalCdf;
 
@@ -142,6 +147,160 @@ TEST(ThreadPoolStress, DeterministicResultsUnderNesting) {
     for (std::size_t j = 0; j < kInner; ++j)
       EXPECT_EQ(parallel_out[i * kInner + j],
                 static_cast<double>(i * 31 + j) * 0.5 + 1.0 / (1.0 + double(j)));
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool::run_graph: dependency order, failures, nesting
+// ---------------------------------------------------------------------------
+
+/// A task graph built from (predecessor, successor) edges, owning the
+/// arrays its TaskGraph view points into.
+struct EdgeGraph {
+  using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  EdgeGraph(std::size_t n, Edges e)
+      : edges(std::move(e)), pred_count(n, 0), succ_begin(n + 1, 0) {
+    std::sort(edges.begin(), edges.end());
+    for (const auto& [p, s] : edges) {
+      ++pred_count[s];
+      ++succ_begin[p + 1];
+      succ.push_back(s);
+    }
+    std::partial_sum(succ_begin.begin(), succ_begin.end(),
+                     succ_begin.begin());
+  }
+  [[nodiscard]] TaskGraph view() const {
+    return {pred_count, succ_begin, succ};
+  }
+
+  Edges edges;
+  std::vector<std::uint32_t> pred_count, succ_begin, succ;
+};
+
+/// A random DAG: each task gets up to three predecessors among the 24
+/// tasks below it, so long chains, fan-outs and fan-ins all occur.
+EdgeGraph random_graph(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  EdgeGraph::Edges edges;
+  for (std::uint32_t s = 1; s < n; ++s) {
+    const auto preds = rng.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < preds; ++k) {
+      const std::uint32_t lo = s > 24 ? s - 24 : 0;
+      edges.emplace_back(
+          static_cast<std::uint32_t>(rng.uniform_int(lo, s - 1)), s);
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return EdgeGraph(n, std::move(edges));
+}
+
+TEST(ThreadPoolGraph, NoTaskStartsBeforeItsPredecessorsFinish) {
+  // Each task stamps its start and its finish from one atomic clock; an
+  // edge's successor must start after its predecessor finished. Tasks
+  // yield a few times so that workers really overlap.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " seed " +
+                   std::to_string(seed));
+      const EdgeGraph g = random_graph(400, seed);
+      std::atomic<std::uint64_t> clock{0};
+      std::vector<std::uint64_t> start(400, 0), finish(400, 0);
+      std::vector<int> runs(400, 0);
+      pool.run_graph(g.view(), [&](std::size_t i) {
+        start[i] = clock.fetch_add(1);
+        ++runs[i];
+        for (std::size_t k = 0; k < i % 5; ++k) std::this_thread::yield();
+        finish[i] = clock.fetch_add(1);
+      });
+      EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), 400);
+      for (const auto& [p, s] : g.edges)
+        EXPECT_LT(finish[p], start[s]) << p << " -> " << s;
+    }
+  }
+}
+
+TEST(ThreadPoolGraph, FailureSkipsSuccessorsAndRethrowsTheLowestIndex) {
+  // 2 and 7 throw. 2's successors (6, and 10 behind it) never run,
+  // although 6 also waits on 3, which succeeds; every task that does not
+  // depend on a failed one runs; the lowest failing index, 2, is
+  // rethrown whichever failed first.
+  const EdgeGraph g(12, {{0, 4}, {4, 8}, {1, 5}, {5, 11}, {2, 6}, {3, 6},
+                         {6, 10}, {7, 9}});
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::atomic<int>> ran(12);
+      try {
+        pool.run_graph(g.view(), [&](std::size_t i) {
+          ran[i].fetch_add(1, std::memory_order_relaxed);
+          if (i == 7) throw std::runtime_error("boom-7");
+          if (i == 2) throw std::runtime_error("boom-2");
+        });
+        FAIL() << "expected an exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "boom-2");
+      }
+      for (std::size_t i = 0; i < 12; ++i) {
+        const bool skipped = i == 6 || i == 10 || i == 9;
+        EXPECT_EQ(ran[i].load(), skipped ? 0 : 1) << "task " << i;
+      }
+    }
+    // The pool stays usable.
+    std::atomic<int> after{0};
+    pool.parallel_for(8, [&](std::size_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 8);
+  }
+}
+
+TEST(ThreadPoolGraph, NestedGraphOnOneThreadPoolCompletes) {
+  // The only worker runs the outer tasks; each launches a graph whose
+  // tasks queue behind it, so the worker must help run them.
+  ThreadPool pool(1);
+  const EdgeGraph inner = random_graph(50, 9);
+  const EdgeGraph outer(4, {{0, 2}, {1, 3}, {2, 3}});
+  std::atomic<int> inner_runs{0};
+  std::atomic<int> outer_runs{0};
+  pool.run_graph(outer.view(), [&](std::size_t) {
+    outer_runs.fetch_add(1, std::memory_order_relaxed);
+    pool.run_graph(inner.view(), [&](std::size_t) {
+      inner_runs.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(outer_runs.load(), 4);
+  EXPECT_EQ(inner_runs.load(), 4 * 50);
+  // A graph inside parallel_for, and parallel_for inside a graph.
+  inner_runs = 0;
+  pool.parallel_for(3, [&](std::size_t) {
+    pool.run_graph(inner.view(), [&](std::size_t) {
+      pool.parallel_for(2, [&](std::size_t) {
+        inner_runs.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  EXPECT_EQ(inner_runs.load(), 3 * 50 * 2);
+}
+
+TEST(ThreadPoolGraph, RefusesMalformedGraphs) {
+  // A successor at or below its task, counts that disagree with the rows
+  // or rows of the wrong length could leave a task never ready; nothing
+  // runs.
+  ThreadPool pool(2);
+  std::atomic<int> runs{0};
+  const auto body = [&](std::size_t) { runs.fetch_add(1); };
+  const std::vector<std::uint32_t> zero{0, 0}, one{0, 1}, two{1, 0};
+  const std::vector<std::uint32_t> rows{0, 1, 1}, back{0, 0, 1};
+  const std::vector<std::uint32_t> to1{1}, to0{0};
+  EXPECT_THROW(pool.run_graph(TaskGraph{zero, rows, to1}, body),
+               std::invalid_argument);  // 1 has a predecessor
+  EXPECT_THROW(pool.run_graph(TaskGraph{two, back, to0}, body),
+               std::invalid_argument);  // 1 -> 0 points down
+  EXPECT_THROW(pool.run_graph(TaskGraph{one, zero, to1}, body),
+               std::invalid_argument);  // rows shorter than n + 1
+  EXPECT_EQ(runs.load(), 0);
+  pool.run_graph(TaskGraph{one, rows, to1}, body);
+  EXPECT_EQ(runs.load(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@
 #
 # Corpus (parity_dump arguments):
 #   dts 2000 1 {1,42} 0         the 2,000-node traced day
+#   dts 2000 1 1 2              the same on two workers: fewer workers
+#                               than ready shards, so the shard graph runs
+#                               in orders the 4-thread dumps never take
 #   dts 10000 1 {1,7} {1,4}     the 10,000-node aggregate day
 #   dts-adr 2000 1 {3,11} {1,4} the traced day on slotted ALOHA with ADR,
 #                               Doppler precompensation, 5/8-wave antenna
+#   dts-adr 2000 1 3 2          the same on two workers
 #   campaign 3 1 {1,0}          the 3-day campaign, 1 thread and all
 #   campaign 30 1 0             the 30-day campaign of bench/e2e's
 #                               campaign-30d
@@ -29,7 +33,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 if [[ $# -lt 1 || $# -gt 2 ]]; then
-  sed -n '2,27p' "${BASH_SOURCE[0]}" >&2
+  sed -n '2,31p' "${BASH_SOURCE[0]}" >&2
   exit 2
 fi
 REV="$1"
@@ -80,12 +84,14 @@ build tree "$ROOT"
 CORPUS=(
   "dts 2000 1 1 0"
   "dts 2000 1 42 0"
+  "dts 2000 1 1 2"
   "dts 10000 1 1 1"
   "dts 10000 1 1 4"
   "dts 10000 1 7 1"
   "dts 10000 1 7 4"
   "dts-adr 2000 1 3 1"
   "dts-adr 2000 1 3 4"
+  "dts-adr 2000 1 3 2"
   "dts-adr 2000 1 11 1"
   "dts-adr 2000 1 11 4"
   "campaign 3 1 1"
